@@ -219,4 +219,11 @@ TOPO_DIR="$(mktemp -d)"
 rm -rf "${TOPO_DIR}"
 ./target/release/mggcn topo-bench --check BENCH_topo.json >/dev/null
 
+echo "==> benchmark harness gate (BENCHMARK.json; unit tests + 20-step smoke of every workload)"
+# benchmark/ is a cargo workspace of its own built against this checkout,
+# so this also proves the public API the harness times (Trainer, Schedule,
+# preflight, execute, Server) still compiles. Performance claims cite its
+# metrics (benchmark/README.md), never the BENCH_*.json cards above.
+benchmark/check.sh
+
 echo "==> CI green"

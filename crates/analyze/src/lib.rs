@@ -3,10 +3,14 @@
 //! The engine warns that "a schedule missing a double-buffer WAR
 //! dependency will corrupt real data the same way real hardware would"
 //! (`gpusim::engine`). This crate turns that class of bug into a static
-//! finding: every `launch_fx`/`collective_fx` site declares the logical
-//! buffers it reads and writes ([`mggcn_gpusim::Effects`]), and the
-//! analyses run over the happens-before relation induced by lane FIFOs,
-//! explicit waits, and collective rendezvous ([`hb::Hb`]):
+//! finding: every op declares the logical buffers it reads and writes
+//! ([`mggcn_gpusim::Effects`]), and the analyses run over the
+//! happens-before relation induced by lane FIFOs, the recorded waits, and
+//! collective rendezvous ([`hb::Hb`]). The production recorders infer
+//! their waits from those same declarations (`mggcn_gpusim::deps`), so for
+//! them pass 1 audits a property that holds by construction — with an
+//! independent implementation (a full reachability closure, not the
+//! recorder's vector clocks):
 //!
 //! 1. **Hazard detection** — every RAW/WAR/WAW pair on the same buffer
 //!    must be HB-ordered ([`Finding::Hazard`] otherwise);

@@ -8,7 +8,7 @@
 //! DGX-A100 where 1.5D's comm edge is bought with 2× memory — should
 //! fall out.
 
-use mggcn_bench::{staged_spmm_15d_timeline, staged_spmm_timeline};
+use mggcn_bench::{spmm_15d_timeline, staged_spmm_timeline};
 use mggcn_gpusim::MachineSpec;
 use mggcn_graph::datasets::{PRODUCTS, REDDIT};
 use mggcn_graph::tilestats::{TileStats, VertexOrdering};
@@ -23,7 +23,7 @@ fn main() {
         for card in [REDDIT, PRODUCTS] {
             let stats = TileStats::model(&card, 8, VertexOrdering::Permuted);
             let (_, t_1d) = staged_spmm_timeline(&stats, 512, machine.clone(), true);
-            let (_, t_15d) = staged_spmm_15d_timeline(&stats, 512, machine.clone(), true);
+            let (_, t_15d) = spmm_15d_timeline(&stats, 512, machine.clone(), true);
             println!(
                 "{:<10} {:<10} {:>12.2} {:>12.2} {:>9.2}x {:>8}",
                 machine.name,

@@ -10,10 +10,11 @@
 use mggcn_baselines::{cagnet, dgl};
 use mggcn_core::config::{GcnConfig, TrainOptions};
 use mggcn_core::problem::Problem;
+use mggcn_core::state::BcSlot;
 use mggcn_core::trainer::Trainer;
 use mggcn_core::EpochReport;
 use mggcn_gpusim::engine::OpDesc;
-use mggcn_gpusim::{Category, MachineSpec, OpId, Schedule, Timeline, Work};
+use mggcn_gpusim::{BufId, Category, Effects, MachineSpec, Schedule, Timeline, Work};
 use mggcn_graph::tilestats::TileStats;
 use mggcn_graph::DatasetCard;
 
@@ -89,20 +90,18 @@ pub fn staged_spmm_timeline(
     let comm_stream = usize::from(overlap);
     let lanes: Vec<(usize, usize)> = group.iter().map(|&g| (g, comm_stream)).collect();
     let mut sched: Schedule<()> = Schedule::new(machine.clone());
-    let mut bc_readers: [Vec<OpId>; 2] = [Vec::new(), Vec::new()];
     for s in 0..p {
         let rows = stats.rows_of(s);
         let bytes = rows as f64 * d as f64 * 4.0;
         let bw = machine.broadcast_bw(s, &group);
-        let bcast = sched.collective(
+        sched.record_collective(
             &lanes,
             bytes,
             bw,
             OpDesc::staged(Category::Comm, "bcast", s),
-            &bc_readers[s % 2].clone(),
+            Effects::none().writes(group.iter().map(|&g| bc_slot(g, s))),
             None,
         );
-        let mut readers = Vec::with_capacity(p);
         for j in 0..p {
             let work = cost.spmm(
                 &machine.gpus[j],
@@ -112,14 +111,26 @@ pub fn staged_spmm_timeline(
                 d as u64,
                 s > 0,
             );
-            let op =
-                sched.launch(j, 0, work, OpDesc::staged(Category::SpMM, "spmm", s), &[bcast], None);
-            readers.push(op);
+            sched.record(
+                j,
+                0,
+                work,
+                OpDesc::staged(Category::SpMM, "spmm", s),
+                Effects::none().reads([bc_slot(j, s)]).rw(BufId::new(j, "AHW")),
+                None,
+            );
         }
-        bc_readers[s % 2] = readers;
     }
     let run = sched.run(&());
     (run.timeline, run.makespan)
+}
+
+/// Stage `s`'s half of the §4.3 broadcast double buffer on GPU `g`. The
+/// timeline builders below declare only these effects; the §4.3 waits
+/// (`spmm(s)` after `bcast(s)`, `bcast(s)` after the readers of
+/// `bcast(s-2)`) are inferred from them.
+fn bc_slot(g: usize, s: usize) -> BufId {
+    BufId::new(g, BcSlot::for_stage(s).buf_name())
 }
 
 /// Busy compute time of one GPU in a staged-SpMM timeline.
@@ -133,7 +144,7 @@ pub fn gpu_compute_time(tl: &Timeline, gpu: usize) -> f64 {
 /// broadcast rounds concurrently (half the stages each), then the partial
 /// results are reduced across the group boundary. Uses twice the feature
 /// memory; communication per §5.1's arithmetic.
-pub fn staged_spmm_15d_timeline(
+pub fn spmm_15d_timeline(
     stats: &TileStats,
     d: usize,
     machine: MachineSpec,
@@ -146,8 +157,6 @@ pub fn staged_spmm_15d_timeline(
     let comm_stream = usize::from(overlap);
     let mut sched: Schedule<()> = Schedule::new(machine.clone());
     let groups: [Vec<usize>; 2] = [(0..half).collect(), (half..p).collect()];
-    let mut bc_readers: [[Vec<OpId>; 2]; 2] = Default::default();
-    let mut last_spmm: Vec<Vec<OpId>> = vec![Vec::new(); p];
 
     // Feature rows are partitioned half-ways; group g handles stages
     // g*half..(g+1)*half of the original P-way stage space, i.e. each
@@ -164,16 +173,14 @@ pub fn staged_spmm_15d_timeline(
             let root = group[s_local % half];
             let bw = machine.broadcast_bw(root, group);
             let lanes: Vec<(usize, usize)> = group.iter().map(|&g| (g, comm_stream)).collect();
-            let waits = bc_readers[gidx][s_local % 2].clone();
-            let bcast = sched.collective(
+            sched.record_collective(
                 &lanes,
                 bytes,
                 bw,
                 OpDesc::staged(Category::Comm, "bcast-15d", s),
-                &waits,
+                Effects::none().writes(group.iter().map(|&g| bc_slot(g, s_local))),
                 None,
             );
-            let mut readers = Vec::with_capacity(half);
             for &j in group {
                 // Each GPU covers two of the P-way tiles per stage (the
                 // replica is half-partitioned), same total nnz as 1D.
@@ -186,20 +193,15 @@ pub fn staged_spmm_15d_timeline(
                     d as u64,
                     s_local > 0,
                 );
-                let op = sched.launch(
+                sched.record(
                     j,
                     0,
                     work,
                     OpDesc::staged(Category::SpMM, "spmm-15d", s),
-                    &[bcast],
+                    Effects::none().reads([bc_slot(j, s_local)]).rw(BufId::new(j, "AHW")),
                     None,
                 );
-                readers.push(op);
-                if s_local == half - 1 {
-                    last_spmm[j].push(op);
-                }
             }
-            bc_readers[gidx][s_local % 2] = readers;
         }
     }
 
@@ -210,13 +212,12 @@ pub fn staged_spmm_15d_timeline(
         let bytes = rows as f64 * d as f64 * 4.0;
         let bw = machine.reduce_bw(j, &pair);
         let lanes: Vec<(usize, usize)> = pair.iter().map(|&g| (g, comm_stream)).collect();
-        let waits: Vec<OpId> = last_spmm[j].iter().chain(&last_spmm[j + half]).copied().collect();
-        sched.collective(
+        sched.record_collective(
             &lanes,
             bytes,
             bw,
             OpDesc::new(Category::Comm, "reduce-15d"),
-            &waits,
+            Effects::none().rw(BufId::new(j, "AHW")).rw(BufId::new(j + half, "AHW")),
             None,
         );
     }

@@ -151,8 +151,8 @@ pub struct TrainOptions {
     /// synchronous pipeline, bit-identical to every prior behaviour.
     /// With `k >= 1`, epoch `e`'s *remote* feature broadcasts read a
     /// snapshot (`SF`) of the sources taken up to `k` epochs earlier, so
-    /// they carry no dependency on the current epoch's producers and the
-    /// engine issues them during the previous epoch's backward pass. The
+    /// they read nothing the current epoch writes and the engine issues
+    /// them during the previous epoch's backward pass. The
     /// local (diagonal) tile always reads live state, so the local
     /// gradient path stays exact.
     pub staleness: usize,

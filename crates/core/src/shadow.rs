@@ -5,7 +5,7 @@
 //! Observation combines two mechanisms:
 //!
 //! * **Instrumented accessors** — the trainer's buffer getters
-//!   (`read_buf`, `GpuState::{bc_ref, w_ref, sf_ref, rp_ref, ahw_pair_mut}`)
+//!   (`read_buf`, `GpuState::{bc_ref, w_ref, sf_ref, ahw_pair_mut}`)
 //!   and explicit `note_read`/`note_write` calls at raw-slice RMW sites
 //!   report to the attached [`EffectRecorder`]. This captures *reads*
 //!   (invisible to state diffing) and writes that may land byte-identical

@@ -9,6 +9,7 @@
 //! `L + 3`.
 
 use crate::config::GcnConfig;
+use crate::loss::LossStats;
 use crate::problem::Problem;
 use mggcn_dense::{init, Dense};
 use mggcn_gpusim::shadow::EffectRecorder;
@@ -78,17 +79,11 @@ pub struct GpuState {
     pub test_mask: Vec<bool>,
     /// Scratch: local loss sum and correct-prediction counters, filled by
     /// the loss body each epoch.
-    pub loss_sum: f64,
-    pub train_correct: usize,
-    pub train_total: usize,
-    pub test_correct: usize,
-    pub test_total: usize,
-    /// Per-epoch statistics log for fused multi-epoch (staleness)
-    /// schedules: the loss body pushes `(loss_sum, train_correct,
-    /// train_total, test_correct, test_total)` once per epoch and zeroes
-    /// the scratch counters, so a single schedule run yields one entry per
-    /// epoch. Empty in classic one-epoch mode.
-    pub epoch_stats: Vec<EpochStats>,
+    pub loss: LossStats,
+    /// Per-epoch trail for fused multi-epoch (staleness) schedules: the
+    /// loss body also pushes its stats here, so a single schedule run
+    /// yields one entry per epoch. Empty in classic one-epoch mode.
+    pub epoch_stats: Vec<LossStats>,
     /// This GPU's index within the [`DeviceState`] (buffer-access notes
     /// attribute to it).
     index: usize,
@@ -97,10 +92,6 @@ pub struct GpuState {
     /// ordinary training/serving, where every note is a no-op.
     recorder: Option<Arc<EffectRecorder>>,
 }
-
-/// One epoch's accumulated counters: `(loss_sum, train_correct,
-/// train_total, test_correct, test_total)`.
-pub type EpochStats = (f64, usize, usize, usize, usize);
 
 impl GpuState {
     pub fn bc(&mut self, slot: BcSlot) -> &mut Dense {
@@ -167,12 +158,6 @@ impl GpuState {
     pub fn sf_ref(&self, l: usize) -> &Dense {
         self.note_read(BufId::indexed(self.index, "SF", l));
         &self.sf[l]
-    }
-
-    /// The 1.5D replicated-partial buffer, recorded as a read.
-    pub fn rp_ref(&self) -> &Dense {
-        self.note_read(BufId::new(self.index, "RP"));
-        &self.rp
     }
 }
 
@@ -300,11 +285,7 @@ impl DeviceState {
                     labels: real.labels[i].clone(),
                     train_mask: real.train_mask[i].clone(),
                     test_mask: real.test_mask[i].clone(),
-                    loss_sum: 0.0,
-                    train_correct: 0,
-                    train_total: 0,
-                    test_correct: 0,
-                    test_total: 0,
+                    loss: LossStats::default(),
                     epoch_stats: Vec::new(),
                     index: i,
                     recorder: None,
@@ -362,35 +343,12 @@ impl DeviceState {
     }
 
     /// Broadcast `rows × cols` from `src`'s buffer selected by `read` into
-    /// every GPU's `slot` broadcast buffer (including the root's own — NCCL
-    /// roots read their send buffer through the collective too).
+    /// the `slot` broadcast buffer of every GPU in `members` (including the
+    /// root's own — NCCL roots read their send buffer through the
+    /// collective too). `members` is the whole machine under 1D and one
+    /// replication group under 1.5D; GPUs outside it keep whatever their
+    /// `slot` buffer held.
     pub fn broadcast_into_bc(
-        &self,
-        src: usize,
-        read: impl Fn(&GpuState) -> &Dense,
-        rows: usize,
-        cols: usize,
-        slot: BcSlot,
-    ) {
-        // Stage through a send copy to keep lock scopes simple (one GPU
-        // locked at a time); this mirrors the real transfer anyway.
-        let payload: Vec<f32> = read(&self.gpu(src)).as_slice()[..rows * cols].to_vec();
-        for i in 0..self.gpus.len() {
-            let mut g = self.gpu(i);
-            // The copy may land byte-identical data (re-broadcast of an
-            // unchanged source), invisible to the oracle's fingerprint
-            // diff — note the write explicitly.
-            g.note_write(BufId::new(i, slot.buf_name()));
-            let bc = g.bc(slot);
-            bc.resize(rows, cols);
-            bc.as_mut_slice().copy_from_slice(&payload);
-        }
-    }
-
-    /// [`DeviceState::broadcast_into_bc`] restricted to `members` — the
-    /// 1.5D intra-group broadcast. `src` must be a member; GPUs outside
-    /// the group keep whatever their `slot` buffer held.
-    pub fn broadcast_into_bc_group(
         &self,
         src: usize,
         read: impl Fn(&GpuState) -> &Dense,
@@ -400,9 +358,14 @@ impl DeviceState {
         members: &[usize],
     ) {
         debug_assert!(members.contains(&src), "broadcast root outside its group");
+        // Stage through a send copy to keep lock scopes simple (one GPU
+        // locked at a time); this mirrors the real transfer anyway.
         let payload: Vec<f32> = read(&self.gpu(src)).as_slice()[..rows * cols].to_vec();
         for &i in members {
             let mut g = self.gpu(i);
+            // The copy may land byte-identical data (re-broadcast of an
+            // unchanged source), invisible to the oracle's fingerprint
+            // diff — note the write explicitly.
             g.note_write(BufId::new(i, slot.buf_name()));
             let bc = g.bc(slot);
             bc.resize(rows, cols);
@@ -454,29 +417,25 @@ impl DeviceState {
     pub fn reset_scratch(&self) {
         for i in 0..self.gpus.len() {
             let mut g = self.gpu(i);
-            g.loss_sum = 0.0;
-            g.train_correct = 0;
-            g.train_total = 0;
-            g.test_correct = 0;
-            g.test_total = 0;
+            g.loss = LossStats::default();
             g.epoch_stats.clear();
         }
     }
 
     /// Aggregate loss across GPUs.
     pub fn total_loss(&self) -> f64 {
-        (0..self.gpus.len()).map(|i| self.gpu(i).loss_sum).sum()
+        (0..self.gpus.len()).map(|i| self.gpu(i).loss.loss_sum).sum()
     }
 
     /// Aggregate train/test accuracy across GPUs.
     pub fn accuracy(&self) -> (f64, f64) {
         let (tc, tt, ec, et) = (0..self.gpus.len()).fold((0, 0, 0, 0), |acc, i| {
-            let g = self.gpu(i);
+            let s = self.gpu(i).loss;
             (
-                acc.0 + g.train_correct,
-                acc.1 + g.train_total,
-                acc.2 + g.test_correct,
-                acc.3 + g.test_total,
+                acc.0 + s.train_correct,
+                acc.1 + s.train_total,
+                acc.2 + s.test_correct,
+                acc.3 + s.test_total,
             )
         });
         let train = if tt == 0 { 0.0 } else { tc as f64 / tt as f64 };
@@ -547,7 +506,7 @@ mod tests {
         let st = DeviceState::for_problem(&p, &cfg);
         let rows = 5;
         let cols = st.gpu(1).x.cols();
-        st.broadcast_into_bc(1, |g| &g.x, rows, cols, BcSlot::Bc1);
+        st.broadcast_into_bc(1, |g| &g.x, rows, cols, BcSlot::Bc1, &[0, 1]);
         let expect = st.gpu(1).x.as_slice()[..rows * cols].to_vec();
         for i in 0..st.gpu_count() {
             let g = st.gpu(i);

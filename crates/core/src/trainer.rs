@@ -16,13 +16,16 @@
 //!   GeMM, and Adam. Layer 0's backward SpMM is skipped under the §4.4
 //!   flag.
 //!
-//! With `overlap` on, broadcasts live on stream 1 and the engine enforces
-//! the paper's §4.3 dependency pattern: `spmm(s)` waits on `bcast(s)`, and
-//! `bcast(s)` waits on the previous reader of its double buffer
-//! (`spmm(s-2)` on every GPU).
+//! The builder states each op's buffer effects and nothing else: every
+//! wait edge is inferred from them at record time (`mggcn_gpusim::deps`).
+//! With `overlap` on, broadcasts live on stream 1 and the paper's §4.3
+//! dependency pattern falls out of the declarations — `spmm(s)` reads the
+//! slot `bcast(s)` writes, and `bcast(s)` overwrites the slot `spmm(s-2)`
+//! read on every GPU. 1D, 1.5D and the bounded-staleness prefetch are one
+//! staged SpMM over a replication-group [`Layout`].
 
 use crate::config::{GcnConfig, Partition, TrainOptions};
-use crate::loss::softmax_xent_inplace;
+use crate::loss::{softmax_xent_inplace, LossStats};
 use crate::memplan::MemoryPlan;
 use crate::metrics::{EpochReport, MeasuredEpoch};
 use crate::optimizer::{adam_step, AdamParams};
@@ -32,9 +35,9 @@ use mggcn_dense::{gemm, gemm_a_bt, gemm_at_b, relu_inplace, Accumulate, Dense};
 use mggcn_exec::Backend;
 use mggcn_gpusim::engine::{Body, OpDesc};
 use mggcn_gpusim::{
-    BufId, Category, Effects, OomError, OpId, RunReport, Schedule, StaleRead, Timeline,
+    BufId, Category, Effects, OomError, RunReport, Schedule, StaleRead, Timeline, Work,
 };
-use mggcn_sparse::spmm;
+use mggcn_sparse::{spmm, Csr};
 use std::sync::Arc;
 
 /// Training failed at runtime (only possible on [`Backend::Threaded`],
@@ -67,6 +70,8 @@ enum Buf {
     Hw,
     /// Layer `l`'s result buffer.
     Ahw(usize),
+    /// The 1.5D replicated-partial buffer.
+    Rp,
 }
 
 fn read_buf(g: &GpuState, b: Buf) -> &Dense {
@@ -75,6 +80,17 @@ fn read_buf(g: &GpuState, b: Buf) -> &Dense {
         Buf::X => &g.x,
         Buf::Hw => &g.hw,
         Buf::Ahw(l) => &g.ahw[l],
+        Buf::Rp => &g.rp,
+    }
+}
+
+/// The buffer a kernel body writes (never the input features).
+fn buf_mut(g: &mut GpuState, b: Buf) -> &mut Dense {
+    match b {
+        Buf::X => unreachable!("X is read-only during training"),
+        Buf::Hw => &mut g.hw,
+        Buf::Ahw(l) => &mut g.ahw[l],
+        Buf::Rp => &mut g.rp,
     }
 }
 
@@ -85,17 +101,13 @@ fn buf_id(g: usize, b: Buf) -> BufId {
         Buf::X => BufId::new(g, "X"),
         Buf::Hw => BufId::new(g, "HW"),
         Buf::Ahw(l) => BufId::indexed(g, "AHW", l),
+        Buf::Rp => BufId::new(g, "RP"),
     }
 }
 
-/// The broadcast double buffer `slot_idx` selects on GPU `g`.
-fn bc_id(g: usize, slot_idx: usize) -> BufId {
-    BufId::new(g, if slot_idx == 0 { "BC1" } else { "BC2" })
-}
-
-/// The 1.5D replicated-partial buffer on GPU `g`.
-fn rp_id(g: usize) -> BufId {
-    BufId::new(g, "RP")
+/// The broadcast double buffer `slot` selects on GPU `g`.
+fn bc_id(g: usize, slot: BcSlot) -> BufId {
+    BufId::new(g, slot.buf_name())
 }
 
 /// Layer `l`'s bounded-staleness snapshot buffer on GPU `g` (DESIGN §15).
@@ -125,17 +137,23 @@ enum Dir {
     Bwd,
 }
 
-/// What a bounded-staleness forward broadcast reads instead of the live
-/// layer input (DESIGN §15). Carrying no dependency on the current epoch's
-/// producers is exactly what lets the engine issue the broadcast during the
-/// previous epoch's backward pass.
+/// Adjacency tile `(row, s)` of the `p × p` grid in direction `dir`.
+fn tile(rc: &RealData, dir: Dir, p: usize, row: usize, s: usize) -> &Csr {
+    match dir {
+        Dir::Fwd => &rc.fwd_tiles[row * p + s],
+        Dir::Bwd => &rc.bwd_tiles[row * p + s],
+    }
+}
+
+/// A bounded-staleness forward broadcast (DESIGN §15): instead of the live
+/// layer input it sends `snapshot = (layer, age)` — that layer's `SF`
+/// buffer, `age` epochs stale — or, with no snapshot, the constant input
+/// features `X`, which are exact at any age. Reading nothing the current
+/// epoch writes is exactly what lets the engine issue the broadcast during
+/// the previous epoch's backward pass.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum PrefetchSrc {
-    /// The source tile is the constant input features `X`: prefetching is
-    /// exact (no snapshot, no staleness declaration needed).
-    Const,
-    /// Layer `layer`'s snapshot buffer `SF`, `age` epochs stale.
-    Snapshot { layer: usize, age: usize },
+struct Prefetch {
+    snapshot: Option<(usize, usize)>,
 }
 
 /// Number of per-GPU snapshot (`SF`) big buffers a bounded-staleness run
@@ -147,9 +165,13 @@ pub fn sf_buffer_count(cfg: &GcnConfig, opts: &TrainOptions) -> usize {
     if opts.staleness == 0 {
         return 0;
     }
-    (0..cfg.layers())
-        .filter(|&l| !(l == 0 && opts.op_order_opt && cfg.d_in(0) < cfg.d_out(0)))
-        .count()
+    (0..cfg.layers()).filter(|&l| needs_sf(cfg, opts, l)).count()
+}
+
+/// Whether layer `l`'s forward broadcast needs an `SF` snapshot to go
+/// stale (layer 0 under spmm-first broadcasts the constant `X`).
+fn needs_sf(cfg: &GcnConfig, opts: &TrainOptions, l: usize) -> bool {
+    !(l == 0 && opts.op_order_opt && cfg.d_in(0) < cfg.d_out(0))
 }
 
 /// The MG-GCN multi-GPU trainer.
@@ -176,29 +198,18 @@ impl Trainer {
     /// materialized), and get ready to train.
     pub fn new(problem: Problem, cfg: GcnConfig, opts: TrainOptions) -> Result<Self, OomError> {
         let m_total: u64 = problem.fwd_nnz.iter().sum();
-        let plan = match opts.partition {
-            Partition::OneD => MemoryPlan::new(
-                problem.n as u64,
-                m_total,
-                &cfg,
-                opts.gpus as u64,
-                opts.buffer_policy,
-            ),
+        let plan_for = match opts.partition {
+            Partition::OneD => MemoryPlan::new,
             Partition::OneFiveD => {
                 assert!(
                     opts.gpus >= 2 && opts.gpus.is_multiple_of(2),
                     "1.5D partitioning needs an even GPU count >= 2, got {}",
                     opts.gpus
                 );
-                MemoryPlan::new_15d(
-                    problem.n as u64,
-                    m_total,
-                    &cfg,
-                    opts.gpus as u64,
-                    opts.buffer_policy,
-                )
+                MemoryPlan::new_15d
             }
         };
+        let plan = plan_for(problem.n as u64, m_total, &cfg, opts.gpus as u64, opts.buffer_policy);
         let plan = if opts.staleness > 0 {
             let sf = sf_buffer_count(&cfg, &opts) as u64;
             plan.with_staleness(problem.n as u64, opts.gpus as u64, &cfg, sf)
@@ -306,11 +317,17 @@ impl Trainer {
             // device state between calls.
             return self.train_pipelined(1).map(|mut v| v.pop().expect("one epoch"));
         }
-        let sched = self.build_epoch();
+        let report = self.run_classic(self.epoch_schedule())?;
+        self.epoch += 1;
+        Ok(report)
+    }
+
+    /// Run a classic (untagged, single-epoch) schedule and report on it.
+    fn run_classic(&mut self, sched: Schedule<DeviceState>) -> Result<EpochReport, TrainError> {
         self.state.reset_scratch();
         let (run, measured) = self.dispatch(sched)?;
         let (train_acc, test_acc) = self.state.accuracy();
-        let report = EpochReport {
+        Ok(EpochReport {
             epoch: self.epoch,
             sim_seconds: run.makespan + self.opts.epoch_host_overhead,
             loss: self.state.total_loss(),
@@ -318,9 +335,7 @@ impl Trainer {
             test_acc,
             timeline: run.timeline,
             measured,
-        };
-        self.epoch += 1;
-        Ok(report)
+        })
     }
 
     /// Run a built schedule on the configured backend.
@@ -374,7 +389,7 @@ impl Trainer {
         let k = self.opts.staleness;
         assert!(k >= 1, "pipelined schedules need staleness >= 1");
         assert!(epochs >= 1, "pipelined schedules need at least one epoch");
-        let mut b = EpochBuilder::new(&self.cfg, &self.opts, &self.problem, self.epoch);
+        let mut b = self.builder();
         let mut last_snap = self.sf_epoch;
         for e in self.epoch..self.epoch + epochs {
             // Snapshot cadence: refresh `SF` whenever the current snapshot
@@ -386,7 +401,7 @@ impl Trainer {
             b.begin_epoch(e, sf_age, snap);
             b.forward();
             b.loss();
-            b.backward();
+            b.backward(true);
             if snap {
                 last_snap = Some(e);
             }
@@ -411,7 +426,7 @@ impl Trainer {
         let (run, mut measured) = self.dispatch(sched)?;
         self.sf_epoch = sf_epoch;
         self.epoch = base + epochs;
-        let stats: Vec<Vec<crate::state::EpochStats>> =
+        let stats: Vec<Vec<LossStats>> =
             (0..self.state.gpu_count()).map(|g| self.state.gpu(g).epoch_stats.clone()).collect();
         let mut reports = Vec::with_capacity(epochs);
         let mut prev_boundary = 0.0f64;
@@ -432,14 +447,12 @@ impl Trainer {
                 .spans
                 .extend(run.timeline.spans.iter().filter(|s| s.epoch == Some(e)).cloned());
             let (mut loss, mut tc, mut tt, mut ec, mut et) = (0.0f64, 0usize, 0, 0, 0);
-            for per_gpu in &stats {
-                if let Some(&(ls, a, b, c, d)) = per_gpu.get(i) {
-                    loss += ls;
-                    tc += a;
-                    tt += b;
-                    ec += c;
-                    et += d;
-                }
+            for st in stats.iter().filter_map(|per_gpu| per_gpu.get(i)) {
+                loss += st.loss_sum;
+                tc += st.train_correct;
+                tt += st.train_total;
+                ec += st.test_correct;
+                et += st.test_total;
             }
             reports.push(EpochReport {
                 epoch: e,
@@ -460,22 +473,10 @@ impl Trainer {
     /// backward step consumes them). Reports loss/accuracy and the
     /// simulated inference time; does not advance the epoch counter.
     pub fn evaluate(&mut self) -> Result<EpochReport, TrainError> {
-        let mut b = EpochBuilder::new(&self.cfg, &self.opts, &self.problem, self.epoch);
+        let mut b = self.builder();
         b.forward();
         b.loss();
-        let sched = b.sched;
-        self.state.reset_scratch();
-        let (run, measured) = self.dispatch(sched)?;
-        let (train_acc, test_acc) = self.state.accuracy();
-        Ok(EpochReport {
-            epoch: self.epoch,
-            sim_seconds: run.makespan + self.opts.epoch_host_overhead,
-            loss: self.state.total_loss(),
-            train_acc,
-            test_acc,
-            timeline: run.timeline,
-            measured,
-        })
+        self.run_classic(b.sched)
     }
 
     /// Run forward + loss + backward (all-reduce included, Adam excluded)
@@ -487,28 +488,29 @@ impl Trainer {
     /// problem.
     pub fn compute_gradients(&mut self) -> Vec<Dense> {
         assert!(self.problem.is_materialized(), "compute_gradients needs a materialized problem");
-        let mut b = EpochBuilder::new(&self.cfg, &self.opts, &self.problem, self.epoch);
+        let mut b = self.builder();
         b.forward();
         b.loss();
-        b.backward_ops(false);
-        let sched = b.sched;
+        b.backward(false);
         self.state.reset_scratch();
-        sched.run(&self.state);
+        b.sched.run(&self.state);
         self.state.gpu(0).wgrad.clone()
-    }
-
-    /// Deterministic textual dump of one epoch's schedule (structure only:
-    /// op order, lanes, dependency edges, declared buffer effects) — the
-    /// golden-snapshot hook.
-    pub fn epoch_schedule_dump(&self) -> String {
-        self.build_epoch().dump_ops()
     }
 
     /// One training epoch's schedule, fully recorded but not run — the
     /// input `mggcn-analyze` verifies (hazards, deadlock-freedom, the
-    /// `L + 3` liveness bound) and the mutation harness perturbs.
+    /// `L + 3` liveness bound), the mutation harness perturbs, and (via
+    /// `dump_ops`) the golden snapshots pin.
     pub fn epoch_schedule(&self) -> Schedule<DeviceState> {
-        self.build_epoch()
+        let mut b = self.builder();
+        b.forward();
+        b.loss();
+        b.backward(true);
+        b.sched
+    }
+
+    fn builder(&self) -> EpochBuilder<'_> {
+        EpochBuilder::new(&self.cfg, &self.opts, &self.problem, self.epoch)
     }
 
     /// Run `sched`'s bodies against a *fresh* device state under the
@@ -537,7 +539,7 @@ impl Trainer {
     pub fn linearization_digest(
         &self,
         mutate: impl FnOnce(&mut Schedule<DeviceState>),
-        order: &[OpId],
+        order: &[mggcn_gpusim::OpId],
     ) -> u64 {
         assert!(
             self.problem.is_materialized(),
@@ -570,40 +572,44 @@ impl Trainer {
             self.opts.skip_first_backward_spmm,
         )
     }
+}
 
-    fn build_epoch(&self) -> Schedule<DeviceState> {
-        let mut b = EpochBuilder::new(&self.cfg, &self.opts, &self.problem, self.epoch);
-        b.forward();
-        b.loss();
-        b.backward();
-        b.sched
+/// Which GPUs share each stage's broadcast in one staged SpMM — the only
+/// thing that differs between the paper's §4.1 pipeline and its §5.1 1.5D
+/// variant (and what a per-layer layout or schedule search would vary).
+struct Layout {
+    /// Replication groups. Each broadcasts its members' tiles inside
+    /// itself only, one member per round, all groups concurrently.
+    groups: Vec<Vec<usize>>,
+}
+
+impl Layout {
+    fn of(partition: Partition, p: usize) -> Self {
+        let groups = match partition {
+            Partition::OneD => vec![(0..p).collect()],
+            Partition::OneFiveD => vec![(0..p / 2).collect(), (p / 2..p).collect()],
+        };
+        Self { groups }
+    }
+
+    /// With more than one group every stage reaches only half the machine,
+    /// so each GPU also folds its mate's partition (into `RP`) and a
+    /// pairwise cross-group reduce completes the result.
+    fn replicated(&self) -> bool {
+        self.groups.len() > 1
     }
 }
 
-/// Per-epoch schedule builder.
+/// Per-epoch schedule builder. It declares what every op reads and writes
+/// and never names a dependency: `Schedule::record` infers each wait edge
+/// from the declarations (`mggcn_gpusim::deps`).
 struct EpochBuilder<'a> {
     sched: Schedule<DeviceState>,
     cfg: &'a GcnConfig,
     opts: &'a TrainOptions,
     problem: &'a Problem,
-    real: Option<Arc<RealData>>,
     /// Adam step (1-based) of this epoch.
     t: u64,
-    /// Per-GPU op that produced the current layer-input buffer.
-    producers: Vec<Option<OpId>>,
-    /// Ops that last read each broadcast buffer (WAR guards).
-    bc_readers: [Vec<OpId>; 2],
-    /// 1.5D: per replication group, the ops that last read each broadcast
-    /// slot (the group-local WAR guards — the two groups never share a BC
-    /// buffer, so their guard sets are independent).
-    bc_readers15: [[Vec<OpId>; 2]; 2],
-    /// 1.5D: the cross-group reduction ops of the most recent staged SpMM.
-    /// They read *every* GPU's `src` shard, so each GPU's next op must
-    /// order after all of them once; lane FIFO carries the edge from there.
-    /// Always empty under 1D, so 1D schedules are untouched.
-    pending_sync: Vec<OpId>,
-    /// Which GPUs have already consumed [`EpochBuilder::pending_sync`].
-    sync_taken: Vec<bool>,
     /// `Some(e)` while recording epoch `e` of a fused bounded-staleness
     /// schedule (DESIGN §15); `None` for classic single-epoch builds, which
     /// therefore dump, analyze and run bit-identically to every prior
@@ -615,12 +621,6 @@ struct EpochBuilder<'a> {
     /// Whether this epoch refreshes the `SF` snapshots after its forward
     /// reads them.
     snap_this_epoch: bool,
-    /// `sf_writer[l][g]`: the op that last wrote `SF(l)` on GPU `g` (the
-    /// RAW guard for stale broadcasts).
-    sf_writer: Vec<Vec<Option<OpId>>>,
-    /// `sf_reader[l][g]`: the broadcast that last read `SF(l)` rooted at
-    /// GPU `g` (the WAR guard for snapshot refreshes).
-    sf_reader: Vec<Vec<Option<OpId>>>,
 }
 
 impl<'a> EpochBuilder<'a> {
@@ -632,51 +632,45 @@ impl<'a> EpochBuilder<'a> {
             cfg,
             opts,
             problem,
-            real: problem.real.clone(),
             t: epoch as u64 + 1,
-            producers: vec![None; opts.gpus],
-            bc_readers: [Vec::new(), Vec::new()],
-            bc_readers15: [[Vec::new(), Vec::new()], [Vec::new(), Vec::new()]],
-            pending_sync: Vec::new(),
-            sync_taken: vec![false; opts.gpus],
             epoch_tag: None,
             sf_age: None,
             snap_this_epoch: false,
-            sf_writer: vec![vec![None; opts.gpus]; cfg.layers()],
-            sf_reader: vec![vec![None; opts.gpus]; cfg.layers()],
         }
     }
 
     /// Start recording epoch `epoch` of a fused bounded-staleness schedule.
-    /// Layer-input producers reset (the prefetch paths supply their own
-    /// dependencies); the broadcast-buffer WAR chains, the 1.5D pending
-    /// sync and the `SF` reader/writer guards deliberately persist — they
-    /// carry the cross-epoch ordering that makes every stale read *declared
-    /// state* rather than a race.
+    /// The recorder's buffer state deliberately persists across epochs: it
+    /// carries the cross-epoch ordering that makes every stale read
+    /// *declared state* rather than a race.
     fn begin_epoch(&mut self, epoch: usize, sf_age: Option<usize>, snap: bool) {
         self.t = epoch as u64 + 1;
         self.epoch_tag = Some(epoch);
         self.sf_age = sf_age;
         self.snap_this_epoch = snap;
-        self.producers = vec![None; self.opts.gpus];
     }
 
     /// Epoch-tagged [`OpDesc`] (classic builds stay untagged).
-    fn mk_desc(&self, cat: Category, label: &'static str) -> OpDesc {
-        let d = OpDesc::new(cat, label);
-        match self.epoch_tag {
-            Some(e) => d.in_epoch(e),
-            None => d,
-        }
+    fn desc(&self, category: Category, label: &'static str, stage: Option<usize>) -> OpDesc {
+        OpDesc { category, label, stage, epoch: self.epoch_tag }
     }
 
-    /// Epoch-tagged staged [`OpDesc`] (classic builds stay untagged).
-    fn mk_staged(&self, cat: Category, label: &'static str, stage: usize) -> OpDesc {
-        let d = OpDesc::staged(cat, label, stage);
-        match self.epoch_tag {
-            Some(e) => d.in_epoch(e),
-            None => d,
-        }
+    /// Record a compute-stream kernel on GPU `g`; its body sees only that
+    /// GPU's memory (the lock discipline of [`DeviceState`]). Timing-only
+    /// problems carry no data, so their ops carry no bodies.
+    fn kernel(
+        &mut self,
+        g: usize,
+        work: Work,
+        desc: OpDesc,
+        fx: Effects,
+        body: impl FnOnce(&mut GpuState) + Send + 'static,
+    ) {
+        let body =
+            self.problem.real.as_ref().map(|_| {
+                Box::new(move |ctx: &DeviceState| body(&mut ctx.gpu(g))) as Body<DeviceState>
+            });
+        self.sched.record(g, 0, work, desc, fx, body);
     }
 
     /// Declare the epoch-carried read of `buf` (weights / Adam moments
@@ -689,43 +683,6 @@ impl<'a> EpochBuilder<'a> {
             fx.stale([StaleRead { buf, age: 1 }])
         } else {
             fx
-        }
-    }
-
-    /// Whether layer `l`'s forward broadcast needs an `SF` snapshot to go
-    /// stale (layer 0 under spmm-first broadcasts the constant `X`).
-    fn needs_sf(&self, l: usize) -> bool {
-        !(l == 0 && self.opts.op_order_opt && self.cfg.d_in(0) < self.cfg.d_out(0))
-    }
-
-    /// The pending cross-group-reduction waits GPU `g` still owes, consumed
-    /// exactly once per GPU per staged 1.5D SpMM (subsequent same-lane ops
-    /// inherit the ordering through lane FIFO). Empty under 1D.
-    fn take_sync(&mut self, g: usize) -> Vec<OpId> {
-        if self.sync_taken[g] {
-            Vec::new()
-        } else {
-            self.sync_taken[g] = true;
-            self.pending_sync.clone()
-        }
-    }
-
-    /// Partition dispatch: the paper's 1D broadcast pipeline or the §5.1
-    /// 1.5D replicated pipeline. Both return the per-GPU producer of `dst`.
-    /// `prefetch` (forward layers of a bounded-staleness epoch only)
-    /// replaces the remote broadcast source with snapshot/constant state.
-    fn staged(
-        &mut self,
-        dir: Dir,
-        src: Buf,
-        dst: Buf,
-        d: usize,
-        src_producers: Vec<Option<OpId>>,
-        prefetch: Option<PrefetchSrc>,
-    ) -> Vec<OpId> {
-        match self.opts.partition {
-            Partition::OneD => self.staged_spmm(dir, src, dst, d, src_producers, prefetch),
-            Partition::OneFiveD => self.staged_spmm_15d(dir, src, dst, d, src_producers, prefetch),
         }
     }
 
@@ -744,77 +701,55 @@ impl<'a> EpochBuilder<'a> {
             let d_in = self.cfg.d_in(l);
             let d_out = self.cfg.d_out(l);
             let input = if l == 0 { Buf::X } else { Buf::Ahw(l - 1) };
-            let spmm_first = self.opts.op_order_opt && d_in < d_out;
             // Bounded-staleness epochs prefetch every forward broadcast:
             // from the layer's SF snapshot when the source can go stale,
             // or straight from the constant X (exact) when it cannot.
-            let prefetch = self.sf_age.map(|age| {
-                if self.needs_sf(l) {
-                    PrefetchSrc::Snapshot { layer: l, age }
-                } else {
-                    PrefetchSrc::Const
-                }
+            let prefetch = self.sf_age.map(|age| Prefetch {
+                snapshot: needs_sf(self.cfg, self.opts, l).then_some((l, age)),
             });
 
-            let (snap_src, snap_d);
-            if spmm_first {
+            let (bcast_src, bcast_d) = if self.opts.op_order_opt && d_in < d_out {
                 // AH = Âᵀ·H (width d_in) into HW, then AHW = AH·W.
-                let spmm_ops =
-                    self.staged(Dir::Fwd, input, Buf::Hw, d_in, self.producers.clone(), prefetch);
-                let gemm_ops = self.local_gemm_xw(l, Buf::Hw, Buf::Ahw(l), &spmm_ops);
-                self.producers = gemm_ops.into_iter().map(Some).collect();
-                (snap_src, snap_d) = (input, d_in);
+                self.staged_collective_spmm(Dir::Fwd, input, Buf::Hw, d_in, prefetch);
+                self.local_gemm_xw(l, Buf::Hw, Buf::Ahw(l));
+                (input, d_in)
             } else {
                 // HW = H·W (width d_out) into HW, then AHW = Âᵀ·HW.
-                let gemm_ops = self.local_gemm_xw(l, input, Buf::Hw, &[]);
-                let srcs: Vec<Option<OpId>> = gemm_ops.into_iter().map(Some).collect();
-                let spmm_ops = self.staged(Dir::Fwd, Buf::Hw, Buf::Ahw(l), d_out, srcs, prefetch);
-                self.producers = spmm_ops.into_iter().map(Some).collect();
-                (snap_src, snap_d) = (Buf::Hw, d_out);
-            }
-            self.snapshot_source(l, snap_src, snap_d);
+                self.local_gemm_xw(l, input, Buf::Hw);
+                self.staged_collective_spmm(Dir::Fwd, Buf::Hw, Buf::Ahw(l), d_out, prefetch);
+                (Buf::Hw, d_out)
+            };
+            self.snapshot_source(l, bcast_src, bcast_d);
 
             if l + 1 < layers {
-                let relu_ops = self.relu_forward(l);
-                self.producers = relu_ops.into_iter().map(Some).collect();
+                self.relu_forward(l);
             }
         }
     }
 
     /// Refresh layer `l`'s `SF` snapshot from this epoch's live broadcast
     /// source (DESIGN §15) — recorded right after the layer's staged SpMM,
-    /// while the source buffer still holds this layer's operand. Waits on
-    /// the broadcast that last read the old snapshot (WAR); lane-0 FIFO
-    /// orders it against the local source writers.
+    /// while the source buffer still holds this layer's operand.
     fn snapshot_source(&mut self, l: usize, src: Buf, d: usize) {
-        if !(self.snap_this_epoch && self.needs_sf(l)) {
+        if !(self.snap_this_epoch && needs_sf(self.cfg, self.opts, l)) {
             return;
         }
         for g in 0..self.p() {
             let n_g = self.problem.rows_of(g);
-            let work = self.opts.cost.elementwise((n_g * d) as u64, 2.0);
-            let body = self.real.as_ref().map(|_| {
-                Box::new(move |ctx: &DeviceState| {
-                    let gs = &mut *ctx.gpu(g);
+            self.kernel(
+                g,
+                self.opts.cost.elementwise((n_g * d) as u64, 2.0),
+                self.desc(Category::Other, "sf-snap", None),
+                Effects::none().reads([buf_id(g, src)]).writes([sf_id(g, l)]),
+                move |gs| {
                     let v = read_buf(gs, src).as_slice()[..n_g * d].to_vec();
                     // A snapshot of an unchanged source is byte-identical;
                     // the oracle's fingerprint diff needs the explicit note.
                     gs.note_write(sf_id(g, l));
                     gs.sf[l].resize(n_g, d);
                     gs.sf[l].as_mut_slice()[..n_g * d].copy_from_slice(&v);
-                }) as Body<DeviceState>
-            });
-            let waits: Vec<OpId> = self.sf_reader[l][g].into_iter().collect();
-            let op = self.sched.launch_fx(
-                g,
-                0,
-                work,
-                self.mk_desc(Category::Other, "sf-snap"),
-                &waits,
-                Effects::none().reads([buf_id(g, src)]).writes([sf_id(g, l)]),
-                body,
+                },
             );
-            self.sf_writer[l][g] = Some(op);
         }
     }
 
@@ -823,14 +758,15 @@ impl<'a> EpochBuilder<'a> {
         let last = self.cfg.layers() - 1;
         let classes = self.cfg.d_out(last);
         let train_count = self.problem.train_count.max(1);
-        let mut ops = Vec::with_capacity(self.p());
         let fused = self.epoch_tag.is_some();
         for g in 0..self.p() {
             let n_g = self.problem.rows_of(g);
-            let work = self.opts.cost.loss(n_g as u64, classes as u64);
-            let body = self.real.as_ref().map(|_| {
-                Box::new(move |ctx: &DeviceState| {
-                    let gs = &mut *ctx.gpu(g);
+            self.kernel(
+                g,
+                self.opts.cost.loss(n_g as u64, classes as u64),
+                self.desc(Category::LossLayer, "softmax-xent", None),
+                Effects::none().rw(buf_id(g, Buf::Ahw(last))),
+                move |gs| {
                     gs.note_read(buf_id(g, Buf::Ahw(last)));
                     let stats = softmax_xent_inplace(
                         &mut gs.ahw[last],
@@ -839,789 +775,386 @@ impl<'a> EpochBuilder<'a> {
                         &gs.test_mask,
                         train_count,
                     );
-                    gs.loss_sum = stats.loss_sum;
-                    gs.train_correct = stats.train_correct;
-                    gs.train_total = stats.train_total;
-                    gs.test_correct = stats.test_correct;
-                    gs.test_total = stats.test_total;
+                    gs.loss = stats;
                     if fused {
                         // Fused multi-epoch schedules keep a per-epoch
-                        // trail: epoch e's loss is HB-before epoch e+1's
-                        // (through backward → Adam → forward), so push
-                        // order is epoch order on every GPU.
-                        gs.epoch_stats.push((
-                            stats.loss_sum,
-                            stats.train_correct,
-                            stats.train_total,
-                            stats.test_correct,
-                            stats.test_total,
-                        ));
+                        // trail: the loss ops of one GPU share its compute
+                        // lane, so push order is epoch order.
+                        gs.epoch_stats.push(stats);
                     }
-                }) as Body<DeviceState>
-            });
-            let waits = self.take_sync(g);
-            let id = self.sched.launch_fx(
-                g,
-                0,
-                work,
-                self.mk_desc(Category::LossLayer, "softmax-xent"),
-                &waits,
-                Effects::none().rw(buf_id(g, Buf::Ahw(last))),
-                body,
+                },
             );
-            ops.push(id);
         }
-        self.producers = ops.into_iter().map(Some).collect();
-    }
-
-    /// Backward pass, Adam included.
-    fn backward(&mut self) {
-        self.backward_ops(true);
     }
 
     /// Backward pass; `with_adam` gates the optimizer step so the
     /// conformance harness can read raw gradients without mutating weights.
-    fn backward_ops(&mut self, with_adam: bool) {
+    fn backward(&mut self, with_adam: bool) {
         let layers = self.cfg.layers();
         for l in (0..layers).rev() {
-            let d_in = self.cfg.d_in(l);
-            let d_out = self.cfg.d_out(l);
-
             // (eq. 8) ReLU backward for every layer but the last (the loss
             // already wrote the last layer's gradient into its AHW buffer).
             if l + 1 < layers {
-                let ops = self.relu_backward_layer(l);
-                self.producers = ops.into_iter().map(Some).collect();
+                self.relu_backward(l);
             }
 
             // (eq. 9) HW_G = Â · AHW_G — skipped at layer 0 under §4.4.
             let skip_spmm = l == 0 && self.opts.skip_first_backward_spmm;
             let hwg_buf = if skip_spmm { Buf::Ahw(0) } else { Buf::Hw };
             if !skip_spmm {
-                let ops = self.staged(
-                    Dir::Bwd,
-                    Buf::Ahw(l),
-                    Buf::Hw,
-                    d_out,
-                    self.producers.clone(),
-                    None,
-                );
-                self.producers = ops.into_iter().map(Some).collect();
+                let d_out = self.cfg.d_out(l);
+                self.staged_collective_spmm(Dir::Bwd, Buf::Ahw(l), Buf::Hw, d_out, None);
             }
 
-            // (eq. 10) W_G = Hᵀ · HW_G, then all-reduce and Adam.
+            // (eq. 10) W_G = Hᵀ · HW_G, then all-reduce.
             let x_buf = if l == 0 { Buf::X } else { Buf::Ahw(l - 1) };
-            let wgrad_ops = self.weight_grad(l, x_buf, hwg_buf);
-            let reduce_op = self.all_reduce_wgrad(l, &wgrad_ops);
+            self.weight_grad(l, x_buf, hwg_buf);
+            self.all_reduce_wgrad(l);
 
-            // (eq. 11) H_G = HW_G · Wᵀ — only needed above layer 0. Must
-            // run before Adam mutates W.
+            // (eq. 11) H_G = HW_G · Wᵀ — only needed above layer 0. Recorded
+            // before Adam, which overwrites the W it reads.
             if l > 0 {
-                let ops = self.input_grad(l, d_in);
-                self.producers = ops.into_iter().map(Some).collect();
+                self.input_grad(l);
             }
-
             if with_adam {
-                self.adam(l, reduce_op);
+                self.adam(l);
             }
         }
     }
 
-    /// The staged distributed SpMM (§4.1 solution 1, broadcast variant).
+    /// The staged distributed SpMM (§4.1 solution 1, broadcast variant)
+    /// over the partition's replication [`Layout`].
     ///
     /// `src` is the dense operand (each GPU owns one tile row of it), `dst`
-    /// the accumulation target, `d` the operand width. `src_producers[s]`
-    /// is the op that produced GPU `s`'s `src` tile. Returns the final
-    /// per-GPU SpMM op (the producer of `dst`).
-    fn staged_spmm(
+    /// the accumulation target, `d` the operand width. In round `r` every
+    /// group broadcasts its `r`-th member's tile into the double-buffered
+    /// `BC1`/`BC2` of its members, and every member folds the matching
+    /// adjacency tile into `dst`. `prefetch` (forward layers of a
+    /// bounded-staleness epoch only) replaces the remote broadcast source
+    /// with snapshot/constant state.
+    ///
+    /// 1D is one group of `P`: `P` rounds, nothing else. 1.5D (§5.1,
+    /// replication factor 2) is two groups `{0..P/2}` and `{P/2..P}`; GPU
+    /// `j`'s mate is `(j + P/2) % P`. Its `P/2` rounds fold each received
+    /// tile twice — into the member's own partial and into the `RP` replica
+    /// of its mate's (the §5.1 2× memory) — and `P/2` concurrent pairwise
+    /// cross-group reductions finalize `dst` on both members of each pair.
+    fn staged_collective_spmm(
         &mut self,
         dir: Dir,
         src: Buf,
         dst: Buf,
         d: usize,
-        src_producers: Vec<Option<OpId>>,
-        prefetch: Option<PrefetchSrc>,
-    ) -> Vec<OpId> {
+        prefetch: Option<Prefetch>,
+    ) {
         let p = self.p();
+        let layout = Layout::of(self.opts.partition, p);
         // A single GPU broadcasts nothing and always consumes its own live
         // tile: staleness never changes P = 1 numerics.
         let prefetch = if p > 1 { prefetch } else { None };
-        let comm_stream = self.opts.comm_stream();
+        for r in 0..layout.groups[0].len() {
+            for members in &layout.groups {
+                self.broadcast_stage(members[r], members, src, d, prefetch);
+            }
+            for members in &layout.groups {
+                let s = members[r];
+                for &j in members {
+                    // Under prefetch the diagonal tile (the stage's data
+                    // lives on GPU s) reads the live source instead of the
+                    // stale double buffer, preserving the exact local
+                    // gradient path (DESIGN §15).
+                    let operand = if prefetch.is_some() && j == s { Some(src) } else { None };
+                    self.fold_tile(dir, operand, dst, "spmm", j, j, s, d, r > 0);
+                    if layout.replicated() {
+                        let mate = (j + p / 2) % p;
+                        self.fold_tile(dir, operand, Buf::Rp, "spmm-rp", j, mate, s, d, r > 0);
+                    }
+                }
+            }
+        }
+        if layout.replicated() {
+            for a in 0..p / 2 {
+                self.reduce_pair(dir, src, dst, d, a, a + p / 2);
+            }
+        }
+    }
+
+    /// Broadcast stage `s` — GPU `s`'s `src` tile — into the stage's
+    /// broadcast slot on every one of `members`.
+    fn broadcast_stage(
+        &mut self,
+        s: usize,
+        members: &[usize],
+        src: Buf,
+        d: usize,
+        prefetch: Option<Prefetch>,
+    ) {
+        let slot = BcSlot::for_stage(s);
+        let rows = self.problem.rows_of(s);
         // Prefetched broadcasts ride a dedicated stream: on the comm lane
         // they would FIFO behind the previous epoch's gradient all-reduce,
         // which is exactly the serialization staleness exists to break.
-        let bcast_stream =
-            if prefetch.is_some() { self.opts.prefetch_stream() } else { comm_stream };
-        let group: Vec<usize> = self.opts.gpu_ids();
-        let lanes: Vec<(usize, usize)> = group.iter().map(|&g| (g, bcast_stream)).collect();
-        let mut last_spmm: Vec<OpId> = Vec::with_capacity(p);
-        for (s, &src_producer) in src_producers.iter().enumerate() {
-            let slot = BcSlot::for_stage(s);
-            let slot_idx = s % 2;
-            let rows = self.problem.rows_of(s);
-            // Broadcast stage s: wait for the previous readers of this
-            // double buffer (WAR) plus the source of truth — the live
-            // tile's producer when fresh, the snapshot's writer when stale
-            // (constant X needs neither).
-            let mut waits: Vec<OpId> = self.bc_readers[slot_idx].clone();
-            let bcast_fx = match prefetch {
-                Some(PrefetchSrc::Snapshot { layer, age }) => {
-                    if let Some(w) = self.sf_writer[layer][s] {
-                        waits.push(w);
-                    }
-                    Effects::none()
-                        .stale([StaleRead { buf: sf_id(s, layer), age }])
-                        .writes(group.iter().map(|&g| bc_id(g, slot_idx)))
+        let stream =
+            if prefetch.is_some() { self.opts.prefetch_stream() } else { self.opts.comm_stream() };
+        let lanes: Vec<(usize, usize)> = members.iter().map(|&g| (g, stream)).collect();
+        // The root sends its live tile (fresh, or the constant X) or its SF
+        // snapshot (stale).
+        let snapshot = prefetch.and_then(|p| p.snapshot);
+        let fx = match snapshot {
+            Some((layer, age)) => Effects::none().stale([StaleRead { buf: sf_id(s, layer), age }]),
+            None => Effects::none().reads([buf_id(s, src)]),
+        }
+        .writes(members.iter().map(|&g| bc_id(g, slot)));
+        let group = members.to_vec();
+        let body = self.problem.real.as_ref().map(|_| {
+            Box::new(move |ctx: &DeviceState| {
+                ctx.broadcast_into_bc(
+                    s,
+                    |g| match snapshot {
+                        Some((layer, _)) => g.sf_ref(layer),
+                        None => read_buf(g, src),
+                    },
+                    rows,
+                    d,
+                    slot,
+                    &group,
+                )
+            }) as Body<DeviceState>
+        });
+        self.sched.record_collective(
+            &lanes,
+            rows as f64 * d as f64 * 4.0,
+            self.opts.machine.broadcast_bw(s, members),
+            self.desc(Category::Comm, "bcast-H", Some(s)),
+            fx,
+            body,
+        );
+    }
+
+    /// One SpMM stage on GPU `j`: fold adjacency tile `(row, s)` times the
+    /// stage-`s` operand into `into` — the single body every layout shares.
+    /// The operand is the stage's broadcast slot, or the live `local` buffer
+    /// when the tile's data never left this GPU.
+    #[allow(clippy::too_many_arguments)]
+    fn fold_tile(
+        &mut self,
+        dir: Dir,
+        local: Option<Buf>,
+        into: Buf,
+        label: &'static str,
+        j: usize,
+        row: usize,
+        s: usize,
+        d: usize,
+        acc: bool,
+    ) {
+        let p = self.p();
+        let slot = BcSlot::for_stage(s);
+        let n_row = self.problem.rows_of(row);
+        let nnz = match dir {
+            Dir::Fwd => self.problem.fwd_tile_nnz(row, s),
+            Dir::Bwd => self.problem.bwd_tile_nnz(row, s),
+        };
+        let work = self.opts.cost.spmm(
+            self.gpu_spec(j),
+            n_row as u64,
+            self.problem.rows_of(s) as u64,
+            nnz,
+            d as u64,
+            acc,
+        );
+        let operand = local.map_or(bc_id(j, slot), |b| buf_id(j, b));
+        let mut fx = Effects::none().reads([operand]).writes([buf_id(j, into)]);
+        if acc {
+            // Accumulating stages read the running sum too.
+            fx = fx.reads([buf_id(j, into)]);
+        }
+        let body = self.problem.real.clone().map(|rc| {
+            Box::new(move |ctx: &DeviceState| {
+                let g = &mut *ctx.gpu(j);
+                if acc {
+                    g.note_read(buf_id(j, into));
                 }
-                Some(PrefetchSrc::Const) | None => {
-                    if prefetch.is_none() {
-                        if let Some(prod) = src_producer {
-                            waits.push(prod);
+                g.note_write(buf_id(j, into));
+                // Move the destination out so the operand can be borrowed
+                // from the same GpuState.
+                let mut out = std::mem::take(buf_mut(g, into));
+                if !acc {
+                    out.resize(n_row, d);
+                }
+                let operand = match local {
+                    Some(b) => read_buf(g, b),
+                    None => g.bc_ref(slot),
+                };
+                let accumulate = if acc { Accumulate::Add } else { Accumulate::Overwrite };
+                spmm(tile(&rc, dir, p, row, s), operand, &mut out, accumulate);
+                *buf_mut(g, into) = out;
+            }) as Body<DeviceState>
+        });
+        self.sched.record(j, 0, work, self.desc(Category::SpMM, label, Some(s)), fx, body);
+    }
+
+    /// The 1.5D cross-group reduction of mate pair `(a, b)`: exchange both
+    /// partials over the a↔b link(s) and finalize `dst` on both members.
+    ///
+    /// Numerics: the classic body re-folds `dst` in the canonical 1D stage
+    /// order `s = 0..P`, so 1.5D results are bit-identical to the 1D
+    /// pipeline by construction; the declared bytes/bandwidth/op structure
+    /// (what the DES times and the tracer counts) remain genuinely 1.5D.
+    fn reduce_pair(&mut self, dir: Dir, src: Buf, dst: Buf, d: usize, a: usize, b: usize) {
+        let p = self.p();
+        let comm_stream = self.opts.comm_stream();
+        let rows: Vec<usize> = (0..p).map(|s| self.problem.rows_of(s)).collect();
+        let bytes = ((rows[a] + rows[b]) * d * 4) as f64;
+        let (fx, body): (Effects, Option<Body<DeviceState>>);
+        if self.epoch_tag.is_some() {
+            // Fused bounded-staleness schedules use the genuine pairwise
+            // exchange: each member's final result is its own partial plus
+            // its mate's RP replica. The canonical refold below would
+            // re-read every GPU's live src shard — an undeclared
+            // cross-epoch RAW once stale broadcasts no longer order after
+            // this epoch's source writers. The pairwise sum's f32
+            // association differs from the 1D fold, so k >= 1 1.5D runs are
+            // oracle-band-equal, not bit-equal, to 1D (DESIGN §15).
+            fx = Effects::none()
+                .reads([buf_id(a, Buf::Rp), buf_id(b, Buf::Rp), buf_id(a, dst), buf_id(b, dst)])
+                .writes([buf_id(a, dst), buf_id(b, dst)]);
+            body = self.problem.real.as_ref().map(|_| {
+                Box::new(move |ctx: &DeviceState| {
+                    for (t, o) in [(a, b), (b, a)] {
+                        let n = rows[t] * d;
+                        let partial = read_buf(&ctx.gpu(o), Buf::Rp).as_slice()[..n].to_vec();
+                        let gs = &mut *ctx.gpu(t);
+                        gs.note_read(buf_id(t, dst));
+                        gs.note_write(buf_id(t, dst));
+                        let out = &mut buf_mut(gs, dst).as_mut_slice()[..n];
+                        for (x, v) in out.iter_mut().zip(&partial) {
+                            *x += v;
                         }
-                    }
-                    Effects::none()
-                        .reads([buf_id(s, src)])
-                        .writes(group.iter().map(|&g| bc_id(g, slot_idx)))
-                }
-            };
-            let bytes = rows as f64 * d as f64 * 4.0;
-            let bw = self.opts.machine.broadcast_bw(s, &group);
-            let body = self.real.as_ref().map(|_| {
-                Box::new(move |ctx: &DeviceState| match prefetch {
-                    Some(PrefetchSrc::Snapshot { layer, .. }) => {
-                        ctx.broadcast_into_bc(s, move |g| g.sf_ref(layer), rows, d, slot);
-                    }
-                    _ => {
-                        ctx.broadcast_into_bc(s, move |g| read_buf(g, src), rows, d, slot);
                     }
                 }) as Body<DeviceState>
             });
-            let bcast = self.sched.collective_fx(
-                &lanes,
-                bytes,
-                bw,
-                self.mk_staged(Category::Comm, "bcast-H", s),
-                &waits,
-                bcast_fx,
-                body,
-            );
-            if let Some(PrefetchSrc::Snapshot { layer, .. }) = prefetch {
-                self.sf_reader[layer][s] = Some(bcast);
-            }
-
-            // SpMM stage s on every GPU. Under prefetch, the diagonal tile
-            // (j == s, the stage's data lives here) reads the live source
-            // directly instead of the stale double buffer, preserving the
-            // exact local gradient path (DESIGN §15).
-            let mut readers = Vec::with_capacity(p);
-            for j in 0..p {
-                let local_fresh = prefetch.is_some() && j == s;
-                let nnz = match dir {
-                    Dir::Fwd => self.problem.fwd_tile_nnz(j, s),
-                    Dir::Bwd => self.problem.bwd_tile_nnz(j, s),
-                };
-                let n_j = self.problem.rows_of(j);
-                let acc = s > 0;
-                let work = self.opts.cost.spmm(
-                    self.gpu_spec(j),
-                    n_j as u64,
-                    rows as u64,
-                    nnz,
-                    d as u64,
-                    acc,
-                );
-                let real = self.real.clone();
-                let body = real.map(|rc| {
-                    Box::new(move |ctx: &DeviceState| {
-                        let tile = match dir {
-                            Dir::Fwd => &rc.fwd_tiles[j * p + s],
-                            Dir::Bwd => &rc.bwd_tiles[j * p + s],
-                        };
-                        let g = &mut *ctx.gpu(j);
-                        let accumulate = if acc { Accumulate::Add } else { Accumulate::Overwrite };
-                        if acc {
-                            g.note_read(buf_id(j, dst));
-                        }
-                        g.note_write(buf_id(j, dst));
-                        // Move the destination out so the broadcast buffer
-                        // can be borrowed from the same GpuState.
-                        let mut out = match dst {
-                            Buf::Hw => std::mem::take(&mut g.hw),
-                            Buf::Ahw(l) => std::mem::take(&mut g.ahw[l]),
-                            Buf::X => unreachable!("X is never an SpMM destination"),
-                        };
-                        if !acc {
-                            out.resize(n_j, d);
-                        }
-                        if local_fresh {
-                            spmm(tile, read_buf(g, src), &mut out, accumulate);
-                        } else {
-                            spmm(tile, g.bc_ref(slot), &mut out, accumulate);
-                        }
-                        match dst {
-                            Buf::Hw => g.hw = out,
-                            Buf::Ahw(l) => g.ahw[l] = out,
-                            Buf::X => unreachable!(),
-                        }
-                    }) as Body<DeviceState>
-                });
-                let mut waits = Vec::new();
-                let mut fx = if local_fresh {
-                    // local_fresh implies j == s, so the diagonal tile's
-                    // source producer is this stage's.
-                    if let Some(prod) = src_producer {
-                        waits.push(prod);
-                    }
-                    Effects::none().reads([buf_id(j, src)]).writes([buf_id(j, dst)])
-                } else {
-                    waits.push(bcast);
-                    Effects::none().reads([bc_id(j, slot_idx)]).writes([buf_id(j, dst)])
-                };
-                if acc {
-                    // Accumulating stages read the running sum too.
-                    fx = fx.reads([buf_id(j, dst)]);
-                }
-                let op = self.sched.launch_fx(
-                    j,
-                    0,
-                    work,
-                    self.mk_staged(Category::SpMM, "spmm", s),
-                    &waits,
-                    fx,
-                    body,
-                );
-                if !local_fresh {
-                    readers.push(op);
-                }
-                if s == p - 1 {
-                    last_spmm.push(op);
-                }
-            }
-            // When every consumer took the fresh local path (possible only
-            // under prefetch), the broadcast itself anchors the slot's
-            // WAR/WAW chain so later writers of this buffer stay ordered.
-            self.bc_readers[slot_idx] = if readers.is_empty() { vec![bcast] } else { readers };
-        }
-        last_spmm
-    }
-
-    /// The 1.5D staged distributed SpMM (§5.1, replication factor c = 2).
-    ///
-    /// The machine splits into two replication groups `G0 = {0..P/2}` and
-    /// `G1 = {P/2..P}`; GPU `j`'s mate is `(j + P/2) % P`. Phase A runs
-    /// `P/2` rounds; in round `r` the two groups broadcast concurrently
-    /// (G0 stage `r`, G1 stage `P/2 + r`, each inside its own group only)
-    /// and every GPU folds the received tile into **two** partials: its own
-    /// partition's (into `dst`) and its mate's (into the `RP` replica
-    /// buffer — the §5.1 2× memory). Phase B runs `P/2` concurrent pairwise
-    /// cross-group reductions, one per mate pair, exchanging the partials
-    /// over the inter-group links and finalizing `dst` on both members.
-    ///
-    /// Numerics: the reduction body re-folds `dst` in the canonical 1D
-    /// stage order `s = 0..P`, so 1.5D results are bit-identical to the 1D
-    /// pipeline by construction; the declared bytes/bandwidth/op structure
-    /// (what the DES times and the tracer counts) remain genuinely 1.5D.
-    fn staged_spmm_15d(
-        &mut self,
-        dir: Dir,
-        src: Buf,
-        dst: Buf,
-        d: usize,
-        src_producers: Vec<Option<OpId>>,
-        prefetch: Option<PrefetchSrc>,
-    ) -> Vec<OpId> {
-        let p = self.p();
-        assert!(p >= 2 && p.is_multiple_of(2), "1.5D needs an even GPU count >= 2");
-        let half = p / 2;
-        let comm_stream = self.opts.comm_stream();
-        // Prefetched broadcasts ride the dedicated staleness stream (same
-        // reasoning as the 1D pipeline).
-        let bcast_stream =
-            if prefetch.is_some() { self.opts.prefetch_stream() } else { comm_stream };
-        let groups: [Vec<usize>; 2] = [(0..half).collect(), (half..p).collect()];
-        // Tail of each GPU's phase-A lane-0 chain — what the reductions wait on.
-        let mut tail: Vec<Option<OpId>> = vec![None; p];
-
-        for r in 0..half {
-            // The two groups broadcast concurrently on disjoint lane sets.
-            let mut bcasts = [None, None];
-            for (gi, members) in groups.iter().enumerate() {
-                let s = if gi == 0 { r } else { half + r };
-                let slot_idx = s % 2;
-                let slot = BcSlot::for_stage(s);
-                let rows = self.problem.rows_of(s);
-                let mut waits: Vec<OpId> = self.bc_readers15[gi][slot_idx].clone();
-                let fx = match prefetch {
-                    Some(PrefetchSrc::Snapshot { layer, age }) => {
-                        if let Some(w) = self.sf_writer[layer][s] {
-                            waits.push(w);
-                        }
-                        Effects::none()
-                            .stale([StaleRead { buf: sf_id(s, layer), age }])
-                            .writes(members.iter().map(|&g| bc_id(g, slot_idx)))
-                    }
-                    Some(PrefetchSrc::Const) | None => {
-                        if prefetch.is_none() {
-                            if let Some(prod) = src_producers[s] {
-                                waits.push(prod);
-                            }
-                        }
-                        Effects::none()
-                            .reads([buf_id(s, src)])
-                            .writes(members.iter().map(|&g| bc_id(g, slot_idx)))
-                    }
-                };
-                let bytes = rows as f64 * d as f64 * 4.0;
-                let bw = self.opts.machine.broadcast_bw(s, members);
-                let lanes: Vec<(usize, usize)> =
-                    members.iter().map(|&g| (g, bcast_stream)).collect();
-                let mem = members.clone();
-                let body = self.real.as_ref().map(|_| {
-                    Box::new(move |ctx: &DeviceState| match prefetch {
-                        Some(PrefetchSrc::Snapshot { layer, .. }) => {
-                            ctx.broadcast_into_bc_group(
-                                s,
-                                move |g| g.sf_ref(layer),
-                                rows,
-                                d,
-                                slot,
-                                &mem,
-                            );
-                        }
-                        _ => {
-                            ctx.broadcast_into_bc_group(
-                                s,
-                                move |g| read_buf(g, src),
-                                rows,
-                                d,
-                                slot,
-                                &mem,
-                            );
-                        }
-                    }) as Body<DeviceState>
-                });
-                let bcast = self.sched.collective_fx(
-                    &lanes,
-                    bytes,
-                    bw,
-                    self.mk_staged(Category::Comm, "bcast-H", s),
-                    &waits,
-                    fx,
-                    body,
-                );
-                if let Some(PrefetchSrc::Snapshot { layer, .. }) = prefetch {
-                    self.sf_reader[layer][s] = Some(bcast);
-                }
-                bcasts[gi] = Some(bcast);
-            }
-
-            // Each member folds the received stage twice: into its own
-            // partial (dst) and its mate's partial (RP).
-            for (gi, members) in groups.iter().enumerate() {
-                let s = if gi == 0 { r } else { half + r };
-                let slot_idx = s % 2;
-                let slot = BcSlot::for_stage(s);
-                let rows = self.problem.rows_of(s);
-                let bcast = bcasts[gi].expect("broadcast emitted above");
-                let acc = r > 0;
-                let mut readers = Vec::with_capacity(members.len() * 2);
-                for &j in members {
-                    // The stage's data lives on GPU s: when prefetching,
-                    // that member folds both its partials from the live
-                    // source, keeping the diagonal contribution exact.
-                    let local_fresh = prefetch.is_some() && j == s;
-                    let mut waits = Vec::new();
-                    if local_fresh {
-                        if let Some(prod) = src_producers[j] {
-                            waits.push(prod);
-                        }
-                    } else {
-                        waits.push(bcast);
-                    }
-                    if r == 0 {
-                        waits.extend(self.take_sync(j));
-                    }
-                    // Own partition: tile row j into dst.
-                    let nnz = match dir {
-                        Dir::Fwd => self.problem.fwd_tile_nnz(j, s),
-                        Dir::Bwd => self.problem.bwd_tile_nnz(j, s),
-                    };
-                    let n_j = self.problem.rows_of(j);
-                    let work = self.opts.cost.spmm(
-                        self.gpu_spec(j),
-                        n_j as u64,
-                        rows as u64,
-                        nnz,
-                        d as u64,
-                        acc,
-                    );
-                    let body = self.real.clone().map(|rc| {
-                        Box::new(move |ctx: &DeviceState| {
-                            let tile = match dir {
-                                Dir::Fwd => &rc.fwd_tiles[j * p + s],
-                                Dir::Bwd => &rc.bwd_tiles[j * p + s],
-                            };
-                            let g = &mut *ctx.gpu(j);
+        } else {
+            fx = Effects::none()
+                .reads((0..p).map(|s| buf_id(s, src)))
+                .reads([buf_id(a, Buf::Rp), buf_id(b, Buf::Rp)])
+                .writes([buf_id(a, dst), buf_id(b, dst)]);
+            body = self.problem.real.clone().map(|rc| {
+                Box::new(move |ctx: &DeviceState| {
+                    // Stage every GPU's src shard to the host, one lock at
+                    // a time (collective bodies run at rendezvous
+                    // quiescence; concurrent pair reductions only ever
+                    // share read access to these shards).
+                    let views: Vec<Dense> = (0..p)
+                        .map(|s| {
+                            let v = read_buf(&ctx.gpu(s), src).as_slice()[..rows[s] * d].to_vec();
+                            Dense::from_vec(rows[s], d, v)
+                        })
+                        .collect();
+                    for t in [a, b] {
+                        let gs = &mut *ctx.gpu(t);
+                        gs.note_write(buf_id(t, dst));
+                        let mut out = std::mem::take(buf_mut(gs, dst));
+                        out.resize(rows[t], d);
+                        for (s, view) in views.iter().enumerate() {
                             let accumulate =
-                                if acc { Accumulate::Add } else { Accumulate::Overwrite };
-                            if acc {
-                                g.note_read(buf_id(j, dst));
-                            }
-                            g.note_write(buf_id(j, dst));
-                            let mut out = match dst {
-                                Buf::Hw => std::mem::take(&mut g.hw),
-                                Buf::Ahw(l) => std::mem::take(&mut g.ahw[l]),
-                                Buf::X => unreachable!("X is never an SpMM destination"),
-                            };
-                            if !acc {
-                                out.resize(n_j, d);
-                            }
-                            if local_fresh {
-                                spmm(tile, read_buf(g, src), &mut out, accumulate);
-                            } else {
-                                spmm(tile, g.bc_ref(slot), &mut out, accumulate);
-                            }
-                            match dst {
-                                Buf::Hw => g.hw = out,
-                                Buf::Ahw(l) => g.ahw[l] = out,
-                                Buf::X => unreachable!(),
-                            }
-                        }) as Body<DeviceState>
-                    });
-                    let mut fx = if local_fresh {
-                        Effects::none().reads([buf_id(j, src)]).writes([buf_id(j, dst)])
-                    } else {
-                        Effects::none().reads([bc_id(j, slot_idx)]).writes([buf_id(j, dst)])
-                    };
-                    if acc {
-                        fx = fx.reads([buf_id(j, dst)]);
-                    }
-                    let own = self.sched.launch_fx(
-                        j,
-                        0,
-                        work,
-                        self.mk_staged(Category::SpMM, "spmm", s),
-                        &waits,
-                        fx,
-                        body,
-                    );
-                    if !local_fresh {
-                        readers.push(own);
-                    }
-
-                    // Mate's partition: tile row mate(j) into the RP replica.
-                    let m = (j + half) % p;
-                    let nnz_m = match dir {
-                        Dir::Fwd => self.problem.fwd_tile_nnz(m, s),
-                        Dir::Bwd => self.problem.bwd_tile_nnz(m, s),
-                    };
-                    let n_m = self.problem.rows_of(m);
-                    let work_m = self.opts.cost.spmm(
-                        self.gpu_spec(j),
-                        n_m as u64,
-                        rows as u64,
-                        nnz_m,
-                        d as u64,
-                        acc,
-                    );
-                    let body_m = self.real.clone().map(|rc| {
-                        Box::new(move |ctx: &DeviceState| {
-                            let tile = match dir {
-                                Dir::Fwd => &rc.fwd_tiles[m * p + s],
-                                Dir::Bwd => &rc.bwd_tiles[m * p + s],
-                            };
-                            let g = &mut *ctx.gpu(j);
-                            let accumulate =
-                                if acc { Accumulate::Add } else { Accumulate::Overwrite };
-                            if acc {
-                                g.note_read(rp_id(j));
-                            }
-                            g.note_write(rp_id(j));
-                            let mut out = std::mem::take(&mut g.rp);
-                            if !acc {
-                                out.resize(n_m, d);
-                            }
-                            if local_fresh {
-                                spmm(tile, read_buf(g, src), &mut out, accumulate);
-                            } else {
-                                spmm(tile, g.bc_ref(slot), &mut out, accumulate);
-                            }
-                            g.rp = out;
-                        }) as Body<DeviceState>
-                    });
-                    let mut waits_m = Vec::new();
-                    let mut fx_m = if local_fresh {
-                        if let Some(prod) = src_producers[j] {
-                            waits_m.push(prod);
+                                if s == 0 { Accumulate::Overwrite } else { Accumulate::Add };
+                            spmm(tile(&rc, dir, p, t, s), view, &mut out, accumulate);
                         }
-                        Effects::none().reads([buf_id(j, src)]).writes([rp_id(j)])
-                    } else {
-                        waits_m.push(bcast);
-                        Effects::none().reads([bc_id(j, slot_idx)]).writes([rp_id(j)])
-                    };
-                    if acc {
-                        fx_m = fx_m.reads([rp_id(j)]);
+                        *buf_mut(gs, dst) = out;
                     }
-                    let mate = self.sched.launch_fx(
-                        j,
-                        0,
-                        work_m,
-                        self.mk_staged(Category::SpMM, "spmm-rp", s),
-                        &waits_m,
-                        fx_m,
-                        body_m,
-                    );
-                    if !local_fresh {
-                        readers.push(mate);
-                    }
-                    tail[j] = Some(mate);
-                }
-                // Singleton groups under prefetch record no readers; the
-                // broadcast anchors the slot chain (see staged_spmm).
-                self.bc_readers15[gi][slot_idx] =
-                    if readers.is_empty() { vec![bcast] } else { readers };
-            }
+                }) as Body<DeviceState>
+            });
         }
-
-        // Phase B: P/2 concurrent pairwise cross-group reductions. Pair
-        // (a, a + P/2) exchanges both partials over the a↔mate link(s).
-        let rows_all: Vec<usize> = (0..p).map(|s| self.problem.rows_of(s)).collect();
-        let mut reduces: Vec<OpId> = Vec::with_capacity(half);
-        let mut out_ops: Vec<Option<OpId>> = vec![None; p];
-        for a in 0..half {
-            let b = a + half;
-            let lanes = [(a, comm_stream), (b, comm_stream)];
-            let bytes = ((rows_all[a] + rows_all[b]) * d * 4) as f64;
-            let bw = self.opts.machine.reduce_bw(a, &[a, b]);
-            let waits =
-                [tail[a].expect("phase A emitted for a"), tail[b].expect("phase A emitted for b")];
-            let rows_body = rows_all.clone();
-            let (fx, body);
-            if self.epoch_tag.is_some() {
-                // Fused bounded-staleness schedules use the genuine
-                // pairwise exchange: each member's final result is its own
-                // partial plus its mate's RP replica. The canonical refold
-                // below would re-read every GPU's live src shard — an
-                // undeclared cross-epoch RAW once stale broadcasts drop
-                // their producer edges. The pairwise sum's f32 association
-                // differs from the 1D fold, so k >= 1 1.5D runs are
-                // oracle-band-equal, not bit-equal, to 1D (DESIGN §15).
-                body = self.real.clone().map(|_| {
-                    Box::new(move |ctx: &DeviceState| {
-                        for &(t, o) in &[(a, b), (b, a)] {
-                            let n_t = rows_body[t];
-                            let partial = {
-                                let g = ctx.gpu(o);
-                                g.rp_ref().as_slice()[..n_t * d].to_vec()
-                            };
-                            let gs = &mut *ctx.gpu(t);
-                            gs.note_read(buf_id(t, dst));
-                            gs.note_write(buf_id(t, dst));
-                            let out = match dst {
-                                Buf::Hw => &mut gs.hw,
-                                Buf::Ahw(l) => &mut gs.ahw[l],
-                                Buf::X => unreachable!("X is never an SpMM destination"),
-                            };
-                            for (x, v) in out.as_mut_slice()[..n_t * d].iter_mut().zip(&partial) {
-                                *x += v;
-                            }
-                        }
-                    }) as Body<DeviceState>
-                });
-                fx = Effects::none()
-                    .reads([rp_id(a), rp_id(b), buf_id(a, dst), buf_id(b, dst)])
-                    .writes([buf_id(a, dst), buf_id(b, dst)]);
-            } else {
-                body = self.real.clone().map(|rc| {
-                    Box::new(move |ctx: &DeviceState| {
-                        // Stage every GPU's src shard to the host, one lock at
-                        // a time (collective bodies run at rendezvous
-                        // quiescence; concurrent pair reductions only ever
-                        // share read access to these shards).
-                        let views: Vec<Dense> = (0..p)
-                            .map(|s| {
-                                let g = ctx.gpu(s);
-                                let v = read_buf(&g, src).as_slice()[..rows_body[s] * d].to_vec();
-                                Dense::from_vec(rows_body[s], d, v)
-                            })
-                            .collect();
-                        // Finalize both members by re-folding in the canonical
-                        // 1D stage order — bit-identical to the 1D pipeline.
-                        for &t in &[a, b] {
-                            let n_t = rows_body[t];
-                            let gs = &mut *ctx.gpu(t);
-                            gs.note_write(buf_id(t, dst));
-                            let mut out = match dst {
-                                Buf::Hw => std::mem::take(&mut gs.hw),
-                                Buf::Ahw(l) => std::mem::take(&mut gs.ahw[l]),
-                                Buf::X => unreachable!("X is never an SpMM destination"),
-                            };
-                            out.resize(n_t, d);
-                            for (s, view) in views.iter().enumerate() {
-                                let tile = match dir {
-                                    Dir::Fwd => &rc.fwd_tiles[t * p + s],
-                                    Dir::Bwd => &rc.bwd_tiles[t * p + s],
-                                };
-                                let accumulate =
-                                    if s == 0 { Accumulate::Overwrite } else { Accumulate::Add };
-                                spmm(tile, view, &mut out, accumulate);
-                            }
-                            match dst {
-                                Buf::Hw => gs.hw = out,
-                                Buf::Ahw(l) => gs.ahw[l] = out,
-                                Buf::X => unreachable!(),
-                            }
-                        }
-                    }) as Body<DeviceState>
-                });
-                fx = Effects::none()
-                    .reads((0..p).map(|s| buf_id(s, src)))
-                    .reads([rp_id(a), rp_id(b)])
-                    .writes([buf_id(a, dst), buf_id(b, dst)]);
-            }
-            let op = self.sched.collective_fx(
-                &lanes,
-                bytes,
-                bw,
-                self.mk_desc(Category::Comm, "reduce-AH"),
-                &waits,
-                fx,
-                body,
-            );
-            reduces.push(op);
-            out_ops[a] = Some(op);
-            out_ops[b] = Some(op);
-        }
-        self.pending_sync = reduces;
-        self.sync_taken = vec![false; p];
-        out_ops.into_iter().map(|o| o.expect("every GPU belongs to one pair")).collect()
+        self.sched.record_collective(
+            &[(a, comm_stream), (b, comm_stream)],
+            bytes,
+            self.opts.machine.reduce_bw(a, &[a, b]),
+            self.desc(Category::Comm, "reduce-AH", None),
+            fx,
+            body,
+        );
     }
 
     /// Local GeMM `dst = src · W(l)` on every GPU (paper eq. 5).
-    fn local_gemm_xw(&mut self, l: usize, src: Buf, dst: Buf, extra_waits: &[OpId]) -> Vec<OpId> {
+    fn local_gemm_xw(&mut self, l: usize, src: Buf, dst: Buf) {
         let d_in = self.cfg.d_in(l);
         let d_out = self.cfg.d_out(l);
-        let mut ops = Vec::with_capacity(self.p());
         for g in 0..self.p() {
             let n_g = self.problem.rows_of(g);
-            let work = self.opts.cost.gemm(self.gpu_spec(g), n_g as u64, d_in as u64, d_out as u64);
-            // The GeMM on GPU `g` only reads `g`'s own tile, so only `g`'s
-            // producer is a real dependency — the analyzer verifies this.
-            let mut waits: Vec<OpId> = extra_waits.get(g).copied().into_iter().collect();
-            if src != Buf::Hw {
-                if let Some(prod) = self.producers[g] {
-                    waits.push(prod);
-                }
-            }
-            waits.extend(self.take_sync(g));
-            let body = self.real.as_ref().map(|_| {
-                Box::new(move |ctx: &DeviceState| {
-                    let gs = &mut *ctx.gpu(g);
-                    let mut out = match dst {
-                        Buf::Hw => std::mem::take(&mut gs.hw),
-                        Buf::Ahw(dl) => std::mem::take(&mut gs.ahw[dl]),
-                        Buf::X => unreachable!("X is never a GeMM destination"),
-                    };
-                    out.resize(n_g, d_out);
-                    gemm(read_buf(gs, src), gs.w_ref(l), &mut out, Accumulate::Overwrite);
-                    match dst {
-                        Buf::Hw => gs.hw = out,
-                        Buf::Ahw(dl) => gs.ahw[dl] = out,
-                        Buf::X => unreachable!(),
-                    }
-                }) as Body<DeviceState>
-            });
             // On fused schedules W(l) was last written by the previous
             // epoch's Adam step — the intended age-1 epoch carry.
             let fx = self.declare_epoch_carry(
                 Effects::none().reads([buf_id(g, src), w_id(g, l)]).writes([buf_id(g, dst)]),
                 w_id(g, l),
             );
-            let op = self.sched.launch_fx(
+            self.kernel(
                 g,
-                0,
-                work,
-                self.mk_desc(Category::GeMM, "gemm-HW"),
-                &waits,
+                self.opts.cost.gemm(self.gpu_spec(g), n_g as u64, d_in as u64, d_out as u64),
+                self.desc(Category::GeMM, "gemm-HW", None),
                 fx,
-                body,
+                move |gs| {
+                    let mut out = std::mem::take(buf_mut(gs, dst));
+                    out.resize(n_g, d_out);
+                    gemm(read_buf(gs, src), gs.w_ref(l), &mut out, Accumulate::Overwrite);
+                    *buf_mut(gs, dst) = out;
+                },
             );
-            ops.push(op);
         }
-        ops
     }
 
     /// In-place ReLU over `AHW(l)` (paper eq. 7).
-    fn relu_forward(&mut self, l: usize) -> Vec<OpId> {
+    fn relu_forward(&mut self, l: usize) {
         let d_out = self.cfg.d_out(l);
-        let mut ops = Vec::with_capacity(self.p());
         for g in 0..self.p() {
             let n_g = self.problem.rows_of(g);
-            let work = self.opts.cost.elementwise((n_g * d_out) as u64, 2.0);
-            let body = self.real.as_ref().map(|_| {
-                Box::new(move |ctx: &DeviceState| {
-                    let mut gs = ctx.gpu(g);
+            self.kernel(
+                g,
+                self.opts.cost.elementwise((n_g * d_out) as u64, 2.0),
+                self.desc(Category::Activation, "relu", None),
+                Effects::none().rw(buf_id(g, Buf::Ahw(l))),
+                move |gs| {
                     // In-place RMW: an all-nonnegative input leaves the
                     // bytes unchanged, so both sides are noted explicitly.
                     gs.note_read(buf_id(g, Buf::Ahw(l)));
                     gs.note_write(buf_id(g, Buf::Ahw(l)));
                     relu_inplace(gs.ahw[l].as_mut_slice());
-                }) as Body<DeviceState>
-            });
-            let waits = self.take_sync(g);
-            ops.push(self.sched.launch_fx(
-                g,
-                0,
-                work,
-                self.mk_desc(Category::Activation, "relu"),
-                &waits,
-                Effects::none().rw(buf_id(g, Buf::Ahw(l))),
-                body,
-            ));
+                },
+            );
         }
-        ops
     }
 
     /// ReLU backward (paper eq. 8): merge the incoming gradient in
     /// `AHW(l+1)` over the saved activation in `AHW(l)`.
-    fn relu_backward_layer(&mut self, l: usize) -> Vec<OpId> {
+    fn relu_backward(&mut self, l: usize) {
         let d = self.cfg.d_out(l);
-        let mut ops = Vec::with_capacity(self.p());
         for g in 0..self.p() {
             let n_g = self.problem.rows_of(g);
-            let work = self.opts.cost.elementwise((n_g * d) as u64, 3.0);
-            let body = self.real.as_ref().map(|_| {
-                Box::new(move |ctx: &DeviceState| {
-                    let gs = &mut *ctx.gpu(g);
+            self.kernel(
+                g,
+                self.opts.cost.elementwise((n_g * d) as u64, 3.0),
+                self.desc(Category::Activation, "relu-bwd", None),
+                Effects::none().reads([buf_id(g, Buf::Ahw(l + 1))]).rw(buf_id(g, Buf::Ahw(l))),
+                move |gs| {
                     let (grad, act) = gs.ahw_pair_mut(l + 1, l);
                     mggcn_dense::relu_backward_merge(grad.as_slice(), act.as_mut_slice());
-                }) as Body<DeviceState>
-            });
-            let waits = self.take_sync(g);
-            ops.push(self.sched.launch_fx(
-                g,
-                0,
-                work,
-                self.mk_desc(Category::Activation, "relu-bwd"),
-                &waits,
-                Effects::none().reads([buf_id(g, Buf::Ahw(l + 1))]).rw(buf_id(g, Buf::Ahw(l))),
-                body,
-            ));
+                },
+            );
         }
-        ops
     }
 
     /// Weight gradient `W_G(l) = Xᵀ · HW_G` (paper eq. 10).
-    fn weight_grad(&mut self, l: usize, x_buf: Buf, hwg_buf: Buf) -> Vec<OpId> {
+    fn weight_grad(&mut self, l: usize, x_buf: Buf, hwg_buf: Buf) {
         let d_in = self.cfg.d_in(l);
         let d_out = self.cfg.d_out(l);
-        let mut ops = Vec::with_capacity(self.p());
         for g in 0..self.p() {
             let n_g = self.problem.rows_of(g);
-            let work = self.opts.cost.gemm(self.gpu_spec(g), d_in as u64, n_g as u64, d_out as u64);
-            let body = self.real.as_ref().map(|_| {
-                Box::new(move |ctx: &DeviceState| {
-                    let gs = &mut *ctx.gpu(g);
+            self.kernel(
+                g,
+                self.opts.cost.gemm(self.gpu_spec(g), d_in as u64, n_g as u64, d_out as u64),
+                self.desc(Category::GeMM, "gemm-WG", None),
+                Effects::none().reads([buf_id(g, x_buf), buf_id(g, hwg_buf)]).writes([wg_id(g, l)]),
+                move |gs| {
                     gs.note_write(wg_id(g, l));
                     let mut out = std::mem::take(&mut gs.wgrad[l]);
                     out.resize(d_in, d_out);
@@ -1632,66 +1165,38 @@ impl<'a> EpochBuilder<'a> {
                         Accumulate::Overwrite,
                     );
                     gs.wgrad[l] = out;
-                }) as Body<DeviceState>
-            });
-            let waits = self.take_sync(g);
-            ops.push(self.sched.launch_fx(
-                g,
-                0,
-                work,
-                self.mk_desc(Category::GeMM, "gemm-WG"),
-                &waits,
-                Effects::none().reads([buf_id(g, x_buf), buf_id(g, hwg_buf)]).writes([wg_id(g, l)]),
-                body,
-            ));
+                },
+            );
         }
-        ops
     }
 
     /// All-reduce the layer's weight gradients (ring volume `2(P−1)/P`).
-    fn all_reduce_wgrad(&mut self, l: usize, waits: &[OpId]) -> OpId {
+    fn all_reduce_wgrad(&mut self, l: usize) {
         let group = self.opts.gpu_ids();
         let comm_stream = self.opts.comm_stream();
         let lanes: Vec<(usize, usize)> = group.iter().map(|&g| (g, comm_stream)).collect();
         let param_bytes = (self.cfg.d_in(l) * self.cfg.d_out(l) * 4) as f64;
         let p = self.p() as f64;
-        let bytes = 2.0 * param_bytes * (p - 1.0) / p;
-        let bw = self.opts.machine.allreduce_bw(&group);
-        let body = self.real.as_ref().map(|_| {
+        let body = self.problem.real.as_ref().map(|_| {
             Box::new(move |ctx: &DeviceState| ctx.all_reduce_wgrad(l)) as Body<DeviceState>
         });
-        let mut fx = Effects::none();
-        for &g in &group {
-            fx = fx.rw(wg_id(g, l));
-        }
-        self.sched.collective_fx(
+        let fx = group.iter().fold(Effects::none(), |fx, &g| fx.rw(wg_id(g, l)));
+        self.sched.record_collective(
             &lanes,
-            bytes,
-            bw,
-            self.mk_desc(Category::Comm, "allreduce-WG"),
-            waits,
+            2.0 * param_bytes * (p - 1.0) / p,
+            self.opts.machine.allreduce_bw(&group),
+            self.desc(Category::Comm, "allreduce-WG", None),
             fx,
             body,
-        )
+        );
     }
 
     /// Input gradient `H_G = HW_G · Wᵀ` (paper eq. 11) into `AHW(l)`.
-    fn input_grad(&mut self, l: usize, d_in: usize) -> Vec<OpId> {
+    fn input_grad(&mut self, l: usize) {
+        let d_in = self.cfg.d_in(l);
         let d_out = self.cfg.d_out(l);
-        let mut ops = Vec::with_capacity(self.p());
         for g in 0..self.p() {
             let n_g = self.problem.rows_of(g);
-            let work = self.opts.cost.gemm(self.gpu_spec(g), n_g as u64, d_out as u64, d_in as u64);
-            let body = self.real.as_ref().map(|_| {
-                Box::new(move |ctx: &DeviceState| {
-                    let gs = &mut *ctx.gpu(g);
-                    let mut out = std::mem::take(&mut gs.ahw[l]);
-                    out.resize(n_g, d_in);
-                    gemm_a_bt(read_buf(gs, Buf::Hw), gs.w_ref(l), &mut out, Accumulate::Overwrite);
-                    gs.ahw[l] = out;
-                }) as Body<DeviceState>
-            });
-            let waits = self.take_sync(g);
             // W(l) here still carries the previous epoch's Adam write on
             // fused schedules (this epoch's Adam for layer l runs after).
             let fx = self.declare_epoch_carry(
@@ -1700,31 +1205,41 @@ impl<'a> EpochBuilder<'a> {
                     .writes([buf_id(g, Buf::Ahw(l))]),
                 w_id(g, l),
             );
-            ops.push(self.sched.launch_fx(
+            self.kernel(
                 g,
-                0,
-                work,
-                self.mk_desc(Category::GeMM, "gemm-HG"),
-                &waits,
+                self.opts.cost.gemm(self.gpu_spec(g), n_g as u64, d_out as u64, d_in as u64),
+                self.desc(Category::GeMM, "gemm-HG", None),
                 fx,
-                body,
-            ));
+                move |gs| {
+                    let mut out = std::mem::take(&mut gs.ahw[l]);
+                    out.resize(n_g, d_in);
+                    gemm_a_bt(read_buf(gs, Buf::Hw), gs.w_ref(l), &mut out, Accumulate::Overwrite);
+                    gs.ahw[l] = out;
+                },
+            );
         }
-        ops
     }
 
     /// Adam update of `W(l)` on every GPU (identical updates keep the
     /// replicas in lockstep).
-    fn adam(&mut self, l: usize, reduce_op: OpId) {
+    fn adam(&mut self, l: usize) {
         let lr = self.cfg.lr * self.cfg.lr_schedule.factor(self.t as usize - 1);
         let params = AdamParams { lr, ..AdamParams::default() };
         let t = self.t;
+        let count = (self.cfg.d_in(l) * self.cfg.d_out(l)) as u64;
         for g in 0..self.p() {
-            let count = (self.cfg.d_in(l) * self.cfg.d_out(l)) as u64;
-            let work = self.opts.cost.adam(count);
-            let body = self.real.as_ref().map(|_| {
-                Box::new(move |ctx: &DeviceState| {
-                    let gs = &mut *ctx.gpu(g);
+            // The Adam moments read here were last written by the previous
+            // epoch's Adam step — the optimizer's own age-1 epoch carry.
+            let fx = self.declare_epoch_carry(
+                Effects::none().reads([wg_id(g, l)]).rw(adam_id(g, l)).writes([w_id(g, l)]),
+                adam_id(g, l),
+            );
+            self.kernel(
+                g,
+                self.opts.cost.adam(count),
+                self.desc(Category::Adam, "adam", None),
+                fx,
+                move |gs| {
                     gs.note_read(wg_id(g, l));
                     gs.note_read(adam_id(g, l));
                     gs.note_write(adam_id(g, l));
@@ -1739,24 +1254,7 @@ impl<'a> EpochBuilder<'a> {
                         gs.adam_v[l].as_mut_slice(),
                     );
                     gs.wgrad[l] = grad;
-                }) as Body<DeviceState>
-            });
-            let mut waits = self.take_sync(g);
-            waits.push(reduce_op);
-            // The Adam moments read here were last written by the previous
-            // epoch's Adam step — the optimizer's own age-1 epoch carry.
-            let fx = self.declare_epoch_carry(
-                Effects::none().reads([wg_id(g, l)]).rw(adam_id(g, l)).writes([w_id(g, l)]),
-                adam_id(g, l),
-            );
-            self.sched.launch_fx(
-                g,
-                0,
-                work,
-                self.mk_desc(Category::Adam, "adam"),
-                &waits,
-                fx,
-                body,
+                },
             );
         }
     }

@@ -4,8 +4,10 @@
 //! hardware: kernels are launched onto per-GPU *streams* (stream 0 compute,
 //! stream 1 communication, per §4.3), collectives rendezvous across GPUs,
 //! and cross-stream dependencies are expressed by waiting on a previous
-//! op's completion (CUDA events). [`Schedule::run`] then plays the whole
-//! DAG forward in simulated time.
+//! op's completion (CUDA events) — named explicitly (`launch`/`collective`
+//! and their `_fx` forms) or inferred from declared buffer effects
+//! ([`Schedule::record`], [`crate::deps`]). [`Schedule::run`] then plays
+//! the whole DAG forward in simulated time.
 //!
 //! The simulator is *rate-based*: every running op drains work dimensions
 //! (seconds, FLOPs, bytes) at rates set by its GPU, and those rates are
@@ -22,6 +24,7 @@
 //! double-buffer WAR dependency will corrupt real data the same way real
 //! hardware would.
 
+use crate::deps::DepTracker;
 use crate::effects::Effects;
 use crate::specs::MachineSpec;
 use crate::timeline::{Category, Span, Timeline};
@@ -85,7 +88,7 @@ struct Op<Ctx> {
     /// participants for collectives.
     lanes: Vec<(usize, usize)>,
     waits: Vec<OpId>,
-    /// Declared buffer footprint (metadata; see [`crate::effects`]).
+    /// Declared buffer footprint (see [`crate::effects`]).
     effects: Effects,
     body: Option<Body<Ctx>>,
 }
@@ -135,6 +138,9 @@ pub struct Schedule<Ctx> {
     machine: MachineSpec,
     ops: Vec<Op<Ctx>>,
     queues: BTreeMap<(usize, usize), Vec<OpId>>,
+    /// Last writer / readers-since-write per buffer and per-lane vector
+    /// clocks — what [`Schedule::record`] infers wait edges from.
+    deps: DepTracker,
     /// Fixed per-op launch overhead in seconds (kernel-launch cost; larger
     /// for framework baselines).
     pub launch_overhead: f64,
@@ -142,7 +148,13 @@ pub struct Schedule<Ctx> {
 
 impl<Ctx> Schedule<Ctx> {
     pub fn new(machine: MachineSpec) -> Self {
-        Self { machine, ops: Vec::new(), queues: BTreeMap::new(), launch_overhead: 5.0e-6 }
+        Self {
+            machine,
+            ops: Vec::new(),
+            queues: BTreeMap::new(),
+            deps: DepTracker::default(),
+            launch_overhead: 5.0e-6,
+        }
     }
 
     pub fn machine(&self) -> &MachineSpec {
@@ -175,23 +187,22 @@ impl<Ctx> Schedule<Ctx> {
         effects: Effects,
         body: Option<Body<Ctx>>,
     ) -> OpId {
-        assert!(gpu < self.machine.gpu_count(), "gpu index out of range");
-        let id = self.ops.len();
-        assert!(
-            !waits.contains(&id),
-            "op {id} ({}) waits on itself — it could never start",
-            desc.label
-        );
-        self.ops.push(Op {
-            desc,
-            work,
-            lanes: vec![(gpu, stream)],
-            waits: waits.to_vec(),
-            effects,
-            body,
-        });
-        self.queues.entry((gpu, stream)).or_default().push(id);
-        id
+        self.push(desc, work, vec![(gpu, stream)], Some(waits), effects, body)
+    }
+
+    /// Launch a kernel whose dependencies are *inferred*: the op waits on
+    /// exactly the earlier ops its declared `effects` conflict with (RAW,
+    /// WAR, WAW) and is not already ordered after — see [`crate::deps`].
+    pub fn record(
+        &mut self,
+        gpu: usize,
+        stream: usize,
+        work: Work,
+        desc: OpDesc,
+        effects: Effects,
+        body: Option<Body<Ctx>>,
+    ) -> OpId {
+        self.push(desc, work, vec![(gpu, stream)], None, effects, body)
     }
 
     /// Launch a collective occupying one lane on every participant. It
@@ -221,14 +232,37 @@ impl<Ctx> Schedule<Ctx> {
         effects: Effects,
         body: Option<Body<Ctx>>,
     ) -> OpId {
+        self.push(desc, comm_work(bytes, bw), lanes.to_vec(), Some(waits), effects, body)
+    }
+
+    /// Launch a collective whose dependencies are inferred from its
+    /// declared `effects`, like [`Schedule::record`].
+    pub fn record_collective(
+        &mut self,
+        lanes: &[(usize, usize)],
+        bytes: f64,
+        bw: f64,
+        desc: OpDesc,
+        effects: Effects,
+        body: Option<Body<Ctx>>,
+    ) -> OpId {
+        self.push(desc, comm_work(bytes, bw), lanes.to_vec(), None, effects, body)
+    }
+
+    /// Append one op; `waits: None` asks for them to be inferred.
+    fn push(
+        &mut self,
+        desc: OpDesc,
+        work: Work,
+        lanes: Vec<(usize, usize)>,
+        waits: Option<&[OpId]>,
+        effects: Effects,
+        body: Option<Body<Ctx>>,
+    ) -> OpId {
         assert!(!lanes.is_empty(), "collective needs participants");
         let id = self.ops.len();
-        assert!(
-            !waits.contains(&id),
-            "collective {id} ({}) waits on itself — it could never start",
-            desc.label
-        );
         for (i, lane) in lanes.iter().enumerate() {
+            assert!(lane.0 < self.machine.gpu_count(), "gpu index out of range");
             assert!(
                 !lanes[..i].contains(lane),
                 "collective {id} ({}) lists lane (gpu {}, stream {}) twice — \
@@ -237,21 +271,15 @@ impl<Ctx> Schedule<Ctx> {
                 lane.0,
                 lane.1
             );
+            self.queues.entry(*lane).or_default().push(id);
         }
-        let work =
-            if bw.is_infinite() { Work::Fixed { seconds: 0.0 } } else { Work::Comm { bytes, bw } };
-        self.ops.push(Op {
-            desc,
-            work,
-            lanes: lanes.to_vec(),
-            waits: waits.to_vec(),
-            effects,
-            body,
-        });
-        for &lane in lanes {
-            assert!(lane.0 < self.machine.gpu_count(), "gpu index out of range");
-            self.queues.entry(lane).or_default().push(id);
-        }
+        let waits = self.deps.admit(&lanes, &effects, waits);
+        assert!(
+            !waits.contains(&id),
+            "op {id} ({}) waits on itself — it could never start",
+            desc.label
+        );
+        self.ops.push(Op { desc, work, lanes, waits, effects, body });
         id
     }
 
@@ -731,6 +759,16 @@ impl<Ctx> Component for RateCore<'_, Ctx> {
                 })
             })
             .collect()
+    }
+}
+
+/// A collective's work: a transfer at `bw`, or — on an infinitely fast
+/// link (single-lane "collectives") — a zero-byte fixed-latency hop.
+fn comm_work(bytes: f64, bw: f64) -> Work {
+    if bw.is_infinite() {
+        Work::Fixed { seconds: 0.0 }
+    } else {
+        Work::Comm { bytes, bw }
     }
 }
 

@@ -12,6 +12,8 @@
 //! * [`engine`] — CUDA-like streams/events and a rate-based discrete-event
 //!   simulator in which communication steals memory bandwidth from
 //!   concurrent memory-bound kernels (the §6.3 overlap penalty);
+//! * [`effects`] / [`deps`] — declared per-op buffer effects, and the rule
+//!   that infers every wait edge from them at record time;
 //! * [`model`] — roofline cost models for SpMM, GeMM, elementwise kernels,
 //!   Adam, the loss layer, and collectives;
 //! * [`timeline`] — per-op span recording and the per-category aggregations
@@ -60,6 +62,7 @@
 
 pub use mggcn_sched as sched;
 
+pub mod deps;
 pub mod effects;
 pub mod engine;
 pub mod memory;
@@ -70,6 +73,7 @@ pub mod specs;
 pub mod timeline;
 pub mod trace;
 
+pub use deps::infer_waits;
 pub use effects::{BufId, Effects, StaleRead};
 pub use engine::{OpId, OpInfo, RunReport, Schedule, SimOutcome, Work};
 pub use memory::{MemoryTracker, OomError};

@@ -212,7 +212,7 @@ macro_rules! identity_into_par_iter {
 }
 
 // ---------------------------------------------------------------------
-// Concrete producers.
+// Concrete `Producer` implementations.
 // ---------------------------------------------------------------------
 
 /// Shared slice items (`par_iter`).

@@ -1,7 +1,9 @@
 //! The serving engine: batches → tagged op schedules on the simulated
 //! machine → bit-exact outputs + latency accounting.
 //!
-//! Each batch becomes one [`Schedule`] on a replica GPU's stream 0:
+//! Each batch becomes one [`Schedule`] on a replica GPU's stream 0. The
+//! ops declare their buffer effects and the schedule infers the
+//! dependencies (on one lane, FIFO order already covers all of them):
 //!
 //! * `serve-extract` — k-hop induced-subgraph extraction (fixed cost plus
 //!   a per-edge term), paid **once per batch** — the quantity
@@ -425,7 +427,7 @@ impl Server {
         let stream = 0;
 
         // Subgraph extraction: per-batch fixed cost (the batching lever).
-        sched.launch(
+        sched.record(
             gpu,
             stream,
             Work::Fixed {
@@ -433,18 +435,17 @@ impl Server {
                     + self.cfg.extract_per_edge * block.adj.nnz() as f64,
             },
             OpDesc::new(Category::Other, "serve-extract"),
-            &[],
+            Effects::none(),
             None,
         );
 
         // Gather feature rows + cached aggregation rows.
         let gather_elems = (n_local * d0 + hits.len() * d0) as u64;
-        sched.launch_fx(
+        sched.record(
             gpu,
             stream,
             cost.elementwise(gather_elems, 1.0),
             OpDesc::new(Category::Other, "serve-gather"),
-            &[],
             Effects::none().writes([BufId::new(gpu, "SRV_H"), BufId::new(gpu, "SRV_AGG")]),
             Some(Box::new(move |ctx: &Mutex<BatchCtx>| {
                 let ctx = &mut *lock_ctx(ctx);
@@ -470,7 +471,7 @@ impl Server {
             if l == 0 {
                 // Layer 0: row-sliced SpMM over cache misses only.
                 if !misses.is_empty() {
-                    sched.launch_fx(
+                    sched.record(
                         gpu,
                         stream,
                         cost.spmm(
@@ -482,7 +483,6 @@ impl Server {
                             false,
                         ),
                         OpDesc::new(Category::SpMM, "serve-spmm"),
-                        &[],
                         // Only the miss rows of the aggregation buffer are
                         // overwritten — the cache hits survive (RMW).
                         Effects::none()
@@ -504,12 +504,11 @@ impl Server {
             } else {
                 let nnz: usize =
                     rows_per_layer[l].iter().map(|&r| block.adj.row_nnz(r as usize)).sum();
-                sched.launch_fx(
+                sched.record(
                     gpu,
                     stream,
                     cost.spmm(&spec, n_rows as u64, n_local as u64, nnz as u64, d_in as u64, false),
                     OpDesc::new(Category::SpMM, "serve-spmm"),
-                    &[],
                     Effects::none()
                         .reads([BufId::new(gpu, "SRV_H")])
                         .writes([BufId::new(gpu, "SRV_AGG")]),
@@ -527,12 +526,11 @@ impl Server {
                 );
             }
 
-            sched.launch_fx(
+            sched.record(
                 gpu,
                 stream,
                 cost.gemm(&spec, n_rows as u64, d_in as u64, d_out as u64),
                 OpDesc::new(Category::GeMM, "serve-gemm"),
-                &[],
                 Effects::none()
                     .reads([BufId::new(gpu, "SRV_AGG")])
                     .writes([BufId::new(gpu, "SRV_H")]),
@@ -556,12 +554,11 @@ impl Server {
             );
 
             if l + 1 < layers {
-                sched.launch_fx(
+                sched.record(
                     gpu,
                     stream,
                     cost.elementwise((n_rows * d_out) as u64, 2.0),
                     OpDesc::new(Category::Activation, "serve-relu"),
-                    &[],
                     Effects::none().rw(BufId::new(gpu, "SRV_H")),
                     Some(Box::new(move |ctx: &Mutex<BatchCtx>| {
                         let BatchCtx { rows_per_layer, h, .. } = &mut *lock_ctx(ctx);
@@ -574,12 +571,11 @@ impl Server {
         }
 
         let classes = self.model.out_dim();
-        sched.launch_fx(
+        sched.record(
             gpu,
             stream,
             cost.elementwise((vertices.len() * classes) as u64, 2.0),
             OpDesc::new(Category::Other, "serve-output"),
-            &[],
             Effects::none().reads([BufId::new(gpu, "SRV_H")]).writes([BufId::new(gpu, "SRV_OUT")]),
             Some(Box::new(move |ctx: &Mutex<BatchCtx>| {
                 let ctx = &mut *lock_ctx(ctx);

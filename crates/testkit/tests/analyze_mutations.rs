@@ -8,12 +8,11 @@
 //!   `L + 3` big buffers under overlap with `P ≥ 2`, fewer when the
 //!   broadcasts serialize (the second broadcast buffer is bought *for*
 //!   the overlap).
-//! * **Zero false negatives** — deleting any load-bearing dependency
-//!   edge, or swapping a stage's `BC1`/`BC2` double-buffer slot, is
-//!   flagged. Edges whose removal leaves the pair happens-before-ordered
-//!   through another path (same-lane FIFO, a collective rendezvous) are
-//!   *redundant*: removing them must stay clean, which the harness
-//!   proves instead of asserting blindly.
+//! * **Zero false negatives** — deleting any dependency edge, or swapping
+//!   a stage's `BC1`/`BC2` double-buffer slot, is flagged. The trainer's
+//!   wait edges are inferred from declared effects and transitively
+//!   reduced at record time, so none is redundant: every single deletion
+//!   must leave its pair unordered *and* surface as a finding.
 //! * **Findings are real** — one flagged WAR mutant is executed and its
 //!   loss diverges from the f64 oracle the clean schedule matches: the
 //!   analyzer's report corresponds to actual data corruption.
@@ -21,8 +20,9 @@
 use mggcn_analyze::{analyze_budget, analyze_ops, BudgetSpec, Hb};
 use mggcn_core::config::{GcnConfig, Partition, TrainOptions};
 use mggcn_core::problem::Problem;
+use mggcn_core::state::DeviceState;
 use mggcn_core::trainer::{sf_buffer_count, Trainer};
-use mggcn_gpusim::{GpuSpec, MachineSpec, OpId};
+use mggcn_gpusim::{GpuSpec, MachineSpec, OpId, Schedule};
 use mggcn_graph::generators::sbm::{self, SbmConfig};
 use mggcn_graph::Graph;
 use mggcn_testkit::oracle::ReferenceGcn;
@@ -83,68 +83,66 @@ fn real_schedules_analyze_clean_with_the_planned_buffer_count() {
     }
 }
 
+/// Delete each of `edges` from a fresh `build()` in turn: the pair must
+/// become unordered (the edge was load-bearing, not implied by another
+/// path) and the analyzer must report it.
+fn assert_every_deletion_is_flagged(
+    what: &str,
+    build: impl Fn() -> Schedule<DeviceState>,
+    edges: &[(OpId, OpId)],
+) {
+    for &(op, wait) in edges {
+        let mut mutant = build();
+        mutant.remove_wait(op, wait);
+        let infos = mutant.op_infos();
+        let hb = Hb::of_ops(&infos);
+        // Removing an edge cannot create a cycle, so ordered() is meaningful.
+        assert!(hb.cycle.is_none());
+        assert!(
+            !hb.ordered(wait, op),
+            "{what}: edge {wait}->{op} is redundant — inference should have dropped it"
+        );
+        assert!(
+            !analyze_ops(&infos, None).clean(),
+            "{what}: edge {wait}->{op} deleted without a finding (false negative)"
+        );
+    }
+}
+
 #[test]
-fn every_deleted_wait_edge_is_flagged_or_provably_redundant() {
+fn every_deleted_wait_edge_is_flagged() {
     let g = graph();
     for (hidden, gpus, overlap) in
         [(&[8usize][..], 4, true), (&[8][..], 2, false), (&[64][..], 2, true)]
     {
         let t = trainer(&g, hidden, gpus, overlap);
         let edges = t.epoch_schedule().wait_edges();
-        assert!(!edges.is_empty());
-        let (mut flagged, mut redundant) = (0usize, 0usize);
-        for &(op, wait) in &edges {
-            let mut mutant = t.epoch_schedule();
-            mutant.remove_wait(op, wait);
-            let infos = mutant.op_infos();
-            let hb = Hb::of_ops(&infos);
-            // Removing an edge cannot create a cycle, so ordered() is
-            // meaningful: the edge was redundant iff the pair stays
-            // ordered through some other path.
-            assert!(hb.cycle.is_none());
-            let report = analyze_ops(&infos, None);
-            if hb.ordered(wait, op) {
-                redundant += 1;
-                assert!(
-                    report.clean(),
-                    "P={gpus} overlap={overlap}: edge {wait}->{op} is redundant \
-                     but its removal was flagged:\n{}",
-                    report.render()
-                );
-            } else {
-                flagged += 1;
-                assert!(
-                    !report.clean(),
-                    "P={gpus} overlap={overlap}: load-bearing edge {wait}->{op} \
-                     deleted without a finding (false negative)"
-                );
-            }
-        }
         // Overlapped schedules carry real cross-stream edges; serialized
-        // ones ride the lane FIFO, so every explicit wait is redundant.
-        if overlap {
-            assert!(flagged > 0, "no load-bearing edges among {}", edges.len());
-        }
-        assert!(redundant > 0, "no redundant edges among {}", edges.len());
+        // ones ride lane FIFO and rendezvous, so they need no wait at all.
+        assert_eq!(edges.is_empty(), !overlap, "P={gpus} overlap={overlap}: {edges:?}");
+        assert_every_deletion_is_flagged(
+            &format!("P={gpus} overlap={overlap}"),
+            || t.epoch_schedule(),
+            &edges,
+        );
     }
 }
 
 /// Swap one broadcast stage's double-buffer slot (writer and its readers
 /// together, so the mutation is consistent — only the *pipelining* is
 /// wrong, exactly the §4.3 bug class).
-fn swap_bc_slot_of_stage(
-    sched: &mut mggcn_gpusim::Schedule<mggcn_core::state::DeviceState>,
-    stage: usize,
-) {
+fn swap_bc_slot_of_stage(sched: &mut Schedule<DeviceState>, stage: usize) {
     let infos = sched.op_infos();
     let bcast = infos
         .iter()
         .find(|o| o.desc.label == "bcast-H" && o.desc.stage == Some(stage))
         .expect("stage broadcast exists")
         .id;
-    let group: Vec<OpId> = infos
+    // The broadcast plus its consumers: the SpMM stage recorded right
+    // after it, up to the next broadcast.
+    let group: Vec<OpId> = infos[bcast..]
         .iter()
-        .filter(|o| o.id == bcast || (o.desc.label == "spmm" && o.waits.contains(&bcast)))
+        .take_while(|o| o.id == bcast || o.desc.label == "spmm")
         .map(|o| o.id)
         .collect();
     drop(infos);
@@ -304,12 +302,10 @@ fn pipelined_schedules_analyze_clean_with_declared_stale_reads() {
     }
 }
 
-/// Deleting any *cross-epoch* wait edge must surface as a finding or be
-/// provably redundant (the pair stays happens-before-ordered through
-/// another path, which leaves the HB closure — and hence every finding
-/// class, including the stale-age computation — unchanged).
+/// Deleting any *cross-epoch* wait edge must surface as a finding: like
+/// every inferred edge, each one is the only path ordering its pair.
 #[test]
-fn deleted_cross_epoch_wait_edges_are_flagged_or_provably_redundant() {
+fn every_deleted_cross_epoch_wait_edge_is_flagged() {
     let g = graph();
     let t = stale_trainer(&g, 4, Partition::OneD, 1);
     let sched = t.pipelined_schedule(2);
@@ -322,35 +318,8 @@ fn deleted_cross_epoch_wait_edges_are_flagged_or_provably_redundant() {
             oe.is_some() && we.is_some() && oe != we
         })
         .collect();
-    drop(infos);
     assert!(!cross.is_empty(), "fused schedule has no cross-epoch edges");
-
-    let (mut flagged, mut redundant) = (0usize, 0usize);
-    for &(op, wait) in &cross {
-        let mut mutant = t.pipelined_schedule(2);
-        mutant.remove_wait(op, wait);
-        let infos = mutant.op_infos();
-        let hb = Hb::of_ops(&infos);
-        assert!(hb.cycle.is_none());
-        let report = analyze_ops(&infos, None);
-        if hb.ordered(wait, op) {
-            redundant += 1;
-            assert!(
-                report.clean(),
-                "cross-epoch edge {wait}->{op} is redundant but flagged:\n{}",
-                report.render()
-            );
-        } else {
-            flagged += 1;
-            assert!(
-                !report.clean(),
-                "load-bearing cross-epoch edge {wait}->{op} deleted without a \
-                 finding (false negative)"
-            );
-        }
-    }
-    assert!(flagged > 0, "no load-bearing cross-epoch edges among {}", cross.len());
-    assert!(redundant > 0, "no redundant cross-epoch edges among {}", cross.len());
+    assert_every_deletion_is_flagged("fused k=1", || t.pipelined_schedule(2), &cross);
 }
 
 /// Stripping the StaleRead declaration off one prefetch broadcast turns
@@ -408,7 +377,7 @@ fn undeclared_stale_read_mutant_is_flagged_and_corrupts_loss() {
     // Execute: the flagged read genuinely consumes epoch-0 state.
     t.state().reset_scratch();
     sched.run(t.state());
-    let stale_loss: f64 = (0..4).map(|gpu| t.state().gpu(gpu).epoch_stats[1].0).sum();
+    let stale_loss: f64 = (0..4).map(|gpu| t.state().gpu(gpu).epoch_stats[1].loss_sum).sum();
     assert!(
         rel_diff(stale_loss, oracle_loss) > P_LOSS_TOL,
         "undeclared stale read did not manifest: epoch-1 loss {stale_loss} \

@@ -68,7 +68,7 @@ fn graph() -> Graph {
 fn dump(g: &Graph, cfg: &GcnConfig, opts: TrainOptions) -> String {
     let problem = Problem::from_graph(g, cfg, &opts);
     let trainer = Trainer::new(problem, cfg.clone(), opts).expect("fits");
-    trainer.epoch_schedule_dump()
+    trainer.epoch_schedule().dump_ops()
 }
 
 #[test]

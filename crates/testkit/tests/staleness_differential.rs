@@ -107,7 +107,7 @@ fn staleness_zero_schedules_match_committed_goldens() {
         opts.permute = false;
         opts.staleness = 0; // explicit, not just the default
         let problem = Problem::from_graph(&g, &cfg, &opts);
-        Trainer::new(problem, cfg.clone(), opts).expect("fits").epoch_schedule_dump()
+        Trainer::new(problem, cfg.clone(), opts).expect("fits").epoch_schedule().dump_ops()
     };
     check_golden("schedule_p1.txt", &dump(1));
     check_golden("schedule_p3_overlap.txt", &dump(3));

@@ -17,7 +17,7 @@
 //!   `comm::analysis` closed forms, and the Fig 8 overlap-efficiency
 //!   ratio ([`derive::Overlap`]).
 //!
-//! Tracing is **observation-only and zero-cost when disabled**: producers
+//! Tracing is **observation-only and zero-cost when disabled**: span sources
 //! hold an `Option<Arc<Tracer>>` and ingest *after* a schedule has run,
 //! reading completed timelines — never touching schedule construction,
 //! numerics, or op ordering. With `None` there is no tracer call at all.

@@ -112,6 +112,27 @@ fn get<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str, default
     flags.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
+/// `--gpus` for `train` and `analyze`: an integer in `1..=max`, even under
+/// 1.5D partitioning (two replication groups). Anything else is a usage
+/// error here, not an assertion deep inside `TrainOptions`/`Trainer`.
+fn gpus_flag(
+    flags: &HashMap<String, String>,
+    default: usize,
+    max: usize,
+    partition: Partition,
+) -> usize {
+    let gpus = flags.get("gpus").map_or(Some(default), |v| v.parse().ok());
+    let Some(gpus) = gpus.filter(|g| (1..=max).contains(g)) else {
+        eprintln!("--gpus expects an integer in 1..={max}, got {:?}", flags["gpus"]);
+        exit(2)
+    };
+    if partition == Partition::OneFiveD && !gpus.is_multiple_of(2) {
+        eprintln!("--partition 1.5d needs an even --gpus (two replication groups), got {gpus}");
+        exit(2)
+    }
+    gpus
+}
+
 fn usage() -> ! {
     eprintln!(
         "usage:\n  mggcn train    [--gpus N] [--epochs E] [--hidden H] [--vertices V]\n                 [--no-overlap] [--no-permute] [--checkpoint PATH] [--resume PATH]\n                 [--backend simulated|threaded] [--threads T] [--trace PATH]\n                 [--partition 1d|1.5d] [--nodes N] [--nic GBPS] [--staleness K]\n  mggcn simulate --dataset NAME [--machine v100|a100] [--gpus N] [--model a|b|c|d] [--profile] [--trace PATH]\n  mggcn memory   --dataset NAME [--hidden H] [--layers L]\n  mggcn datasets\n  mggcn serve-bench [--qps Q] [--batch-window S] [--max-batch B] [--cache-mb MB]\n                    [--requests N] [--vertices V] [--gpus N] [--epochs E] [--seed S] [--trace PATH]\n  mggcn serve-bench --check PATH\n  mggcn cluster-bench [--shards P] [--gpus-per-shard G] [--qps-mult M] [--requests N]\n                      [--vertices V] [--epochs E] [--seed S] [--slo-ms MS] [--max-degraded R]\n                      [--batch-window S] [--max-batch B] [--cache-mb MB]\n                      [--backend simulated|threaded] [--threads T] [--out PATH] [--trace PATH]\n  mggcn cluster-bench --check PATH\n  mggcn bench-exec  [--gpus P] [--vertices V] [--hidden H] [--epochs E] [--threads LIST]\n                    [--staleness LIST] [--nic GBPS] [--out PATH]\n  mggcn bench-exec  --check PATH\n  mggcn trace    [--gpus N] [--vertices V] [--hidden H] [--epochs E]\n                 [--backend simulated|threaded] [--threads T] [--out PATH] [--chrome PATH]\n  mggcn trace    --check PATH\n  mggcn analyze  [--gpus N] [--vertices V] [--hidden H] [--dump]\n                 [--audit-effects] [--model-check] [--json] [--out PATH]\n  mggcn analyze  --dataset NAME [--machine v100|a100] [--gpus N] [--model a|b|c|d]\n                 [--partition 1d|1.5d] [--dump] [--json] [--out PATH]\n  mggcn topo-bench [--out BENCH_topo.json]\n  mggcn topo-bench --check PATH"
@@ -151,7 +172,6 @@ fn set_pool_threads(n: usize) {
 }
 
 fn cmd_train(flags: &HashMap<String, String>) {
-    let gpus: usize = get(flags, "gpus", 4);
     let epochs: usize = get(flags, "epochs", 40);
     let hidden: usize = get(flags, "hidden", 32);
     let vertices: usize = get(flags, "vertices", 2000);
@@ -178,6 +198,8 @@ fn cmd_train(flags: &HashMap<String, String>) {
         }),
     };
     let nodes: usize = get(flags, "nodes", 1);
+    // A DGX-A100 node holds 8 GPUs.
+    let gpus = gpus_flag(flags, 4, 8 * nodes.max(1), partition);
     let graph = sbm::generate(&SbmConfig::community_benchmark(vertices, 5), 42);
     let cfg = GcnConfig::new(graph.features.cols(), &[hidden], graph.classes);
     let mut opts = if nodes > 1 {
@@ -1347,7 +1369,6 @@ fn cmd_analyze(flags: &HashMap<String, String>) {
                 exit(2)
             }
         };
-        let gpus: usize = get(flags, "gpus", 4);
         let partition = match flags.get("partition").map(String::as_str) {
             None => Partition::OneD,
             Some(s) => Partition::parse(s).unwrap_or_else(|| {
@@ -1355,6 +1376,7 @@ fn cmd_analyze(flags: &HashMap<String, String>) {
                 exit(2)
             }),
         };
+        let gpus = gpus_flag(flags, 4, machine.gpu_count(), partition);
         let cfg = model_for(flags.get("model").map(String::as_str).unwrap_or("a"), &card);
         let mut opts = TrainOptions::full(machine.clone(), gpus);
         opts.partition = partition;
@@ -1399,137 +1421,34 @@ fn cmd_analyze(flags: &HashMap<String, String>) {
     let hidden: usize = get(flags, "hidden", 16);
     let graph = sbm::generate(&SbmConfig::community_benchmark(vertices, 5), 42);
     let cfg = GcnConfig::new(graph.features.cols(), &[hidden], graph.classes);
-    let gpu_list: Vec<usize> = match flags.get("gpus") {
-        Some(v) => vec![v.parse().unwrap_or_else(|_| {
-            eprintln!("--gpus expects a positive integer");
-            exit(2)
-        })],
-        None => vec![1, 2, 4, 8],
+    // 1.5D cases are simply skipped at an odd count, so no parity check.
+    let gpu_list: Vec<usize> = if flags.contains_key("gpus") {
+        vec![gpus_flag(flags, 1, 8, Partition::OneD)]
+    } else {
+        mg_gcn::sweep::SWEEP_GPUS.to_vec()
     };
-    let mut dirty = 0usize;
-    let mut total = 0usize;
-    for &gpus in &gpu_list {
-        for partition in [Partition::OneD, Partition::OneFiveD] {
-            // 1.5D needs an even GPU count ≥ 2.
-            if partition == Partition::OneFiveD && (gpus < 2 || !gpus.is_multiple_of(2)) {
-                continue;
-            }
-            for overlap in [false, true] {
-                for op_order in [false, true] {
-                    let mut opts = TrainOptions::quick(gpus);
-                    opts.overlap = overlap;
-                    opts.op_order_opt = op_order;
-                    opts.partition = partition;
-                    let problem = Problem::from_graph(&graph, &cfg, &opts);
-                    let trainer = match Trainer::new(problem, cfg.clone(), opts) {
-                        Ok(t) => t,
-                        Err(e) => {
-                            eprintln!("error: {e}");
-                            exit(1)
-                        }
-                    };
-                    let sched = trainer.epoch_schedule();
-                    let budget = match partition {
-                        Partition::OneD => BudgetSpec::mg_gcn(cfg.layers()),
-                        Partition::OneFiveD => BudgetSpec::mg_gcn_15d(cfg.layers()),
-                    };
-                    let report = analyze_budget(&sched, &budget);
-                    let label = format!(
-                        "trainer P={gpus} {:<4} overlap={} op-order={}",
-                        partition.name(),
-                        if overlap { "on " } else { "off" },
-                        if op_order { "on " } else { "off" },
-                    );
-                    print_schedule_report(&label, dump.then(|| sched.dump_ops()), &report);
-                    let fx = audit.then(|| {
-                        let actual = trainer.record_actual_effects(trainer.epoch_schedule());
-                        let a = audit_effects(&sched.op_infos(), &actual);
-                        print_effect_audit(&a);
-                        a
-                    });
-                    total += 1;
-                    let row = AnalyzedSchedule { label, report, audit: fx };
-                    dirty += usize::from(!row.clean());
-                    rows.push(row);
-                }
-            }
-        }
-    }
-
-    // Bounded-staleness pipelines (DESIGN §15): fused 3-epoch schedules
-    // with every cross-epoch stale read declared must verify clean.
-    for &gpus in &gpu_list {
-        if gpus < 2 {
-            continue; // P = 1 has no remote tiles to read stale
-        }
-        for partition in [Partition::OneD, Partition::OneFiveD] {
-            if partition == Partition::OneFiveD && !gpus.is_multiple_of(2) {
-                continue;
-            }
-            for k in [1usize, 2] {
-                let mut opts = TrainOptions::quick(gpus);
-                opts.partition = partition;
-                opts.staleness = k;
-                let problem = Problem::from_graph(&graph, &cfg, &opts);
-                let trainer = match Trainer::new(problem, cfg.clone(), opts.clone()) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        exit(1)
-                    }
-                };
-                let sched = trainer.pipelined_schedule(3);
-                let budget = match partition {
-                    Partition::OneD => BudgetSpec::mg_gcn(cfg.layers()),
-                    Partition::OneFiveD => BudgetSpec::mg_gcn_15d(cfg.layers()),
-                }
-                .with_staleness(mg_gcn::core::trainer::sf_buffer_count(&cfg, &opts));
-                let report = analyze_budget(&sched, &budget);
-                let label = format!("stale   P={gpus} {:<4} k={k} (3 epochs)   ", partition.name());
-                print_schedule_report(&label, dump.then(|| sched.dump_ops()), &report);
-                let fx = audit.then(|| {
-                    let actual = trainer.record_actual_effects(trainer.pipelined_schedule(3));
-                    let a = audit_effects(&sched.op_infos(), &actual);
-                    print_effect_audit(&a);
-                    a
-                });
-                total += 1;
-                let row = AnalyzedSchedule { label, report, audit: fx };
-                dirty += usize::from(!row.clean());
-                rows.push(row);
-            }
-        }
-    }
-
-    // One serving batch schedule: train briefly, freeze, record a batch.
-    let serve_cfg = GcnConfig::new(graph.features.cols(), &[hidden], graph.classes);
-    let opts = TrainOptions::quick(2);
-    let problem = Problem::from_graph(&graph, &serve_cfg, &opts);
-    let mut trainer = Trainer::new(problem, serve_cfg, opts).unwrap_or_else(|e| {
+    let cases = mg_gcn::sweep::trainer_cases(&graph, &cfg, &gpu_list).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         exit(1)
     });
-    for _ in 0..3 {
-        trainer.train_epoch().expect("simulated backend cannot fail");
+    for case in cases {
+        let sched = case.schedule();
+        let report = analyze_budget(&sched, &case.budget);
+        print_schedule_report(&case.label, dump.then(|| sched.dump_ops()), &report);
+        let fx = audit.then(|| {
+            let actual = case.trainer.record_actual_effects(case.schedule());
+            let a = audit_effects(&sched.op_infos(), &actual);
+            print_effect_audit(&a);
+            a
+        });
+        rows.push(AnalyzedSchedule { label: case.label, report, audit: fx });
     }
-    let ck = Checkpoint::from_trainer(&trainer);
-    let model = ServingModel::from_checkpoint(&ck, &graph).unwrap_or_else(|e| {
+
+    let (label, sched) = mg_gcn::sweep::serve_case(&graph, hidden).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         exit(1)
     });
-    let machine = mg_gcn::gpusim::MachineSpec::uniform(
-        "A100-serve",
-        mg_gcn::gpusim::GpuSpec::a100(),
-        1,
-        12,
-        300.0e9,
-    );
-    let mut server =
-        Server::new(model, ServeConfig::new(machine, BatchPolicy::new(1e-3, 16), 1 << 20));
-    let batch: Vec<u32> = vec![3, 17, 42, 101];
-    let sched = server.batch_schedule(&batch, 0);
     let report = analyze(&sched);
-    let label = format!("serve  batch of {} on 1 replica  ", batch.len());
     print_schedule_report(&label, dump.then(|| sched.dump_ops()), &report);
     if audit {
         // The serving context is a frozen inference state, not the
@@ -1537,10 +1456,7 @@ fn cmd_analyze(flags: &HashMap<String, String>) {
         // type, so the training-side shadow interpreter does not apply.
         println!("  effect audit skipped: serving schedules use a frozen inference context");
     }
-    total += 1;
-    let row = AnalyzedSchedule { label, report, audit: None };
-    dirty += usize::from(!row.clean());
-    rows.push(row);
+    rows.push(AnalyzedSchedule { label, report, audit: None });
 
     // DPOR linearization model checking: exhaustively execute every
     // HB-distinct linearization of small schedules and require
@@ -1588,8 +1504,6 @@ fn cmd_analyze(flags: &HashMap<String, String>) {
                 "TRUNCATED before the exploration finished".to_string()
             };
             println!("{:<42} {verdict}", mc.label);
-            total += 1;
-            dirty += usize::from(!mc.clean());
             checks.push(mc);
         }
     }
@@ -1597,6 +1511,9 @@ fn cmd_analyze(flags: &HashMap<String, String>) {
     if want_json {
         emit_analyze_json(&rows, &checks, flags);
     }
+    let total = rows.len() + checks.len();
+    let dirty =
+        rows.iter().filter(|r| !r.clean()).count() + checks.iter().filter(|m| !m.clean()).count();
     if dirty > 0 {
         eprintln!("{dirty} of {total} schedules FAILED verification");
         exit(1);

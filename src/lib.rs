@@ -68,6 +68,8 @@ pub use mggcn_sparse as sparse;
 pub use mggcn_topo as topo;
 pub use mggcn_trace as trace;
 
+pub mod sweep;
+
 /// The names most programs need.
 pub mod prelude {
     pub use mggcn_cluster::{AdmissionPolicy, Cluster, ClusterConfig, PartitionPlan};

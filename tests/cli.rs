@@ -122,6 +122,28 @@ fn train_rejects_unknown_backend() {
     assert!(err.contains("unknown backend"), "{err}");
 }
 
+/// GPU counts the machine or the partitioning cannot take are usage
+/// errors (message + exit 2) in flag handling, never a panic from an
+/// assertion inside `TrainOptions`/`Trainer`.
+#[test]
+fn train_and_analyze_reject_impossible_gpu_counts_with_exit_2() {
+    for args in [
+        &["train", "--partition", "1.5d", "--gpus", "3"][..],
+        &["train", "--partition", "1.5d", "--gpus", "1"],
+        &["train", "--gpus", "0"],
+        &["train", "--gpus", "9"],
+        &["analyze", "--gpus", "0"],
+        &["analyze", "--dataset", "reddit", "--gpus", "0"],
+        &["analyze", "--dataset", "reddit", "--partition", "1.5d", "--gpus", "3"],
+    ] {
+        let out = mggcn().args(args).output().expect("run");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2, stderr:\n{err}");
+        assert!(err.contains("--gpus"), "{args:?} must name the flag:\n{err}");
+        assert!(!err.contains("panicked"), "{args:?} panicked:\n{err}");
+    }
+}
+
 #[test]
 fn bench_exec_writes_schema_complete_json() {
     let path = std::env::temp_dir().join(format!("mggcn_cli_bench_{}.json", std::process::id()));
