@@ -3,54 +3,80 @@
 //! discrete-event engine itself.
 //!
 //! These wall-clock numbers are about *this machine's CPU kernels*, not the
-//! paper's GPUs — they guard against performance regressions in the
-//! substrate the simulator's real-compute mode runs on.
+//! paper's GPUs. The SpMM and GeMM groups time the shapes the repository's
+//! benchmark (`BENCHMARK.json`) runs, with FLOPs as the throughput element
+//! (so `Gelem/s` reads as GFLOP/s); `cargo bench --bench kernels -- spmm`
+//! runs one group.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mggcn_dense::{gemm, Accumulate, Dense};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use mggcn_dense::{gemm, gemm_a_bt, gemm_at_b, Accumulate, Dense};
 use mggcn_graph::generators::bter::{self, ClusteringProfile};
 use mggcn_graph::generators::{chung_lu, degree};
 use mggcn_graph::random_permutation;
-use mggcn_sparse::spmm;
+use mggcn_sparse::{spmm, TileGrid};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
+/// The staged SpMM of one `train-spmm` epoch pass: a 12 000-vertex
+/// power-law graph (avg degree 136) in 4×4 tiles of 3 000 rows and ~33
+/// nonzeros a row, every tile folded into its row block. The 16 tiles
+/// together (13 MB of CSR) do not fit L2, as in the workload.
 fn bench_spmm(c: &mut Criterion) {
     let mut group = c.benchmark_group("spmm");
     group.sample_size(10).measurement_time(std::time::Duration::from_secs(2));
-    for &(n, avg_deg, d) in &[(10_000usize, 16u32, 64usize), (50_000, 8, 32)] {
-        let degrees = vec![avg_deg; n];
-        let a = chung_lu::generate(&degrees, 42);
-        let b = Dense::from_fn(n, d, |r, cc| ((r * d + cc) as f32).sin());
-        let mut out = Dense::zeros(n, d);
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("n{n}_k{avg_deg}_d{d}")),
-            &(),
-            |bench, ()| {
-                bench.iter(|| {
-                    spmm(black_box(&a), black_box(&b), &mut out, Accumulate::Overwrite);
-                })
-            },
-        );
+    let n = 12_000;
+    let model = degree::DegreeModel { avg_degree: 136.0, exponent: 2.2, max_degree: 1_500 };
+    let a = chung_lu::generate(&degree::sample_degrees(&model, n, 0x2022), 42);
+    let grid = TileGrid::symmetric_uniform(&a, 4);
+    for d in [16usize, 32] {
+        let b = Dense::from_fn(n / 4, d, |r, cc| ((r * d + cc) as f32).sin());
+        let mut out = Dense::zeros(n / 4, d);
+        group.throughput(Throughput::Elements(2 * (a.nnz() * d) as u64));
+        group.bench_function(format!("16x3000rows_nnz{}_d{d}", a.nnz()), |bench| {
+            bench.iter(|| {
+                for t in grid.tiles() {
+                    spmm(black_box(&t.csr), black_box(&b), &mut out, Accumulate::Add);
+                }
+            })
+        });
     }
     group.finish();
 }
 
+/// The three GeMMs of a GCN layer at the benchmark's per-GPU sizes
+/// (`train-spmm`: 3000 rows, 32 → 32 → 16; `train-gemm`: 1600 rows,
+/// 128 → 128 → 16). The first layer's input is dense features; the second's
+/// is post-ReLU, with half its entries exact zeros at random places (the
+/// kernels leave those terms out). FLOPs are counted as if they did not.
 fn bench_gemm(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemm");
-    group.sample_size(10).measurement_time(std::time::Duration::from_secs(2));
-    for &(m, k, n) in &[(4096usize, 256usize, 128usize), (16_384, 128, 64)] {
-        let a = Dense::from_fn(m, k, |r, cc| ((r + cc) as f32).cos());
-        let b = Dense::from_fn(k, n, |r, cc| ((r * 2 + cc) as f32).sin());
-        let mut out = Dense::zeros(m, n);
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{m}x{k}x{n}")),
-            &(),
-            |bench, ()| {
-                bench.iter(|| {
-                    gemm(black_box(&a), black_box(&b), &mut out, Accumulate::Overwrite);
-                })
-            },
-        );
+    group.sample_size(10).measurement_time(std::time::Duration::from_secs(1));
+    let mut rng = SmallRng::seed_from_u64(7);
+    for (rows, d_in, d_out, relu) in [
+        (3000usize, 32usize, 32usize, false),
+        (3000, 32, 16, true),
+        (1600, 128, 128, false),
+        (1600, 128, 16, true),
+    ] {
+        let floor = if relu { 0.0 } else { -1.0 };
+        let h = Dense::from_fn(rows, d_in, |_, _| rng.gen_range(-1.0f32..1.0).max(floor));
+        let w = Dense::from_fn(d_in, d_out, |_, _| rng.gen_range(-1.0..1.0));
+        let g = Dense::from_fn(rows, d_out, |_, _| rng.gen_range(-1.0..1.0));
+        let mut hw = Dense::zeros(rows, d_out);
+        let mut hg = Dense::zeros(rows, d_in);
+        let mut wg = Dense::zeros(d_in, d_out);
+        let shape = format!("{rows}x{d_in}x{d_out}{}", if relu { "_relu" } else { "" });
+        group.throughput(Throughput::Elements(2 * (rows * d_in * d_out) as u64));
+        group.bench_function(format!("gemm/{shape}"), |bench| {
+            bench.iter(|| gemm(black_box(&h), black_box(&w), &mut hw, Accumulate::Overwrite))
+        });
+        group.bench_function(format!("gemm_a_bt/{shape}"), |bench| {
+            bench.iter(|| gemm_a_bt(black_box(&g), black_box(&w), &mut hg, Accumulate::Overwrite))
+        });
+        group.bench_function(format!("gemm_at_b/{shape}"), |bench| {
+            bench.iter(|| gemm_at_b(black_box(&h), black_box(&g), &mut wg, Accumulate::Overwrite))
+        });
     }
     group.finish();
 }

@@ -3,13 +3,16 @@
 //! The build environment resolves crates hermetically (no registry
 //! access), so this crate provides the criterion 0.5 API subset the
 //! workspace's benchmarks use: `Criterion`, `benchmark_group` with
-//! `sample_size`/`measurement_time`, `bench_function`/`bench_with_input`,
-//! `BenchmarkId`, `Bencher::iter`, and the `criterion_group!` /
-//! `criterion_main!` macros.
+//! `sample_size`/`measurement_time`/`throughput`, `bench_function`/
+//! `bench_with_input`, `BenchmarkId`, `Bencher::iter`, and the
+//! `criterion_group!` / `criterion_main!` macros. As with criterion, the
+//! first free command-line argument (`cargo bench --bench kernels -- spmm`)
+//! keeps only the benchmarks whose `group/id` contains it.
 //!
 //! Instead of criterion's statistical machinery it runs a short warmup,
 //! then times `sample_size` batches and prints min/mean per-iteration
-//! times. Good enough to eyeball regressions; not a statistics suite.
+//! times (and the throughput at the min, when one is declared). Good
+//! enough to eyeball regressions; not a statistics suite.
 
 #![forbid(unsafe_code)]
 
@@ -17,19 +20,34 @@ pub use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 /// Top-level harness handle, passed to every benchmark function.
-#[derive(Default)]
 pub struct Criterion {
-    _private: (),
+    filter: Option<String>,
+}
+
+impl Default for Criterion {
+    /// Takes the name filter from the command line (cargo's own `--bench`
+    /// and other flags are skipped).
+    fn default() -> Self {
+        Self { filter: std::env::args().skip(1).find(|a| !a.starts_with('-')) }
+    }
 }
 
 impl Criterion {
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup {
         BenchmarkGroup {
             name: name.into(),
+            filter: self.filter.clone(),
             sample_size: 10,
             measurement_time: Duration::from_secs(1),
+            throughput: None,
         }
     }
+}
+
+/// Work done by one iteration, reported as a rate beside the time.
+#[derive(Clone, Copy)]
+pub enum Throughput {
+    Elements(u64),
 }
 
 /// Display label for one parameterized benchmark case.
@@ -56,8 +74,10 @@ impl std::fmt::Display for BenchmarkId {
 /// A named group of related benchmarks sharing sampling settings.
 pub struct BenchmarkGroup {
     name: String,
+    filter: Option<String>,
     sample_size: usize,
     measurement_time: Duration,
+    throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup {
@@ -71,13 +91,23 @@ impl BenchmarkGroup {
         self
     }
 
+    /// Applies to the benchmarks registered after it.
+    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
+        self.throughput = Some(t);
+        self
+    }
+
     pub fn bench_function<F>(&mut self, id: impl std::fmt::Display, mut f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher),
     {
+        let id = id.to_string();
+        if self.filter.as_ref().is_some_and(|p| !format!("{}/{id}", self.name).contains(p)) {
+            return self;
+        }
         let mut b = Bencher::new(self.sample_size, self.measurement_time);
         f(&mut b);
-        b.report(&self.name, &id.to_string());
+        b.report(&self.name, &id, self.throughput);
         self
     }
 
@@ -90,10 +120,7 @@ impl BenchmarkGroup {
     where
         F: FnMut(&mut Bencher, &I),
     {
-        let mut b = Bencher::new(self.sample_size, self.measurement_time);
-        f(&mut b, input);
-        b.report(&self.name, &id.to_string());
-        self
+        self.bench_function(id, |b| f(b, input))
     }
 
     pub fn finish(self) {}
@@ -133,7 +160,7 @@ impl Bencher {
         }
     }
 
-    fn report(&self, group: &str, id: &str) {
+    fn report(&self, group: &str, id: &str, throughput: Option<Throughput>) {
         if self.samples.is_empty() {
             println!("{group}/{id}: no samples (bencher.iter never called)");
             return;
@@ -142,8 +169,12 @@ impl Bencher {
             self.samples.iter().map(|d| d.as_secs_f64() / self.iters_per_sample as f64).collect();
         let min = per_iter.iter().cloned().fold(f64::INFINITY, f64::min);
         let mean = per_iter.iter().sum::<f64>() / per_iter.len() as f64;
+        let rate = match throughput {
+            Some(Throughput::Elements(n)) => format!(", {:.2} Gelem/s", n as f64 / min / 1e9),
+            None => String::new(),
+        };
         println!(
-            "{group}/{id}: min {:.3} ms, mean {:.3} ms ({} samples x {} iters)",
+            "{group}/{id}: min {:.3} ms, mean {:.3} ms{rate} ({} samples x {} iters)",
             min * 1e3,
             mean * 1e3,
             self.samples.len(),
@@ -183,9 +214,10 @@ mod tests {
 
     #[test]
     fn group_runs_and_reports() {
-        let mut c = Criterion::default();
+        let mut c = Criterion { filter: None };
         let mut group = c.benchmark_group("demo");
         group.sample_size(3).measurement_time(Duration::from_millis(30));
+        group.throughput(Throughput::Elements(1));
         let mut hits = 0u64;
         group.bench_function("count", |b| {
             b.iter(|| {
@@ -198,5 +230,16 @@ mod tests {
         });
         group.finish();
         assert!(hits > 0);
+    }
+
+    #[test]
+    fn filter_keeps_only_matching_names() {
+        let mut c = Criterion { filter: Some("demo/keep".into()) };
+        let mut group = c.benchmark_group("demo");
+        group.sample_size(1).measurement_time(Duration::from_millis(10));
+        let (mut kept, mut dropped) = (0u64, 0u64);
+        group.bench_function("keep_this", |b| b.iter(|| kept += 1));
+        group.bench_function("other", |b| b.iter(|| dropped += 1));
+        assert!(kept > 0 && dropped == 0);
     }
 }

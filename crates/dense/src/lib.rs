@@ -3,8 +3,10 @@
 //! The paper performs its dense work (`H · W`, `HW_G · Wᵀ`, `HW_Gᵀ · H`,
 //! activations, optimizer updates) with cuBLAS on row-major matrices. This
 //! crate provides the equivalent CPU kernels: a row-major [`Dense`] matrix,
-//! cache-blocked and Rayon-parallel GeMM in all the transpose combinations
-//! the GCN forward/backward pass needs, and the elementwise kernels (ReLU,
+//! GeMM in all the transpose combinations the GCN forward/backward pass
+//! needs — row blocks spread over the kernel pool, each output row built in
+//! register-resident strips by the micro-kernel [`gemm::fold_row`], which
+//! the SpMM of `mggcn-sparse` runs too — and the elementwise kernels (ReLU,
 //! AXPY, scaling) that the training loop is built from.
 
 #![forbid(unsafe_code)]

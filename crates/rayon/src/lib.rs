@@ -21,7 +21,9 @@
 //! * `fold`/`reduce` — the only place accumulation *grouping* is
 //!   observable in f32 — uses a piece count that is a pure function of
 //!   the input length ([`pool::fold_pieces`]), never of the thread
-//!   count, and combines partials left-to-right on the calling thread.
+//!   count, and combines partials left-to-right on the calling thread
+//!   ([`fold_ranges`] hands the same pieces to a kernel that folds a
+//!   whole piece at once).
 //!
 //! Every kernel in the workspace is deterministic given those rules, so
 //! `MGGCN_THREADS=1` and `MGGCN_THREADS=64` train bit-identical models.
@@ -98,6 +100,17 @@ impl<T> FoldResult<T> {
     {
         self.partials.into_iter().fold(identity(), op)
     }
+}
+
+/// The pieces [`ParallelIterator::fold`] cuts a `len`-item input into, as
+/// index ranges in piece order. A kernel that wants each piece's items at
+/// once (to tile over them) maps over these ranges and combines the results
+/// left to right, and keeps `fold`'s accumulation grouping exactly.
+pub fn fold_ranges(len: usize) -> Vec<std::ops::Range<usize>> {
+    split_into(RangeProducer { start: 0, end: len }, pool::fold_pieces(len))
+        .into_iter()
+        .map(Producer::into_seq)
+        .collect()
 }
 
 /// The rayon-like parallel iterator API, implemented for every
@@ -563,6 +576,28 @@ mod tests {
         let s1 = sum_with(1);
         for t in [2usize, 3, 8] {
             assert_eq!(s1.to_bits(), sum_with(t).to_bits(), "threads={t}");
+        }
+    }
+
+    #[test]
+    fn fold_ranges_are_the_pieces_fold_uses() {
+        for len in [0usize, 1, 1024, 1025, 3000, 5000, 100_000] {
+            let seen = (0..len)
+                .into_par_iter()
+                .fold(
+                    || vec![Vec::new()],
+                    |mut piece: Vec<Vec<usize>>, i| {
+                        piece[0].push(i);
+                        piece
+                    },
+                )
+                .reduce(Vec::new, |mut pieces, piece| {
+                    pieces.extend(piece);
+                    pieces
+                });
+            let ranges: Vec<Vec<usize>> =
+                crate::fold_ranges(len).into_iter().map(Iterator::collect).collect();
+            assert_eq!(seen, ranges, "len={len}");
         }
     }
 

@@ -2,18 +2,21 @@
 //! 60–94% of GCN runtime per §6.1).
 //!
 //! `C = A · B` (or `C += A · B`) with `A` in CSR and `B`, `C` row-major
-//! dense. Parallelism is over output rows; each row's accumulation is a
-//! gather of `B` rows scaled by the CSR values — the same access pattern as
-//! cuSPARSE's CSR SpMM, and memory-bandwidth bound for the same reason.
+//! dense. Parallelism is over blocks of output rows, statically chunked by
+//! the kernel pool. Each output row is one call of the row kernel the dense
+//! GeMMs use too ([`fold_row`]): a strip of the row is held in registers
+//! while every nonzero of the CSR row adds its scaled `B` strip to it, in
+//! CSR order, and is stored once — the gather of `B` rows is the only
+//! memory traffic per nonzero.
 
 use crate::csr::Csr;
-use mggcn_dense::gemm::Accumulate;
+use mggcn_dense::gemm::{fold_row, Accumulate};
 use mggcn_dense::Dense;
 use rayon::prelude::*;
 
-/// Rows handled per parallel task. Irregular row lengths make smaller blocks
-/// (plus Rayon's work stealing) the better load-balance choice than the
-/// dense kernel's.
+/// Rows handled per parallel task. Row lengths are irregular and the pool
+/// does not steal, so blocks are kept small enough that a piece averages
+/// over many of them.
 const ROW_BLOCK: usize = 32;
 
 /// `C = A · B` / `C += A · B` with `A: r×c` CSR, `B: c×d`, `C: r×d`.
@@ -21,27 +24,7 @@ pub fn spmm(a: &Csr, b: &Dense, c: &mut Dense, acc: Accumulate) {
     assert_eq!(a.cols(), b.rows(), "spmm inner dimension mismatch");
     assert_eq!(a.rows(), c.rows(), "spmm output rows mismatch");
     assert_eq!(b.cols(), c.cols(), "spmm output cols mismatch");
-    let d = b.cols();
-    let b_data = b.as_slice();
-    let row_ptr = a.row_ptr();
-    let col_idx = a.col_idx();
-    let values = a.values();
-    c.as_mut_slice().par_chunks_mut(ROW_BLOCK * d).enumerate().for_each(|(blk, c_chunk)| {
-        let row0 = blk * ROW_BLOCK;
-        for (i, c_row) in c_chunk.chunks_mut(d).enumerate() {
-            let r = row0 + i;
-            if acc == Accumulate::Overwrite {
-                c_row.fill(0.0);
-            }
-            for e in row_ptr[r]..row_ptr[r + 1] {
-                let v = values[e];
-                let b_row = &b_data[col_idx[e] as usize * d..(col_idx[e] as usize + 1) * d];
-                for (cj, bj) in c_row.iter_mut().zip(b_row) {
-                    *cj += v * bj;
-                }
-            }
-        }
-    });
+    fold_rows(a, |i| i, b, c, acc);
 }
 
 /// Row-sliced SpMM: `C[i, :] (+)= A[rows[i], :] · B` for each requested
@@ -49,34 +32,41 @@ pub fn spmm(a: &Csr, b: &Dense, c: &mut Dense, acc: Accumulate) {
 ///
 /// This is the serving-path kernel: an inference batch only needs the
 /// aggregations of the vertices in its k-hop block, so it multiplies just
-/// those rows instead of all of `A`. Each output row accumulates in the
-/// same CSR order as [`spmm`], so for any requested row the result is
-/// **bit-identical** to the corresponding row of the full product — the
-/// guarantee the propagation cache relies on.
+/// those rows instead of all of `A`. Both entry points run the same row
+/// kernel, so for any requested row the result is **bit-identical** to the
+/// corresponding row of the full product — the guarantee the propagation
+/// cache relies on.
 pub fn spmm_rows(a: &Csr, rows: &[u32], b: &Dense, c: &mut Dense, acc: Accumulate) {
     assert_eq!(a.cols(), b.rows(), "spmm_rows inner dimension mismatch");
     assert_eq!(rows.len(), c.rows(), "spmm_rows output rows mismatch");
     assert_eq!(b.cols(), c.cols(), "spmm_rows output cols mismatch");
+    if let Some(&r) = rows.iter().find(|&&r| r as usize >= a.rows()) {
+        panic!("spmm_rows row {r} out of bounds");
+    }
+    fold_rows(a, |i| rows[i] as usize, b, c, acc);
+}
+
+/// Output row `i` of `c` (+)= row `row_of(i)` of `a` times `b`.
+fn fold_rows(
+    a: &Csr,
+    row_of: impl Fn(usize) -> usize + Sync,
+    b: &Dense,
+    c: &mut Dense,
+    acc: Accumulate,
+) {
     let d = b.cols();
+    if d == 0 {
+        return;
+    }
     let b_data = b.as_slice();
     let row_ptr = a.row_ptr();
     let col_idx = a.col_idx();
     let values = a.values();
     c.as_mut_slice().par_chunks_mut(ROW_BLOCK * d).enumerate().for_each(|(blk, c_chunk)| {
-        let out0 = blk * ROW_BLOCK;
         for (i, c_row) in c_chunk.chunks_mut(d).enumerate() {
-            let r = rows[out0 + i] as usize;
-            assert!(r < a.rows(), "spmm_rows row {r} out of bounds");
-            if acc == Accumulate::Overwrite {
-                c_row.fill(0.0);
-            }
-            for e in row_ptr[r]..row_ptr[r + 1] {
-                let v = values[e];
-                let b_row = &b_data[col_idx[e] as usize * d..(col_idx[e] as usize + 1) * d];
-                for (cj, bj) in c_row.iter_mut().zip(b_row) {
-                    *cj += v * bj;
-                }
-            }
+            let r = row_of(blk * ROW_BLOCK + i);
+            let nz = row_ptr[r]..row_ptr[r + 1];
+            fold_row(&col_idx[nz.clone()], &values[nz], b_data, c_row, acc);
         }
     });
 }
@@ -180,6 +170,15 @@ mod tests {
         let mut c = Dense::zeros(0, 2);
         spmm_rows(&a, &[], &b, &mut c, Accumulate::Overwrite);
         assert_eq!(c.rows(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "spmm_rows row 5 out of bounds")]
+    fn spmm_rows_rejects_a_row_past_the_matrix() {
+        let a = random_sparse(5, 5, 0.4, 9);
+        let b = Dense::from_fn(5, 2, |_, _| 1.0);
+        let mut c = Dense::zeros(3, 2);
+        spmm_rows(&a, &[0, 5, 7], &b, &mut c, Accumulate::Overwrite);
     }
 
     #[test]
