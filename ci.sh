@@ -42,6 +42,18 @@ echo "==> tests (workspace, kernel pool width 4)"
 # wider than the machine.
 MGGCN_THREADS=4 cargo test -q --workspace
 
+echo "==> exec runtime on one CPU, then 20x oversubscribed"
+# One-CPU interleavings are what the benchmark gates, and where a lost
+# wake-up would hide: a parked worker that nobody wakes hangs the test.
+if command -v taskset >/dev/null 2>&1; then
+  taskset -c 0 cargo test -q -p mggcn-exec
+else
+  echo "taskset not available: skipping the one-CPU pass"
+fi
+for _ in $(seq 20); do
+  MGGCN_THREADS=4 cargo test -q -p mggcn-exec >/dev/null
+done
+
 echo "==> conformance harness (testkit: differential + golden + 50-seed fuzz)"
 # Failing fuzz seeds are printed by the test for replay via
 # MGGCN_FUZZ_SEED=<seed> cargo test -p mggcn-testkit --test fuzz_corpus

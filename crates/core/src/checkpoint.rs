@@ -7,6 +7,7 @@
 //! the weights and both Adam moments), written with plain `std::io` so the
 //! checkpoint carries no dependency risk.
 
+use crate::config::GcnConfig;
 use crate::trainer::Trainer;
 use mggcn_dense::Dense;
 use std::fs::File;
@@ -84,6 +85,26 @@ impl Checkpoint {
         Ok(Self { epoch, weights, adam_m, adam_v })
     }
 
+    /// Whether weights and both Adam moments have `cfg`'s layer count and
+    /// shapes — what [`Trainer::restore`] demands before it writes anything.
+    pub fn check_shapes(&self, cfg: &GcnConfig) -> Result<(), String> {
+        let parts =
+            [("weights", &self.weights), ("adam_m", &self.adam_m), ("adam_v", &self.adam_v)];
+        for (what, mats) in parts {
+            if mats.len() != cfg.layers() {
+                let (has, want) = (mats.len(), cfg.layers());
+                return Err(format!("checkpoint has {has} {what} layers, model has {want}"));
+            }
+            for (l, m) in mats.iter().enumerate() {
+                let (has, want) = ((m.rows(), m.cols()), (cfg.d_in(l), cfg.d_out(l)));
+                if has != want {
+                    return Err(format!("layer {l} {what}: checkpoint {has:?} vs model {want:?}"));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Restore this checkpoint into a trainer. Fails when the shapes do
     /// not match the trainer's model.
     pub fn restore_into(&self, trainer: &mut Trainer) -> io::Result<()> {
@@ -114,7 +135,7 @@ fn read_matrix(r: &mut impl Read, rows: usize, cols: usize) -> io::Result<Dense>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{GcnConfig, TrainOptions};
+    use crate::config::TrainOptions;
     use crate::problem::Problem;
     use mggcn_graph::generators::sbm::{self, SbmConfig};
 
@@ -185,6 +206,29 @@ mod tests {
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
         assert!(Checkpoint::load(&path).is_err());
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A checkpoint whose weights fit but whose Adam moments do not used
+    /// to be accepted, and panicked later inside the Adam body.
+    #[test]
+    fn mismatched_moments_rejected_and_trainer_untouched() {
+        let mut t = trainer();
+        t.train(2).expect("train");
+        let good = Checkpoint::from_trainer(&t);
+        for spoil in 0..3 {
+            let mut bad = good.clone();
+            bad.epoch = 7;
+            bad.weights[0].as_mut_slice()[0] += 1.0;
+            match spoil {
+                0 => bad.adam_m[0] = Dense::zeros(3, 3),
+                1 => bad.adam_v[1] = bad.adam_v[1].transpose(),
+                _ => drop(bad.adam_v.pop()),
+            }
+            let err = t.restore(&bad).expect_err("mismatched moments accepted");
+            assert!(err.contains("adam_"), "error does not name the moments: {err}");
+            assert_eq!(Checkpoint::from_trainer(&t), good, "a refused restore wrote state");
+        }
+        t.train_epoch().expect("the trainer still trains");
     }
 
     #[test]

@@ -19,6 +19,23 @@ pub struct LossStats {
     pub test_total: usize,
 }
 
+impl LossStats {
+    /// Add another shard's sums and counters to these.
+    pub fn absorb(&mut self, other: &LossStats) {
+        self.loss_sum += other.loss_sum;
+        self.train_correct += other.train_correct;
+        self.train_total += other.train_total;
+        self.test_correct += other.test_correct;
+        self.test_total += other.test_total;
+    }
+
+    /// Train / test accuracy (0.0 over an empty mask).
+    pub fn accuracy(&self) -> (f64, f64) {
+        let ratio = |c: usize, t: usize| if t == 0 { 0.0 } else { c as f64 / t as f64 };
+        (ratio(self.train_correct, self.train_total), ratio(self.test_correct, self.test_total))
+    }
+}
+
 /// Compute masked softmax cross-entropy over `logits` (`n_local × classes`)
 /// and replace `logits` with the loss gradient.
 ///

@@ -1,6 +1,8 @@
 //! Epoch-level reports.
 
-use mggcn_gpusim::{Category, Timeline};
+use crate::loss::LossStats;
+use mggcn_exec::ExecReport;
+use mggcn_gpusim::{Category, RunReport, Timeline};
 use std::collections::BTreeMap;
 
 /// Measured wall-clock profile of one epoch, produced only by the
@@ -8,12 +10,22 @@ use std::collections::BTreeMap;
 /// simulated timeline in the same report.
 #[derive(Clone, Debug)]
 pub struct MeasuredEpoch {
-    /// End-to-end wall-clock seconds (workers spawned → joined).
+    /// End-to-end wall-clock seconds of the run (start → last op done).
     pub wall_seconds: f64,
     /// Total measured body seconds per category.
     pub category_seconds: BTreeMap<Category, f64>,
     /// Op bodies that actually executed.
     pub bodies_run: usize,
+}
+
+impl From<&ExecReport> for MeasuredEpoch {
+    fn from(r: &ExecReport) -> Self {
+        Self {
+            wall_seconds: r.wall_seconds,
+            category_seconds: r.category_wall_seconds(),
+            bodies_run: r.bodies_run,
+        }
+    }
 }
 
 /// Everything one epoch produces: simulated wall time, the op timeline, and
@@ -37,6 +49,44 @@ pub struct EpochReport {
 }
 
 impl EpochReport {
+    /// Reports of one run that covered the epochs `base..base +
+    /// totals.len()` (`totals`: each epoch's loss counters), told apart by
+    /// the span epoch tags; an untagged classic run is one epoch. `measured`
+    /// goes to the last.
+    pub(crate) fn of_run(
+        run: RunReport,
+        mut measured: Option<MeasuredEpoch>,
+        base: usize,
+        totals: &[LossStats],
+        host_overhead: f64,
+    ) -> Vec<EpochReport> {
+        let mut reports = Vec::with_capacity(totals.len());
+        let mut prev_boundary = 0.0f64;
+        let mut rest = run.timeline.spans;
+        for (i, stats) in totals.iter().enumerate() {
+            let e = base + i;
+            let (own, later): (Vec<_>, Vec<_>) =
+                rest.into_iter().partition(|s| s.epoch.is_none_or(|se| se == e));
+            rest = later;
+            // Epoch e ends when its last tagged span ends. Epoch e + 1's
+            // prefetch spans are tagged e + 1, so time they overlap into
+            // epoch e's backward is — correctly — not billed to epoch e.
+            let boundary = own.iter().map(|s| s.end).fold(prev_boundary, f64::max);
+            let (train_acc, test_acc) = stats.accuracy();
+            reports.push(EpochReport {
+                epoch: e,
+                sim_seconds: boundary - prev_boundary + host_overhead,
+                loss: stats.loss_sum,
+                train_acc,
+                test_acc,
+                timeline: Timeline { spans: own },
+                measured: if i + 1 == totals.len() { measured.take() } else { None },
+            });
+            prev_boundary = boundary;
+        }
+        reports
+    }
+
     /// Per-category busy-time percentages, Fig 5 style. Communication is
     /// excluded when `exclude_comm` is set (the paper's Fig 5 decomposes
     /// kernel time; comm is hidden under SpMM's pipeline).

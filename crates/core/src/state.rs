@@ -15,6 +15,7 @@ use mggcn_dense::{init, Dense};
 use mggcn_gpusim::shadow::EffectRecorder;
 use mggcn_gpusim::BufId;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Which broadcast buffer a stage writes/reads (double buffering, §4.3).
@@ -80,9 +81,9 @@ pub struct GpuState {
     /// Scratch: local loss sum and correct-prediction counters, filled by
     /// the loss body each epoch.
     pub loss: LossStats,
-    /// Per-epoch trail for fused multi-epoch (staleness) schedules: the
-    /// loss body also pushes its stats here, so a single schedule run
-    /// yields one entry per epoch. Empty in classic one-epoch mode.
+    /// Per-epoch trail of one run: the loss body also pushes its stats
+    /// here, so a fused multi-epoch (staleness) schedule yields one entry
+    /// per epoch and a classic one a single entry.
     pub epoch_stats: Vec<LossStats>,
     /// This GPU's index within the [`DeviceState`] (buffer-access notes
     /// attribute to it).
@@ -171,8 +172,10 @@ impl GpuState {
 /// ascending index order.
 pub struct DeviceState {
     gpus: Vec<Mutex<GpuState>>,
-    /// Adam step counter (shared; every GPU steps in lockstep).
-    pub adam_t: u64,
+    /// Epochs trained so far. Compiled epoch plans are epoch-independent:
+    /// the Adam bodies read their step and learning rate from here at run
+    /// time. Written only by the trainer, between runs (`train`, `restore`).
+    epoch: AtomicU64,
 }
 
 /// A locked GPU. Derefs to [`GpuState`]; in debug builds its construction
@@ -293,12 +296,21 @@ impl DeviceState {
             })
             .map(Mutex::new)
             .collect();
-        Self { gpus, adam_t: 0 }
+        Self { gpus, epoch: AtomicU64::new(0) }
     }
 
     /// Number of virtual GPUs.
     pub fn gpu_count(&self) -> usize {
         self.gpus.len()
+    }
+
+    /// Epochs trained so far (the next Adam step is `epoch() + 1`).
+    pub fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::SeqCst)
+    }
+
+    pub(crate) fn set_epoch(&self, epoch: u64) {
+        self.epoch.store(epoch, Ordering::SeqCst);
     }
 
     /// Lock GPU `i`'s memory. Recovers from poisoning: after a worker
@@ -339,7 +351,7 @@ impl DeviceState {
 
     /// An empty state for timing-only runs (bodies are never attached).
     pub fn empty() -> Self {
-        Self { gpus: Vec::new(), adam_t: 0 }
+        Self { gpus: Vec::new(), epoch: AtomicU64::new(0) }
     }
 
     /// Broadcast `rows × cols` from `src`'s buffer selected by `read` into
@@ -429,18 +441,21 @@ impl DeviceState {
 
     /// Aggregate train/test accuracy across GPUs.
     pub fn accuracy(&self) -> (f64, f64) {
-        let (tc, tt, ec, et) = (0..self.gpus.len()).fold((0, 0, 0, 0), |acc, i| {
-            let s = self.gpu(i).loss;
-            (
-                acc.0 + s.train_correct,
-                acc.1 + s.train_total,
-                acc.2 + s.test_correct,
-                acc.3 + s.test_total,
-            )
-        });
-        let train = if tt == 0 { 0.0 } else { tc as f64 / tt as f64 };
-        let test = if et == 0 { 0.0 } else { ec as f64 / et as f64 };
-        (train, test)
+        let mut all = LossStats::default();
+        (0..self.gpus.len()).for_each(|i| all.absorb(&self.gpu(i).loss));
+        all.accuracy()
+    }
+
+    /// The `i`-th epoch of the last run, summed across GPUs (GPU order):
+    /// what its loss bodies left in `epoch_stats`.
+    pub fn epoch_totals(&self, i: usize) -> LossStats {
+        let mut all = LossStats::default();
+        for g in 0..self.gpus.len() {
+            if let Some(stats) = self.gpu(g).epoch_stats.get(i) {
+                all.absorb(stats);
+            }
+        }
+        all
     }
 
     /// FNV-1a digest over every GPU's weight bits (shapes included) — the

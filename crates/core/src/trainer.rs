@@ -23,6 +23,10 @@
 //! slot `bcast(s)` writes, and `bcast(s)` overwrites the slot `spmm(s-2)`
 //! read on every GPU. 1D, 1.5D and the bounded-staleness prefetch are one
 //! staged SpMM over a replication-group [`Layout`].
+//!
+//! A classic epoch's schedule is a function of (config, options, problem) —
+//! Adam's step is read from the device state at run time — so the trainer
+//! compiles it into an [`EpochPlan`] once and runs that plan every epoch.
 
 use crate::config::{GcnConfig, Partition, TrainOptions};
 use crate::loss::{softmax_xent_inplace, LossStats};
@@ -32,11 +36,9 @@ use crate::optimizer::{adam_step, AdamParams};
 use crate::problem::{Problem, RealData};
 use crate::state::{BcSlot, DeviceState, GpuState};
 use mggcn_dense::{gemm, gemm_a_bt, gemm_at_b, relu_inplace, Accumulate, Dense};
-use mggcn_exec::Backend;
-use mggcn_gpusim::engine::{Body, OpDesc};
-use mggcn_gpusim::{
-    BufId, Category, Effects, OomError, RunReport, Schedule, StaleRead, Timeline, Work,
-};
+use mggcn_exec::{Backend, ExecError, ExecReport};
+use mggcn_gpusim::engine::{Body, EpochPlan, OpDesc};
+use mggcn_gpusim::{BufId, Category, Effects, OomError, RunReport, Schedule, StaleRead, Work};
 use mggcn_sparse::{spmm, Csr};
 use std::sync::Arc;
 
@@ -180,13 +182,16 @@ pub struct Trainer {
     opts: TrainOptions,
     problem: Problem,
     state: DeviceState,
-    epoch: usize,
     /// Epoch of the most recent `SF` snapshot, `None` until one exists
     /// (fresh trainer, or right after a checkpoint restore — snapshots are
     /// scratch, not checkpointed, so the first post-restore epoch trains
     /// fully fresh). Only meaningful when `opts.staleness >= 1`.
     sf_epoch: Option<usize>,
     plan: MemoryPlan,
+    /// The classic training epoch, compiled on first use and run by every
+    /// `train`/`train_epoch` since; `classic_compiles` counts the compiles.
+    classic: Option<EpochPlan<DeviceState>>,
+    classic_compiles: usize,
     /// Observation-only tracer; `None` (the default) records nothing and
     /// costs nothing. Ingestion happens strictly after a schedule has run,
     /// so enabling it cannot perturb numerics or op ordering.
@@ -231,7 +236,17 @@ impl Trainer {
         } else {
             DeviceState::empty()
         };
-        Ok(Self { cfg, opts, problem, state, epoch: 0, sf_epoch: None, plan, tracer: None })
+        Ok(Self {
+            cfg,
+            opts,
+            problem,
+            state,
+            sf_epoch: None,
+            plan,
+            classic: None,
+            classic_compiles: 0,
+            tracer: None,
+        })
     }
 
     /// Attach a tracer. Every subsequent epoch/evaluation ingests its
@@ -266,117 +281,116 @@ impl Trainer {
 
     /// Number of epochs trained so far.
     pub fn epochs_trained(&self) -> usize {
-        self.epoch
+        self.state.epoch() as usize
+    }
+
+    /// How many times the classic epoch plan was compiled (at most once).
+    #[doc(hidden)]
+    pub fn classic_plan_compiles(&self) -> usize {
+        self.classic_compiles
     }
 
     /// Restore weights, Adam moments and the epoch counter from a
     /// checkpoint. Every GPU replica receives the same state, preserving
-    /// the lockstep invariant. Errors on shape mismatch.
+    /// the lockstep invariant. Errors on shape mismatch, leaving the
+    /// trainer untouched.
     pub fn restore(&mut self, ck: &crate::checkpoint::Checkpoint) -> Result<(), String> {
-        if ck.weights.len() != self.cfg.layers() {
-            return Err(format!(
-                "checkpoint has {} layers, model has {}",
-                ck.weights.len(),
-                self.cfg.layers()
-            ));
-        }
-        for (l, w) in ck.weights.iter().enumerate() {
-            if (w.rows(), w.cols()) != (self.cfg.d_in(l), self.cfg.d_out(l)) {
-                return Err(format!(
-                    "layer {l}: checkpoint {}x{} vs model {}x{}",
-                    w.rows(),
-                    w.cols(),
-                    self.cfg.d_in(l),
-                    self.cfg.d_out(l)
-                ));
+        ck.check_shapes(&self.cfg)?;
+        for i in 0..self.state.gpu_count() {
+            let g = &mut *self.state.gpu(i);
+            let dst = g.weights.iter_mut().chain(&mut g.adam_m).chain(&mut g.adam_v);
+            for (d, s) in dst.zip(ck.weights.iter().chain(&ck.adam_m).chain(&ck.adam_v)) {
+                d.as_mut_slice().copy_from_slice(s.as_slice());
             }
         }
-        for i in 0..self.state.gpu_count() {
-            let mut g = self.state.gpu(i);
-            g.weights = ck.weights.clone();
-            g.adam_m = ck.adam_m.clone();
-            g.adam_v = ck.adam_v.clone();
-        }
-        self.epoch = ck.epoch as usize;
+        self.state.set_epoch(ck.epoch);
         self.sf_epoch = None;
         Ok(())
     }
 
-    /// Run one full-batch epoch (forward, loss, backward, Adam) and report.
-    ///
-    /// On [`Backend::Simulated`] this cannot fail. On
-    /// [`Backend::Threaded`] the schedule really executes on
-    /// worker-per-GPU threads; a panicking kernel body surfaces as
-    /// [`TrainError::Exec`] (never a hang), and the report carries the
-    /// measured wall-clock profile in [`EpochReport::measured`].
+    /// One full-batch epoch: [`Trainer::train`]`(1)`. Under `--staleness` a
+    /// one-epoch pipelined schedule, numerically identical to the fused build
+    /// (ages and cadence follow the absolute epoch counter; `SF` persists).
     pub fn train_epoch(&mut self) -> Result<EpochReport, TrainError> {
-        if self.opts.staleness > 0 {
-            // One-epoch pipelined schedule: numerically identical to the
-            // fused multi-epoch build because snapshot ages and cadence are
-            // functions of the absolute epoch counter, and `SF` persists in
-            // device state between calls.
-            return self.train_pipelined(1).map(|mut v| v.pop().expect("one epoch"));
-        }
-        let report = self.run_classic(self.epoch_schedule())?;
-        self.epoch += 1;
-        Ok(report)
+        self.train(1).map(|mut v| v.pop().expect("one epoch"))
     }
 
-    /// Run a classic (untagged, single-epoch) schedule and report on it.
-    fn run_classic(&mut self, sched: Schedule<DeviceState>) -> Result<EpochReport, TrainError> {
-        self.state.reset_scratch();
-        let (run, measured) = self.dispatch(sched)?;
-        let (train_acc, test_acc) = self.state.accuracy();
-        Ok(EpochReport {
-            epoch: self.epoch,
-            sim_seconds: run.makespan + self.opts.epoch_host_overhead,
-            loss: self.state.total_loss(),
-            train_acc,
-            test_acc,
-            timeline: run.timeline,
-            measured,
-        })
-    }
-
-    /// Run a built schedule on the configured backend.
-    fn dispatch(
+    /// Run `plan` `runs` times on the configured backend — threaded, on one
+    /// set of workers that stay parked in between, which verifies the plan
+    /// before its first run. The per-epoch scratch is reset before each run;
+    /// after it `each` gets the run's own copy of the simulated report, reads
+    /// the results off the device state and may advance the epoch counter.
+    fn run_plan<T>(
         &self,
-        sched: Schedule<DeviceState>,
-    ) -> Result<(RunReport, Option<MeasuredEpoch>), TrainError> {
-        let (run, measured) = match self.opts.backend {
-            Backend::Simulated => (sched.run(&self.state), None),
-            Backend::Threaded => {
-                let r = mggcn_exec::execute(sched, &self.state).map_err(TrainError::Exec)?;
-                if let Some(tracer) = &self.tracer {
-                    tracer.ingest_wall_spans(&r.spans, r.wall_seconds);
-                }
-                let measured = MeasuredEpoch {
-                    wall_seconds: r.wall_seconds,
-                    category_seconds: r.category_wall_seconds(),
-                    bodies_run: r.bodies_run,
+        plan: &EpochPlan<DeviceState>,
+        runs: usize,
+        mut each: impl FnMut(RunReport, Option<MeasuredEpoch>) -> T,
+    ) -> Result<Vec<T>, TrainError> {
+        let mut drive = |run: &mut dyn FnMut() -> Result<Option<ExecReport>, ExecError>| {
+            let mut out = Vec::with_capacity(runs);
+            for _ in 0..runs {
+                self.state.reset_scratch();
+                let (sim, measured) = match run()? {
+                    Some(r) => {
+                        if let Some(tracer) = &self.tracer {
+                            tracer.ingest_wall_spans(&r.spans, r.wall_seconds);
+                        }
+                        let measured = MeasuredEpoch::from(&r);
+                        (r.sim, Some(measured))
+                    }
+                    None => (plan.sim().report.clone(), None),
                 };
-                (r.sim, Some(measured))
+                if let Some(tracer) = &self.tracer {
+                    tracer.ingest_sim_timeline_on(&sim.timeline, sim.makespan, &self.opts.machine);
+                    for g in 0..self.state.gpu_count() {
+                        tracer.record_memory(g, self.state.big_buffer_bytes(g));
+                    }
+                }
+                out.push(each(sim, measured));
             }
+            Ok(out)
         };
-        if let Some(tracer) = &self.tracer {
-            tracer.ingest_sim_timeline_on(&run.timeline, run.makespan, &self.opts.machine);
-            for g in 0..self.state.gpu_count() {
-                tracer.record_memory(g, self.state.big_buffer_bytes(g));
+        let state = &self.state;
+        match self.opts.backend {
+            Backend::Simulated => drive(&mut || {
+                plan.run(state);
+                Ok(None)
+            }),
+            Backend::Threaded => {
+                mggcn_exec::with_workers(plan, state, |run| drive(&mut || run().map(Some)))
+                    .and_then(|reports| reports)
             }
         }
-        Ok((run, measured))
+        .map_err(TrainError::Exec)
     }
 
     /// Train `epochs` epochs, returning every report. With
     /// `--staleness >= 1` all epochs are recorded into ONE fused,
     /// epoch-tagged schedule so epoch `e + 1`'s prefetch broadcasts really
     /// issue during epoch `e`'s backward pass (DESIGN §15).
+    ///
+    /// On [`Backend::Simulated`] this cannot fail. On
+    /// [`Backend::Threaded`] the plan really executes on worker-per-GPU
+    /// threads that live for the whole call; a panicking kernel body
+    /// surfaces as [`TrainError::Exec`] (never a hang), and every report
+    /// carries the measured wall-clock profile in [`EpochReport::measured`].
     pub fn train(&mut self, epochs: usize) -> Result<Vec<EpochReport>, TrainError> {
-        if self.opts.staleness == 0 || epochs == 0 {
-            (0..epochs).map(|_| self.train_epoch()).collect()
-        } else {
-            self.train_pipelined(epochs)
+        if epochs == 0 {
+            return Ok(Vec::new());
         }
+        if self.opts.staleness > 0 {
+            return self.train_pipelined(epochs);
+        }
+        if self.classic.is_none() {
+            self.classic = Some(self.epoch_schedule().compile());
+            self.classic_compiles += 1;
+        }
+        let plan = self.classic.as_ref().expect("compiled above");
+        self.run_plan(plan, epochs, |run, measured| {
+            let report = self.reports(run, measured, 1).pop().expect("one epoch");
+            self.state.set_epoch(self.state.epoch() + 1);
+            report
+        })
     }
 
     /// Record `epochs` consecutive training epochs into one fused schedule
@@ -389,16 +403,17 @@ impl Trainer {
         let k = self.opts.staleness;
         assert!(k >= 1, "pipelined schedules need staleness >= 1");
         assert!(epochs >= 1, "pipelined schedules need at least one epoch");
-        let mut b = self.builder();
+        let mut b = EpochBuilder::new(&self.cfg, &self.opts, &self.problem);
         let mut last_snap = self.sf_epoch;
-        for e in self.epoch..self.epoch + epochs {
+        let base = self.epochs_trained();
+        for e in base..base + epochs {
             // Snapshot cadence: refresh `SF` whenever the current snapshot
             // would otherwise exceed age `k`, so every stale read has age
             // in `1..=k`. The very first epoch (no snapshot yet) trains
             // fully fresh and seeds `SF`.
             let sf_age = last_snap.map(|s| e - s);
             let snap = last_snap.is_none_or(|s| e - s >= k);
-            b.begin_epoch(e, sf_age, snap);
+            b.begin_epoch(e, e - base, sf_age, snap);
             b.forward();
             b.loss();
             b.backward(true);
@@ -417,55 +432,35 @@ impl Trainer {
         self.build_pipelined(epochs).0
     }
 
-    /// Run a fused bounded-staleness schedule and split the single run
-    /// report back into per-epoch reports using the span epoch tags.
+    /// Run a fused bounded-staleness schedule of `epochs` epochs.
     fn train_pipelined(&mut self, epochs: usize) -> Result<Vec<EpochReport>, TrainError> {
-        let base = self.epoch;
         let (sched, sf_epoch) = self.build_pipelined(epochs);
-        self.state.reset_scratch();
-        let (run, mut measured) = self.dispatch(sched)?;
+        let reports = self.run_once(sched, |run, measured| self.reports(run, measured, epochs))?;
         self.sf_epoch = sf_epoch;
-        self.epoch = base + epochs;
-        let stats: Vec<Vec<LossStats>> =
-            (0..self.state.gpu_count()).map(|g| self.state.gpu(g).epoch_stats.clone()).collect();
-        let mut reports = Vec::with_capacity(epochs);
-        let mut prev_boundary = 0.0f64;
-        for i in 0..epochs {
-            let e = base + i;
-            // Epoch e ends when its last tagged span ends. Epoch e + 1's
-            // prefetch spans are tagged e + 1, so time they overlap into
-            // epoch e's backward is — correctly — not billed to epoch e.
-            let boundary = run
-                .timeline
-                .spans
-                .iter()
-                .filter(|s| s.epoch.is_some_and(|se| se <= e))
-                .map(|s| s.end)
-                .fold(prev_boundary, f64::max);
-            let mut timeline = Timeline::default();
-            timeline
-                .spans
-                .extend(run.timeline.spans.iter().filter(|s| s.epoch == Some(e)).cloned());
-            let (mut loss, mut tc, mut tt, mut ec, mut et) = (0.0f64, 0usize, 0, 0, 0);
-            for st in stats.iter().filter_map(|per_gpu| per_gpu.get(i)) {
-                loss += st.loss_sum;
-                tc += st.train_correct;
-                tt += st.train_total;
-                ec += st.test_correct;
-                et += st.test_total;
-            }
-            reports.push(EpochReport {
-                epoch: e,
-                sim_seconds: boundary - prev_boundary + self.opts.epoch_host_overhead,
-                loss,
-                train_acc: if tt == 0 { 0.0 } else { tc as f64 / tt as f64 },
-                test_acc: if et == 0 { 0.0 } else { ec as f64 / et as f64 },
-                timeline,
-                measured: if i + 1 == epochs { measured.take() } else { None },
-            });
-            prev_boundary = boundary;
-        }
+        self.state.set_epoch(self.state.epoch() + epochs as u64);
         Ok(reports)
+    }
+
+    /// Compile `sched` and run it once, uncached.
+    fn run_once<T>(
+        &self,
+        sched: Schedule<DeviceState>,
+        each: impl FnMut(RunReport, Option<MeasuredEpoch>) -> T,
+    ) -> Result<T, TrainError> {
+        Ok(self.run_plan(&sched.compile(), 1, each)?.pop().expect("one run"))
+    }
+
+    /// Reports of the run that just ended: the `epochs` epochs from the
+    /// epoch counter on.
+    fn reports(
+        &self,
+        run: RunReport,
+        measured: Option<MeasuredEpoch>,
+        epochs: usize,
+    ) -> Vec<EpochReport> {
+        let totals: Vec<LossStats> = (0..epochs).map(|i| self.state.epoch_totals(i)).collect();
+        let overhead = self.opts.epoch_host_overhead;
+        EpochReport::of_run(run, measured, self.epochs_trained(), &totals, overhead)
     }
 
     /// Forward pass + loss only — inference. Weights are untouched (the
@@ -473,10 +468,8 @@ impl Trainer {
     /// backward step consumes them). Reports loss/accuracy and the
     /// simulated inference time; does not advance the epoch counter.
     pub fn evaluate(&mut self) -> Result<EpochReport, TrainError> {
-        let mut b = self.builder();
-        b.forward();
-        b.loss();
-        self.run_classic(b.sched)
+        let report = |run, measured| self.reports(run, measured, 1).pop();
+        Ok(self.run_once(self.schedule(None), report)?.expect("one epoch"))
     }
 
     /// Run forward + loss + backward (all-reduce included, Adam excluded)
@@ -485,15 +478,15 @@ impl Trainer {
     /// is the conformance hook for differential gradient checking: the
     /// result is exactly the global gradient `Σ_g X_gᵀ·HW_G` the next Adam
     /// step would consume. Panics on a timing-only (non-materialized)
-    /// problem.
+    /// problem, and — on the threaded backend — if the gradient schedule
+    /// fails verification or a worker fails. Nothing reaches the tracer: a
+    /// gradient probe is not an epoch.
     pub fn compute_gradients(&mut self) -> Vec<Dense> {
         assert!(self.problem.is_materialized(), "compute_gradients needs a materialized problem");
-        let mut b = self.builder();
-        b.forward();
-        b.loss();
-        b.backward(false);
-        self.state.reset_scratch();
-        b.sched.run(&self.state);
+        let tracer = self.tracer.take();
+        let run = self.run_once(self.schedule(Some(false)), |_, _| ());
+        self.tracer = tracer;
+        run.expect("gradient schedule failed verification or a worker failed");
         self.state.gpu(0).wgrad.clone()
     }
 
@@ -502,15 +495,19 @@ impl Trainer {
     /// `L + 3` liveness bound), the mutation harness perturbs, and (via
     /// `dump_ops`) the golden snapshots pin.
     pub fn epoch_schedule(&self) -> Schedule<DeviceState> {
-        let mut b = self.builder();
-        b.forward();
-        b.loss();
-        b.backward(true);
-        b.sched
+        self.schedule(Some(true))
     }
 
-    fn builder(&self) -> EpochBuilder<'_> {
-        EpochBuilder::new(&self.cfg, &self.opts, &self.problem, self.epoch)
+    /// Record forward + loss and, with `backward: Some(with_adam)`, the
+    /// backward pass.
+    fn schedule(&self, backward: Option<bool>) -> Schedule<DeviceState> {
+        let mut b = EpochBuilder::new(&self.cfg, &self.opts, &self.problem);
+        b.forward();
+        b.loss();
+        if let Some(with_adam) = backward {
+            b.backward(with_adam);
+        }
+        b.sched
     }
 
     /// Run `sched`'s bodies against a *fresh* device state under the
@@ -548,6 +545,7 @@ impl Trainer {
         let mut sched = self.epoch_schedule();
         mutate(&mut sched);
         let fresh = DeviceState::for_problem(&self.problem, &self.cfg);
+        fresh.set_epoch(self.state.epoch());
         sched.run_in_order(&fresh, order);
         fresh.weights_digest()
     }
@@ -608,8 +606,10 @@ struct EpochBuilder<'a> {
     cfg: &'a GcnConfig,
     opts: &'a TrainOptions,
     problem: &'a Problem,
-    /// Adam step (1-based) of this epoch.
-    t: u64,
+    /// Epochs between the run's first epoch and the one being recorded
+    /// (0 outside fused builds): its Adam step is the device state's epoch
+    /// counter at run time, plus this, plus one.
+    epoch_offset: u64,
     /// `Some(e)` while recording epoch `e` of a fused bounded-staleness
     /// schedule (DESIGN §15); `None` for classic single-epoch builds, which
     /// therefore dump, analyze and run bit-identically to every prior
@@ -624,7 +624,7 @@ struct EpochBuilder<'a> {
 }
 
 impl<'a> EpochBuilder<'a> {
-    fn new(cfg: &'a GcnConfig, opts: &'a TrainOptions, problem: &'a Problem, epoch: usize) -> Self {
+    fn new(cfg: &'a GcnConfig, opts: &'a TrainOptions, problem: &'a Problem) -> Self {
         let mut sched = Schedule::new(opts.machine.clone());
         sched.launch_overhead = opts.launch_overhead;
         Self {
@@ -632,7 +632,7 @@ impl<'a> EpochBuilder<'a> {
             cfg,
             opts,
             problem,
-            t: epoch as u64 + 1,
+            epoch_offset: 0,
             epoch_tag: None,
             sf_age: None,
             snap_this_epoch: false,
@@ -643,8 +643,8 @@ impl<'a> EpochBuilder<'a> {
     /// The recorder's buffer state deliberately persists across epochs: it
     /// carries the cross-epoch ordering that makes every stale read
     /// *declared state* rather than a race.
-    fn begin_epoch(&mut self, epoch: usize, sf_age: Option<usize>, snap: bool) {
-        self.t = epoch as u64 + 1;
+    fn begin_epoch(&mut self, epoch: usize, offset: usize, sf_age: Option<usize>, snap: bool) {
+        self.epoch_offset = offset as u64;
         self.epoch_tag = Some(epoch);
         self.sf_age = sf_age;
         self.snap_this_epoch = snap;
@@ -664,7 +664,7 @@ impl<'a> EpochBuilder<'a> {
         work: Work,
         desc: OpDesc,
         fx: Effects,
-        body: impl FnOnce(&mut GpuState) + Send + 'static,
+        body: impl Fn(&mut GpuState) + Send + Sync + 'static,
     ) {
         let body =
             self.problem.real.as_ref().map(|_| {
@@ -758,7 +758,6 @@ impl<'a> EpochBuilder<'a> {
         let last = self.cfg.layers() - 1;
         let classes = self.cfg.d_out(last);
         let train_count = self.problem.train_count.max(1);
-        let fused = self.epoch_tag.is_some();
         for g in 0..self.p() {
             let n_g = self.problem.rows_of(g);
             self.kernel(
@@ -776,12 +775,10 @@ impl<'a> EpochBuilder<'a> {
                         train_count,
                     );
                     gs.loss = stats;
-                    if fused {
-                        // Fused multi-epoch schedules keep a per-epoch
-                        // trail: the loss ops of one GPU share its compute
-                        // lane, so push order is epoch order.
-                        gs.epoch_stats.push(stats);
-                    }
+                    // The per-epoch trail reports are read from: one GPU's
+                    // loss ops share its compute lane, so push order is
+                    // epoch order.
+                    gs.epoch_stats.push(stats);
                 },
             );
         }
@@ -1223,9 +1220,7 @@ impl<'a> EpochBuilder<'a> {
     /// Adam update of `W(l)` on every GPU (identical updates keep the
     /// replicas in lockstep).
     fn adam(&mut self, l: usize) {
-        let lr = self.cfg.lr * self.cfg.lr_schedule.factor(self.t as usize - 1);
-        let params = AdamParams { lr, ..AdamParams::default() };
-        let t = self.t;
+        let (base_lr, lr_schedule, offset) = (self.cfg.lr, self.cfg.lr_schedule, self.epoch_offset);
         let count = (self.cfg.d_in(l) * self.cfg.d_out(l)) as u64;
         for g in 0..self.p() {
             // The Adam moments read here were last written by the previous
@@ -1234,12 +1229,14 @@ impl<'a> EpochBuilder<'a> {
                 Effects::none().reads([wg_id(g, l)]).rw(adam_id(g, l)).writes([w_id(g, l)]),
                 adam_id(g, l),
             );
-            self.kernel(
-                g,
-                self.opts.cost.adam(count),
-                self.desc(Category::Adam, "adam", None),
-                fx,
-                move |gs| {
+            // The step is the one per-epoch input of an epoch's bodies: read
+            // at run time, so one compiled plan serves every epoch.
+            let body = self.problem.real.as_ref().map(|_| {
+                Box::new(move |ctx: &DeviceState| {
+                    let epoch = ctx.epoch() + offset;
+                    let lr = base_lr * lr_schedule.factor(epoch as usize);
+                    let params = AdamParams { lr, ..AdamParams::default() };
+                    let gs = &mut *ctx.gpu(g);
                     gs.note_read(wg_id(g, l));
                     gs.note_read(adam_id(g, l));
                     gs.note_write(adam_id(g, l));
@@ -1247,15 +1244,17 @@ impl<'a> EpochBuilder<'a> {
                     let grad = std::mem::take(&mut gs.wgrad[l]);
                     adam_step(
                         &params,
-                        t,
+                        epoch + 1,
                         gs.weights[l].as_mut_slice(),
                         grad.as_slice(),
                         gs.adam_m[l].as_mut_slice(),
                         gs.adam_v[l].as_mut_slice(),
                     );
                     gs.wgrad[l] = grad;
-                },
-            );
+                }) as Body<DeviceState>
+            });
+            let desc = self.desc(Category::Adam, "adam", None);
+            self.sched.record(g, 0, self.opts.cost.adam(count), desc, fx, body);
         }
     }
 }

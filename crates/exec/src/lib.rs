@@ -1,42 +1,49 @@
 //! mggcn-exec — the real multi-threaded execution runtime.
 //!
-//! `gpusim` *times* an op schedule; this crate *runs* one. It spawns one
-//! OS thread per simulated GPU and executes the schedule's op bodies with
-//! real synchronization, mapping the simulator's concepts onto threads:
+//! `gpusim` *times* an op schedule; this crate *runs* one. A schedule is
+//! compiled once into an [`EpochPlan`] and dispatched by dataflow, one
+//! worker thread per GPU, mapping the simulator's concepts onto threads:
 //!
-//! * **stream FIFOs + CUDA events** → each worker executes its GPU's ops
-//!   in the simulator's deterministic completion order (a topological
-//!   linearization that respects every lane FIFO), and blocks on the
-//!   completion flags of an op's explicit `waits` — including the
-//!   BC1/BC2 double-buffer WAR fences, which arrive here as ordinary
-//!   dependency edges;
-//! * **NCCL rendezvous** → a collective appears in every participant's
-//!   worklist; participants count arrivals, the lowest-numbered GPU
-//!   (the leader) runs the collective body once all have arrived — at
-//!   which point every participant is quiescent, so cross-GPU reads are
-//!   safe — and its completion releases the others (a barrier);
-//! * **device failure** → a panicking body poisons the run: the error is
-//!   recorded, every waiting worker is released, and [`execute`] returns
-//!   `Err` instead of deadlocking a barrier.
+//! * **stream FIFOs + CUDA events** → every op has a pending counter, set
+//!   each run from the plan: its explicit `waits` (the BC1/BC2 double-buffer
+//!   WAR fences arrive as ordinary edges) plus its FIFO predecessor on each
+//!   lane. A finished op decrements its successors; one that reaches zero
+//!   goes onto its GPU's ready queue, and that worker is woken only if it is
+//!   parked. A worker parks only when its queue is empty. A body without
+//!   declared effects gives no licence to reorder it: the plan fences it
+//!   against its GPU's other streams in the simulated completion order.
+//! * **NCCL rendezvous** → a collective sits in every participant's lane,
+//!   so its counter covers all of them; the worker whose completion brings
+//!   it to zero — the last arriver — runs the body (the lowest participant,
+//!   should an outsider's op be the last edge). Peers keep working: bodies
+//!   reach other GPUs' memory only through the per-GPU locks of `Ctx`.
+//! * **device failure** → a panicking body or an injected death records
+//!   the error, raises the failed flag and wakes every parked worker, so
+//!   the run returns `Err` in bounded time — no polling.
 //!
-//! Deadlock freedom: the worklists are restrictions of one global
-//! linearization in which every op's waits precede it, so by induction
-//! the op with the globally smallest unfinished position can always make
-//! progress.
+//! Deadlock freedom: the counters count down the plan's happens-before
+//! graph, which [`mggcn_analyze::preflight`] proved acyclic before the
+//! first run. While ops remain, a minimal unfinished one has every
+//! predecessor finished, so it sits in some ready queue, whose worker is
+//! running or has been woken; a parked worker therefore always has an
+//! unfinished predecessor owned by a runnable one. Any order this admits
+//! is a linearization of that graph, and all of them compute the same bits
+//! (the declared effects are audited sound, DESIGN §16).
 //!
+//! Workers outlive the run: [`with_workers`] parks them between runs of one
+//! plan, so a trainer pays thread spawns once per `train(k)`, not per epoch.
 //! Each body is wall-clock timed, producing a measured per-op/per-category
-//! profile next to the simulated timeline, so modeled and measured time
-//! can be compared in one report ([`ExecReport`]).
+//! profile next to the simulated timeline ([`ExecReport`]).
 
 #![forbid(unsafe_code)]
 
-use mggcn_gpusim::engine::{OpDesc, OpRecord, SimOutcome};
+use mggcn_gpusim::engine::{EpochPlan, OpDesc};
 use mggcn_gpusim::{Category, OpId, RunReport, Schedule};
 use mggcn_sched::{Action, DispatchSite, Injector};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 pub use rayon::{current_num_threads, pool_size, set_active_threads};
@@ -71,17 +78,16 @@ impl Backend {
 }
 
 /// Wall-clock measurement of one executed op body, or of time a worker
-/// spent blocked before it (`category == Category::Barrier`): rendezvous
-/// arrivals, waiting for the leader, and dependency waits all surface as
-/// barrier spans so per-category sums account for the whole wall time
-/// instead of silently attributing stalls to op categories.
+/// spent parked with an empty ready queue before it
+/// (`category == Category::Barrier`), so per-category sums account for the
+/// whole wall time instead of silently attributing stalls to op categories.
 #[derive(Clone, Copy, Debug)]
 pub struct WallSpan {
     pub gpu: usize,
     pub stream: usize,
     pub category: Category,
     pub label: &'static str,
-    /// Offset from the run's start (workers spawned), seconds.
+    /// Offset from the run's start, seconds.
     pub start: f64,
     /// Measured duration, seconds.
     pub seconds: f64,
@@ -100,7 +106,7 @@ impl WallSpan {
 pub struct ExecReport {
     /// The rate-based DES prediction for the same schedule.
     pub sim: RunReport,
-    /// Measured end-to-end wall-clock seconds (workers spawned → joined).
+    /// Measured end-to-end wall-clock seconds (run start → last op done).
     pub wall_seconds: f64,
     /// Measured per-op spans (plus `Barrier` wait spans), in each worker's
     /// execution order.
@@ -111,7 +117,7 @@ pub struct ExecReport {
 
 impl ExecReport {
     /// Total measured seconds per category (collective bodies count once,
-    /// on the leader). Worker stall time appears under
+    /// on the worker that ran them). Worker stall time appears under
     /// [`Category::Barrier`], so summing a GPU's entries approximates its
     /// whole wall time instead of just its busy time.
     pub fn category_wall_seconds(&self) -> BTreeMap<Category, f64> {
@@ -164,68 +170,87 @@ fn fault_check(label: &str) {
     }
 }
 
-/// Safety net against lost wakeups: waiters re-check their predicate at
-/// least this often even with no notification.
-const WAIT_TICK: Duration = Duration::from_millis(50);
-
-/// Waits shorter than this leave no `Barrier` span — an uncontended
-/// predicate check costs a mutex lock (~100ns) and recording it would
+/// Parks shorter than this leave no `Barrier` span — a wake-up that
+/// finds work at once costs a context switch, and recording it would
 /// double the span count with noise.
 const WAIT_SPAN_MIN: f64 = 10e-6;
 
-/// Per-op static metadata: descriptor, participating (gpu, stream)
-/// lanes, and dependency list.
-type OpMeta = (OpDesc, Vec<(usize, usize)>, Vec<OpId>);
-
-struct Shared<'a, Ctx> {
-    records: Vec<Mutex<Option<OpRecord<Ctx>>>>,
-    meta: Vec<OpMeta>,
-    done: Vec<AtomicBool>,
-    arrivals: Vec<AtomicUsize>,
-    failed: AtomicBool,
-    error: Mutex<Option<ExecError>>,
-    /// Global event channel: completions, arrivals and failures all
-    /// notify here; waiters hold the lock while checking predicates.
-    gate: Mutex<()>,
+/// One GPU worker's mailbox.
+#[derive(Default)]
+struct Lane {
+    state: Mutex<LaneState>,
     cv: Condvar,
-    ctx: &'a Ctx,
-    /// Run epoch: wall spans record offsets from this instant.
-    t0: Instant,
-    /// Chaos hooks, consulted at every per-worker dispatch (no-op by
-    /// default). Sites are `(gpu, worklist index)` — a pure function of the
-    /// deterministic worklists, so fault plans replay identically
-    /// regardless of thread interleaving or pool width.
-    inj: &'a Injector,
 }
 
-impl<'a, Ctx> Shared<'a, Ctx> {
-    /// Wait until `pred()` holds or the run has failed. Returns false on
-    /// failure (caller bails out).
-    fn wait_until(&self, mut pred: impl FnMut() -> bool) -> bool {
-        let mut guard = self.gate.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if self.failed.load(Ordering::SeqCst) {
-                return false;
-            }
-            if pred() {
-                return true;
-            }
-            let (g, _) = self.cv.wait_timeout(guard, WAIT_TICK).unwrap_or_else(|e| {
-                let (g, t) = e.into_inner();
-                (g, t)
-            });
-            guard = g;
+#[derive(Default)]
+struct LaneState {
+    ready: VecDeque<OpId>,
+    /// The worker is in `cv.wait`: a push must notify it.
+    parked: bool,
+    /// Spans this worker recorded during the current run.
+    spans: Vec<WallSpan>,
+}
+
+fn lock(lane: &Lane) -> MutexGuard<'_, LaneState> {
+    // Every update leaves the queue valid, and bodies never run under it.
+    lane.state.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// State shared by the workers of one [`with_workers`] session.
+struct Shared<'a, Ctx> {
+    plan: &'a EpochPlan<Ctx>,
+    ctx: &'a Ctx,
+    /// Chaos hooks, consulted at every dispatch (no-op by default). Sites
+    /// are a pure function of the plan ([`mggcn_gpusim::Site`]), so fault
+    /// plans replay identically whatever the thread interleaving.
+    inj: &'a Injector,
+    /// One per GPU; the session's caller works `caller`'s lane.
+    lanes: Vec<Lane>,
+    caller: usize,
+    /// Unfinished predecessors per op. Reset by the caller between runs
+    /// (published to the workers by the lane mutexes the roots go through);
+    /// the `AcqRel` decrements hand each finished body's writes to whoever
+    /// brings the counter to zero.
+    pending: Vec<AtomicU32>,
+    /// Unfinished ops of the current run; zero ends it.
+    remaining: AtomicUsize,
+    failed: AtomicBool,
+    /// The session is over: spawned workers leave.
+    stop: AtomicBool,
+    error: Mutex<Option<ExecError>>,
+    origin: Instant,
+    /// Start of the current run, seconds since `origin` (f64 bits): wall
+    /// spans record offsets from it.
+    run_start: AtomicU64,
+}
+
+impl<Ctx> Shared<'_, Ctx> {
+    fn since_origin(&self, t: Instant) -> f64 {
+        t.duration_since(self.origin).as_secs_f64()
+    }
+
+    fn span(&self, gpu: usize, stream: usize, desc: OpDesc, category: Category, from: f64) {
+        let start = from - f64::from_bits(self.run_start.load(Ordering::SeqCst));
+        let seconds = self.since_origin(Instant::now()) - from;
+        let span = WallSpan { gpu, stream, category, label: desc.label, start, seconds };
+        lock(&self.lanes[gpu]).spans.push(span);
+    }
+
+    /// Queue a ready op on `gpu`'s lane; wake its worker only if parked.
+    fn push(&self, gpu: usize, id: OpId) {
+        let lane = &self.lanes[gpu];
+        let mut st = lock(lane);
+        st.ready.push_back(id);
+        if st.parked {
+            lane.cv.notify_one();
         }
     }
 
-    fn notify(&self) {
-        let _g = self.gate.lock().unwrap_or_else(|e| e.into_inner());
-        self.cv.notify_all();
-    }
-
-    fn mark_done(&self, id: OpId) {
-        self.done[id].store(true, Ordering::SeqCst);
-        self.notify();
+    fn wake_all(&self) {
+        for lane in &self.lanes {
+            let _st = lock(lane);
+            lane.cv.notify_all();
+        }
     }
 
     fn fail(&self, gpu: usize, label: &'static str, payload: Box<dyn std::any::Any + Send>) {
@@ -234,264 +259,230 @@ impl<'a, Ctx> Shared<'a, Ctx> {
             .map(|s| s.to_string())
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .unwrap_or_else(|| "non-string panic payload".into());
-        {
-            let mut slot = self.error.lock().unwrap_or_else(|e| e.into_inner());
-            if slot.is_none() {
-                *slot = Some(ExecError { gpu, label, message });
-            }
-        }
+        self.error.lock().unwrap_or_else(|e| e.into_inner()).get_or_insert(ExecError {
+            gpu,
+            label,
+            message,
+        });
         self.failed.store(true, Ordering::SeqCst);
-        self.notify();
+        self.wake_all();
     }
 
-    fn waits_satisfied(&self, id: OpId) -> bool {
-        self.meta[id].2.iter().all(|&w| self.done[w].load(Ordering::SeqCst))
+    fn error(&self) -> Option<ExecError> {
+        self.error.lock().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
-    /// Like [`Shared::wait_until`], but attributes measurable blocked time
-    /// to a `Category::Barrier` wall span (the op's own label is kept so
-    /// the stall can be traced back to what was waited on).
-    fn timed_wait(
-        &self,
-        gpu: usize,
-        stream: usize,
-        desc: &OpDesc,
-        spans: &mut Vec<WallSpan>,
-        pred: impl FnMut() -> bool,
-    ) -> bool {
-        let begin = Instant::now();
-        let ok = self.wait_until(pred);
-        let seconds = begin.elapsed().as_secs_f64();
-        if seconds >= WAIT_SPAN_MIN {
-            let start = begin.duration_since(self.t0).as_secs_f64();
-            spans.push(WallSpan {
-                gpu,
-                stream,
-                category: Category::Barrier,
-                label: desc.label,
-                start,
-                seconds,
-            });
-        }
-        ok
-    }
-
-    /// Run one worker: execute `work` (this GPU's slice of the global
-    /// completion order), honoring waits and collective rendezvous.
-    fn worker(&self, gpu: usize, work: &[OpId], spans: &mut Vec<WallSpan>) {
-        for (seq, &id) in work.iter().enumerate() {
-            let (desc, lanes, _) = &self.meta[id];
-            let leader = lanes.iter().map(|&(g, _)| g).min().expect("op has lanes");
-            let stream =
-                lanes.iter().find(|&&(g, _)| g == gpu).map(|&(_, s)| s).expect("op is on this gpu");
-            if !self.inj.is_noop() {
-                let site = DispatchSite::ExecOp { gpu, seq, collective: lanes.len() > 1 };
-                match self.inj.at(site) {
-                    Action::Kill => {
-                        // Worker death. For a collective site the peers are
-                        // already arriving at the rendezvous; the failed
-                        // flag releases every waiter in bounded time, so
-                        // the run ends with a tagged error, not a hang.
-                        self.fail(
-                            gpu,
-                            desc.label,
-                            Box::new(format!("injected worker death (gpu {gpu}, dispatch {seq})")),
-                        );
+    /// Worker loop of `gpu`: dispatch ready ops, park when there are none.
+    /// The caller's loop ends with the run, a spawned worker's with the
+    /// session; both leave at once when the run has failed.
+    fn work(&self, gpu: usize) {
+        let lane = &self.lanes[gpu];
+        loop {
+            let mut parked_at = None;
+            let id = {
+                let mut st = lock(lane);
+                loop {
+                    let over = if gpu == self.caller {
+                        self.remaining.load(Ordering::SeqCst) == 0
+                    } else {
+                        self.stop.load(Ordering::SeqCst)
+                    };
+                    if over || self.failed.load(Ordering::SeqCst) {
                         return;
                     }
+                    if let Some(id) = st.ready.pop_front() {
+                        break id;
+                    }
+                    parked_at.get_or_insert_with(Instant::now);
+                    st.parked = true;
+                    st = lane.cv.wait(st).unwrap_or_else(|e| e.into_inner());
+                    st.parked = false;
+                }
+            };
+            let sites = self.plan.sites(id);
+            let site = sites.iter().find(|s| s.gpu == gpu).expect("op queued on a participant");
+            let desc = self.plan.desc(id);
+            if let Some(at) = parked_at {
+                // Blocked time is Barrier time under the label of the op
+                // that ended it; a park begun before this run counts from
+                // the run's start.
+                let run_start = f64::from_bits(self.run_start.load(Ordering::SeqCst));
+                let from = self.since_origin(at).max(run_start);
+                if self.since_origin(Instant::now()) - from >= WAIT_SPAN_MIN {
+                    self.span(gpu, site.stream, desc, Category::Barrier, from);
+                }
+            }
+            for s in sites {
+                let at =
+                    DispatchSite::ExecOp { gpu: s.gpu, seq: s.seq, collective: sites.len() > 1 };
+                match self.inj.at(at) {
+                    Action::Kill => {
+                        // Participant death: the failed flag wakes every
+                        // parked worker, so the run ends with a tagged
+                        // error in bounded time, not a hang.
+                        let (g, seq) = (s.gpu, s.seq);
+                        let msg = format!("injected worker death (gpu {g}, dispatch {seq})");
+                        return self.fail(g, desc.label, Box::new(msg));
+                    }
                     Action::Pause { seconds } => {
-                        // Preemption: the worker is descheduled before the
-                        // op. The pause is blocked time, so it lands in the
-                        // reserved Barrier category — never inside the op's
-                        // own category (which would corrupt the measured
+                        // Preemption before the op: blocked time, so it
+                        // lands in the reserved Barrier category — never in
+                        // the op's own (that would corrupt the measured
                         // per-category profile).
-                        let begin = Instant::now();
+                        let from = self.since_origin(Instant::now());
                         std::thread::sleep(Duration::from_secs_f64(seconds));
-                        spans.push(WallSpan {
-                            gpu,
-                            stream,
-                            category: Category::Barrier,
-                            label: desc.label,
-                            start: begin.duration_since(self.t0).as_secs_f64(),
-                            seconds: begin.elapsed().as_secs_f64(),
-                        });
+                        self.span(gpu, site.stream, desc, Category::Barrier, from);
                     }
                     Action::None => {}
                 }
             }
-            if lanes.len() > 1 {
-                // Collective rendezvous: announce arrival, then either run
-                // it (leader, after full quiescence) or wait for the leader.
-                self.arrivals[id].fetch_add(1, Ordering::SeqCst);
-                self.notify();
-                if gpu == leader {
-                    let all = lanes.len();
-                    if !self.timed_wait(gpu, stream, desc, spans, || {
-                        self.arrivals[id].load(Ordering::SeqCst) == all && self.waits_satisfied(id)
-                    }) {
-                        return;
-                    }
-                    if !self.run_body(id, gpu, stream, desc, spans) {
-                        return;
-                    }
-                    self.mark_done(id);
-                } else if !self
-                    .timed_wait(gpu, stream, desc, spans, || self.done[id].load(Ordering::SeqCst))
-                {
-                    return;
+            if let Some(body) = self.plan.body(id) {
+                let from = self.since_origin(Instant::now());
+                let r = catch_unwind(AssertUnwindSafe(|| {
+                    fault_check(desc.label);
+                    body(self.ctx);
+                }));
+                match r {
+                    Ok(()) => self.span(gpu, site.stream, desc, desc.category, from),
+                    Err(payload) => return self.fail(gpu, desc.label, payload),
                 }
-            } else {
-                if !self.timed_wait(gpu, stream, desc, spans, || self.waits_satisfied(id)) {
-                    return;
+            }
+            for &next in self.plan.successors(id) {
+                if self.pending[next].fetch_sub(1, Ordering::AcqRel) == 1 {
+                    // Last arriver runs it here when it takes part.
+                    let at = self.plan.sites(next);
+                    self.push(if at.iter().any(|s| s.gpu == gpu) { gpu } else { at[0].gpu }, next);
                 }
-                if !self.run_body(id, gpu, stream, desc, spans) {
-                    return;
-                }
-                self.mark_done(id);
+            }
+            if self.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
+                let lane = &self.lanes[self.caller];
+                let _st = lock(lane);
+                lane.cv.notify_one();
             }
         }
     }
 
-    /// Execute the body of `id` (if any) under panic capture and timing.
-    /// Returns false when the run is now failed.
-    fn run_body(
-        &self,
-        id: OpId,
-        gpu: usize,
-        stream: usize,
-        desc: &OpDesc,
-        spans: &mut Vec<WallSpan>,
-    ) -> bool {
-        let body =
-            self.records[id].lock().unwrap_or_else(|e| e.into_inner()).take().and_then(|r| r.body);
-        let Some(body) = body else { return true };
-        let label = desc.label;
-        let begin = Instant::now();
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            fault_check(label);
-            body(self.ctx);
-        }));
-        let seconds = begin.elapsed().as_secs_f64();
-        match r {
-            Ok(()) => {
-                let start = begin.duration_since(self.t0).as_secs_f64();
-                spans.push(WallSpan {
-                    gpu,
-                    stream,
-                    category: desc.category,
-                    label,
-                    start,
-                    seconds,
-                });
-                true
-            }
-            Err(payload) => {
-                self.fail(gpu, label, payload);
-                false
-            }
+    /// Run the plan once, the calling thread working the caller's lane.
+    fn run(&self) -> Result<ExecReport, ExecError> {
+        if let Some(err) = self.error() {
+            return Err(err);
         }
+        let start = Instant::now();
+        self.run_start.store(self.since_origin(start).to_bits(), Ordering::SeqCst);
+        for (counter, &n) in self.pending.iter().zip(self.plan.pending()) {
+            counter.store(n, Ordering::Relaxed);
+        }
+        self.remaining.store(self.pending.len(), Ordering::SeqCst);
+        for (id, _) in self.plan.pending().iter().enumerate().filter(|(_, &n)| n == 0) {
+            self.push(self.plan.sites(id)[0].gpu, id);
+        }
+        self.work(self.caller);
+        let wall_seconds = start.elapsed().as_secs_f64();
+        let spans: Vec<WallSpan> =
+            self.lanes.iter().flat_map(|l| std::mem::take(&mut lock(l).spans)).collect();
+        if let Some(err) = self.error() {
+            return Err(err);
+        }
+        let bodies_run = spans.iter().filter(|s| s.category != Category::Barrier).count();
+        Ok(ExecReport { sim: self.plan.sim().report.clone(), wall_seconds, spans, bodies_run })
     }
 }
 
-/// Really execute `sched` against `ctx` with one worker thread per GPU.
-///
-/// Numerics are bit-identical to `sched.run(ctx)`: each worker replays
-/// its GPU's slice of the simulator's deterministic completion order, and
-/// all cross-GPU orderings that matter are dependency edges or collective
-/// barriers, enforced here with real synchronization.
+/// Ends the session when dropped — also when the session's closure
+/// unwinds, so the scope's join cannot hang on parked workers.
+struct StopOnDrop<'a, 'b, Ctx>(&'a Shared<'b, Ctx>);
+
+impl<Ctx> Drop for StopOnDrop<'_, '_, Ctx> {
+    fn drop(&mut self) {
+        self.0.stop.store(true, Ordering::SeqCst);
+        self.0.wake_all();
+    }
+}
+
+/// Static pre-flight, once per plan (the verdict is kept in it). A schedule
+/// with a dependency cycle would leave every worker parked, one with an
+/// unordered buffer conflict would corrupt data non-deterministically under
+/// real threads, and one reading a never-initialized scratch buffer would
+/// consume allocator garbage; all are cheap to prove absent on the recorded
+/// op DAG.
+fn preflight<Ctx>(plan: &EpochPlan<Ctx>) -> Result<(), ExecError> {
+    let verdict = plan.verdict(mggcn_analyze::preflight).clone();
+    verdict.map_err(|message| ExecError { gpu: 0, label: "preflight", message })
+}
+
+/// Run `plan` against `ctx` as often as `session` asks, on one set of
+/// worker threads: one per GPU the plan uses, the calling thread being the
+/// first of them. Each call of the closure handed to `session` runs the
+/// plan once and reports on it; between calls the spawned workers stay
+/// parked, so the caller may touch `ctx` freely. The plan is verified
+/// before its first session ([`mggcn_analyze::preflight`]; `Err` labelled
+/// `"preflight"`, no body run). Numerics are bit-identical to
+/// `plan.run(ctx)`. After a failed run every further call returns the same
+/// error.
+pub fn with_workers<Ctx: Sync, R>(
+    plan: &EpochPlan<Ctx>,
+    ctx: &Ctx,
+    session: impl FnOnce(&mut dyn FnMut() -> Result<ExecReport, ExecError>) -> R,
+) -> Result<R, ExecError> {
+    with_workers_chaos(plan, ctx, &Injector::none(), session)
+}
+
+/// [`with_workers`] under a fault injector (see [`execute_chaos`]).
+fn with_workers_chaos<Ctx: Sync, R>(
+    plan: &EpochPlan<Ctx>,
+    ctx: &Ctx,
+    inj: &Injector,
+    session: impl FnOnce(&mut dyn FnMut() -> Result<ExecReport, ExecError>) -> R,
+) -> Result<R, ExecError> {
+    preflight(plan)?;
+    let gpus = plan.schedule().machine().gpu_count().max(1);
+    let mut active = vec![false; gpus];
+    for id in 0..plan.op_count() {
+        plan.sites(id).iter().for_each(|s| active[s.gpu] = true);
+    }
+    let caller = active.iter().position(|&a| a).unwrap_or(0);
+    let shared = Shared {
+        plan,
+        ctx,
+        inj,
+        lanes: (0..gpus).map(|_| Lane::default()).collect(),
+        caller,
+        pending: plan.pending().iter().map(|_| AtomicU32::new(0)).collect(),
+        remaining: AtomicUsize::new(0),
+        failed: AtomicBool::new(false),
+        stop: AtomicBool::new(false),
+        error: Mutex::new(None),
+        origin: Instant::now(),
+        run_start: AtomicU64::new(0),
+    };
+    Ok(std::thread::scope(|scope| {
+        let _stop = StopOnDrop(&shared);
+        for gpu in (caller + 1..gpus).filter(|&g| active[g]) {
+            let shared = &shared;
+            scope.spawn(move || shared.work(gpu));
+        }
+        session(&mut || shared.run())
+    }))
+}
+
+/// Really execute `sched` against `ctx` once: [`Schedule::compile`], then
+/// one run under [`with_workers`].
 pub fn execute<Ctx: Sync>(sched: Schedule<Ctx>, ctx: &Ctx) -> Result<ExecReport, ExecError> {
     execute_chaos(sched, ctx, &Injector::none())
 }
 
-/// [`execute`] with fault/preemption injection: every per-worker dispatch
-/// consults `inj` before processing its op.
-///
-/// * [`Action::Pause`] deschedules the worker for the given duration; the
-///   blocked time is recorded as a [`Category::Barrier`] wall span.
-/// * [`Action::Kill`] terminates the worker with a tagged
-///   `"injected worker death"` error; the failed flag releases all other
-///   workers (including peers blocked mid-rendezvous), so the run fails in
-///   bounded time instead of hanging.
-///
-/// With the no-op injector this is exactly [`execute`]: the hooks cost one
-/// branch per dispatch and inject nothing.
+/// [`execute`] with fault/preemption injection: every dispatch consults
+/// `inj` first, for each participant of the op. [`Action::Pause`]
+/// deschedules the worker for the given duration (a [`Category::Barrier`]
+/// wall span); [`Action::Kill`] fails the run with a tagged
+/// `"injected worker death"` error. The no-op injector costs one branch
+/// per dispatch and injects nothing.
 pub fn execute_chaos<Ctx: Sync>(
     sched: Schedule<Ctx>,
     ctx: &Ctx,
     inj: &Injector,
 ) -> Result<ExecReport, ExecError> {
-    // Static pre-flight before any worker starts: a schedule with a
-    // dependency cycle would hang the barriers, one with an unordered
-    // buffer conflict would corrupt data non-deterministically under real
-    // threads, and one reading a never-initialized scratch buffer would
-    // consume allocator garbage. All are cheap to prove absent on the
-    // recorded op DAG.
-    if let Err(message) = mggcn_analyze::preflight(&sched) {
-        return Err(ExecError { gpu: 0, label: "preflight", message });
-    }
-    let gpu_count = sched.machine().gpu_count();
-    let SimOutcome { report, completion_order } = sched.simulate();
-    let records = sched.into_records();
-
-    let meta: Vec<OpMeta> =
-        records.iter().map(|r| (r.desc, r.lanes.clone(), r.waits.clone())).collect();
-    let n_ops = records.len();
-
-    // Per-GPU worklists: the global completion order restricted to each
-    // GPU's lanes (collectives appear in every participant's list).
-    let mut worklists: Vec<Vec<OpId>> = vec![Vec::new(); gpu_count];
-    for &id in &completion_order {
-        for &(g, _) in &meta[id].1 {
-            worklists[g].push(id);
-        }
-    }
-
-    let shared = Shared {
-        records: records.into_iter().map(|r| Mutex::new(Some(r))).collect(),
-        meta,
-        done: (0..n_ops).map(|_| AtomicBool::new(false)).collect(),
-        arrivals: (0..n_ops).map(|_| AtomicUsize::new(0)).collect(),
-        failed: AtomicBool::new(false),
-        error: Mutex::new(None),
-        gate: Mutex::new(()),
-        cv: Condvar::new(),
-        ctx,
-        t0: Instant::now(),
-        inj,
-    };
-
-    let start = shared.t0;
-    let mut all_spans: Vec<Vec<WallSpan>> = Vec::with_capacity(gpu_count);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = worklists
-            .iter()
-            .enumerate()
-            .map(|(gpu, work)| {
-                let shared = &shared;
-                scope.spawn(move || {
-                    let mut spans = Vec::with_capacity(work.len());
-                    shared.worker(gpu, work, &mut spans);
-                    spans
-                })
-            })
-            .collect();
-        for h in handles {
-            // A worker thread itself cannot panic — bodies are caught —
-            // but stay defensive about the join.
-            match h.join() {
-                Ok(spans) => all_spans.push(spans),
-                Err(payload) => shared.fail(usize::MAX, "worker", payload),
-            }
-        }
-    });
-    let wall_seconds = start.elapsed().as_secs_f64();
-
-    if let Some(err) = shared.error.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        return Err(err);
-    }
-    let spans: Vec<WallSpan> = all_spans.into_iter().flatten().collect();
-    let bodies_run = spans.iter().filter(|s| s.category != Category::Barrier).count();
-    Ok(ExecReport { sim: report, wall_seconds, spans, bodies_run })
+    with_workers_chaos(&sched.compile(), ctx, inj, |run| run())?
 }
 
 #[cfg(test)]
@@ -596,6 +587,56 @@ mod tests {
         let r = execute(s, &ctx).expect("no panic");
         assert_eq!(ctx.total.load(Ordering::SeqCst), 10 + 20 + 30 + 40);
         assert_eq!(r.bodies_run, 2 * p + 1);
+    }
+
+    /// A body that declares no effects is a fence on its GPU: with no wait
+    /// edge anywhere, every run keeps the simulated completion order there
+    /// (what `EpochPlan::run` does), not the order the streams become ready
+    /// in — and an op that does declare effects stays on its side of it.
+    #[test]
+    fn undeclared_bodies_fence_their_gpu_in_simulated_order() {
+        use mggcn_gpusim::{BufId, Effects};
+        type Log = Mutex<Vec<(usize, &'static str)>>;
+        let mut s: Schedule<Log> = Schedule::new(machine(2));
+        for g in 0..2usize {
+            // Issued slowest first, one stream each: the DES ends them in
+            // the opposite order.
+            for (stream, label, seconds) in
+                [(0, "slow", 50e-6), (1, "declared", 10e-6), (2, "fast", 1e-6)]
+            {
+                let fx = match label {
+                    "declared" => Effects::none().writes([BufId::new(g, "HW")]),
+                    _ => Effects::none(),
+                };
+                s.launch_fx(
+                    g,
+                    stream,
+                    Work::Fixed { seconds },
+                    OpDesc::new(Category::Other, label),
+                    &[],
+                    fx,
+                    Some(Box::new(move |l: &Log| l.lock().unwrap().push((g, label)))),
+                );
+            }
+        }
+        let plan = s.compile();
+        let on = |log: &Log, g: usize| -> Vec<&'static str> {
+            log.lock().unwrap().iter().filter(|e| e.0 == g).map(|e| e.1).collect()
+        };
+        let serial = Mutex::new(Vec::new());
+        plan.run(&serial);
+        assert_eq!(on(&serial, 0), ["fast", "declared", "slow"]);
+        let log = Mutex::new(Vec::new());
+        with_workers(&plan, &log, |run| {
+            for _ in 0..20 {
+                log.lock().unwrap().clear();
+                run().expect("no panic");
+                for g in 0..2 {
+                    assert_eq!(on(&log, g), on(&serial, g), "gpu {g}");
+                }
+            }
+        })
+        .expect("verifies");
     }
 
     #[test]
@@ -821,6 +862,23 @@ mod tests {
         let err = execute(s, &ran).expect_err("hazardous schedule accepted");
         assert_eq!(err.label, "preflight");
         assert!(err.message.contains("RAW hazard"), "unexpected message: {}", err.message);
+        assert!(!ran.load(Ordering::SeqCst), "a body ran despite preflight failure");
+    }
+
+    /// A dependency cycle among bodies without declared effects — where
+    /// compiling the plan consults the simulator for the fence order — is
+    /// still a preflight `Err`, not a simulator deadlock panic.
+    #[test]
+    fn preflight_rejects_cycle_among_undeclared_bodies() {
+        let ran = AtomicBool::new(false);
+        let mut s: Schedule<AtomicBool> = Schedule::new(machine(1));
+        let body = || Some(Box::new(|r: &AtomicBool| r.store(true, Ordering::SeqCst)) as _);
+        // x heads stream 0 but waits on y, which sits behind it there.
+        let x = s.launch(0, 0, fixed(), OpDesc::new(Category::Other, "x"), &[1], body());
+        s.launch(0, 0, fixed(), OpDesc::new(Category::Other, "y"), &[], body());
+        assert_eq!(x, 0);
+        let err = execute(s, &ran).expect_err("cyclic schedule accepted");
+        assert_eq!(err.label, "preflight");
         assert!(!ran.load(Ordering::SeqCst), "a body ran despite preflight failure");
     }
 

@@ -30,6 +30,7 @@ use crate::specs::MachineSpec;
 use crate::timeline::{Category, Span, Timeline};
 use mggcn_sched::{Action, Component, DispatchSite, Injector, Policy, Scheduler, Stall};
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// Identifier of a launched op; also usable as a dependency handle.
 pub type OpId = usize;
@@ -76,10 +77,12 @@ impl OpDesc {
 
 /// An op's real-execution payload. Bodies take the context by shared
 /// reference (interior mutability inside `Ctx` scopes writes to the GPU
-/// being computed) and are `Send`, so the threaded executor
-/// (`mggcn-exec`) can run them on worker threads; the simulated path
-/// runs them on the calling thread in completion order.
-pub type Body<Ctx> = Box<dyn FnOnce(&Ctx) + Send>;
+/// being computed) and are re-runnable and `Send + Sync`: a compiled
+/// [`EpochPlan`] runs the same body every epoch, on whichever worker
+/// thread of the threaded executor (`mggcn-exec`) dispatches it; the
+/// simulated path runs them on the calling thread in completion order.
+/// Whatever changes between runs is read from `Ctx` at run time.
+pub type Body<Ctx> = Box<dyn Fn(&Ctx) + Send + Sync>;
 
 struct Op<Ctx> {
     desc: OpDesc,
@@ -91,16 +94,6 @@ struct Op<Ctx> {
     /// Declared buffer footprint (see [`crate::effects`]).
     effects: Effects,
     body: Option<Body<Ctx>>,
-}
-
-/// One recorded op, surrendered by [`Schedule::into_records`] for real
-/// (threaded) execution outside the simulator.
-pub struct OpRecord<Ctx> {
-    pub desc: OpDesc,
-    pub work: Work,
-    pub lanes: Vec<(usize, usize)>,
-    pub waits: Vec<OpId>,
-    pub body: Option<Body<Ctx>>,
 }
 
 /// Borrowed view of one recorded op's metadata — everything a static
@@ -117,15 +110,14 @@ pub struct OpInfo<'a> {
 /// Result of timing a schedule without running bodies: the run report
 /// plus the deterministic completion order of all ops — a topological
 /// linearization of the dependency DAG that respects every lane FIFO,
-/// which is exactly the per-worker execution order the threaded backend
-/// replays.
+/// which is the order the simulated backend runs bodies in.
 pub struct SimOutcome {
     pub report: RunReport,
     pub completion_order: Vec<OpId>,
 }
 
 /// Result of running a schedule.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct RunReport {
     /// Simulated end-to-end time in seconds.
     pub makespan: f64,
@@ -371,14 +363,8 @@ impl<Ctx> Schedule<Ctx> {
     /// Play the schedule forward. Bodies run against `ctx` in completion
     /// order. Panics on deadlock (a schedule bug: circular waits or
     /// mismatched collective enqueue order).
-    pub fn run(mut self, ctx: &Ctx) -> RunReport {
-        let SimOutcome { report, completion_order } = self.simulate();
-        for id in completion_order {
-            if let Some(body) = self.ops[id].body.take() {
-                body(ctx);
-            }
-        }
-        report
+    pub fn run(self, ctx: &Ctx) -> RunReport {
+        self.run_observed(ctx, |_| {}, |_| {})
     }
 
     /// [`Schedule::run`] with observation hooks: `before(id)`/`after(id)`
@@ -387,14 +373,14 @@ impl<Ctx> Schedule<Ctx> {
     /// accesses ([`crate::shadow::EffectRecorder`]) and to fingerprint
     /// buffer state between bodies.
     pub fn run_observed(
-        mut self,
+        self,
         ctx: &Ctx,
         mut before: impl FnMut(OpId),
         mut after: impl FnMut(OpId),
     ) -> RunReport {
         let SimOutcome { report, completion_order } = self.simulate();
         for id in completion_order {
-            if let Some(body) = self.ops[id].body.take() {
+            if let Some(body) = &self.ops[id].body {
                 before(id);
                 body(ctx);
                 after(id);
@@ -410,28 +396,19 @@ impl<Ctx> Schedule<Ctx> {
     /// being a linearization of the dependency DAG; this method does not
     /// check it, because the model checker's whole point is to execute
     /// orders the DES would never pick on its own.
-    pub fn run_in_order(mut self, ctx: &Ctx, order: &[OpId]) {
+    pub fn run_in_order(self, ctx: &Ctx, order: &[OpId]) {
         assert_eq!(order.len(), self.ops.len(), "order must cover every op");
         for &id in order {
-            if let Some(body) = self.ops[id].body.take() {
+            if let Some(body) = &self.ops[id].body {
                 body(ctx);
             }
         }
     }
 
-    /// Surrender the recorded ops (with their bodies) for execution by an
-    /// external runtime, e.g. the `mggcn-exec` worker-per-GPU executor.
-    pub fn into_records(self) -> Vec<OpRecord<Ctx>> {
-        self.ops
-            .into_iter()
-            .map(|op| OpRecord {
-                desc: op.desc,
-                work: op.work,
-                lanes: op.lanes,
-                waits: op.waits,
-                body: op.body,
-            })
-            .collect()
+    /// Compile the recorded schedule into an immutable [`EpochPlan`] that
+    /// can be run any number of times.
+    pub fn compile(self) -> EpochPlan<Ctx> {
+        EpochPlan::new(self)
     }
 
     /// Run the rate-based DES over op metadata only: no bodies execute.
@@ -474,6 +451,171 @@ impl<Ctx> Schedule<Ctx> {
         let mut driver = Scheduler::new(policy);
         driver.run(&mut [&mut core], inj)?;
         Ok(core.finish())
+    }
+}
+
+/// Where one op is dispatched on one participating GPU: the coordinates of
+/// its fault-injection site ([`DispatchSite::ExecOp`]) and of the wall span
+/// a worker records for it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Site {
+    pub gpu: usize,
+    /// The op's lowest-numbered stream on `gpu`.
+    pub stream: usize,
+    /// Index of the op among the ops occupying a lane of `gpu`, in issue
+    /// order — a function of the plan alone, so seeded fault plans replay
+    /// whatever order the workers happen to dispatch in.
+    pub seq: usize,
+}
+
+/// A schedule compiled once and run every epoch: the recorded ops with
+/// their re-runnable bodies, the dataflow form of the happens-before graph
+/// a dispatcher counts down (`mggcn-exec`), and — computed on first use and
+/// kept — the DES outcome and a static-verification verdict. A full-batch
+/// epoch's op list, inferred waits and simulated timeline depend only on
+/// (config, partition, options), so a trainer compiles its epoch once.
+pub struct EpochPlan<Ctx> {
+    sched: Schedule<Ctx>,
+    /// Ops that must wait for each op: those naming it in `waits`, its FIFO
+    /// successor on every lane it occupies (a collective sits in all its
+    /// participants' lanes, so the rendezvous needs no edge of its own) and,
+    /// around a body without declared effects, its GPUs' neighbouring ops.
+    succs: Vec<Vec<OpId>>,
+    /// Distinct predecessors of each op under `succs`.
+    pending: Vec<u32>,
+    /// Participating GPUs of each op, ascending (one entry for a kernel).
+    sites: Vec<Vec<Site>>,
+    sim: OnceLock<SimOutcome>,
+    verdict: OnceLock<Result<(), String>>,
+}
+
+impl<Ctx> EpochPlan<Ctx> {
+    fn new(sched: Schedule<Ctx>) -> Self {
+        let n = sched.ops.len();
+        let mut next_seq = vec![0usize; sched.machine.gpu_count()];
+        let sites: Vec<Vec<Site>> = sched
+            .ops
+            .iter()
+            .map(|op| {
+                let mut lanes = op.lanes.clone();
+                lanes.sort_unstable();
+                lanes.dedup_by_key(|l| l.0);
+                lanes
+                    .into_iter()
+                    .map(|(gpu, stream)| {
+                        next_seq[gpu] += 1;
+                        Site { gpu, stream, seq: next_seq[gpu] - 1 }
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut preds: Vec<Vec<OpId>> = sched.ops.iter().map(|op| op.waits.clone()).collect();
+        for queue in sched.queues.values() {
+            for pair in queue.windows(2) {
+                preds[pair[1]].push(pair[0]);
+            }
+        }
+        // A body that declares no effects may touch anything, so nothing
+        // licenses moving it against the other streams of its GPUs: it is a
+        // device-wide fence there (as CUDA's legacy default stream is), at
+        // its place in the simulated completion order — the order
+        // [`EpochPlan::run`] uses, so both backends agree on it. A schedule
+        // that stalls gets no fences; verification rejects it before a run.
+        let sim = OnceLock::new();
+        let opaque = |op: &Op<Ctx>| op.body.is_some() && op.effects.is_empty();
+        let timed = if sched.ops.iter().any(opaque) {
+            sched.simulate_with(Policy::DiscreteEvent, &Injector::none()).ok()
+        } else {
+            None
+        };
+        if let Some(out) = timed {
+            let mut fence = vec![None; next_seq.len()];
+            let mut since = vec![Vec::new(); next_seq.len()];
+            for &id in &out.completion_order {
+                for site in &sites[id] {
+                    preds[id].extend(fence[site.gpu]);
+                    if opaque(&sched.ops[id]) {
+                        preds[id].append(&mut since[site.gpu]);
+                        fence[site.gpu] = Some(id);
+                    } else {
+                        since[site.gpu].push(id);
+                    }
+                }
+            }
+            let _ = sim.set(out);
+        }
+        let mut succs = vec![Vec::new(); n];
+        let mut pending = vec![0u32; n];
+        for (id, p) in preds.iter_mut().enumerate() {
+            p.sort_unstable();
+            p.dedup();
+            pending[id] = p.len() as u32;
+            for &w in p.iter() {
+                succs[w].push(id);
+            }
+        }
+        Self { sched, succs, pending, sites, sim, verdict: OnceLock::new() }
+    }
+
+    /// The compiled schedule: op metadata for analysis and reporting.
+    pub fn schedule(&self) -> &Schedule<Ctx> {
+        &self.sched
+    }
+
+    pub fn op_count(&self) -> usize {
+        self.sched.ops.len()
+    }
+
+    pub fn desc(&self, id: OpId) -> OpDesc {
+        self.sched.ops[id].desc
+    }
+
+    pub fn body(&self, id: OpId) -> Option<&Body<Ctx>> {
+        self.sched.ops[id].body.as_ref()
+    }
+
+    /// Ops that count `id` among their pending dependencies.
+    pub fn successors(&self, id: OpId) -> &[OpId] {
+        &self.succs[id]
+    }
+
+    /// Initial pending-dependency count of every op (zero: ready at once).
+    pub fn pending(&self) -> &[u32] {
+        &self.pending
+    }
+
+    /// Participating GPUs of `id`, ascending; never empty.
+    pub fn sites(&self, id: OpId) -> &[Site] {
+        &self.sites[id]
+    }
+
+    /// The DES outcome — report, timeline, completion order — simulated on
+    /// first use. Panics on deadlock like [`Schedule::simulate`].
+    pub fn sim(&self) -> &SimOutcome {
+        self.sim.get_or_init(|| self.sched.simulate())
+    }
+
+    /// The plan's one verification slot: the verdict of the first `check`
+    /// ever passed, kept — later calls return it without running theirs.
+    /// Its caller is `mggcn-exec`, which passes `mggcn_analyze::preflight`
+    /// before a plan's first threaded run.
+    pub fn verdict(
+        &self,
+        check: impl FnOnce(&Schedule<Ctx>) -> Result<(), String>,
+    ) -> &Result<(), String> {
+        self.verdict.get_or_init(|| check(&self.sched))
+    }
+
+    /// Run every body once against `ctx`, serially in the simulated
+    /// completion order — the simulated backend's epoch.
+    pub fn run(&self, ctx: &Ctx) -> &RunReport {
+        let sim = self.sim();
+        for &id in &sim.completion_order {
+            if let Some(body) = self.body(id) {
+                body(ctx);
+            }
+        }
+        &sim.report
     }
 }
 

@@ -75,7 +75,7 @@ pub mod trace;
 
 pub use deps::infer_waits;
 pub use effects::{BufId, Effects, StaleRead};
-pub use engine::{OpId, OpInfo, RunReport, Schedule, SimOutcome, Work};
+pub use engine::{EpochPlan, OpId, OpInfo, RunReport, Schedule, SimOutcome, Site, Work};
 pub use memory::{MemoryTracker, OomError};
 pub use model::CostModel;
 pub use report::{LatencyStats, Profile};

@@ -49,8 +49,8 @@ pub enum DispatchSite {
     /// The discrete-event engine is promoting op `seq` (its op id) to the
     /// running set; `(gpu, stream)` is the op's leader lane.
     SimStart { gpu: usize, stream: usize, seq: usize, collective: bool },
-    /// Worker thread `gpu` is dispatching the `seq`-th entry of its
-    /// (deterministic) worklist.
+    /// The threaded runtime is dispatching, for participant `gpu`, the
+    /// `seq`-th op (in issue order) occupying one of that GPU's lanes.
     ExecOp { gpu: usize, seq: usize, collective: bool },
     /// A cluster shard is dispatching its `seq`-th batch.
     BatchDispatch { shard: usize, seq: usize },
