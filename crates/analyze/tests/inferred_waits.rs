@@ -10,7 +10,7 @@
 
 use mggcn_analyze::{analyze, Finding};
 use mggcn_gpusim::engine::OpDesc;
-use mggcn_gpusim::sched::{Injector, Policy};
+use mggcn_gpusim::sched::Injector;
 use mggcn_gpusim::{infer_waits, BufId, Category, Effects, GpuSpec, MachineSpec, Schedule, Work};
 use proptest::prelude::*;
 
@@ -59,7 +59,7 @@ proptest! {
         let report = analyze(&sched);
         prop_assert!(report.clean(), "inferred schedule has findings:\n{}", report.render());
         prop_assert!(
-            sched.simulate_with(Policy::DiscreteEvent, &Injector::none()).is_ok(),
+            sched.simulate_with(&Injector::none()).is_ok(),
             "inferred schedule deadlocks"
         );
 

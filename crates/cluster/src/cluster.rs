@@ -28,7 +28,7 @@ use crate::report::{ClusterReport, ShardReport};
 use crate::ring::HashRing;
 use mggcn_exec::Backend;
 use mggcn_gpusim::{GpuSpec, LatencyStats, MachineSpec};
-use mggcn_sched::{Action, Component, DispatchSite, EventQueue, Injector, Policy, Scheduler};
+use mggcn_sched::{Action, Component, DispatchSite, EventQueue, Injector, Scheduler};
 use mggcn_serve::{form_batches, Batch, BatchPolicy, Request, ServeConfig, Server, ServingModel};
 use mggcn_trace::Tracer;
 use std::sync::Arc;
@@ -265,7 +265,7 @@ impl Cluster {
                 shed_inflight: &mut shed_inflight,
                 shed_fault: &mut shed_fault,
             };
-            Scheduler::new(Policy::DiscreteEvent)
+            Scheduler::new()
                 .run(&mut [&mut sweep], inj)
                 .expect("shard sweep cannot stall: every queued batch has a finite ready time");
 

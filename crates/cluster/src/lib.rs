@@ -21,8 +21,10 @@
 //!   admitted-request p99 SLO holds by construction and nothing ever waits
 //!   unboundedly;
 //! * **cluster-wide accounting** ([`report`]): per-shard and merged latency
-//!   quantiles, shed counters, and the `BENCH_cluster.json` schema contract
-//!   (`validate_cluster_bench`) that `mggcn cluster-bench` gates CI on.
+//!   quantiles and shed counters;
+//! * **the overload study** ([`overload`]): calibrate capacity, overload the
+//!   cluster under bounded admission, and return the four verdicts that
+//!   `mggcn cluster-bench` prints and `tests/overload.rs` asserts.
 //!
 //! Admitted answers are bit-identical to the single-replica oracle
 //! ([`mggcn_serve::ServingModel::forward_full`]) for any shard count and
@@ -32,15 +34,14 @@
 
 pub mod admission;
 pub mod cluster;
+pub mod overload;
 pub mod partition;
 pub mod report;
 pub mod ring;
 
 pub use admission::{AdmissionPolicy, ShedReason, Verdict};
 pub use cluster::{Answer, Cluster, ClusterConfig, ClusterOutcome, Router};
+pub use overload::{overload_study, OverloadSpec, OverloadStudy, OverloadVerdicts};
 pub use partition::PartitionPlan;
-pub use report::{
-    validate_cluster_bench, validate_cluster_report, ClusterReport, ShardReport,
-    BENCH_CLUSTER_SCHEMA,
-};
+pub use report::{ClusterReport, ShardReport, BENCH_CLUSTER_SCHEMA};
 pub use ring::{splitmix64, HashRing};

@@ -1,16 +1,15 @@
-//! Cluster serving reports and the `BENCH_cluster.json` schema contract.
+//! Cluster serving reports.
 //!
 //! [`ClusterReport`] aggregates one [`serve_trace`](crate::Cluster::serve_trace)
 //! run: per-shard admission/shed/latency accounting plus cluster-wide
 //! quantiles computed over the *union* of per-shard samples (merged via
 //! `LatencyStats::merge`, never averaged — averaging quantiles is wrong).
-//! Everything is emitted through `trace`'s shared [`JsonWriter`], and
-//! [`validate_cluster_bench`] is the schema validator CI runs against the
-//! committed `BENCH_cluster.json` artifact.
+//! Everything is emitted through `trace`'s shared [`JsonWriter`].
 
-use mggcn_trace::json::{self, JsonWriter};
+use mggcn_trace::json::JsonWriter;
 
-/// Schema tag stamped into `BENCH_cluster.json`; bump on breaking changes.
+/// Schema tag stamped into the `cluster-bench` document; bump on breaking
+/// changes.
 pub const BENCH_CLUSTER_SCHEMA: &str = "mggcn-cluster-v1";
 
 /// One shard's share of a serving run.
@@ -163,150 +162,16 @@ impl ClusterReport {
     }
 }
 
-/// Schema-validate one serialized [`ClusterReport`] object.
-pub fn validate_cluster_report(v: &json::Value) -> Result<(), String> {
-    v.get("label").and_then(json::Value::as_str).ok_or("report missing string `label`")?;
-    for key in [
-        "requests",
-        "admitted",
-        "degraded",
-        "degraded_rate",
-        "duration_s",
-        "throughput_rps",
-        "compute_s",
-    ] {
-        v.get(key).and_then(json::Value::as_num).ok_or(format!("report missing number `{key}`"))?;
-    }
-    let adm = v.get("admitted_latency_ms").ok_or("report missing `admitted_latency_ms`")?;
-    for key in ["mean", "p50", "p95", "p99", "max"] {
-        adm.get(key)
-            .and_then(json::Value::as_num)
-            .ok_or(format!("admitted_latency_ms missing number `{key}`"))?;
-    }
-    let deg = v.get("degraded_latency_ms").ok_or("report missing `degraded_latency_ms`")?;
-    for key in ["p99", "max"] {
-        deg.get(key)
-            .and_then(json::Value::as_num)
-            .ok_or(format!("degraded_latency_ms missing number `{key}`"))?;
-    }
-    let shed = v.get("shed_batches").ok_or("report missing `shed_batches`")?;
-    for key in ["queue_delay", "inflight"] {
-        shed.get(key)
-            .and_then(json::Value::as_num)
-            .ok_or(format!("shed_batches missing number `{key}`"))?;
-    }
-    let shards = v.get("shards").and_then(json::Value::as_arr).ok_or("missing array `shards`")?;
-    for (i, s) in shards.iter().enumerate() {
-        for key in [
-            "shard",
-            "requests",
-            "admitted",
-            "degraded",
-            "batches",
-            "p50_ms",
-            "p99_ms",
-            "compute_s",
-        ] {
-            s.get(key)
-                .and_then(json::Value::as_num)
-                .ok_or(format!("shards[{i}] missing number `{key}`"))?;
-        }
-    }
-    Ok(())
-}
-
-/// Schema-validate the full `mggcn cluster-bench` JSON document — the CI
-/// contract for the committed `BENCH_cluster.json` artifact: identity +
-/// schema tags, the partition comparison, the SLO under test, the overload
-/// run's [`ClusterReport`], and the boolean verdict the exit code reflects.
-pub fn validate_cluster_bench(text: &str) -> Result<(), String> {
-    let v = json::parse(text)?;
-    match v.get("bench").and_then(json::Value::as_str) {
-        Some("cluster") => {}
-        _ => return Err("`bench` must be the string \"cluster\"".into()),
-    }
-    match v.get("schema").and_then(json::Value::as_str) {
-        Some(BENCH_CLUSTER_SCHEMA) => {}
-        Some(other) => return Err(format!("unknown schema `{other}`")),
-        None => return Err("missing string `schema`".into()),
-    }
-    for key in ["shards", "gpus_per_shard", "capacity_rps", "qps", "qps_multiplier"] {
-        v.get(key).and_then(json::Value::as_num).ok_or(format!("missing number `{key}`"))?;
-    }
-    let part = v.get("partition").ok_or("missing `partition`")?;
-    part.get("strategy").and_then(json::Value::as_str).ok_or("partition missing `strategy`")?;
-    for key in ["cross_shard_fanout_bytes", "random_fanout_bytes", "reduction"] {
-        part.get(key)
-            .and_then(json::Value::as_num)
-            .ok_or(format!("partition missing number `{key}`"))?;
-    }
-    let slo = v.get("slo").ok_or("missing `slo`")?;
-    for key in ["p99_ms", "max_degraded_rate"] {
-        slo.get(key).and_then(json::Value::as_num).ok_or(format!("slo missing number `{key}`"))?;
-    }
-    let result = v.get("result").ok_or("missing `result`")?;
-    validate_cluster_report(result).map_err(|e| format!("result: {e}"))?;
-    let verdict = v.get("verdict").ok_or("missing `verdict`")?;
-    for key in ["p99_ok", "degraded_bounded", "degraded_nonzero", "all_answered"] {
-        verdict
-            .get(key)
-            .and_then(json::Value::as_bool)
-            .ok_or(format!("verdict missing bool `{key}`"))?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mggcn_trace::json;
 
     #[test]
-    fn zero_report_json_is_schema_valid() {
+    fn zero_report_json_parses_back() {
         let r = ClusterReport::zero("empty");
         let v = json::parse(&r.to_json()).expect("valid JSON");
-        validate_cluster_report(&v).expect("schema-valid");
+        assert_eq!(v.get("label").and_then(json::Value::as_str), Some("empty"));
         assert_eq!(v.get("requests").unwrap().as_num(), Some(0.0));
-    }
-
-    #[test]
-    fn bench_validator_rejects_missing_and_mislabeled_documents() {
-        assert!(validate_cluster_bench("{}").is_err());
-        assert!(validate_cluster_bench("{\"bench\":\"cluster\"}").is_err());
-        let wrong_schema =
-            JsonWriter::new().str("bench", "cluster").str("schema", "mggcn-cluster-v0").finish();
-        let err = validate_cluster_bench(&wrong_schema).unwrap_err();
-        assert!(err.contains("unknown schema"), "{err}");
-    }
-
-    #[test]
-    fn bench_validator_accepts_a_complete_document() {
-        let partition = JsonWriter::new()
-            .str("strategy", "cache-aware")
-            .u64("cross_shard_fanout_bytes", 1000)
-            .u64("random_fanout_bytes", 4000)
-            .f64("reduction", 0.75, 4)
-            .finish();
-        let slo =
-            JsonWriter::new().f64("p99_ms", 50.0, 1).f64("max_degraded_rate", 0.5, 2).finish();
-        let verdict = JsonWriter::new()
-            .bool("p99_ok", true)
-            .bool("degraded_bounded", true)
-            .bool("degraded_nonzero", true)
-            .bool("all_answered", true)
-            .finish();
-        let doc = JsonWriter::new()
-            .str("bench", "cluster")
-            .str("schema", BENCH_CLUSTER_SCHEMA)
-            .u64("shards", 2)
-            .u64("gpus_per_shard", 2)
-            .f64("capacity_rps", 1e5, 1)
-            .f64("qps", 2e5, 1)
-            .f64("qps_multiplier", 2.0, 2)
-            .raw("partition", &partition)
-            .raw("slo", &slo)
-            .raw("result", &ClusterReport::zero("overload").to_json())
-            .raw("verdict", &verdict)
-            .finish();
-        validate_cluster_bench(&doc).expect("complete document validates");
     }
 }

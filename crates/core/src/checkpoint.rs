@@ -3,18 +3,20 @@
 //! Full-batch training on big graphs runs for hundreds of epochs (the
 //! paper's Reddit run converges after 466); production trainers need to
 //! stop and resume. The format is a small self-describing binary layout
-//! (magic + version + per-layer shapes + little-endian f32 payloads for
-//! the weights and both Adam moments), written with plain `std::io` so the
-//! checkpoint carries no dependency risk.
+//! (magic + epoch + per-layer shapes + little-endian f32 payloads for the
+//! weights and both Adam moments), ended by an FNV-1a checksum of every
+//! byte before it, so a truncated or bit-flipped file is refused instead
+//! of half-restored. Written with plain `std::io`, so the checkpoint
+//! carries no dependency risk.
 
 use crate::config::GcnConfig;
+use crate::state::fnv1a;
 use crate::trainer::Trainer;
 use mggcn_dense::Dense;
-use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io;
 use std::path::Path;
 
-const MAGIC: &[u8; 8] = b"MGGCNCK1";
+const MAGIC: &[u8; 8] = b"MGGCNCK2";
 
 /// A training checkpoint: replicated weights, Adam moments, epoch count.
 #[derive(Clone, Debug, PartialEq)]
@@ -37,52 +39,63 @@ impl Checkpoint {
         }
     }
 
-    /// Write to `path`.
-    pub fn save(&self, path: &Path) -> io::Result<()> {
-        let mut w = BufWriter::new(File::create(path)?);
-        w.write_all(MAGIC)?;
-        w.write_all(&self.epoch.to_le_bytes())?;
-        w.write_all(&(self.weights.len() as u32).to_le_bytes())?;
+    /// The file format: header, layers, checksum.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        out.extend(self.epoch.to_le_bytes());
+        out.extend((self.weights.len() as u32).to_le_bytes());
         for l in 0..self.weights.len() {
             let m = &self.weights[l];
-            w.write_all(&(m.rows() as u32).to_le_bytes())?;
-            w.write_all(&(m.cols() as u32).to_le_bytes())?;
+            out.extend((m.rows() as u32).to_le_bytes());
+            out.extend((m.cols() as u32).to_le_bytes());
             for mat in [&self.weights[l], &self.adam_m[l], &self.adam_v[l]] {
-                for &x in mat.as_slice() {
-                    w.write_all(&x.to_le_bytes())?;
-                }
+                out.extend(mat.as_slice().iter().flat_map(|x| x.to_le_bytes()));
             }
         }
-        w.flush()
+        let sum = fnv1a(&out);
+        out.extend(sum.to_le_bytes());
+        out
     }
 
-    /// Read from `path`, validating the header and shapes.
-    pub fn load(path: &Path) -> io::Result<Self> {
-        let mut r = BufReader::new(File::open(path)?);
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "not an MG-GCN checkpoint"));
+    /// Parse [`Checkpoint::to_bytes`]'s format. Anything else — a wrong
+    /// magic, a checksum that does not match, a shape the remaining bytes
+    /// cannot hold, bytes after the last layer — is `InvalidData`; nothing
+    /// is allocated on the word of an unchecked length.
+    pub fn from_bytes(bytes: &[u8]) -> io::Result<Self> {
+        let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
+        let Some((body, sum)) =
+            bytes.split_last_chunk::<8>().filter(|(body, _)| body.starts_with(MAGIC))
+        else {
+            return Err(bad("not an MG-GCN checkpoint"));
+        };
+        if fnv1a(body) != u64::from_le_bytes(*sum) {
+            return Err(bad("checkpoint checksum mismatch: truncated or corrupted"));
         }
-        let epoch = read_u64(&mut r)?;
-        let layers = read_u32(&mut r)? as usize;
-        if layers > 4096 {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "implausible layer count"));
-        }
-        let mut weights = Vec::with_capacity(layers);
-        let mut adam_m = Vec::with_capacity(layers);
-        let mut adam_v = Vec::with_capacity(layers);
+        let mut r = Reader(&body[MAGIC.len()..]);
+        let epoch = u64::from_le_bytes(r.take()?);
+        let layers = u32::from_le_bytes(r.take()?);
+        let mut ck = Self { epoch, weights: Vec::new(), adam_m: Vec::new(), adam_v: Vec::new() };
         for _ in 0..layers {
-            let rows = read_u32(&mut r)? as usize;
-            let cols = read_u32(&mut r)? as usize;
-            if rows.checked_mul(cols).is_none_or(|n| n > (1 << 30)) {
-                return Err(io::Error::new(io::ErrorKind::InvalidData, "implausible shape"));
+            let rows = u32::from_le_bytes(r.take()?) as usize;
+            let cols = u32::from_le_bytes(r.take()?) as usize;
+            for part in [&mut ck.weights, &mut ck.adam_m, &mut ck.adam_v] {
+                part.push(r.matrix(rows, cols)?);
             }
-            weights.push(read_matrix(&mut r, rows, cols)?);
-            adam_m.push(read_matrix(&mut r, rows, cols)?);
-            adam_v.push(read_matrix(&mut r, rows, cols)?);
         }
-        Ok(Self { epoch, weights, adam_m, adam_v })
+        if !r.0.is_empty() {
+            return Err(bad("bytes after the last checkpoint layer"));
+        }
+        Ok(ck)
+    }
+
+    /// Write to `path`.
+    pub fn save(&self, path: &Path) -> io::Result<()> {
+        std::fs::write(path, self.to_bytes())
+    }
+
+    /// Read from `path`, validating checksum, header and shapes.
+    pub fn load(path: &Path) -> io::Result<Self> {
+        Self::from_bytes(&std::fs::read(path)?)
     }
 
     /// Whether weights and both Adam moments have `cfg`'s layer count and
@@ -112,24 +125,29 @@ impl Checkpoint {
     }
 }
 
-fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
+/// The unread rest of a checkpoint body; every read is bounded by it.
+struct Reader<'a>(&'a [u8]);
 
-fn read_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
+impl Reader<'_> {
+    fn bytes(&mut self, n: usize) -> io::Result<&[u8]> {
+        let (head, rest) = self
+            .0
+            .split_at_checked(n)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "checkpoint ends early"))?;
+        self.0 = rest;
+        Ok(head)
+    }
 
-fn read_matrix(r: &mut impl Read, rows: usize, cols: usize) -> io::Result<Dense> {
-    let mut bytes = vec![0u8; rows * cols * 4];
-    r.read_exact(&mut bytes)?;
-    let data =
-        bytes.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect();
-    Ok(Dense::from_vec(rows, cols, data))
+    fn take<const N: usize>(&mut self) -> io::Result<[u8; N]> {
+        Ok(self.bytes(N)?.try_into().expect("bytes(N) is N long"))
+    }
+
+    fn matrix(&mut self, rows: usize, cols: usize) -> io::Result<Dense> {
+        let len = rows.checked_mul(cols).and_then(|n| n.checked_mul(4)).unwrap_or(usize::MAX);
+        let data =
+            self.bytes(len)?.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]));
+        Ok(Dense::from_vec(rows, cols, data.collect()))
+    }
 }
 
 #[cfg(test)]

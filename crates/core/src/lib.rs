@@ -20,13 +20,8 @@
 //! * [`metrics`] — epoch reports: simulated time, per-category breakdown,
 //!   loss/accuracy;
 //! * [`checkpoint`] — stop/resume support with bit-exact continuation;
-//! * [`attention`] — a GAT layer built on the SDDMM kernel (§7 future
-//!   work);
 //! * [`fit`] — convergence runs with early stopping and best-weights
-//!   tracking (the §6 accuracy-workflow);
-//! * [`distspmm`] — eager reference implementations of the 1D and 1.5D
-//!   distributed SpMM algorithms, the oracles the scheduled trainer is
-//!   tested against.
+//!   tracking (the §6 accuracy-workflow).
 //!
 //! # Quick start
 //!
@@ -47,10 +42,8 @@
 
 #![forbid(unsafe_code)]
 
-pub mod attention;
 pub mod checkpoint;
 pub mod config;
-pub mod distspmm;
 pub mod fit;
 pub mod loss;
 pub mod memplan;

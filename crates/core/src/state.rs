@@ -462,13 +462,8 @@ impl DeviceState {
     /// model checker's notion of "final model state". Bit-identical
     /// weights across linearizations ⟺ equal digests.
     pub fn weights_digest(&self) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
-        let mut mix = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
+        let mut h = FNV_OFFSET;
+        let mut mix = |bytes: &[u8]| h = fnv1a_from(h, bytes);
         for i in 0..self.gpus.len() {
             let g = self.gpu(i);
             for w in &g.weights {
@@ -481,6 +476,20 @@ impl DeviceState {
         }
         h
     }
+}
+
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+
+/// Continue an FNV-1a digest over `bytes`. Every step is a bijection of the
+/// state, so two inputs of equal length that differ in one byte never
+/// collide.
+fn fnv1a_from(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x100000001b3))
+}
+
+/// FNV-1a digest of `bytes`.
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_from(FNV_OFFSET, bytes)
 }
 
 #[cfg(test)]

@@ -28,7 +28,7 @@ use crate::deps::DepTracker;
 use crate::effects::Effects;
 use crate::specs::MachineSpec;
 use crate::timeline::{Category, Span, Timeline};
-use mggcn_sched::{Action, Component, DispatchSite, Injector, Policy, Scheduler, Stall};
+use mggcn_sched::{Action, Component, DispatchSite, Injector, Scheduler, Stall};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
@@ -416,22 +416,19 @@ impl<Ctx> Schedule<Ctx> {
     /// ascending op id — deterministic). Panics on deadlock with the
     /// historical message; the non-panicking form is [`Schedule::simulate_with`].
     pub fn simulate(&self) -> SimOutcome {
-        match self.simulate_with(Policy::DiscreteEvent, &Injector::none()) {
+        match self.simulate_with(&Injector::none()) {
             Ok(out) => out,
             Err(stall) => panic!("schedule deadlock at t={}: {:?}", stall.at, stall.stuck),
         }
     }
 
-    /// Run the DES under an explicit `mggcn-sched` policy and fault
-    /// injector.
+    /// Run the DES under a fault injector.
     ///
-    /// With [`Policy::DiscreteEvent`] and the no-op injector this is
-    /// bit-identical to [`Schedule::simulate`]: the scheduler hands the
-    /// rate core back the exact completion instants it reported, and the
-    /// core reuses the `dt` behind each one, so every span, makespan, and
-    /// completion-order entry matches the legacy loop bit for bit.
-    /// [`Policy::CycleSync`] advances on a fixed quantum instead
-    /// (completions detected at grid points — lockstep debugging).
+    /// With the no-op injector this is bit-identical to
+    /// [`Schedule::simulate`]: the scheduler hands the rate core back the
+    /// exact completion instants it reported, and the core reuses the `dt`
+    /// behind each one, so every span, makespan, and completion-order entry
+    /// matches the legacy loop bit for bit.
     ///
     /// Injection semantics:
     /// * [`Action::Pause`] at an op's promotion adds the pause to its
@@ -446,10 +443,9 @@ impl<Ctx> Schedule<Ctx> {
     /// Deadlocks surface as `Err(Stall)` instead of a panic, because under
     /// injected worker death a stall is an expected, bounded outcome rather
     /// than a schedule bug.
-    pub fn simulate_with(&self, policy: Policy, inj: &Injector) -> Result<SimOutcome, Stall> {
+    pub fn simulate_with(&self, inj: &Injector) -> Result<SimOutcome, Stall> {
         let mut core = RateCore::new(self, inj);
-        let mut driver = Scheduler::new(policy);
-        driver.run(&mut [&mut core], inj)?;
+        Scheduler::new().run(&mut [&mut core], inj)?;
         Ok(core.finish())
     }
 }
@@ -524,7 +520,7 @@ impl<Ctx> EpochPlan<Ctx> {
         let sim = OnceLock::new();
         let opaque = |op: &Op<Ctx>| op.body.is_some() && op.effects.is_empty();
         let timed = if sched.ops.iter().any(opaque) {
-            sched.simulate_with(Policy::DiscreteEvent, &Injector::none()).ok()
+            sched.simulate_with(&Injector::none()).ok()
         } else {
             None
         };

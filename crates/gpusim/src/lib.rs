@@ -7,8 +7,8 @@
 //! * [`specs`] — GPU and machine descriptions, including the NVLink
 //!   topologies whose link-count arithmetic drives the paper's §5.1
 //!   1D-vs-1.5D analysis;
-//! * [`memory`] — per-device memory accounting with hard OOM, reproducing
-//!   the "Out of Memory" cells of Figs 5, 7, 10, 13 and Table 3;
+//! * [`memory`] — the out-of-memory error behind the "Out of Memory"
+//!   cells of Figs 5, 7, 10, 13 and Table 3;
 //! * [`engine`] — CUDA-like streams/events and a rate-based discrete-event
 //!   simulator in which communication steals memory bandwidth from
 //!   concurrent memory-bound kernels (the §6.3 overlap penalty);
@@ -18,8 +18,7 @@
 //!   Adam, the loss layer, and collectives;
 //! * [`timeline`] — per-op span recording and the per-category aggregations
 //!   behind Figs 5, 6 and 8;
-//! * [`report`] — nvprof-style profiles (the §4 bottleneck methodology);
-//! * [`trace`] — Chrome-trace export for interactive timeline inspection.
+//! * [`report`] — nvprof-style profiles (the §4 bottleneck methodology).
 //!
 //! Kernels may carry *bodies* (closures over a user context) that execute in
 //! simulated-completion order, so the same schedule that is timed can also
@@ -71,12 +70,11 @@ pub mod report;
 pub mod shadow;
 pub mod specs;
 pub mod timeline;
-pub mod trace;
 
 pub use deps::infer_waits;
 pub use effects::{BufId, Effects, StaleRead};
 pub use engine::{EpochPlan, OpId, OpInfo, RunReport, Schedule, SimOutcome, Site, Work};
-pub use memory::{MemoryTracker, OomError};
+pub use memory::OomError;
 pub use model::CostModel;
 pub use report::{LatencyStats, Profile};
 pub use shadow::{ActualEffects, EffectRecorder};

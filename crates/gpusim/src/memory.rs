@@ -1,11 +1,11 @@
-//! Per-device memory accounting.
+//! The out-of-memory error.
 //!
 //! The paper's capacity results (which datasets fit on how many GPUs, the
 //! 20-vs-50 / 150-vs-450 layer counts of Fig 12, the OOM cells of Figs 10
-//! and 13 and Table 3) are pure accounting: sum of live allocations versus
-//! 32/80 GiB. The tracker enforces exactly that.
+//! and 13 and Table 3) are pure accounting: planned bytes versus 32/80 GiB.
+//! The trainer admits a problem on its `MemoryPlan` and reports a miss as
+//! an [`OomError`].
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Allocation failure: the device would exceed capacity.
@@ -33,134 +33,3 @@ impl fmt::Display for OomError {
 }
 
 impl std::error::Error for OomError {}
-
-/// Handle to a live allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct AllocId(u64);
-
-/// Memory tracker for one device.
-#[derive(Debug, Clone)]
-pub struct MemoryTracker {
-    gpu: usize,
-    capacity: u64,
-    in_use: u64,
-    peak: u64,
-    next_id: u64,
-    live: BTreeMap<AllocId, (String, u64)>,
-}
-
-impl MemoryTracker {
-    pub fn new(gpu: usize, capacity: u64) -> Self {
-        Self { gpu, capacity, in_use: 0, peak: 0, next_id: 0, live: BTreeMap::new() }
-    }
-
-    /// Reserve `bytes`, failing with [`OomError`] when capacity would be
-    /// exceeded. `tag` names the buffer for diagnostics and reports.
-    pub fn alloc(&mut self, tag: &str, bytes: u64) -> Result<AllocId, OomError> {
-        if self.in_use + bytes > self.capacity {
-            return Err(OomError {
-                gpu: self.gpu,
-                requested: bytes,
-                in_use: self.in_use,
-                capacity: self.capacity,
-                tag: tag.to_string(),
-            });
-        }
-        let id = AllocId(self.next_id);
-        self.next_id += 1;
-        self.in_use += bytes;
-        self.peak = self.peak.max(self.in_use);
-        self.live.insert(id, (tag.to_string(), bytes));
-        Ok(id)
-    }
-
-    /// Release an allocation. Panics on double free (a schedule bug, not a
-    /// recoverable condition).
-    pub fn free(&mut self, id: AllocId) {
-        let (_, bytes) = self.live.remove(&id).expect("free of unknown allocation");
-        self.in_use -= bytes;
-    }
-
-    pub fn in_use(&self) -> u64 {
-        self.in_use
-    }
-
-    /// High-water mark — the number the paper's Fig 12 plots.
-    pub fn peak(&self) -> u64 {
-        self.peak
-    }
-
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    /// Live allocations as `(tag, bytes)`, largest first.
-    pub fn live_report(&self) -> Vec<(String, u64)> {
-        let mut v: Vec<(String, u64)> = self.live.values().cloned().collect();
-        v.sort_by_key(|e| std::cmp::Reverse(e.1));
-        v
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn alloc_free_cycle() {
-        let mut t = MemoryTracker::new(0, 1000);
-        let a = t.alloc("x", 400).unwrap();
-        let b = t.alloc("y", 500).unwrap();
-        assert_eq!(t.in_use(), 900);
-        t.free(a);
-        assert_eq!(t.in_use(), 500);
-        t.free(b);
-        assert_eq!(t.in_use(), 0);
-        assert_eq!(t.peak(), 900);
-    }
-
-    #[test]
-    fn oom_on_exceeding_capacity() {
-        let mut t = MemoryTracker::new(3, 100);
-        t.alloc("a", 80).unwrap();
-        let err = t.alloc("big", 30).unwrap_err();
-        assert_eq!(err.gpu, 3);
-        assert_eq!(err.in_use, 80);
-        assert_eq!(err.requested, 30);
-    }
-
-    #[test]
-    fn exact_fit_is_allowed() {
-        let mut t = MemoryTracker::new(0, 100);
-        assert!(t.alloc("a", 100).is_ok());
-        assert!(t.alloc("b", 1).is_err());
-    }
-
-    #[test]
-    fn peak_survives_frees() {
-        let mut t = MemoryTracker::new(0, 1000);
-        let a = t.alloc("a", 700).unwrap();
-        t.free(a);
-        t.alloc("b", 100).unwrap();
-        assert_eq!(t.peak(), 700);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown allocation")]
-    fn double_free_panics() {
-        let mut t = MemoryTracker::new(0, 100);
-        let a = t.alloc("a", 10).unwrap();
-        t.free(a);
-        t.free(a);
-    }
-
-    #[test]
-    fn live_report_sorted() {
-        let mut t = MemoryTracker::new(0, 1000);
-        t.alloc("small", 10).unwrap();
-        t.alloc("large", 500).unwrap();
-        let report = t.live_report();
-        assert_eq!(report[0].0, "large");
-        assert_eq!(report[1].1, 10);
-    }
-}

@@ -2,7 +2,7 @@
 //! cost models: conservation laws that must hold for any schedule.
 
 use mggcn_gpusim::engine::OpDesc;
-use mggcn_gpusim::{Category, CostModel, GpuSpec, MachineSpec, MemoryTracker, Schedule, Work};
+use mggcn_gpusim::{Category, CostModel, GpuSpec, MachineSpec, Schedule, Work};
 use proptest::prelude::*;
 
 fn machine(gpus: usize) -> MachineSpec {
@@ -152,26 +152,6 @@ proptest! {
                     prop_assert!(w[0].end <= w[1].start + 1e-9, "lane overlap");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn memory_tracker_conserves(ops in proptest::collection::vec((1u64..1000, any::<bool>()), 1..50)) {
-        let mut t = MemoryTracker::new(0, u64::MAX);
-        let mut live = Vec::new();
-        let mut expected = 0u64;
-        for (bytes, free_one) in ops {
-            if free_one && !live.is_empty() {
-                let (id, b): (_, u64) = live.pop().unwrap();
-                t.free(id);
-                expected -= b;
-            } else {
-                let id = t.alloc("x", bytes).unwrap();
-                live.push((id, bytes));
-                expected += bytes;
-            }
-            prop_assert_eq!(t.in_use(), expected);
-            prop_assert!(t.peak() >= t.in_use());
         }
     }
 

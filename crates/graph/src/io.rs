@@ -66,10 +66,14 @@ pub fn parse_edge_list(text: &str, n: Option<usize>) -> Result<Csr, IoError> {
                     .ok_or(IoError::Parse { line: line.into(), reason: "missing target" })?
                     .parse()
                     .map_err(|_| IoError::Parse { line: line.into(), reason: "bad target" })?;
+                // `f32::from_str` takes `nan` and `inf`; an adjacency entry
+                // must be a number every kernel can multiply by.
                 let w: f32 = match it.next() {
                     Some(s) => s
                         .parse()
-                        .map_err(|_| IoError::Parse { line: line.into(), reason: "bad weight" })?,
+                        .ok()
+                        .filter(|w: &f32| w.is_finite())
+                        .ok_or(IoError::Parse { line: line.into(), reason: "bad weight" })?,
                     None => 1.0,
                 };
                 edges.push((u, v, w));
@@ -106,8 +110,10 @@ fn line_chunks(text: &str, want: usize) -> Vec<&str> {
     let mut chunks = Vec::with_capacity(want + 1);
     let mut start = 0;
     while start < text.len() {
+        // Search bytes, not `text[tentative..]`: `tentative` may fall inside
+        // a multi-byte character, one past a newline never does.
         let tentative = (start + step).min(text.len());
-        let end = match text[tentative..].find('\n') {
+        let end = match text.as_bytes()[tentative..].iter().position(|&b| b == b'\n') {
             Some(off) => tentative + off + 1,
             None => text.len(),
         };
@@ -168,6 +174,23 @@ mod tests {
         assert!(parse_edge_list("a b\n", None).is_err());
         assert!(parse_edge_list("1\n", None).is_err());
         assert!(parse_edge_list("", None).is_err());
+    }
+
+    #[test]
+    fn parse_rejects_non_finite_weights() {
+        for w in ["nan", "NaN", "inf", "-inf", "infinity", "1e99"] {
+            let err = parse_edge_list(&format!("0 1 {w}\n"), None).unwrap_err();
+            assert!(matches!(err, IoError::Parse { reason: "bad weight", .. }), "{w}: {err}");
+        }
+    }
+
+    #[test]
+    fn chunking_never_splits_a_multibyte_character() {
+        let text = "# café ☕ — ünïcödé header\n0 1\n# ☕☕☕☕☕☕☕☕\n1 2\n".repeat(7);
+        for want in 1..40 {
+            assert_eq!(line_chunks(&text, want).concat(), text);
+        }
+        assert_eq!(parse_edge_list(&text, None).unwrap().nnz(), 2);
     }
 
     #[test]

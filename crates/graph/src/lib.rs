@@ -41,7 +41,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod connectivity;
 pub mod datasets;
 pub mod generators;
 pub mod graph;

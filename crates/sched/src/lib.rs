@@ -5,21 +5,14 @@
 //! that is ready at the current instant), [`Component::next_event`] (the next
 //! instant at which something it owns completes), and [`Component::advance`]
 //! (move internal state to a later instant, retiring finished work) — and a
-//! [`Scheduler`] drives an arbitrary set of components under a pluggable
-//! [`Policy`]:
-//!
-//! * [`Policy::DiscreteEvent`] jumps straight to the earliest pending event,
-//!   which is the behavior of the original `gpusim` engine loop, the serve
-//!   batcher, and the cluster shard loop.  When a single component is driven
-//!   this way the schedule it produces is *bit-identical* to the legacy
-//!   hand-rolled loops: the scheduler hands the component back the exact
-//!   `f64` it reported from `next_event`, and components cache the `dt` they
-//!   used to compute that target so no `(t + dt) - t` float round-trip occurs.
-//! * [`Policy::CycleSync`] steps time on a fixed quantum and advances every
-//!   component in lockstep.  Completions are detected at grid points, so
-//!   makespans are quantized up; this mode exists for lockstep debugging and
-//!   for conformance tests that want a second, independently-ordered
-//!   execution of the same schedule.
+//! [`Scheduler`] drives an arbitrary set of components as a discrete-event
+//! loop: it jumps straight to the earliest pending event, which is the
+//! behavior of the original `gpusim` engine loop, the serve batcher, and the
+//! cluster shard loop.  When a single component is driven this way the
+//! schedule it produces is *bit-identical* to the legacy hand-rolled loops:
+//! the scheduler hands the component back the exact `f64` it reported from
+//! `next_event`, and components cache the `dt` they used to compute that
+//! target so no `(t + dt) - t` float round-trip occurs.
 //!
 //! Every dispatch point in the ported subsystems consults an
 //! [`inject::Injector`], which resolves a seeded [`inject::FaultPlan`] into
@@ -41,20 +34,6 @@ pub use queue::EventQueue;
 /// Simulated time, in seconds.  `f64` to match the rate-based engine.
 pub type Time = f64;
 
-/// How the scheduler chooses the next instant to advance to.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Policy {
-    /// Jump to the earliest event reported by any component.  Exact: the
-    /// reported `f64` is passed back to `advance` unchanged.
-    DiscreteEvent,
-    /// Advance all components in lockstep on a fixed time quantum.
-    /// Completions land on grid points; intended for debugging/conformance.
-    CycleSync {
-        /// Step size in seconds.  Must be finite and > 0.
-        quantum: Time,
-    },
-}
-
 /// A schedulable unit of work with its own internal state.
 ///
 /// Contract (upheld by [`Scheduler::run`]):
@@ -65,8 +44,8 @@ pub enum Policy {
 ///    consumes it, with no dispatches in between; a component may therefore
 ///    cache rate computations (and the exact completion target) between the
 ///    two calls.
-/// 3. `advance` is called with `next >= now`; under `DiscreteEvent`, `next`
-///    is bit-equal to some component's reported `next_event`.
+/// 3. `advance` is called with `next >= now`, bit-equal to some component's
+///    reported `next_event`.
 pub trait Component {
     /// Short label for stall diagnostics.
     fn label(&self) -> String;
@@ -121,22 +100,16 @@ impl std::fmt::Display for Stall {
 
 impl std::error::Error for Stall {}
 
-/// Drives a set of [`Component`]s to completion under a [`Policy`].
-#[derive(Debug)]
+/// Drives a set of [`Component`]s to completion, jumping from event to
+/// event.
+#[derive(Debug, Default)]
 pub struct Scheduler {
-    policy: Policy,
     now: Time,
 }
 
 impl Scheduler {
-    pub fn new(policy: Policy) -> Self {
-        if let Policy::CycleSync { quantum } = policy {
-            assert!(
-                quantum.is_finite() && quantum > 0.0,
-                "CycleSync quantum must be finite and positive, got {quantum}"
-            );
-        }
-        Scheduler { policy, now: 0.0 }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Current scheduler time.
@@ -185,15 +158,10 @@ impl Scheduler {
                 }
             }
 
-            let Some(eta) = eta else {
+            // Hand back the reported f64 unchanged: components that cached
+            // the dt behind it will recognize it bit-for-bit.
+            let Some(next) = eta else {
                 return Err(self.stall(comps));
-            };
-
-            let next = match self.policy {
-                // Hand back the reported f64 unchanged: components that
-                // cached the dt behind it will recognize it bit-for-bit.
-                Policy::DiscreteEvent => eta,
-                Policy::CycleSync { quantum } => self.now + quantum,
             };
 
             let mut retired = false;
@@ -301,7 +269,7 @@ mod tests {
     fn discrete_event_runs_fifo_lane() {
         let inj = Injector::none();
         let mut lane = Lane::new(vec![1.0, 2.0, 0.5]);
-        let mut s = Scheduler::new(Policy::DiscreteEvent);
+        let mut s = Scheduler::new();
         let out = s.run(&mut [&mut lane], &inj).unwrap();
         assert_eq!(out.makespan, 3.5);
         assert_eq!(lane.finished, vec![1.0, 3.0, 3.5]);
@@ -311,7 +279,7 @@ mod tests {
     fn zero_duration_jobs_terminate() {
         let inj = Injector::none();
         let mut lane = Lane::new(vec![0.0, 0.0, 1.0]);
-        let mut s = Scheduler::new(Policy::DiscreteEvent);
+        let mut s = Scheduler::new();
         let out = s.run(&mut [&mut lane], &inj).unwrap();
         assert_eq!(out.makespan, 1.0);
         assert_eq!(lane.finished.len(), 3);
@@ -322,7 +290,7 @@ mod tests {
         let inj = Injector::none();
         let mut a = Lane::new(vec![1.0, 1.0]);
         let mut b = Lane::new(vec![0.5, 0.5, 0.5]);
-        let mut s = Scheduler::new(Policy::DiscreteEvent);
+        let mut s = Scheduler::new();
         let out = s.run(&mut [&mut a, &mut b], &inj).unwrap();
         assert_eq!(out.makespan, 2.0);
         assert_eq!(a.finished, vec![1.0, 2.0]);
@@ -334,32 +302,9 @@ mod tests {
         let inj = Injector::none();
         let mut lane = Lane::new(vec![1.0]);
         let mut wedge = Wedge;
-        let mut s = Scheduler::new(Policy::DiscreteEvent);
+        let mut s = Scheduler::new();
         let err = s.run(&mut [&mut lane, &mut wedge], &inj).unwrap_err();
         assert_eq!(err.at, 1.0);
         assert_eq!(err.stuck, vec!["wedged".to_string()]);
-    }
-
-    #[test]
-    fn cycle_sync_quantizes_completions_up() {
-        let inj = Injector::none();
-        let mut lane = Lane::new(vec![1.0, 2.0, 0.5]);
-        let mut s = Scheduler::new(Policy::CycleSync { quantum: 0.25 });
-        let out = s.run(&mut [&mut lane], &inj).unwrap();
-        // Durations align to the grid, so the makespan matches DES here.
-        assert_eq!(out.makespan, 3.5);
-        assert_eq!(lane.finished, vec![1.0, 3.0, 3.5]);
-
-        // Off-grid durations round completion detection up to grid points.
-        let mut lane = Lane::new(vec![0.3]);
-        let mut s = Scheduler::new(Policy::CycleSync { quantum: 0.25 });
-        let out = s.run(&mut [&mut lane], &inj).unwrap();
-        assert_eq!(out.makespan, 0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "quantum must be finite and positive")]
-    fn cycle_sync_rejects_bad_quantum() {
-        let _ = Scheduler::new(Policy::CycleSync { quantum: 0.0 });
     }
 }

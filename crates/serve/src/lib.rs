@@ -56,6 +56,4 @@ pub use batcher::{form_batches, Batch, BatchPolicy, Request};
 pub use cache::{CacheStats, PropagationCache};
 pub use loadgen::{generate as generate_load, summarize, LoadGenConfig, TraceSummary};
 pub use model::ServingModel;
-pub use server::{
-    validate_report_json, validate_serve_bench, BatchCtx, ServeConfig, ServeReport, Server,
-};
+pub use server::{BatchCtx, ServeConfig, ServeReport, Server};

@@ -17,6 +17,9 @@
 //! bit-exact.
 
 use mggcn_core::checkpoint::Checkpoint;
+use mggcn_core::config::{GcnConfig, TrainOptions};
+use mggcn_core::problem::Problem;
+use mggcn_core::trainer::Trainer;
 use mggcn_dense::{gemm, relu_inplace, Accumulate, Dense};
 use mggcn_graph::sampling::khop_neighborhood;
 use mggcn_graph::Graph;
@@ -38,6 +41,18 @@ impl ServingModel {
     /// chain does not compose with the feature width.
     pub fn from_checkpoint(checkpoint: &Checkpoint, graph: &Graph) -> Result<Self, String> {
         Self::from_parts(checkpoint.weights.clone(), graph.adj.clone(), graph.features.clone())
+    }
+
+    /// Train a 2-layer GCN of width `hidden` on `graph` for `epochs` epochs
+    /// (two simulated GPUs, [`TrainOptions::quick`]) and freeze it: the
+    /// model the serving and cluster studies run on.
+    pub fn train(graph: &Graph, hidden: usize, epochs: usize) -> Result<Self, String> {
+        let cfg = GcnConfig::new(graph.features.cols(), &[hidden], graph.classes);
+        let opts = TrainOptions::quick(2);
+        let problem = Problem::from_graph(graph, &cfg, &opts);
+        let mut trainer = Trainer::new(problem, cfg, opts).map_err(|e| e.to_string())?;
+        trainer.train(epochs).map_err(|e| e.to_string())?;
+        Self::from_checkpoint(&Checkpoint::from_trainer(&trainer), graph)
     }
 
     /// Freeze explicit weights over an adjacency + feature matrix.

@@ -36,9 +36,9 @@ use mggcn_gpusim::{
     BufId, Category, CostModel, Effects, LatencyStats, MachineSpec, Schedule, Work,
 };
 use mggcn_graph::sampling::{khop_induced, InducedBlock};
-use mggcn_sched::{Action, Component, DispatchSite, EventQueue, Injector, Policy, Scheduler};
+use mggcn_sched::{Action, Component, DispatchSite, EventQueue, Injector, Scheduler};
 use mggcn_sparse::spmm_rows;
-use mggcn_trace::json::{self, JsonWriter};
+use mggcn_trace::json::JsonWriter;
 use std::sync::{Arc, Mutex};
 
 /// Serving configuration: hardware, cost model, batching and cache knobs.
@@ -341,7 +341,7 @@ impl Server {
                 compute_seconds: 0.0,
                 last_done: 0.0,
             };
-            Scheduler::new(Policy::DiscreteEvent)
+            Scheduler::new()
                 .run(&mut [&mut sweep], inj)
                 .expect("batch sweep cannot stall: every batch has a ready time");
             (sweep.latency, sweep.compute_seconds, sweep.last_done)
@@ -744,54 +744,13 @@ fn lock_ctx(ctx: &Mutex<BatchCtx>) -> std::sync::MutexGuard<'_, BatchCtx> {
     ctx.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Schema-validate one serialized [`ServeReport`] object.
-pub fn validate_report_json(v: &json::Value) -> Result<(), String> {
-    v.get("label").and_then(json::Value::as_str).ok_or("report missing string `label`")?;
-    for key in ["requests", "batches", "mean_batch", "duration_s", "throughput_rps", "compute_s"] {
-        v.get(key).and_then(json::Value::as_num).ok_or(format!("report missing number `{key}`"))?;
-    }
-    let latency = v.get("latency_ms").ok_or("report missing `latency_ms`")?;
-    for key in ["mean", "p50", "p95", "p99", "max"] {
-        latency
-            .get(key)
-            .and_then(json::Value::as_num)
-            .ok_or(format!("latency_ms missing number `{key}`"))?;
-    }
-    let cache = v.get("cache").ok_or("report missing `cache`")?;
-    for key in ["hits", "misses", "evictions", "invalidations", "hit_rate"] {
-        cache.get(key).and_then(json::Value::as_num).ok_or(format!("cache missing `{key}`"))?;
-    }
-    Ok(())
-}
-
-/// Schema-validate the full `mggcn serve-bench` JSON document: top-level
-/// knobs, a non-empty `configs` array of well-formed reports, and the
-/// derived comparison metrics. This is the CI contract for the artifact.
-pub fn validate_serve_bench(text: &str) -> Result<(), String> {
-    let v = json::parse(text)?;
-    for key in ["qps", "batch_window_s", "max_batch", "cache_mb", "gpus", "batching_speedup"] {
-        v.get(key).and_then(json::Value::as_num).ok_or(format!("missing number `{key}`"))?;
-    }
-    v.get("warm_compute_reduction")
-        .and_then(json::Value::as_num)
-        .ok_or("missing number `warm_compute_reduction`")?;
-    let configs =
-        v.get("configs").and_then(json::Value::as_arr).ok_or("missing array `configs`")?;
-    if configs.is_empty() {
-        return Err("`configs` must not be empty".into());
-    }
-    for (i, c) in configs.iter().enumerate() {
-        validate_report_json(c).map_err(|e| format!("configs[{i}]: {e}"))?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::batcher::BatchPolicy;
     use mggcn_gpusim::MachineSpec;
     use mggcn_graph::generators::chung_lu;
+    use mggcn_trace::json;
 
     fn tiny_server(cache_bytes: usize) -> (Server, Dense) {
         let n = 48;
@@ -813,20 +772,21 @@ mod tests {
         assert_eq!(r.batches, 0);
         assert_eq!(r.p99_ms, 0.0);
         assert_eq!(r.throughput_rps, 0.0);
-        // And its JSON is still schema-valid.
-        validate_report_json(&json::parse(&r.to_json()).unwrap()).unwrap();
+        json::parse(&r.to_json()).expect("and its JSON still parses");
     }
 
     #[test]
-    fn report_json_emitted_by_shared_writer_is_schema_valid() {
+    fn report_json_parses_back() {
         let (mut server, _) = tiny_server(1 << 16);
         let reqs: Vec<Request> = (0..20)
             .map(|i| Request { id: i, vertex: (i % 13) as u32, arrival: i as f64 * 1e-4 })
             .collect();
         let r = server.serve("smoke", &reqs);
         let v = json::parse(&r.to_json()).expect("valid JSON");
-        validate_report_json(&v).expect("schema-valid report");
+        assert_eq!(v.get("label").and_then(json::Value::as_str), Some("smoke"));
         assert_eq!(v.get("requests").unwrap().as_num(), Some(20.0));
+        assert!(v.get("latency_ms").and_then(|l| l.get("p99")).is_some());
+        assert!(v.get("cache").and_then(|c| c.get("hit_rate")).is_some());
     }
 
     #[test]
@@ -856,26 +816,5 @@ mod tests {
         let (warm2, _) = server.degraded_answer(3);
         assert_eq!(warm, warm2, "degraded path must be deterministic");
         assert_eq!(warm.len(), server.model().out_dim());
-    }
-
-    #[test]
-    fn validate_serve_bench_accepts_good_and_rejects_bad() {
-        let (mut server, _) = tiny_server(0);
-        let reqs: Vec<Request> =
-            (0..8).map(|i| Request { id: i, vertex: i as u32, arrival: i as f64 * 1e-4 }).collect();
-        let report = server.serve("cfg", &reqs).to_json();
-        let doc = JsonWriter::new()
-            .f64("qps", 1000.0, 1)
-            .f64("batch_window_s", 1e-3, 6)
-            .u64("max_batch", 8)
-            .u64("cache_mb", 0)
-            .u64("gpus", 1)
-            .arr("configs", &[report])
-            .f64("batching_speedup", 1.0, 3)
-            .f64("warm_compute_reduction", 0.0, 4)
-            .finish();
-        validate_serve_bench(&doc).expect("well-formed bench document");
-        assert!(validate_serve_bench("{}").is_err());
-        assert!(validate_serve_bench("{\"qps\":1}").is_err());
     }
 }

@@ -9,10 +9,7 @@
 //! * partition vectors (paper eq. 13) and symmetric 2D tiling
 //!   (paper eqs. 14–15),
 //! * a Rayon-parallel CSR [`spmm()`](spmm::spmm) kernel with an accumulate variant for the
-//!   staged multi-GPU algorithm,
-//! * the [`sddmm()`](sddmm::sddmm) kernel (+ row-wise softmax) for attention models — the
-//!   paper's §7 future-work item, which shares SpMM's tiling and
-//!   communication structure.
+//!   staged multi-GPU algorithm.
 
 //! # Example
 //!
@@ -43,14 +40,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod csc;
 pub mod csr;
 pub mod partition;
-pub mod sddmm;
 pub mod spmm;
 
-pub use csc::{spmm_csc, Csc};
 pub use csr::{Coo, Csr};
 pub use partition::{PartitionVec, Tile, TileGrid};
-pub use sddmm::{rowwise_softmax, sddmm};
 pub use spmm::{spmm, spmm_rows};

@@ -27,9 +27,7 @@ use mggcn_gpusim::engine::OpDesc;
 use mggcn_gpusim::{Category, GpuSpec, MachineSpec, Schedule, Work};
 use mggcn_graph::generators::chung_lu;
 use mggcn_graph::generators::sbm::{self, SbmConfig};
-use mggcn_sched::{
-    chaos_seed, chaos_seed_count, FaultPlan, Injector, Kill, Policy, Scenario, ShardLoss,
-};
+use mggcn_sched::{chaos_seed, chaos_seed_count, FaultPlan, Injector, Kill, Scenario, ShardLoss};
 use mggcn_serve::{BatchPolicy, LoadGenConfig, Request, ServingModel};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -63,9 +61,7 @@ fn epoch_schedule(gpus: usize) -> Schedule<mggcn_core::state::DeviceState> {
 fn noop_injector_is_bit_identical_to_the_legacy_simulator() {
     let s = epoch_schedule(2);
     let base = s.simulate();
-    let alt = s
-        .simulate_with(Policy::DiscreteEvent, &Injector::none())
-        .expect("fault-free run cannot stall");
+    let alt = s.simulate_with(&Injector::none()).expect("fault-free run cannot stall");
     assert_eq!(
         base.report.makespan.to_bits(),
         alt.report.makespan.to_bits(),
@@ -89,7 +85,7 @@ fn slow_links_terminate_and_never_beat_the_fault_free_oracle() {
         let plan = FaultPlan::seeded(seed, Scenario::SlowLink { gpus: 2 });
         let start = Instant::now();
         let a = s
-            .simulate_with(Policy::DiscreteEvent, &Injector::new(plan.clone()))
+            .simulate_with(&Injector::new(plan.clone()))
             .unwrap_or_else(|st| panic!("slow links must be recoverable (seed {seed}): {st}"));
         assert!(start.elapsed() < BOUND, "seed {seed} blew the time bound");
         assert!(
@@ -102,7 +98,7 @@ fn slow_links_terminate_and_never_beat_the_fault_free_oracle() {
         set.sort_unstable();
         assert_eq!(set, base_set, "seed {seed}: ops lost or duplicated");
         // Replay: the same seed must reproduce the run bit for bit.
-        let b = s.simulate_with(Policy::DiscreteEvent, &Injector::new(plan)).expect("replay");
+        let b = s.simulate_with(&Injector::new(plan)).expect("replay");
         assert_eq!(a.report.makespan.to_bits(), b.report.makespan.to_bits(), "seed {seed}");
         assert_eq!(a.completion_order, b.completion_order, "seed {seed}");
     }
@@ -137,7 +133,7 @@ fn nic_degrade_delays_15d_multinode_runs_but_loses_nothing() {
         let plan = FaultPlan::seeded(seed, Scenario::NicDegrade { nodes: 2, gpus_per_node: 2 });
         let start = Instant::now();
         let a = s
-            .simulate_with(Policy::DiscreteEvent, &Injector::new(plan.clone()))
+            .simulate_with(&Injector::new(plan.clone()))
             .unwrap_or_else(|st| panic!("NIC degradation must be recoverable (seed {seed}): {st}"));
         assert!(start.elapsed() < BOUND, "seed {seed} blew the time bound");
         // Lossless: every op completes, exactly once.
@@ -153,7 +149,7 @@ fn nic_degrade_delays_15d_multinode_runs_but_loses_nothing() {
             base.report.makespan
         );
         // Replay: the seed is the whole story.
-        let b = s.simulate_with(Policy::DiscreteEvent, &Injector::new(plan)).expect("replay");
+        let b = s.simulate_with(&Injector::new(plan)).expect("replay");
         assert_eq!(a.report.makespan.to_bits(), b.report.makespan.to_bits(), "seed {seed}");
         assert_eq!(a.completion_order, b.completion_order, "seed {seed}");
     }
@@ -171,7 +167,7 @@ fn sim_worker_death_stalls_bounded_with_the_stuck_lanes_named() {
     let plan =
         FaultPlan { kills: (0..2).map(|g| Kill { gpu: g, seq: 0 }).collect(), ..FaultPlan::none() };
     let start = Instant::now();
-    let stall = match s.simulate_with(Policy::DiscreteEvent, &Injector::new(plan)) {
+    let stall = match s.simulate_with(&Injector::new(plan)) {
         Err(stall) => stall,
         Ok(_) => panic!("a killed head op must stall the schedule"),
     };
@@ -192,7 +188,7 @@ fn seeded_worker_death_either_fails_labeled_or_matches_the_oracle() {
     for seed in seeds() {
         let plan = FaultPlan::seeded(seed, Scenario::WorkerDeath { gpus: 2, ops_per_gpu: n_ops });
         let start = Instant::now();
-        match s.simulate_with(Policy::DiscreteEvent, &Injector::new(plan)) {
+        match s.simulate_with(&Injector::new(plan)) {
             // The kill coordinate missed (wrong GPU for that op id):
             // the run must then be indistinguishable from fault-free.
             Ok(out) => {
@@ -205,34 +201,6 @@ fn seeded_worker_death_either_fails_labeled_or_matches_the_oracle() {
         }
         assert!(start.elapsed() < BOUND, "seed {seed} blew the time bound");
     }
-}
-
-// ---------------------------------------------------------------------
-// Lockstep conformance: CycleSync is a debugging view of the same run.
-// ---------------------------------------------------------------------
-
-#[test]
-fn cyclesync_retires_the_same_ops_with_quantized_makespan() {
-    let s = epoch_schedule(2);
-    let base = s.simulate();
-    let quantum = (base.report.makespan / 512.0).max(1e-7);
-    let lock = s
-        .simulate_with(Policy::CycleSync { quantum }, &Injector::none())
-        .expect("lockstep run cannot stall");
-    assert_eq!(lock.report.ops_executed, base.report.ops_executed);
-    let (mut a, mut b) = (lock.completion_order.clone(), base.completion_order.clone());
-    a.sort_unstable();
-    b.sort_unstable();
-    assert_eq!(a, b, "lockstep lost or duplicated ops");
-    // Completions quantize to grid points: never earlier than the DES
-    // oracle, and at most one quantum of slack per retirement round.
-    assert!(lock.report.makespan >= base.report.makespan - 1e-12);
-    let bound = base.report.makespan + quantum * (base.report.ops_executed as f64 + 2.0);
-    assert!(
-        lock.report.makespan <= bound,
-        "lockstep makespan {} exceeds quantized bound {bound}",
-        lock.report.makespan
-    );
 }
 
 // ---------------------------------------------------------------------
@@ -454,7 +422,7 @@ fn sim_stale_epoch_kill_stalls_labeled_or_matches_the_oracle() {
         let plan =
             FaultPlan::seeded(seed, Scenario::StaleEpochKill { gpus: 2, ops_per_epoch: n_ops / 3 });
         let start = Instant::now();
-        match s.simulate_with(Policy::DiscreteEvent, &Injector::new(plan)) {
+        match s.simulate_with(&Injector::new(plan)) {
             // Kill coordinate missed (wrong GPU for that op id): the run
             // must be indistinguishable from fault-free.
             Ok(out) => {

@@ -2,7 +2,9 @@
 //! is invisible. For any P, graph seed, and split point, save → disk →
 //! load → restore → train must be *bit-identical* to training straight
 //! through — restore copies exact f32 state and execution is
-//! deterministic, so this one regime admits no tolerance at all.
+//! deterministic, so this one regime admits no tolerance at all. And a
+//! damaged file is refused whole: no truncation and no flipped bit ever
+//! reaches a trainer.
 
 use mggcn_core::checkpoint::Checkpoint;
 use mggcn_core::config::{GcnConfig, TrainOptions};
@@ -30,6 +32,36 @@ fn moments(t: &Trainer) -> (Vec<Vec<f32>>, Vec<Vec<f32>>) {
         g0.adam_m.iter().map(|m| m.as_slice().to_vec()).collect(),
         g0.adam_v.iter().map(|m| m.as_slice().to_vec()).collect(),
     )
+}
+
+/// Exhaustive over one small checkpoint: cut the file at every offset,
+/// flip every single bit, append a byte. Each is `InvalidData`, and the
+/// trainer it was offered to stays bit-equal to what it was.
+#[test]
+fn every_truncation_and_bit_flip_is_refused_and_the_trainer_untouched() {
+    let mut t = trainer(5, 2);
+    t.train(2).expect("train");
+    let before = Checkpoint::from_trainer(&t);
+    let good = before.to_bytes();
+    assert_eq!(Checkpoint::from_bytes(&good).expect("the undamaged file loads"), before);
+
+    let mut offer = |bytes: &[u8], what: String| {
+        let refused = Checkpoint::from_bytes(bytes).and_then(|ck| ck.restore_into(&mut t));
+        let kind = refused.expect_err(&what).kind();
+        assert_eq!(kind, std::io::ErrorKind::InvalidData, "{what}");
+    };
+    for cut in 0..good.len() {
+        offer(&good[..cut], format!("accepted a file truncated to {cut} bytes"));
+    }
+    let mut bad = good.clone();
+    for bit in 0..good.len() * 8 {
+        bad[bit / 8] ^= 1 << (bit % 8);
+        offer(&bad, format!("accepted a file with bit {bit} flipped"));
+        bad[bit / 8] ^= 1 << (bit % 8);
+    }
+    bad.push(0);
+    offer(&bad, "accepted a trailing byte".into());
+    assert_eq!(Checkpoint::from_trainer(&t), before, "a refused file wrote trainer state");
 }
 
 proptest! {

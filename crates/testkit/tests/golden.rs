@@ -18,48 +18,7 @@ use mggcn_core::problem::Problem;
 use mggcn_core::trainer::Trainer;
 use mggcn_graph::generators::sbm::{self, SbmConfig};
 use mggcn_graph::Graph;
-use std::path::PathBuf;
-
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("goldens").join(name)
-}
-
-fn check_golden(name: &str, actual: &str) {
-    let path = golden_path(name);
-    if std::env::var("UPDATE_GOLDENS").as_deref() == Ok("1") {
-        std::fs::create_dir_all(path.parent().expect("goldens dir")).expect("mkdir goldens");
-        std::fs::write(&path, actual).expect("write golden");
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|_| {
-        panic!("missing golden {name}; generate with UPDATE_GOLDENS=1 cargo test -p mggcn-testkit --test golden")
-    });
-    if want != actual {
-        let diff_line = want
-            .lines()
-            .zip(actual.lines())
-            .position(|(a, b)| a != b)
-            .map(|i| {
-                format!(
-                    "first differing line {}:\n  golden: {}\n  actual: {}",
-                    i + 1,
-                    want.lines().nth(i).unwrap_or("<eof>"),
-                    actual.lines().nth(i).unwrap_or("<eof>")
-                )
-            })
-            .unwrap_or_else(|| {
-                format!(
-                    "line counts differ: golden {} vs actual {}",
-                    want.lines().count(),
-                    actual.lines().count()
-                )
-            });
-        panic!(
-            "schedule drifted from golden {name}; {diff_line}\n\
-             If the change is intentional, regenerate with UPDATE_GOLDENS=1."
-        );
-    }
-}
+use mggcn_testkit::check_golden;
 
 fn graph() -> Graph {
     sbm::generate(&SbmConfig::community_benchmark(60, 3), 5)

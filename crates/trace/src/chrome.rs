@@ -144,41 +144,6 @@ pub fn validate_chrome_trace(text: &str) -> Result<ChromeSummary, String> {
     Ok(summary)
 }
 
-/// Validate a `BENCH_trace.json` document: the envelope fields plus a
-/// complete metrics registry and the derived block.
-pub fn validate_bench_trace(text: &str) -> Result<(), String> {
-    let root = crate::json::parse(text)?;
-    match root.get("bench").and_then(|v| v.as_str()) {
-        Some("trace") => {}
-        other => return Err(format!("bench field is {other:?}, expected \"trace\"")),
-    }
-    match root.get("schema").and_then(|v| v.as_str()) {
-        Some(crate::BENCH_TRACE_SCHEMA) => {}
-        other => return Err(format!("schema field is {other:?}")),
-    }
-    let metrics = root.get("metrics").ok_or("missing metrics")?;
-    for family in ["counters", "gauges", "histograms"] {
-        let fam = metrics
-            .get(family)
-            .and_then(|v| v.as_obj())
-            .ok_or_else(|| format!("missing metrics.{family}"))?;
-        if family != "histograms" {
-            for (k, v) in fam {
-                if v.as_num().is_none() {
-                    return Err(format!("metrics.{family}.{k} is not a number"));
-                }
-            }
-        }
-    }
-    let derived = root.get("derived").ok_or("missing derived")?;
-    for key in ["overlap_efficiency", "comm_seconds", "hidden_comm_seconds"] {
-        if derived.get(key).and_then(|v| v.as_num()).is_none() {
-            return Err(format!("missing derived.{key}"));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,6 +1,7 @@
-//! A minimal JSON parser and writer, just enough to validate and emit the
-//! workspace's own artifacts (Chrome traces, `BENCH_trace.json`,
-//! `serve-bench`/`BENCH_cluster.json` reports) without a serde dependency.
+//! A minimal JSON parser and writer, just enough to parse and emit the
+//! workspace's own artifacts (Chrome traces, the tracer's registry dump,
+//! `serve-bench`/`cluster-bench`/`topo-bench` reports) without a serde
+//! dependency.
 //! The parser accepts standard JSON; numbers are f64. The [`JsonWriter`]
 //! builder is the shared emission path: every field goes through one
 //! escaping/formatting routine, so anything it produces parses back with

@@ -2,7 +2,7 @@
 //!
 //! Keys are flat dotted strings (`sim.bcast.bytes.stage.00001`); storage
 //! is `BTreeMap` so serialization order — and therefore the exported
-//! `BENCH_trace.json` — is stable across runs.
+//! registry dump — is stable across runs.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -20,7 +20,7 @@
 //! | [`dense`] | `mggcn-dense` | row-major matrices, parallel GeMM, elementwise kernels |
 //! | [`sparse`] | `mggcn-sparse` | CSR/COO, normalization, 2D tiling, parallel SpMM |
 //! | [`graph`] | `mggcn-graph` | dataset cards, BTER/Chung–Lu/SBM generators, permutation, IO |
-//! | [`gpusim`] | `mggcn-gpusim` | machine specs, memory tracking, streams/events, DES engine |
+//! | [`gpusim`] | `mggcn-gpusim` | machine specs, streams/events, DES engine, cost models |
 //! | [`analyze`] | `mggcn-analyze` | static schedule verification: hazards, deadlock-freedom, liveness coloring |
 //! | [`comm`] | `mggcn-comm` | NCCL-like collectives, §5.1 1D-vs-1.5D analysis |
 //! | [`core`] | `mggcn-core` | the trainer: staged SpMM, buffer reuse, overlap, Adam, loss |
@@ -29,7 +29,7 @@
 //! | [`cluster`] | `mggcn-cluster` | sharded serving tier: consistent-hash routing, cache-aware partitioning, admission control, load shedding |
 //! | [`exec`] | `mggcn-exec` | real execution: worker-per-GPU runtime, deterministic kernel pool, wall-clock profiling |
 //! | [`trace`] | `mggcn-trace` | observability: structured spans, metrics registry, Chrome-trace export, derived overlap/memory metrics |
-//! | [`topo`] | `mggcn-topo` | hierarchical multi-node studies: §5.1 1D/1.5D crossover, NIC sweeps, `BENCH_topo.json` |
+//! | [`topo`] | `mggcn-topo` | hierarchical multi-node studies: §5.1 1D/1.5D crossover, NIC and staleness sweeps, `BENCH_topo.json` |
 //!
 //! ## Quick start
 //!

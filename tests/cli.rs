@@ -122,52 +122,73 @@ fn train_rejects_unknown_backend() {
     assert!(err.contains("unknown backend"), "{err}");
 }
 
-/// GPU counts the machine or the partitioning cannot take are usage
-/// errors (message + exit 2) in flag handling, never a panic from an
-/// assertion inside `TrainOptions`/`Trainer`.
+/// A value the machine, the partitioning or the subcommand cannot take —
+/// out of range, unparsable, or for a flag it does not have — is a usage
+/// error in flag handling (message naming the flag, exit 2): never a
+/// default, never a panic from an assertion inside a library.
 #[test]
 fn train_and_analyze_reject_impossible_gpu_counts_with_exit_2() {
-    for args in [
-        &["train", "--partition", "1.5d", "--gpus", "3"][..],
-        &["train", "--partition", "1.5d", "--gpus", "1"],
-        &["train", "--gpus", "0"],
-        &["train", "--gpus", "9"],
-        &["analyze", "--gpus", "0"],
-        &["analyze", "--dataset", "reddit", "--gpus", "0"],
-        &["analyze", "--dataset", "reddit", "--partition", "1.5d", "--gpus", "3"],
+    for (args, flag) in [
+        (&["train", "--partition", "1.5d", "--gpus", "3"][..], "--gpus"),
+        (&["train", "--partition", "1.5d", "--gpus", "1"], "--gpus"),
+        (&["train", "--gpus", "0"], "--gpus"),
+        (&["train", "--gpus", "9"], "--gpus"),
+        (&["analyze", "--gpus", "0"], "--gpus"),
+        (&["analyze", "--dataset", "reddit", "--gpus", "0"], "--gpus"),
+        (&["analyze", "--dataset", "reddit", "--partition", "1.5d", "--gpus", "3"], "--gpus"),
+        (&["simulate", "--dataset", "reddit", "--gpus", "0"], "--gpus"),
+        (&["simulate", "--dataset", "reddit", "--gpus", "9"], "--gpus"),
+        (&["serve-bench", "--gpus", "0"], "--gpus"),
+        (&["memory", "--dataset", "reddit", "--layers", "0"], "--layers"),
+        (&["cluster-bench", "--shards", "0"], "--shards"),
+        (&["cluster-bench", "--gpus-per-shard", "0"], "--gpus-per-shard"),
+        (&["serve-bench", "--batch-window", "-1"], "--batch-window"),
+        (&["serve-bench", "--qps", "garbage"], "--qps"),
+        (&["train", "--epochs", "abc"], "--epochs"),
+        (&["train", "--epochs"], "--epochs"),
+        (&["train", "--epoch", "1"], "--epoch"),
+        (&["topo-bench", "--check", "BENCH_topo.json"], "--check"),
     ] {
         let out = mggcn().args(args).output().expect("run");
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2, stderr:\n{err}");
-        assert!(err.contains("--gpus"), "{args:?} must name the flag:\n{err}");
+        assert!(err.contains(flag), "{args:?} must name the flag:\n{err}");
         assert!(!err.contains("panicked"), "{args:?} panicked:\n{err}");
     }
 }
 
+/// The loss column of a `train` run: what must not depend on backend,
+/// partitioning or pool width.
+fn losses(args: &[&str]) -> Vec<String> {
+    let out = mggcn().arg("train").args(args).output().expect("run");
+    assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8_lossy(&out.stdout);
+    let col: Vec<String> = text
+        .lines()
+        .filter(|l| l.starts_with("epoch"))
+        .map(|l| l.split_whitespace().nth(3).expect("loss column").to_string())
+        .collect();
+    assert!(!col.is_empty(), "{args:?} printed no epochs:\n{text}");
+    col
+}
+
+/// A 2-node × 2-GPU hierarchical machine through the CLI: 1.5D trains to
+/// the same losses as 1D, and the fused bounded-staleness pipeline runs on
+/// the threaded backend with the losses of the simulated one (k = 0 being
+/// the classic trainer).
 #[test]
-fn bench_exec_writes_schema_complete_json() {
-    let path = std::env::temp_dir().join(format!("mggcn_cli_bench_{}.json", std::process::id()));
-    let out = mggcn()
-        .args(["bench-exec", "--gpus", "2", "--vertices", "400", "--hidden", "16"])
-        .args(["--epochs", "3", "--threads", "1,2", "--out", path.to_str().expect("utf8 path")])
-        .output()
-        .expect("run");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let json = std::fs::read_to_string(&path).expect("BENCH_exec.json written");
-    std::fs::remove_file(&path).ok();
-    for key in [
-        "\"bench\":\"exec\"",
-        "\"backend\":\"threaded\"",
-        "\"pool_size\":",
-        "\"gpus\":2",
-        "\"results\":[",
-        "\"threads\":1",
-        "\"threads\":2",
-        "\"epoch_ms_p50\":",
-        "\"speedup\":",
-        "\"category_ms\":",
-    ] {
-        assert!(json.contains(key), "missing {key} in:\n{json}");
+fn train_on_two_nodes_under_both_partitionings_and_staleness() {
+    let base = ["--gpus", "4", "--nodes", "2", "--vertices", "400", "--hidden", "16"];
+    let run = |extra: &[&str]| losses(&[&base[..], &["--epochs", "3"], extra].concat());
+    let one_d = run(&["--partition", "1d"]);
+    assert_eq!(one_d, run(&["--partition", "1.5d"]), "partitioning is not a numerical decision");
+    for k in ["0", "1"] {
+        let simulated = run(&["--nic", "1", "--staleness", k]);
+        let threaded = run(&["--nic", "1", "--staleness", k, "--backend", "threaded"]);
+        assert_eq!(simulated, threaded, "staleness {k}: threaded must match simulated");
+        if k == "0" {
+            assert_eq!(simulated, one_d, "k = 0 is the classic trainer");
+        }
     }
 }
 
