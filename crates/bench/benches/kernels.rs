@@ -5,10 +5,14 @@
 //! These wall-clock numbers are about *this machine's CPU kernels*, not the
 //! paper's GPUs. The SpMM and GeMM groups time the shapes the repository's
 //! benchmark (`BENCHMARK.json`) runs, with FLOPs as the throughput element
-//! (so `Gelem/s` reads as GFLOP/s); `cargo bench --bench kernels -- spmm`
+//! (so `Gelem/s` reads as GFLOP/s) and, beside it, the share reached of the
+//! shape's roofline bound on this host (`mggcn_bench::host`): the measured
+//! multiply-and-add peak for a GeMM, the measured triad bandwidth times the
+//! shape's FLOPs per byte for an SpMM. `cargo bench --bench kernels -- spmm`
 //! runs one group.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use mggcn_bench::host;
 use mggcn_dense::{gemm, gemm_a_bt, gemm_at_b, Accumulate, Dense};
 use mggcn_graph::generators::bter::{self, ClusteringProfile};
 use mggcn_graph::generators::{chung_lu, degree};
@@ -21,10 +25,15 @@ use std::hint::black_box;
 /// The staged SpMM of one `train-spmm` epoch pass: a 12 000-vertex
 /// power-law graph (avg degree 136) in 4×4 tiles of 3 000 rows and ~33
 /// nonzeros a row, every tile folded into its row block. The 16 tiles
-/// together (13 MB of CSR) do not fit L2, as in the workload.
+/// together (13 MB of CSR) do not fit L2, as in the workload. The bound
+/// counts every byte the kernel asks for as if it came from memory — a
+/// value, a column index and a row of `B` per nonzero; a row pointer, a read
+/// and a write of the output row per row — so a share above 1 says how much
+/// of `B` the caches served.
 fn bench_spmm(c: &mut Criterion) {
     let mut group = c.benchmark_group("spmm");
     group.sample_size(10).measurement_time(std::time::Duration::from_secs(2));
+    let triad = host::triad_gbs() * 1e9;
     let n = 12_000;
     let model = degree::DegreeModel { avg_degree: 136.0, exponent: 2.2, max_degree: 1_500 };
     let a = chung_lu::generate(&degree::sample_degrees(&model, n, 0x2022), 42);
@@ -32,7 +41,10 @@ fn bench_spmm(c: &mut Criterion) {
     for d in [16usize, 32] {
         let b = Dense::from_fn(n / 4, d, |r, cc| ((r * d + cc) as f32).sin());
         let mut out = Dense::zeros(n / 4, d);
-        group.throughput(Throughput::Elements(2 * (a.nnz() * d) as u64));
+        let flops = 2 * a.nnz() * d;
+        let bytes = a.nnz() * (8 + 4 * d) + 16 * (n / 4) * (8 + 8 * d);
+        group.throughput(Throughput::Elements(flops as u64));
+        group.ceiling(triad * flops as f64 / bytes as f64);
         group.bench_function(format!("16x3000rows_nnz{}_d{d}", a.nnz()), |bench| {
             bench.iter(|| {
                 for t in grid.tiles() {
@@ -52,6 +64,7 @@ fn bench_spmm(c: &mut Criterion) {
 fn bench_gemm(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemm");
     group.sample_size(10).measurement_time(std::time::Duration::from_secs(1));
+    group.ceiling(host::peak_mul_add_gflops() * 1e9);
     let mut rng = SmallRng::seed_from_u64(7);
     for (rows, d_in, d_out, relu) in [
         (3000usize, 32usize, 32usize, false),

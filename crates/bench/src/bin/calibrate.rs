@@ -1,4 +1,5 @@
-//! Scratch calibration: print MG-GCN vs baseline epoch times per dataset.
+//! Scratch calibration: this host's ceilings (what `benches/kernels.rs`
+//! divides by), then MG-GCN vs baseline simulated epoch times per dataset.
 use mggcn_baselines::{cagnet, dgl};
 use mggcn_core::config::{GcnConfig, TrainOptions};
 use mggcn_core::problem::Problem;
@@ -14,6 +15,10 @@ fn mg(card: &mggcn_graph::DatasetCard, machine: MachineSpec, gpus: usize) -> Opt
 }
 
 fn main() {
+    println!("=== this host, one core, the workspace's build settings ===");
+    println!("STREAM triad            {:>7.1} GB/s", mggcn_bench::host::triad_gbs());
+    println!("peak mul+add (no FMA)   {:>7.1} GFLOP/s", mggcn_bench::host::peak_mul_add_gflops());
+    println!();
     let v100 = MachineSpec::dgx_v100;
     println!("=== DGX-V100, model A ===");
     println!(

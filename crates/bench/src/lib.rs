@@ -7,6 +7,8 @@
 
 #![forbid(unsafe_code)]
 
+pub mod host;
+
 use mggcn_baselines::{cagnet, dgl};
 use mggcn_core::config::{GcnConfig, TrainOptions};
 use mggcn_core::problem::Problem;

@@ -176,6 +176,13 @@ pub struct DeviceState {
     /// the Adam bodies read their step and learning rate from here at run
     /// time. Written only by the trainer, between runs (`train`, `restore`).
     epoch: AtomicU64,
+    /// Host staging buffers, each with room for the largest tile
+    /// (`staging_len` floats): what [`DeviceState::stage`] hands a collective
+    /// body and [`DeviceState::unstage`] takes back, so that after its first
+    /// run the body allocates none. Host memory, outside the `L + 3` plan;
+    /// empty unless a 1.5D reduction has run.
+    staging: Mutex<Vec<Dense>>,
+    staging_len: usize,
 }
 
 /// A locked GPU. Derefs to [`GpuState`]; in debug builds its construction
@@ -228,14 +235,13 @@ mod lock_order {
     pub fn check_acquire(key: (usize, usize)) {
         HELD.with(|h| {
             let held = h.borrow();
-            let same_state: Vec<usize> =
-                held.iter().filter(|&&(s, _)| s == key.0).map(|&(_, j)| j).collect();
+            let same_state = || held.iter().filter(|&&(s, _)| s == key.0).map(|&(_, j)| j);
             assert!(
-                same_state.iter().all(|&j| j < key.1),
+                same_state().all(|j| j < key.1),
                 "GPU lock order violation: acquiring GPU {} while holding {:?} — \
                  collective bodies must lock GPUs in ascending index order",
                 key.1,
-                same_state
+                same_state().collect::<Vec<_>>()
             );
         });
     }
@@ -296,7 +302,12 @@ impl DeviceState {
             })
             .map(Mutex::new)
             .collect();
-        Self { gpus, epoch: AtomicU64::new(0) }
+        Self {
+            gpus,
+            epoch: AtomicU64::new(0),
+            staging: Mutex::new(Vec::new()),
+            staging_len: max_rows * max_d,
+        }
     }
 
     /// Number of virtual GPUs.
@@ -351,7 +362,36 @@ impl DeviceState {
 
     /// An empty state for timing-only runs (bodies are never attached).
     pub fn empty() -> Self {
-        Self { gpus: Vec::new(), epoch: AtomicU64::new(0) }
+        Self {
+            gpus: Vec::new(),
+            epoch: AtomicU64::new(0),
+            staging: Mutex::new(Vec::new()),
+            staging_len: 0,
+        }
+    }
+
+    /// A host copy of the first `rows × cols` of the buffer `read` selects on
+    /// GPU `g`, made under `g`'s lock alone: how a collective body carries
+    /// one GPU's data to another without holding both. Give it back with
+    /// [`DeviceState::unstage`].
+    pub fn stage(
+        &self,
+        g: usize,
+        read: impl Fn(&GpuState) -> &Dense,
+        rows: usize,
+        cols: usize,
+    ) -> Dense {
+        // Every update leaves the list valid.
+        let free = self.staging.lock().unwrap_or_else(|e| e.into_inner()).pop();
+        let mut copy = free.unwrap_or_else(|| Dense::zeros(1, self.staging_len));
+        copy.resize(rows, cols);
+        copy.as_mut_slice().copy_from_slice(&read(&self.gpu(g)).as_slice()[..rows * cols]);
+        copy
+    }
+
+    /// Return a [`DeviceState::stage`] buffer for the next collective.
+    pub fn unstage(&self, copy: Dense) {
+        self.staging.lock().unwrap_or_else(|e| e.into_inner()).push(copy);
     }
 
     /// Broadcast `rows × cols` from `src`'s buffer selected by `read` into
@@ -370,19 +410,32 @@ impl DeviceState {
         members: &[usize],
     ) {
         debug_assert!(members.contains(&src), "broadcast root outside its group");
-        // Stage through a send copy to keep lock scopes simple (one GPU
-        // locked at a time); this mirrors the real transfer anyway.
-        let payload: Vec<f32> = read(&self.gpu(src)).as_slice()[..rows * cols].to_vec();
+        // One GPU locked at a time: holding the root while locking a member
+        // could deadlock against `all_reduce_wgrad`'s ascending sweep. The
+        // root's own `slot` buffer is the send copy — filled under the
+        // root's lock, carried unlocked to the other members (the broadcast
+        // declares the write, so nothing else touches it meanwhile), then
+        // put back. No buffer is allocated and the root's tile is copied once.
+        let sent = {
+            let mut g = self.gpu(src);
+            let mut bc = std::mem::take(g.bc(slot));
+            bc.resize(rows, cols);
+            bc.as_mut_slice().copy_from_slice(&read(&g).as_slice()[..rows * cols]);
+            bc
+        };
         for &i in members {
             let mut g = self.gpu(i);
             // The copy may land byte-identical data (re-broadcast of an
             // unchanged source), invisible to the oracle's fingerprint
             // diff — note the write explicitly.
             g.note_write(BufId::new(i, slot.buf_name()));
-            let bc = g.bc(slot);
-            bc.resize(rows, cols);
-            bc.as_mut_slice().copy_from_slice(&payload);
+            if i != src {
+                let bc = g.bc(slot);
+                bc.resize(rows, cols);
+                bc.as_mut_slice().copy_from_slice(sent.as_slice());
+            }
         }
+        *self.gpu(src).bc(slot) = sent;
     }
 
     /// All-reduce (sum) the layer-`l` weight gradients across GPUs, fixed
@@ -392,20 +445,17 @@ impl DeviceState {
         // guards can be held at once; ascending order fixes the reduce
         // order for bit reproducibility.
         let mut guards: Vec<GpuGuard<'_>> = (0..self.gpus.len()).map(|i| self.gpu(i)).collect();
-        let len = guards[0].wgrad[l].len();
-        let mut acc = vec![0.0f32; len];
-        {
-            let srcs: Vec<&[f32]> = guards.iter().map(|g| g.wgrad[l].as_slice()).collect();
-            mggcn_comm::reduce_sum(&srcs, &mut acc);
-        }
-        for (i, g) in guards.iter_mut().enumerate() {
+        for (i, g) in guards.iter().enumerate() {
             // RMW: every participant's gradient is consumed and replaced;
             // at P=1 (or an all-zero sum) the bytes may not change, so the
             // fingerprint diff alone would miss the write.
             g.note_read(BufId::indexed(i, "WG", l));
             g.note_write(BufId::indexed(i, "WG", l));
-            g.wgrad[l].as_mut_slice().copy_from_slice(&acc);
         }
+        // Summed into GPU 0's gradient, peer after peer, and copied back out.
+        let mut grads: Vec<&mut [f32]> =
+            guards.iter_mut().map(|g| g.wgrad[l].as_mut_slice()).collect();
+        mggcn_comm::all_reduce_sum(&mut grads);
     }
 
     /// Allocated bytes of GPU `i`'s big buffers (the `AHW` set plus `HW`,

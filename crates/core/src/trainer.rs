@@ -742,12 +742,13 @@ impl<'a> EpochBuilder<'a> {
                 self.desc(Category::Other, "sf-snap", None),
                 Effects::none().reads([buf_id(g, src)]).writes([sf_id(g, l)]),
                 move |gs| {
-                    let v = read_buf(gs, src).as_slice()[..n_g * d].to_vec();
                     // A snapshot of an unchanged source is byte-identical;
                     // the oracle's fingerprint diff needs the explicit note.
                     gs.note_write(sf_id(g, l));
-                    gs.sf[l].resize(n_g, d);
-                    gs.sf[l].as_mut_slice()[..n_g * d].copy_from_slice(&v);
+                    let mut sf = std::mem::take(&mut gs.sf[l]);
+                    sf.resize(n_g, d);
+                    sf.as_mut_slice().copy_from_slice(&read_buf(gs, src).as_slice()[..n_g * d]);
+                    gs.sf[l] = sf;
                 },
             );
         }
@@ -1019,15 +1020,17 @@ impl<'a> EpochBuilder<'a> {
             body = self.problem.real.as_ref().map(|_| {
                 Box::new(move |ctx: &DeviceState| {
                     for (t, o) in [(a, b), (b, a)] {
-                        let n = rows[t] * d;
-                        let partial = read_buf(&ctx.gpu(o), Buf::Rp).as_slice()[..n].to_vec();
-                        let gs = &mut *ctx.gpu(t);
-                        gs.note_read(buf_id(t, dst));
-                        gs.note_write(buf_id(t, dst));
-                        let out = &mut buf_mut(gs, dst).as_mut_slice()[..n];
-                        for (x, v) in out.iter_mut().zip(&partial) {
-                            *x += v;
+                        let partial = ctx.stage(o, |g| read_buf(g, Buf::Rp), rows[t], d);
+                        {
+                            let gs = &mut *ctx.gpu(t);
+                            gs.note_read(buf_id(t, dst));
+                            gs.note_write(buf_id(t, dst));
+                            let out = &mut buf_mut(gs, dst).as_mut_slice()[..rows[t] * d];
+                            for (x, v) in out.iter_mut().zip(partial.as_slice()) {
+                                *x += v;
+                            }
                         }
+                        ctx.unstage(partial);
                     }
                 }) as Body<DeviceState>
             });
@@ -1042,12 +1045,8 @@ impl<'a> EpochBuilder<'a> {
                     // a time (collective bodies run at rendezvous
                     // quiescence; concurrent pair reductions only ever
                     // share read access to these shards).
-                    let views: Vec<Dense> = (0..p)
-                        .map(|s| {
-                            let v = read_buf(&ctx.gpu(s), src).as_slice()[..rows[s] * d].to_vec();
-                            Dense::from_vec(rows[s], d, v)
-                        })
-                        .collect();
+                    let views: Vec<Dense> =
+                        (0..p).map(|s| ctx.stage(s, |g| read_buf(g, src), rows[s], d)).collect();
                     for t in [a, b] {
                         let gs = &mut *ctx.gpu(t);
                         gs.note_write(buf_id(t, dst));
@@ -1060,6 +1059,7 @@ impl<'a> EpochBuilder<'a> {
                         }
                         *buf_mut(gs, dst) = out;
                     }
+                    views.into_iter().for_each(|view| ctx.unstage(view));
                 }) as Body<DeviceState>
             });
         }

@@ -5,7 +5,8 @@
 //! workspace's benchmarks use: `Criterion`, `benchmark_group` with
 //! `sample_size`/`measurement_time`/`throughput`, `bench_function`/
 //! `bench_with_input`, `BenchmarkId`, `Bencher::iter`, and the
-//! `criterion_group!` / `criterion_main!` macros. As with criterion, the
+//! `criterion_group!` / `criterion_main!` macros, plus one extension,
+//! [`BenchmarkGroup::ceiling`]. As with criterion, the
 //! first free command-line argument (`cargo bench --bench kernels -- spmm`)
 //! keeps only the benchmarks whose `group/id` contains it.
 //!
@@ -40,6 +41,7 @@ impl Criterion {
             sample_size: 10,
             measurement_time: Duration::from_secs(1),
             throughput: None,
+            ceiling: None,
         }
     }
 }
@@ -78,6 +80,7 @@ pub struct BenchmarkGroup {
     sample_size: usize,
     measurement_time: Duration,
     throughput: Option<Throughput>,
+    ceiling: Option<f64>,
 }
 
 impl BenchmarkGroup {
@@ -97,6 +100,15 @@ impl BenchmarkGroup {
         self
     }
 
+    /// Not in criterion: the most elements per second the host could do of
+    /// the work declared by [`BenchmarkGroup::throughput`] (a measured
+    /// roofline bound). Benchmarks registered after it report the share of
+    /// it they reach.
+    pub fn ceiling(&mut self, elements_per_second: f64) -> &mut Self {
+        self.ceiling = Some(elements_per_second);
+        self
+    }
+
     pub fn bench_function<F>(&mut self, id: impl std::fmt::Display, mut f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher),
@@ -107,7 +119,7 @@ impl BenchmarkGroup {
         }
         let mut b = Bencher::new(self.sample_size, self.measurement_time);
         f(&mut b);
-        b.report(&self.name, &id, self.throughput);
+        b.report(&self.name, &id, self.throughput, self.ceiling);
         self
     }
 
@@ -160,7 +172,7 @@ impl Bencher {
         }
     }
 
-    fn report(&self, group: &str, id: &str, throughput: Option<Throughput>) {
+    fn report(&self, group: &str, id: &str, throughput: Option<Throughput>, ceiling: Option<f64>) {
         if self.samples.is_empty() {
             println!("{group}/{id}: no samples (bencher.iter never called)");
             return;
@@ -170,7 +182,13 @@ impl Bencher {
         let min = per_iter.iter().cloned().fold(f64::INFINITY, f64::min);
         let mean = per_iter.iter().sum::<f64>() / per_iter.len() as f64;
         let rate = match throughput {
-            Some(Throughput::Elements(n)) => format!(", {:.2} Gelem/s", n as f64 / min / 1e9),
+            Some(Throughput::Elements(n)) => {
+                let per_second = n as f64 / min;
+                let share = ceiling.map_or(String::new(), |bound| {
+                    format!(" = {:.2} of a {:.1} Gelem/s bound", per_second / bound, bound / 1e9)
+                });
+                format!(", {:.2} Gelem/s{share}", per_second / 1e9)
+            }
             None => String::new(),
         };
         println!(

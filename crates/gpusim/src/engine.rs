@@ -323,6 +323,15 @@ impl<Ctx> Schedule<Ctx> {
         &mut self.ops[op].effects
     }
 
+    /// Replace every body by `wrap(id, body)` (testing hook: observe each
+    /// body on whichever thread the backend runs it, where
+    /// [`Schedule::run_observed`] sees only the calling thread).
+    pub fn wrap_bodies(&mut self, wrap: impl Fn(OpId, Body<Ctx>) -> Body<Ctx>) {
+        for (id, op) in self.ops.iter_mut().enumerate() {
+            op.body = op.body.take().map(|body| wrap(id, body));
+        }
+    }
+
     /// Deterministic textual dump of the recorded op stream, one line per
     /// op: id, work kind, category/label(/stage), lanes, explicit waits,
     /// and declared buffer effects. Work *magnitudes* are deliberately

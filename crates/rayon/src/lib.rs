@@ -32,6 +32,7 @@ mod pool;
 
 pub use pool::{effective_threads, pool_size, set_active_threads};
 
+use std::ops::Range;
 use std::sync::Mutex;
 
 /// A splittable source of items: the engine behind every parallel
@@ -51,34 +52,37 @@ pub trait Producer: Send + Sized {
     fn into_seq(self) -> Self::SeqIter;
 }
 
-/// Split `prod` into `q` balanced pieces (sizes differ by at most one).
-fn split_into<P: Producer>(mut prod: P, q: usize) -> Vec<P> {
-    let n = prod.len();
-    let (base, rem) = (n / q, n % q);
-    let mut out = Vec::with_capacity(q);
-    for i in 0..q.saturating_sub(1) {
-        let take = base + usize::from(i < rem);
-        let (head, tail) = prod.split_at(take);
-        out.push(head);
-        prod = tail;
-    }
-    out.push(prod);
-    out
+/// Piece `i` of `len` items cut `q` balanced ways: sizes differ by at most
+/// one, the larger pieces first.
+fn piece_range(len: usize, q: usize, i: usize) -> Range<usize> {
+    let (base, rem) = (len / q, len % q);
+    let start = i * base + i.min(rem);
+    start..start + base + usize::from(i < rem)
 }
 
-/// Run `f` over every piece of `prod`, split `q` ways, on the pool.
-/// `f` receives `(piece_index, piece)`.
+/// Run `f` over every piece of `prod`, split `q` balanced ways, on the
+/// pool. `f` receives `(piece_index, piece)`. Whoever claims a piece cuts
+/// it off the front of what is left, so the region holds one producer and
+/// allocates nothing.
 fn drive<P, F>(prod: P, q: usize, f: F)
 where
     P: Producer,
     F: Fn(usize, P) + Sync,
 {
     debug_assert!(q >= 1);
-    let slots: Vec<Mutex<Option<P>>> =
-        split_into(prod, q).into_iter().map(|p| Mutex::new(Some(p))).collect();
-    pool::run_pieces(slots.len(), |i| {
-        let piece =
-            slots[i].lock().unwrap_or_else(|e| e.into_inner()).take().expect("piece claimed twice");
+    let len = prod.len();
+    let rest = Mutex::new((0, Some(prod)));
+    pool::run_pieces(q, |_| {
+        let (i, piece) = {
+            // A `split_at` that panics leaves `None` behind, which the next
+            // claimant reports; the state is valid at every step.
+            let mut rest = rest.lock().unwrap_or_else(|e| e.into_inner());
+            let i = rest.0;
+            let uncut = rest.1.take().expect("a producer left for every piece");
+            let (piece, tail) = uncut.split_at(piece_range(len, q, i).len());
+            *rest = (i + 1, Some(tail));
+            (i, piece)
+        };
         f(i, piece);
     });
 }
@@ -104,13 +108,11 @@ impl<T> FoldResult<T> {
 
 /// The pieces [`ParallelIterator::fold`] cuts a `len`-item input into, as
 /// index ranges in piece order. A kernel that wants each piece's items at
-/// once (to tile over them) maps over these ranges and combines the results
+/// once (to tile over them) folds these ranges and combines the results
 /// left to right, and keeps `fold`'s accumulation grouping exactly.
-pub fn fold_ranges(len: usize) -> Vec<std::ops::Range<usize>> {
-    split_into(RangeProducer { start: 0, end: len }, pool::fold_pieces(len))
-        .into_iter()
-        .map(Producer::into_seq)
-        .collect()
+pub fn fold_ranges(len: usize) -> impl ExactSizeIterator<Item = Range<usize>> + Clone {
+    let q = pool::fold_pieces(len);
+    (0..q).map(move |i| piece_range(len, q, i))
 }
 
 /// The rayon-like parallel iterator API, implemented for every
@@ -595,8 +597,7 @@ mod tests {
                     pieces.extend(piece);
                     pieces
                 });
-            let ranges: Vec<Vec<usize>> =
-                crate::fold_ranges(len).into_iter().map(Iterator::collect).collect();
+            let ranges: Vec<Vec<usize>> = crate::fold_ranges(len).map(Iterator::collect).collect();
             assert_eq!(seen, ranges, "len={len}");
         }
     }

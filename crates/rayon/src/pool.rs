@@ -16,10 +16,15 @@
 //!   calling thread once the region quiesces. The pool itself survives.
 //! * **Runtime throttling** — [`set_active_threads`] bounds how many
 //!   threads (including the caller) may participate in subsequent
-//!   regions, so in-process scaling sweeps (`mggcn bench-exec`) can
-//!   measure 1..N threads without re-spawning pools.
+//!   regions, so in-process scaling sweeps (`examples/exec_speedup.rs`,
+//!   the benchmark's `rayon.lane_speedup`) can measure 1..N threads
+//!   without re-spawning pools.
+//! * **No allocation per region** — a thread keeps the [`Job`] of its last
+//!   region and resets it for the next, so a kernel that runs every epoch
+//!   allocates nothing here after its first call.
 
 use std::any::Any;
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -134,6 +139,10 @@ impl Job {
     }
 }
 
+/// Threads expected to have a region in the queue at once (GPU workers,
+/// test threads). More only means the queue reallocates once.
+const MAX_CALLERS: usize = 64;
+
 struct Pool {
     size: usize,
     queue: Mutex<VecDeque<Arc<Job>>>,
@@ -151,7 +160,10 @@ impl Pool {
                 .unwrap_or_else(|| {
                     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
                 });
-            Pool { size, queue: Mutex::new(VecDeque::new()), wake: Condvar::new() }
+            // Room for more concurrent regions than there will be callers:
+            // a push never grows the queue, so it never allocates.
+            let queue = Mutex::new(VecDeque::with_capacity(MAX_CALLERS));
+            Pool { size, queue, wake: Condvar::new() }
         })
     }
 
@@ -203,6 +215,13 @@ impl Pool {
     }
 }
 
+thread_local! {
+    /// The job of this thread's last region, finished and out of the queue:
+    /// the next region resets it instead of allocating one. Its `func` is
+    /// stale and never called — every piece index is claimed.
+    static SPARE_JOB: RefCell<Option<Arc<Job>>> = const { RefCell::new(None) };
+}
+
 /// Execute `f(0), f(1), …, f(pieces-1)`, each exactly once, across the
 /// active threads. Blocks until all pieces finish; re-throws the first
 /// piece panic on this thread.
@@ -225,7 +244,7 @@ where
     unsafe fn call<F: Fn(usize) + Sync>(p: *const (), i: usize) {
         (*(p as *const F))(i)
     }
-    let job = Arc::new(Job {
+    let fresh = Job {
         func: &f as *const F as *const (),
         call: call::<F>,
         pieces,
@@ -236,12 +255,29 @@ where
         panic: Mutex::new(None),
         done: Mutex::new(0),
         done_cv: Condvar::new(),
-    });
+    };
+    let job = match SPARE_JOB.take() {
+        Some(mut spare) => {
+            // The queue dropped it when its region ended, so no new clone
+            // can appear; a worker may still be between its last (empty)
+            // claim and dropping its own. Let it run.
+            loop {
+                if let Some(last) = Arc::get_mut(&mut spare) {
+                    *last = fresh;
+                    break;
+                }
+                std::thread::yield_now();
+            }
+            spare
+        }
+        None => Arc::new(fresh),
+    };
     pool.inject(job.clone());
     job.run_claims();
     job.wait();
     pool.remove(&job);
     let payload = job.panic.lock().unwrap_or_else(|e| e.into_inner()).take();
+    SPARE_JOB.set(Some(job));
     if let Some(p) = payload {
         std::panic::resume_unwind(p);
     }

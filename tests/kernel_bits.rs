@@ -335,6 +335,124 @@ fn gemm_at_b_matches_the_fold_at_every_width_and_piece_count() {
     }
 }
 
+// ---------------------------------------------------------------------
+// The panel path: `B` packed into strip-major panels, a block of rows
+// folded through each, workspace kept per thread.
+// ---------------------------------------------------------------------
+
+/// Output widths with every kind of tail behind one or more full panels.
+const PANEL_WIDTHS: [usize; 9] = [33, 48, 63, 64, 96, 100, 128, 130, 160];
+
+/// Inner dimensions around the `K_BLOCK` of `gemm_at_b` and its halves.
+const PANEL_DEPTHS: [usize; 9] = [0, 1, 63, 64, 65, 127, 128, 129, 257];
+
+/// Row counts on both sides of the list block (16) and the row block (64).
+const PANEL_ROWS: [usize; 8] = [1, 15, 16, 17, 63, 64, 65, 81];
+
+#[test]
+fn the_three_gemms_match_their_loops_on_packed_panels_with_ragged_tails() {
+    let mut rng = Rng(11);
+    for (ni, n) in PANEL_WIDTHS.into_iter().enumerate() {
+        for (ki, k) in PANEL_DEPTHS.into_iter().enumerate() {
+            let m = PANEL_ROWS[(ni * PANEL_DEPTHS.len() + ki) % PANEL_ROWS.len()];
+            let what = format!("{m}x{k}x{n}");
+            let (a, b, c0) = (rng.dense(m, k), rng.dense(k, n), rng.dense(m, n));
+            check_dense(&format!("gemm {what}"), gemm, gemm_reference, &a, &b, &c0);
+            let bt = rng.dense(n, k);
+            check_dense(&format!("gemm_a_bt {what}"), gemm_a_bt, gemm_a_bt_reference, &a, &bt, &c0);
+            let at = rng.dense(k, m);
+            check_dense(&format!("gemm_at_b {what}"), gemm_at_b, gemm_at_b_reference, &at, &b, &c0);
+        }
+    }
+}
+
+/// Equal bits, or both NaN: which NaN an addition of two returns is the
+/// compiler's choice of operand order, not the kernel's.
+fn assert_same_bits_or_both_nan(got: &Dense, want: &Dense, what: &str) {
+    for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+        assert!(
+            g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+            "{what}: element {i} is {g:e}, reference {w:e}"
+        );
+    }
+}
+
+#[test]
+fn a_skipped_term_stays_skipped_whatever_it_would_have_multiplied() {
+    four_lane_pool();
+    const POISON: [f32; 4] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
+    let mut rng = Rng(12);
+    let (m, k, n) = (37, 70, 100);
+    // Every fifth inner index: an exact zero of either sign in `A`, and in
+    // `B` something a product with zero would not survive.
+    let dead = |kk: usize| kk % 5 == 2;
+    let zero = |i: usize| if i.is_multiple_of(2) { 0.0 } else { -0.0 };
+    let nonzero = |x: f32| if x == 0.0 { 0.5 } else { x };
+    let a = Dense::from_fn(m, k, |i, kk| if dead(kk) { zero(i) } else { nonzero(rng.value()) });
+    let at = a.transpose();
+    let b = Dense::from_fn(k, n, |kk, j| if dead(kk) { POISON[j % 4] } else { rng.value() });
+    let c0 = rng.dense(m, n);
+    for acc in MODES {
+        for (what, kernel, reference, a) in [
+            ("gemm", gemm as DenseKernel, gemm_reference as DenseKernel, &a),
+            ("gemm_at_b", gemm_at_b, gemm_at_b_reference, &at),
+        ] {
+            let (mut got, mut want) = (c0.clone(), c0.clone());
+            kernel(a, &b, &mut got, acc);
+            reference(a, &b, &mut want, acc);
+            assert_same_bits(&got, &want, &format!("{what} {acc:?} beside poisoned rows of B"));
+            assert!(got.as_slice().iter().all(|x| x.is_finite()), "{what} {acc:?} let one through");
+        }
+        // `gemm_a_bt` leaves nothing out: a column of `C` opposite NaN or an
+        // infinity is NaN, one opposite -0.0 is finite, as in the loop.
+        let (mut got, mut want) = (c0.clone(), c0.clone());
+        gemm_a_bt(&a, &b.transpose(), &mut got, acc);
+        gemm_a_bt_reference(&a, &b.transpose(), &mut want, acc);
+        assert_same_bits_or_both_nan(&got, &want, &format!("gemm_a_bt {acc:?} on poisoned B"));
+        for j in 0..n {
+            assert_eq!(got.get(0, j).is_nan(), j % 4 != 3, "gemm_a_bt {acc:?} column {j}");
+        }
+    }
+}
+
+#[test]
+fn workspace_left_by_a_larger_call_does_not_reach_a_later_result() {
+    let mut rng = Rng(13);
+    // Large, small, large again: the small call finds panels, lists and
+    // partials of the large one; the second large call those of the small.
+    let shapes = [(81, 129, 160), (3, 2, 5), (81, 129, 160)];
+    let inputs: Vec<[Dense; 5]> = shapes
+        .iter()
+        .map(|&(m, k, n)| {
+            [rng.dense(m, k), rng.dense(k, n), rng.dense(n, k), rng.dense(k, m), rng.dense(m, n)]
+        })
+        .collect();
+    let run = |[a, b, bt, at, c0]: &[Dense; 5]| {
+        MODES.map(|acc| {
+            let mut out = [c0.clone(), c0.clone(), c0.clone()];
+            gemm(a, b, &mut out[0], acc);
+            gemm_a_bt(a, bt, &mut out[1], acc);
+            gemm_at_b(at, b, &mut out[2], acc);
+            out
+        })
+    };
+    let on_a_fresh_thread = |f: &(dyn Fn() -> Vec<[[Dense; 3]; 2]> + Sync)| {
+        std::thread::scope(|s| s.spawn(f).join().expect("kernel thread"))
+    };
+    for (w, (together, apart)) in at_widths(|| {
+        let together = on_a_fresh_thread(&|| inputs.iter().map(run).collect());
+        let apart: Vec<_> =
+            inputs.iter().flat_map(|call| on_a_fresh_thread(&|| vec![run(call)])).collect();
+        (together, apart)
+    }) {
+        for (call, (got, want)) in together.iter().zip(&apart).enumerate() {
+            for (got, want) in got.iter().flatten().zip(want.iter().flatten()) {
+                assert_same_bits(got, want, &format!("call {call} pool {w}"));
+            }
+        }
+    }
+}
+
 // A product with no output columns used to panic ("chunk size must be
 // positive"); with no output rows, or neither, it must do nothing as well.
 const EMPTY_SHAPES: [(usize, usize); 3] = [(6, 0), (0, 3), (0, 0)];
