@@ -67,8 +67,8 @@ MGGCN_FUZZ_SEEDS=50 cargo test -q -p mggcn-testkit --test fuzz_corpus
 echo "==> chaos conformance (seeded fault matrix x pool widths)"
 # Seeded fault plans — worker death mid-collective, slow links, preemption,
 # cluster cache-node loss, kills landing inside a pipelined epoch's
-# prefetch window (Scenario::StaleEpochKill) — against every subsystem
-# on the sched core.
+# prefetch window (Scenario::StaleEpochKill) — at the injection hook of
+# every event loop (gpusim DES, exec workers, cluster shard loop).
 # Budgeted like the fuzz pass: 2 widths x 2 base seeds x 8-seed sweeps.
 # A red run names its seed; replay with
 #   MGGCN_CHAOS_SEED=<seed> cargo test -p mggcn-testkit --test chaos_invariants
@@ -85,6 +85,9 @@ echo "==> benchmark harness gate (BENCHMARK.json; unit tests + 20-step smoke of 
 # preflight, execute, Server) still compiles. Performance claims cite its
 # metrics (benchmark/README.md); simulated-clock claims are `#[test]`s and
 # the BENCH_topo.json golden, all inside the workspace tests above.
+# benchmark/Cargo.lock records every crate's dependency edges; check.sh would
+# silently rewrite it after a change to any of them, so refuse that first.
+cargo metadata --offline --locked --manifest-path benchmark/Cargo.toml --format-version 1 >/dev/null
 benchmark/check.sh
 
 echo "==> CI green"

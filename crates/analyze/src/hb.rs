@@ -31,8 +31,6 @@ pub struct Hb {
     reach: Vec<u64>,
     /// Deduplicated dependency edges `(from, to)`.
     pub edges: Vec<(OpId, OpId)>,
-    /// A topological order of all ops, empty when the graph is cyclic.
-    topo: Vec<OpId>,
     /// Topological position per op (used to linearize per-buffer accesses).
     pos: Vec<usize>,
     /// One dependency cycle, when the graph has one.
@@ -150,7 +148,7 @@ impl Hb {
             }
         }
 
-        Self { n, words, reach, edges, topo, pos, cycle }
+        Self { n, words, reach, edges, pos, cycle }
     }
 
     /// Does `a` strictly happen before `b`?
@@ -162,11 +160,6 @@ impl Hb {
     /// A topological position for `a` (only meaningful when acyclic).
     pub fn topo_pos(&self, a: OpId) -> usize {
         self.pos[a]
-    }
-
-    /// The full topological order (empty when cyclic).
-    pub fn topo_order(&self) -> &[OpId] {
-        &self.topo
     }
 }
 

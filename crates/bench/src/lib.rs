@@ -16,7 +16,7 @@ use mggcn_core::state::BcSlot;
 use mggcn_core::trainer::Trainer;
 use mggcn_core::EpochReport;
 use mggcn_gpusim::engine::OpDesc;
-use mggcn_gpusim::{BufId, Category, Effects, MachineSpec, Schedule, Timeline, Work};
+use mggcn_gpusim::{BufId, Category, Effects, MachineSpec, Schedule, Timeline};
 use mggcn_graph::tilestats::TileStats;
 use mggcn_graph::DatasetCard;
 
@@ -226,11 +226,6 @@ pub fn spmm_15d_timeline(
 
     let run = sched.run(&());
     (run.timeline, run.makespan)
-}
-
-/// Extra work descriptor helpers for criterion kernel benches.
-pub fn demo_work() -> Work {
-    Work::Fixed { seconds: 0.0 }
 }
 
 #[cfg(test)]

@@ -28,7 +28,7 @@ use crate::report::{ClusterReport, ShardReport};
 use crate::ring::HashRing;
 use mggcn_exec::Backend;
 use mggcn_gpusim::{GpuSpec, LatencyStats, MachineSpec};
-use mggcn_sched::{Action, Component, DispatchSite, EventQueue, Injector, Scheduler};
+use mggcn_sched::{Action, DispatchSite, EventQueue, Injector};
 use mggcn_serve::{form_batches, Batch, BatchPolicy, Request, ServeConfig, Server, ServingModel};
 use mggcn_trace::Tracer;
 use std::sync::Arc;
@@ -127,6 +127,20 @@ pub struct ClusterOutcome {
     pub report: ClusterReport,
 }
 
+/// What one shard contributed to a trace ([`Cluster::run_shard`]): its
+/// answers in dispatch order and the totals the cluster report sums.
+#[derive(Default)]
+struct ShardRun {
+    answers: Vec<Answer>,
+    /// Simulated GPU-busy seconds of the admitted batches.
+    compute_seconds: f64,
+    last_answer: f64,
+    /// Shed batch counts by tripped bound.
+    shed_queue_delay: usize,
+    shed_inflight: usize,
+    shed_fault: usize,
+}
+
 /// A sharded multi-replica serving cluster.
 pub struct Cluster {
     shards: Vec<Server>,
@@ -190,13 +204,13 @@ impl Cluster {
         self.serve_trace_chaos(label, requests, &Injector::none())
     }
 
-    /// [`serve_trace`](Self::serve_trace) under fault injection. Each
-    /// shard's batch loop is a scheduler [`Component`] ([`ShardSweep`]),
-    /// run shard-major so the fault-free path stays bit-identical to the
-    /// legacy sequential sweep. The injector can defer batches
-    /// (preemption) or take a shard down — shard loss forces tagged
-    /// degraded answers with a fixed host-side cost (never a timeout) and
-    /// drops the dead shard's propagation cache (cache-node loss).
+    /// [`serve_trace`](Self::serve_trace) under fault injection. Shards
+    /// run one after another ([`Cluster::run_shard`]), so a fault on one
+    /// leaves every other shard's answers bit-identical. The injector can
+    /// defer batches (preemption) or take a shard down — shard loss forces
+    /// tagged degraded answers with a fixed host-side cost (never a
+    /// timeout) and drops the dead shard's propagation cache (cache-node
+    /// loss).
     pub fn serve_trace_chaos(
         &mut self,
         label: &str,
@@ -231,62 +245,42 @@ impl Cluster {
             if let Some(t) = &self.tracer {
                 t.counter_add(&format!("cluster.routed.shard{sid}"), shard_reqs.len() as u64);
             }
-            let server = &mut self.shards[sid];
-            let stats_before = *server.cache().stats();
+            let stats_before = *self.shards[sid].cache().stats();
             let batches = form_batches(shard_reqs, &self.cfg.policy);
             let n_batches = batches.len();
-            // Batches enter the event queue at their ready times; ready
-            // times are nondecreasing (see `form_batches`) and ties pop
-            // FIFO, so dispatch order equals formation order.
-            let mut queue = EventQueue::new();
-            for b in batches {
-                queue.push(b.ready_at, b);
-            }
-            let mut sweep = ShardSweep {
-                sid,
-                server,
-                admission: self.cfg.admission,
-                degraded_cost: self.cfg.degraded_cost,
-                tracer: self.tracer.clone(),
-                queue,
-                seq: 0,
-                free_at: vec![0.0f64; self.cfg.gpus_per_shard],
-                completions: Vec::new(),
-                lost: None,
-                admitted_lat: LatencyStats::new(),
-                shard_admitted: 0,
-                shard_degraded: 0,
-                shard_shed: 0,
-                shard_compute: 0.0,
-                answers: &mut answers,
-                cluster_degraded: &mut cluster_degraded,
-                last_answer: &mut last_answer,
-                shed_queue_delay: &mut shed_queue_delay,
-                shed_inflight: &mut shed_inflight,
-                shed_fault: &mut shed_fault,
-            };
-            Scheduler::new()
-                .run(&mut [&mut sweep], inj)
-                .expect("shard sweep cannot stall: every queued batch has a finite ready time");
+            let run = self.run_shard(sid, batches, inj);
 
-            let s = sweep.server.cache().stats();
+            let s = self.shards[sid].cache().stats();
             let (h, m) = (s.hits - stats_before.hits, s.misses - stats_before.misses);
             let hit_rate = if h + m > 0 { h as f64 / (h + m) as f64 } else { 0.0 };
+            let mut admitted_lat = LatencyStats::new();
+            for a in &run.answers {
+                if a.degraded {
+                    cluster_degraded.record(a.latency);
+                } else {
+                    admitted_lat.record(a.latency);
+                }
+            }
             shard_reports.push(ShardReport {
                 shard: sid as u32,
                 requests: shard_reqs.len(),
-                admitted: sweep.shard_admitted,
-                degraded: sweep.shard_degraded,
+                admitted: admitted_lat.count(),
+                degraded: run.answers.len() - admitted_lat.count(),
                 batches: n_batches,
-                shed_batches: sweep.shard_shed,
-                p50_ms: sweep.admitted_lat.p50() * 1e3,
-                p99_ms: sweep.admitted_lat.p99() * 1e3,
-                max_ms: sweep.admitted_lat.max() * 1e3,
-                compute_seconds: sweep.shard_compute,
+                shed_batches: run.shed_queue_delay + run.shed_inflight + run.shed_fault,
+                p50_ms: admitted_lat.p50() * 1e3,
+                p99_ms: admitted_lat.p99() * 1e3,
+                max_ms: admitted_lat.max() * 1e3,
+                compute_seconds: run.compute_seconds,
                 cache_hit_rate: hit_rate,
             });
-            compute_seconds += sweep.shard_compute;
-            cluster_admitted.merge(&sweep.admitted_lat);
+            cluster_admitted.merge(&admitted_lat);
+            compute_seconds += run.compute_seconds;
+            shed_queue_delay += run.shed_queue_delay;
+            shed_inflight += run.shed_inflight;
+            shed_fault += run.shed_fault;
+            last_answer = last_answer.max(run.last_answer);
+            answers.extend(run.answers);
         }
 
         if let Some(t) = &self.tracer {
@@ -342,193 +336,121 @@ impl Cluster {
         let total_gpus = (self.cfg.shards * self.cfg.gpus_per_shard) as f64;
         sample.len() as f64 * total_gpus / outcome.report.compute_seconds
     }
-}
 
-/// One shard's batch loop as a scheduler [`Component`]. The event queue
-/// holds formed batches keyed by ready time; each dispatch replays the
-/// legacy admit-or-shed step for one batch. Injection hooks sit at the
-/// dispatch point: a pause defers the batch (preemption), a kill or a
-/// planned [`ShardLoss`](mggcn_sched::ShardLoss) takes the shard down —
-/// from the loss instant on, every batch is forced degraded with
-/// [`ShedReason::Fault`] and the propagation cache is dropped once
-/// (cache-node loss), so surviving shards stay bit-identical while the
-/// dead shard degrades gracefully instead of timing out.
-struct ShardSweep<'a> {
-    sid: usize,
-    server: &'a mut Server,
-    admission: AdmissionPolicy,
-    degraded_cost: f64,
-    tracer: Option<Arc<Tracer>>,
-    queue: EventQueue<Batch>,
-    /// Per-shard dispatch counter — the structural coordinate faults
-    /// match on (deterministic, independent of wall clock).
-    seq: usize,
-    free_at: Vec<f64>,
-    /// Completion times of admitted-but-unfinished batches, pruned
-    /// against each batch's ready time (ready times are nondecreasing).
-    completions: Vec<f64>,
-    /// Simulated time the shard went down (cache already dropped).
-    lost: Option<f64>,
-    admitted_lat: LatencyStats,
-    shard_admitted: usize,
-    shard_degraded: usize,
-    shard_shed: usize,
-    shard_compute: f64,
-    answers: &'a mut Vec<Answer>,
-    cluster_degraded: &'a mut LatencyStats,
-    last_answer: &'a mut f64,
-    shed_queue_delay: &'a mut usize,
-    shed_inflight: &'a mut usize,
-    shed_fault: &'a mut usize,
-}
-
-impl ShardSweep<'_> {
-    fn mark_lost(&mut self, at: f64) {
-        if self.lost.is_none() {
-            self.lost = Some(at);
-            // Cache-node loss rides along with shard loss: the resident
-            // rows are gone, so degraded answers fall back to raw
-            // feature rows (still deterministic, still tagged).
-            self.server.drop_cache();
-            if let Some(t) = &self.tracer {
-                t.counter_add(&format!("cluster.shard{}.lost", self.sid), 1);
-            }
+    /// One shard's batch loop: admit or shed each formed batch in ready
+    /// order. Injection hooks sit at the dispatch point: a pause defers
+    /// the batch (preemption), a kill or a planned
+    /// [`ShardLoss`](mggcn_sched::ShardLoss) takes the shard down — from
+    /// the loss instant on, every batch is forced degraded with
+    /// [`ShedReason::Fault`] and the propagation cache is dropped once
+    /// (cache-node loss), so surviving shards stay bit-identical while the
+    /// dead shard degrades gracefully instead of timing out.
+    fn run_shard(&mut self, sid: usize, batches: Vec<Batch>, inj: &Injector) -> ShardRun {
+        let server = &mut self.shards[sid];
+        let tracer = self.tracer.as_deref();
+        let mut run = ShardRun::default();
+        // Ready times are nondecreasing (see `form_batches`) and ties pop
+        // FIFO, so fault-free dispatch order equals formation order.
+        let mut queue = EventQueue::new();
+        for b in batches {
+            queue.push(b.ready_at, b);
         }
-    }
-
-    /// Serve every request of `b` a degraded answer completing at `done`.
-    fn degrade(&mut self, b: &Batch, done: f64) {
-        self.shard_degraded += b.len();
-        *self.last_answer = self.last_answer.max(done);
-        for r in &b.requests {
-            let (row, from_cache) = self.server.degraded_answer(r.vertex);
-            let latency = done - r.arrival;
-            self.cluster_degraded.record(latency);
-            self.answers.push(Answer {
-                id: r.id,
-                vertex: r.vertex,
-                shard: self.sid as u32,
-                row,
-                degraded: true,
-                from_cache,
-                latency,
-            });
-            if let Some(t) = &self.tracer {
-                t.latency_record("cluster.degraded_latency_seconds", latency);
-            }
-        }
-    }
-}
-
-impl Component for ShardSweep<'_> {
-    fn label(&self) -> String {
-        format!("cluster shard {}", self.sid)
-    }
-
-    fn dispatch(&mut self, now: f64, inj: &Injector) -> bool {
-        let mut progressed = false;
-        while let Some(t) = self.queue.peek_time() {
-            if t > now {
-                break;
-            }
-            let (_, b) = self.queue.pop().expect("peeked");
-            let seq = self.seq;
-            self.seq += 1;
-            progressed = true;
-            match inj.at(DispatchSite::BatchDispatch { shard: self.sid, seq }) {
-                Action::Pause { seconds } => {
-                    // Preemption: the batch is deferred, not lost — it
-                    // re-dispatches (under a fresh seq) after the pause.
-                    self.queue.push(now + seconds, b);
-                    continue;
-                }
-                Action::Kill => self.mark_lost(now),
-                Action::None => {}
-            }
-            if self.lost.is_some() || inj.shard_down(self.sid, now).is_some() {
-                self.mark_lost(now);
-                // The dead shard never queues a batch: forced degraded
-                // answers at a fixed host-side cost, never a timeout.
-                self.shard_shed += 1;
-                *self.shed_fault += 1;
-                if let Some(t) = &self.tracer {
-                    t.counter_add("cluster.shed.fault", 1);
-                }
-                let done = now.max(b.ready_at) + self.degraded_cost;
-                self.degrade(&b, done);
+        let mut free_at = vec![0.0f64; self.cfg.gpus_per_shard];
+        // Completion times of admitted-but-unfinished batches, pruned at
+        // each dispatch (dispatch instants are nondecreasing).
+        let mut completions: Vec<f64> = Vec::new();
+        let mut lost = false;
+        // Per-shard dispatch counter — the structural coordinate faults
+        // match on (deterministic, independent of wall clock).
+        let mut seq = 0;
+        while let Some((now, b)) = queue.pop() {
+            let action = inj.at(DispatchSite::BatchDispatch { shard: sid, seq });
+            seq += 1;
+            if let Action::Pause { seconds } = action {
+                // Preemption: the batch is deferred, not lost — it
+                // re-dispatches (under a fresh seq) after the pause.
+                queue.push(now + seconds, b);
                 continue;
             }
-            self.completions.retain(|&c| c > b.ready_at);
-            let gpu = (0..self.free_at.len())
-                .min_by(|&x, &y| self.free_at[x].total_cmp(&self.free_at[y]))
+            // `now` is the dispatch instant: the batch's ready time, or
+            // later if a pause deferred it.
+            let gpu = (0..free_at.len())
+                .min_by(|&x, &y| free_at[x].total_cmp(&free_at[y]))
                 .expect("shard has GPUs");
-            let start = now.max(b.ready_at).max(self.free_at[gpu]);
-            let queue_delay = start - b.ready_at;
-            match self.admission.admit(queue_delay, self.completions.len()) {
-                Verdict::Admit => {
-                    let (out, service) = self.server.run_batch(&b.vertices(), gpu);
-                    let done = start + service;
-                    self.free_at[gpu] = done;
-                    self.completions.push(done);
-                    self.shard_compute += service;
-                    self.shard_admitted += b.len();
-                    *self.last_answer = self.last_answer.max(done);
-                    for (i, r) in b.requests.iter().enumerate() {
-                        let latency = done - r.arrival;
-                        self.admitted_lat.record(latency);
-                        self.answers.push(Answer {
-                            id: r.id,
-                            vertex: r.vertex,
-                            shard: self.sid as u32,
-                            row: out.row(i).to_vec(),
-                            degraded: false,
-                            from_cache: false,
-                            latency,
-                        });
-                        if let Some(t) = &self.tracer {
-                            t.latency_record("cluster.admitted_latency_seconds", latency);
-                        }
+            let start = now.max(free_at[gpu]);
+            let verdict = if lost || action == Action::Kill || inj.shard_down(sid, now).is_some() {
+                if !lost {
+                    lost = true;
+                    // Cache-node loss rides along with shard loss: the
+                    // resident rows are gone, so degraded answers fall
+                    // back to raw feature rows (still deterministic,
+                    // still tagged).
+                    server.drop_cache();
+                    if let Some(t) = tracer {
+                        t.counter_add(&format!("cluster.shard{sid}.lost"), 1);
                     }
                 }
+                // The dead shard never queues a batch.
+                Verdict::Shed(ShedReason::Fault)
+            } else {
+                completions.retain(|&c| c > now);
+                self.cfg.admission.admit(start - b.ready_at, completions.len())
+            };
+            let (out, done) = match verdict {
+                Verdict::Admit => {
+                    let (out, service) = server.run_batch(&b.vertices(), gpu);
+                    let done = start + service;
+                    free_at[gpu] = done;
+                    completions.push(done);
+                    run.compute_seconds += service;
+                    (Some(out), done)
+                }
                 Verdict::Shed(reason) => {
-                    self.shard_shed += 1;
-                    match reason {
-                        ShedReason::QueueDelay => *self.shed_queue_delay += 1,
-                        ShedReason::Inflight => *self.shed_inflight += 1,
-                        ShedReason::Fault => unreachable!("admit() never returns Fault"),
-                    }
-                    if let Some(t) = &self.tracer {
-                        let name = match reason {
-                            ShedReason::QueueDelay => "cluster.shed.queue_delay",
-                            ShedReason::Inflight => "cluster.shed.inflight",
-                            ShedReason::Fault => "cluster.shed.fault",
-                        };
+                    let (count, name) = match reason {
+                        ShedReason::QueueDelay => {
+                            (&mut run.shed_queue_delay, "cluster.shed.queue_delay")
+                        }
+                        ShedReason::Inflight => (&mut run.shed_inflight, "cluster.shed.inflight"),
+                        ShedReason::Fault => (&mut run.shed_fault, "cluster.shed.fault"),
+                    };
+                    *count += 1;
+                    if let Some(t) = tracer {
                         t.counter_add(name, 1);
                     }
                     // Degraded answers are served host-side at the
-                    // batch's ready time — no GPU queueing, fixed cost.
-                    let done = b.ready_at + self.degraded_cost;
-                    self.degrade(&b, done);
+                    // dispatch instant — no GPU queueing, fixed cost,
+                    // never a timeout.
+                    (None, now + self.cfg.degraded_cost)
+                }
+            };
+            run.last_answer = run.last_answer.max(done);
+            let degraded = out.is_none();
+            for (i, r) in b.requests.iter().enumerate() {
+                let (row, from_cache) = match &out {
+                    Some(out) => (out.row(i).to_vec(), false),
+                    None => server.degraded_answer(r.vertex),
+                };
+                let latency = done - r.arrival;
+                run.answers.push(Answer {
+                    id: r.id,
+                    vertex: r.vertex,
+                    shard: sid as u32,
+                    row,
+                    degraded,
+                    from_cache,
+                    latency,
+                });
+                if let Some(t) = tracer {
+                    let name = if degraded {
+                        "cluster.degraded_latency_seconds"
+                    } else {
+                        "cluster.admitted_latency_seconds"
+                    };
+                    t.latency_record(name, latency);
                 }
             }
         }
-        progressed
-    }
-
-    fn next_event(&mut self, _now: f64) -> Option<f64> {
-        self.queue.peek_time()
-    }
-
-    fn advance(&mut self, _next: f64, _inj: &Injector) -> bool {
-        false
-    }
-
-    fn is_done(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    fn stuck(&self) -> Vec<String> {
-        vec![format!("shard {} holds {} undispatched batches", self.sid, self.queue.len())]
+        run
     }
 }
 
@@ -537,6 +459,7 @@ mod tests {
     use super::*;
     use mggcn_dense::Dense;
     use mggcn_graph::generators::chung_lu;
+    use mggcn_sched::{FaultPlan, PauseAt};
     use mggcn_serve::LoadGenConfig;
 
     fn tiny_model(n: usize) -> ServingModel {
@@ -603,6 +526,69 @@ mod tests {
         // Degraded latency is bounded by window + degraded cost.
         let bound = 1e-4 + cluster.config().degraded_cost + 1e-12;
         assert!(out.answers.iter().filter(|a| a.degraded).all(|a| a.latency <= bound));
+    }
+
+    fn pause_shard0_first_dispatch(seconds: f64) -> Injector {
+        Injector::new(FaultPlan {
+            pauses: vec![PauseAt { gpu: 0, seq: 0, seconds }],
+            ..FaultPlan::none()
+        })
+    }
+
+    #[test]
+    fn a_paused_batch_is_judged_at_the_instant_it_is_dispatched() {
+        let model = tiny_model(32);
+        let reference = model.forward_full();
+        let mut cfg = ClusterConfig::new(1, 1, BatchPolicy::unbatched());
+        cfg.admission = AdmissionPolicy::new(1.0, 1);
+        let mut cluster = Cluster::new(&model, cfg, None);
+        let reqs = [
+            Request { id: 0, vertex: 3, arrival: 0.0 },
+            Request { id: 1, vertex: 9, arrival: 1e-3 },
+        ];
+        // Request 0 is deferred past request 1, whose batch has long
+        // completed by then: the shard is idle, so request 0 is admitted —
+        // and cannot be answered before it is dispatched.
+        let pause = 10e-3;
+        let inj = pause_shard0_first_dispatch(pause);
+        let out = cluster.serve_trace_chaos("paused", &reqs, &inj);
+        assert_eq!(out.answers.len(), 2);
+        let first = &out.answers[0];
+        assert_eq!(first.id, 0);
+        assert!(!first.degraded, "an idle shard must admit the deferred batch");
+        assert_eq!(first.row, reference.row(3));
+        assert!(first.latency >= pause, "answered after {}s, paused {pause}s", first.latency);
+        assert_eq!(out.report.shed_inflight, 0);
+        assert_eq!(out.report.degraded, 0);
+    }
+
+    #[test]
+    fn pausing_one_shard_leaves_the_other_bit_identical() {
+        let model = tiny_model(64);
+        let plan = PartitionPlan::random(64, 2, 5);
+        let reqs = trace(200, 64, 50_000.0);
+        let run = |inj: &Injector| {
+            let mut cfg = ClusterConfig::new(2, 1, BatchPolicy::new(2e-4, 4));
+            cfg.admission = AdmissionPolicy::new(1e-3, 2);
+            Cluster::new(&model, cfg, Some(&plan)).serve_trace_chaos("pause", &reqs, inj)
+        };
+        let clean = run(&Injector::none());
+        let inj = pause_shard0_first_dispatch(5e-3);
+        let paused = run(&inj);
+        assert_eq!(inj.fired().len(), 1, "the pause must fire: {:?}", inj.fired());
+        assert!(inj.fired()[0].starts_with("pause 0.005s at BatchDispatch"));
+        let ids: Vec<u64> = paused.answers.iter().map(|a| a.id).collect();
+        assert_eq!(ids, reqs.iter().map(|r| r.id).collect::<Vec<_>>(), "one answer per request");
+        assert!(paused.answers.iter().any(|a| a.shard == 1), "the trace must reach shard 1");
+        for (p, c) in paused.answers.iter().zip(&clean.answers) {
+            if p.shard == 1 {
+                assert_eq!((p.degraded, &p.row), (c.degraded, &c.row), "request {}", p.id);
+                assert_eq!(p.latency.to_bits(), c.latency.to_bits(), "request {}", p.id);
+            }
+        }
+        let delayed =
+            paused.answers.iter().zip(&clean.answers).filter(|(p, c)| p.latency > c.latency);
+        assert!(delayed.count() > 0, "the pause must delay something on shard 0");
     }
 
     #[test]

@@ -49,7 +49,7 @@ impl ShardReport {
 }
 
 /// Aggregate outcome of serving one trace across all shards.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ClusterReport {
     pub label: String,
     pub requests: usize,
@@ -84,27 +84,7 @@ pub struct ClusterReport {
 impl ClusterReport {
     /// The all-zero report an empty trace produces.
     pub fn zero(label: &str) -> Self {
-        Self {
-            label: label.to_string(),
-            requests: 0,
-            admitted: 0,
-            degraded: 0,
-            degraded_rate: 0.0,
-            duration: 0.0,
-            throughput_rps: 0.0,
-            admitted_mean_ms: 0.0,
-            admitted_p50_ms: 0.0,
-            admitted_p95_ms: 0.0,
-            admitted_p99_ms: 0.0,
-            admitted_max_ms: 0.0,
-            degraded_p99_ms: 0.0,
-            degraded_max_ms: 0.0,
-            compute_seconds: 0.0,
-            shed_queue_delay: 0,
-            shed_inflight: 0,
-            shed_fault: 0,
-            shards: Vec::new(),
-        }
+        Self { label: label.to_string(), ..Default::default() }
     }
 
     pub fn to_json(&self) -> String {

@@ -90,11 +90,6 @@ impl Dense {
         self.data[r * self.cols + c] = v;
     }
 
-    /// Reset every element to zero, keeping the allocation.
-    pub fn fill_zero(&mut self) {
-        self.data.fill(0.0);
-    }
-
     /// Reshape this matrix to `rows × cols`, reusing the allocation.
     ///
     /// This is how MG-GCN's shared buffers (`HW`, `BC1`, `BC2`) serve

@@ -7,7 +7,8 @@
 //! op's completion (CUDA events) — named explicitly (`launch`/`collective`
 //! and their `_fx` forms) or inferred from declared buffer effects
 //! ([`Schedule::record`], [`crate::deps`]). [`Schedule::run`] then plays
-//! the whole DAG forward in simulated time.
+//! the whole DAG forward in simulated time; the event loop is
+//! [`Schedule::simulate_with`], over the run state in `RateCore`.
 //!
 //! The simulator is *rate-based*: every running op drains work dimensions
 //! (seconds, FLOPs, bytes) at rates set by its GPU, and those rates are
@@ -28,7 +29,7 @@ use crate::deps::DepTracker;
 use crate::effects::Effects;
 use crate::specs::MachineSpec;
 use crate::timeline::{Category, Span, Timeline};
-use mggcn_sched::{Action, Component, DispatchSite, Injector, Scheduler, Stall};
+use mggcn_sched::{Action, DispatchSite, Injector, Stall};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
@@ -431,13 +432,12 @@ impl<Ctx> Schedule<Ctx> {
         }
     }
 
-    /// Run the DES under a fault injector.
+    /// Run the DES under a fault injector: promote every ready lane head,
+    /// jump to the earliest completion under the current rates, drain, and
+    /// repeat until every op has completed.
     ///
-    /// With the no-op injector this is bit-identical to
-    /// [`Schedule::simulate`]: the scheduler hands the rate core back the
-    /// exact completion instants it reported, and the core reuses the `dt`
-    /// behind each one, so every span, makespan, and completion-order entry
-    /// matches the legacy loop bit for bit.
+    /// With the no-op injector this is [`Schedule::simulate`] bit for bit:
+    /// no hook fires, and every slowdown factor is exactly `1.0`.
     ///
     /// Injection semantics:
     /// * [`Action::Pause`] at an op's promotion adds the pause to its
@@ -454,8 +454,25 @@ impl<Ctx> Schedule<Ctx> {
     /// than a schedule bug.
     pub fn simulate_with(&self, inj: &Injector) -> Result<SimOutcome, Stall> {
         let mut core = RateCore::new(self, inj);
-        Scheduler::new().run(&mut [&mut core], inj)?;
-        Ok(core.finish())
+        loop {
+            core.promote(inj);
+            if core.completed.iter().all(|&c| c) {
+                return Ok(core.finish());
+            }
+            // Nothing running and work left: a lane head waits on an op
+            // that will never complete.
+            let Some(dt) = core.earliest_completion() else {
+                return Err(core.stall());
+            };
+            let before = core.now;
+            let retired = core.drain(dt);
+            // Zero-duration ops make a round that does not move the clock
+            // legal, but only if something retired; otherwise we are
+            // livelocked.
+            if core.now <= before && !retired {
+                return Err(core.stall());
+            }
+        }
     }
 }
 
@@ -624,11 +641,10 @@ impl<Ctx> EpochPlan<Ctx> {
     }
 }
 
-/// The rate-based engine as a [`Component`]: all per-iteration state of the
-/// legacy `simulate` loop, driven by [`Scheduler`] instead of an inline
-/// `loop`. One `RateCore` models the whole machine (not one per GPU) so the
-/// completion order — running-vec promotion order with ties by promotion —
-/// is exactly the legacy order.
+/// State of one [`Schedule::simulate_with`] run. One `RateCore` models the
+/// whole machine (not one per GPU), so the completion order — running-vec
+/// promotion order with ties by promotion — is a function of the schedule
+/// alone.
 struct RateCore<'a, Ctx> {
     machine: &'a MachineSpec,
     ops: &'a [Op<Ctx>],
@@ -640,8 +656,6 @@ struct RateCore<'a, Ctx> {
     running: Vec<OpId>,
     remaining: Vec<Rem>,
     started_at: Vec<f64>,
-    /// Mirror of scheduler time, kept bit-equal (advance receives the same
-    /// f64 that next_event reported).
     now: f64,
     timeline: Timeline,
     executed: usize,
@@ -649,15 +663,11 @@ struct RateCore<'a, Ctx> {
     /// Per-GPU comm slowdown factors (exactly 1.0 under the no-op injector,
     /// so `bw / factor` is a bit-exact identity).
     slow: Vec<f64>,
-    /// Rates cache, refreshed in `next_event` and reused by `advance`
-    /// (the running set cannot change between the two calls).
+    /// Shared-resource draws of the running set, refreshed by
+    /// `earliest_completion` and reused by the `drain` that follows it (the
+    /// running set cannot change in between).
     comm_draw: Vec<f64>,
     compute_count: Vec<usize>,
-    /// `(target_bits, dt)` from the last `next_event`: when `advance` is
-    /// called with that exact target, drain by the cached `dt` — avoiding
-    /// the `(now + dt) - now` float round-trip that would break
-    /// bit-identity with the legacy `now += dt` loop.
-    pending: Option<(u64, f64)>,
 }
 
 impl<'a, Ctx> RateCore<'a, Ctx> {
@@ -687,7 +697,6 @@ impl<'a, Ctx> RateCore<'a, Ctx> {
             slow: (0..gpu_count).map(|g| inj.comm_slowdown(g)).collect(),
             comm_draw: vec![0.0; gpu_count],
             compute_count: vec![0; gpu_count],
-            pending: None,
         }
     }
 
@@ -752,18 +761,11 @@ impl<'a, Ctx> RateCore<'a, Ctx> {
             completion_order: self.completion_order,
         }
     }
-}
 
-impl<Ctx> Component for RateCore<'_, Ctx> {
-    fn label(&self) -> String {
-        format!("gpusim rate core ({} ops)", self.ops.len())
-    }
-
-    fn dispatch(&mut self, now: f64, inj: &Injector) -> bool {
-        // Promote every ready head op. A collective is ready when at the
-        // head of each of its lanes; repeat until fixpoint since one
-        // promotion can expose another lane's head.
-        let mut any = false;
+    /// Promote every ready head op to the running set. A collective is
+    /// ready when at the head of each of its lanes; repeat until fixpoint
+    /// since one promotion can expose another lane's head.
+    fn promote(&mut self, inj: &Injector) {
         let mut promoted = true;
         while promoted {
             promoted = false;
@@ -806,46 +808,32 @@ impl<Ctx> Component for RateCore<'_, Ctx> {
                         }
                     }
                     self.running.push(id);
-                    self.started_at[id] = now;
+                    self.started_at[id] = self.now;
                     promoted = true;
-                    any = true;
                 }
             }
         }
-        any
     }
 
-    fn next_event(&mut self, now: f64) -> Option<f64> {
+    /// Seconds until the first running op completes at the current rates;
+    /// `None` when nothing is running.
+    fn earliest_completion(&mut self) -> Option<f64> {
         if self.running.is_empty() {
-            self.pending = None;
             return None;
         }
         self.refresh_rates();
-        // Earliest completion under current rates.
         let mut dt = f64::INFINITY;
         for &id in &self.running {
             dt = dt.min(self.remaining[id].eta(self.rate_of(id)));
         }
         debug_assert!(dt.is_finite(), "running op with infinite ETA");
-        let target = now + dt;
-        self.pending = Some((target.to_bits(), dt));
-        Some(target)
+        Some(dt)
     }
 
-    fn advance(&mut self, next: f64, _inj: &Injector) -> bool {
-        if self.running.is_empty() {
-            self.pending = None;
-            return false;
-        }
-        // Bit-exact path: the scheduler advanced to exactly the instant we
-        // reported, so drain by the dt we computed it from. Fallback (other
-        // components' events, cycle-sync quanta): drain by the difference.
-        let dt = match self.pending.take() {
-            Some((bits, dt)) if bits == next.to_bits() => dt,
-            _ => next - self.now,
-        };
-        // Drain work and collect completions. Rates were refreshed by
-        // `next_event` this round (scheduler contract).
+    /// Drain `dt` seconds of work from every running op at the rates
+    /// `earliest_completion` just refreshed, move the clock, and retire
+    /// whatever finished. Returns `true` if any op retired.
+    fn drain(&mut self, dt: f64) -> bool {
         let mut finished: Vec<OpId> = Vec::new();
         for &id in &self.running {
             let rates = self.rate_of(id);
@@ -854,7 +842,7 @@ impl<Ctx> Component for RateCore<'_, Ctx> {
                 finished.push(id);
             }
         }
-        self.now = next;
+        self.now += dt;
         let retired = !finished.is_empty();
         for id in finished {
             self.running.retain(|&r| r != id);
@@ -893,19 +881,19 @@ impl<Ctx> Component for RateCore<'_, Ctx> {
         retired
     }
 
-    fn is_done(&self) -> bool {
-        self.completed.iter().all(|&c| c)
-    }
-
-    fn stuck(&self) -> Vec<String> {
-        self.heads
+    /// The error of a run that cannot progress: the lane heads, none of
+    /// which will ever start.
+    fn stall(&self) -> Stall {
+        let stuck = self
+            .heads
             .iter()
             .filter_map(|(&lane, &h)| {
                 self.queues[&lane].get(h).map(|&id| {
                     format!("lane {:?} head op {} ({})", lane, id, self.ops[id].desc.label)
                 })
             })
-            .collect()
+            .collect();
+        Stall { at: self.now, stuck }
     }
 }
 
@@ -1309,5 +1297,46 @@ mod tests {
         s.launch(0, 0, Work::Fixed { seconds: 1.0 }, desc(Category::Other), &[], None);
         let r = s.run(&());
         assert!((r.makespan - 1.25).abs() < 1e-9);
+    }
+
+    #[test]
+    fn all_zero_duration_ops_terminate_at_time_zero() {
+        // Rounds that do not move the clock are legal as long as each one
+        // retires something; the livelock guard must not mistake them for
+        // a stall.
+        let mut s: Schedule<()> = Schedule::new(machine(2));
+        s.launch_overhead = 0.0;
+        let zero = Work::Fixed { seconds: 0.0 };
+        let a = s.launch(0, 0, zero, desc(Category::Other), &[], None);
+        let b = s.launch(1, 0, zero, desc(Category::Other), &[a], None);
+        // An infinitely fast link makes the collective a zero-second hop.
+        let c =
+            s.collective(&[(0, 1), (1, 1)], 0.0, f64::INFINITY, desc(Category::Comm), &[b], None);
+        s.launch(0, 0, zero, desc(Category::Other), &[c], None);
+        let out = s.simulate();
+        assert_eq!(out.report.makespan, 0.0);
+        assert_eq!(out.report.ops_executed, 4);
+        assert_eq!(out.completion_order, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn a_killed_op_stalls_at_the_kill_instant_naming_the_blocked_lane_heads() {
+        use mggcn_sched::{FaultPlan, Kill};
+        let mut s: Schedule<()> = Schedule::new(machine(2));
+        s.launch_overhead = 0.0;
+        s.launch(0, 0, Work::Fixed { seconds: 1.0 }, desc(Category::Other), &[], None);
+        let victim = s.launch(0, 0, Work::Fixed { seconds: 1.0 }, desc(Category::Other), &[], None);
+        s.launch(1, 0, Work::Fixed { seconds: 0.5 }, desc(Category::Other), &[victim], None);
+        // The victim reaches its lane head when op 0 completes, at t = 1.
+        let plan = FaultPlan { kills: vec![Kill { gpu: 0, seq: victim }], ..FaultPlan::none() };
+        let stall = s
+            .simulate_with(&Injector::new(plan))
+            .err()
+            .expect("nothing behind a killed op can ever start");
+        assert_eq!(stall.at, 1.0);
+        assert_eq!(
+            stall.stuck,
+            vec!["lane (0, 0) head op 1 (test)", "lane (1, 0) head op 2 (test)"]
+        );
     }
 }

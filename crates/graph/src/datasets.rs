@@ -71,11 +71,6 @@ impl DatasetCard {
     pub fn feature_bytes(&self) -> u64 {
         self.n as u64 * self.feat_dim as u64 * 4
     }
-
-    /// Bytes of the CSR adjacency at paper scale (8B row_ptr + 4B idx + 4B val).
-    pub fn adjacency_bytes(&self) -> u64 {
-        (self.n as u64 + 1) * 8 + self.m as u64 * 8
-    }
 }
 
 /// Cora citation network.

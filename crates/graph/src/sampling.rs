@@ -29,11 +29,6 @@ impl SampledBlock {
     pub fn touched(&self) -> usize {
         self.vertices.len()
     }
-
-    /// The expansion factor: touched vertices per batch vertex.
-    pub fn explosion_factor(&self) -> f64 {
-        self.touched() as f64 / self.layer_sizes[0].max(1) as f64
-    }
 }
 
 /// Exact `hops`-hop in-neighborhood of `batch` (no fanout cap) — the

@@ -1,11 +1,11 @@
 //! Fault/preemption injection.
 //!
-//! Every dispatch point in the ported subsystems (`gpusim` op promotion,
-//! `exec` worker op dispatch, `cluster` shard batch dispatch) consults an
-//! [`Injector`] with a [`DispatchSite`] describing where execution stands and
-//! receives an [`Action`] back.  The injector resolves a [`FaultPlan`] — a
-//! plain, inspectable list of faults, usually derived from a seed — so every
-//! chaos run is replayable bit-for-bit from `MGGCN_CHAOS_SEED`.
+//! Every dispatch point (`gpusim` op promotion, `exec` worker op dispatch,
+//! `cluster` shard batch dispatch) consults an [`Injector`] with a
+//! [`DispatchSite`] describing where execution stands and receives an
+//! [`Action`] back.  The injector resolves a [`FaultPlan`] — a plain,
+//! inspectable list of faults, usually derived from a seed — so every chaos
+//! run is replayable bit-for-bit from `MGGCN_CHAOS_SEED`.
 //!
 //! Determinism rules:
 //! * Sites are matched by *structural position* (gpu × per-worker dispatch
@@ -14,8 +14,8 @@
 //!   interleaving or pool width.
 //! * The no-op injector is exactly side-effect free: slowdown factors are
 //!   `1.0` (IEEE-exact identity under multiplication and division) and no
-//!   pauses or kills fire, so fault-free runs through the hooks remain
-//!   bit-identical to the legacy loops.
+//!   pauses or kills fire, so a fault-free run through the hooks is
+//!   bit-identical to one without them.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -43,7 +43,7 @@ pub fn chaos_seed_count(default: usize) -> usize {
         .max(1)
 }
 
-/// A structural position at which the scheduler is about to dispatch work.
+/// A structural position at which an event loop is about to dispatch work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DispatchSite {
     /// The discrete-event engine is promoting op `seq` (its op id) to the

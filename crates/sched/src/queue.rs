@@ -1,26 +1,22 @@
 //! Deterministic event queue.
 //!
 //! A thin min-heap keyed on `(time, seq)` where `seq` is the insertion index.
-//! Ties on time therefore pop in insertion order, which is what every legacy
-//! loop in this workspace relied on (batches with equal ready times are
-//! serviced in formation order).  An optional seeded mode replaces the
-//! insertion index with a per-push pseudo-random tag so chaos tests can
-//! explore alternative — but still replayable — tie orders.
+//! Ties on time therefore pop in insertion order, which the cluster's shard
+//! loop relies on: batches with equal ready times are serviced in formation
+//! order, and a batch a pause re-queues goes behind those already waiting.
 
-use rand::rngs::SmallRng;
-use rand::{RngCore, SeedableRng};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 struct Entry<T> {
     time: f64,
-    tie: u64,
+    seq: u64,
     payload: T,
 }
 
 impl<T> PartialEq for Entry<T> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.tie == other.tie
+        self.time == other.time && self.seq == other.seq
     }
 }
 impl<T> Eq for Entry<T> {}
@@ -28,7 +24,7 @@ impl<T> Eq for Entry<T> {}
 impl<T> Ord for Entry<T> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; reverse for min-heap behavior.
-        other.time.total_cmp(&self.time).then_with(|| other.tie.cmp(&self.tie))
+        other.time.total_cmp(&self.time).then_with(|| other.seq.cmp(&self.seq))
     }
 }
 impl<T> PartialOrd for Entry<T> {
@@ -37,33 +33,21 @@ impl<T> PartialOrd for Entry<T> {
     }
 }
 
-/// Min-heap of `(time, payload)` with deterministic tie-breaking.
+/// Min-heap of `(time, payload)`; equal times pop in insertion order.
 pub struct EventQueue<T> {
     heap: BinaryHeap<Entry<T>>,
     seq: u64,
-    jitter: Option<SmallRng>,
 }
 
 impl<T> EventQueue<T> {
-    /// FIFO tie-breaking: equal times pop in insertion order.
     pub fn new() -> Self {
-        EventQueue { heap: BinaryHeap::new(), seq: 0, jitter: None }
-    }
-
-    /// Seeded tie-breaking: equal times pop in a pseudo-random but fully
-    /// replayable order derived from `seed`.
-    pub fn seeded(seed: u64) -> Self {
-        EventQueue { heap: BinaryHeap::new(), seq: 0, jitter: Some(SmallRng::seed_from_u64(seed)) }
+        EventQueue { heap: BinaryHeap::new(), seq: 0 }
     }
 
     pub fn push(&mut self, time: f64, payload: T) {
         assert!(!time.is_nan(), "event time must not be NaN");
-        let tie = match &mut self.jitter {
-            Some(rng) => rng.next_u64(),
-            None => self.seq,
-        };
+        self.heap.push(Entry { time, seq: self.seq, payload });
         self.seq += 1;
-        self.heap.push(Entry { time, tie, payload });
     }
 
     /// Earliest pending event time, if any.
@@ -73,14 +57,6 @@ impl<T> EventQueue<T> {
 
     pub fn pop(&mut self) -> Option<(f64, T)> {
         self.heap.pop().map(|e| (e.time, e.payload))
-    }
-
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -113,24 +89,6 @@ mod tests {
         }
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
         assert_eq!(order, (0..16).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn seeded_ties_are_replayable() {
-        let run = |seed: u64| -> Vec<u32> {
-            let mut q = EventQueue::seeded(seed);
-            for i in 0..16u32 {
-                q.push(1.0, i);
-            }
-            std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect()
-        };
-        assert_eq!(run(7), run(7));
-        assert_ne!(run(7), run(8), "different seeds should shuffle ties");
-        assert_ne!(
-            run(7),
-            (0..16).collect::<Vec<_>>(),
-            "seeded mode should not degenerate to FIFO"
-        );
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! order on the least-loaded GPU, and a request's latency is its batch's
 //! completion time minus its own arrival.
 
-use crate::batcher::{form_batches, Batch, BatchPolicy, Request};
+use crate::batcher::{form_batches, BatchPolicy, Request};
 use crate::cache::{CacheStats, PropagationCache};
 use crate::model::ServingModel;
 use mggcn_dense::{gemm, relu_inplace, Accumulate, Dense};
@@ -36,7 +36,6 @@ use mggcn_gpusim::{
     BufId, Category, CostModel, Effects, LatencyStats, MachineSpec, Schedule, Work,
 };
 use mggcn_graph::sampling::{khop_induced, InducedBlock};
-use mggcn_sched::{Action, Component, DispatchSite, EventQueue, Injector, Scheduler};
 use mggcn_sparse::spmm_rows;
 use mggcn_trace::json::JsonWriter;
 use std::sync::{Arc, Mutex};
@@ -102,7 +101,7 @@ pub struct BatchCtx {
 
 /// Outcome of serving one trace: throughput, latency quantiles, compute
 /// and cache behaviour — the JSON payload of `mggcn serve-bench`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ServeReport {
     pub label: String,
     pub requests: usize,
@@ -126,23 +125,7 @@ pub struct ServeReport {
 impl ServeReport {
     /// The all-zero report an empty trace produces.
     pub fn zero(label: &str) -> Self {
-        Self {
-            label: label.to_string(),
-            requests: 0,
-            batches: 0,
-            mean_batch: 0.0,
-            duration: 0.0,
-            throughput_rps: 0.0,
-            mean_ms: 0.0,
-            p50_ms: 0.0,
-            p95_ms: 0.0,
-            p99_ms: 0.0,
-            max_ms: 0.0,
-            compute_seconds: 0.0,
-            compute_per_request_us: 0.0,
-            cache: CacheStats::default(),
-            cache_hit_rate: 0.0,
-        }
+        Self { label: label.to_string(), ..Default::default() }
     }
 
     pub fn to_json(&self) -> String {
@@ -299,53 +282,35 @@ impl Server {
     /// cache persists across calls (serve the same trace twice to measure
     /// warm-cache behaviour); replica clocks reset per call.
     pub fn serve(&mut self, label: &str, requests: &[Request]) -> ServeReport {
-        self.serve_chaos(label, requests, &Injector::none())
-    }
-
-    /// [`Server::serve`] with fault/preemption injection. Batch dispatch is
-    /// driven by the unified `mggcn-sched` core: the batcher becomes a
-    /// [`Component`] whose events are batch-ready instants, and every
-    /// dispatch consults `inj` (an [`Action::Pause`] defers the batch —
-    /// preemption of the batching front end; every deferred request's extra
-    /// queueing shows up in its latency). With the no-op injector the
-    /// report is bit-identical to the legacy inline loop: batches pop in
-    /// formation order (ready times are nondecreasing and ties preserve
-    /// insertion order) and all accounting runs in the same sequence.
-    pub fn serve_chaos(
-        &mut self,
-        label: &str,
-        requests: &[Request],
-        inj: &Injector,
-    ) -> ServeReport {
         if requests.is_empty() {
             // An empty trace is a valid (if dull) workload — zero-request
             // summary, not a panic.
             return ServeReport::zero(label);
         }
         let stats_before = *self.cache.stats();
+        // Ready times are nondecreasing (see `form_batches`), so formation
+        // order is dispatch order.
         let batches = form_batches(requests, &self.cfg.policy);
-        let n_batches = batches.len();
-        let gpu_count = self.cfg.machine.gpu_count();
-        let (mut latency, compute_seconds, last_done) = {
-            let mut queue = EventQueue::new();
-            for b in batches {
-                queue.push(b.ready_at, b);
+        let mut free_at = vec![0.0f64; self.cfg.machine.gpu_count()];
+        let mut latency = LatencyStats::new();
+        let (mut compute_seconds, mut last_done) = (0.0f64, 0.0f64);
+        for b in &batches {
+            let gpu = (0..free_at.len())
+                .min_by(|&x, &y| free_at[x].total_cmp(&free_at[y]))
+                .expect("machine has GPUs");
+            let (_, service) = self.execute_batch(&b.vertices(), gpu);
+            let done = b.ready_at.max(free_at[gpu]) + service;
+            free_at[gpu] = done;
+            last_done = last_done.max(done);
+            compute_seconds += service;
+            for r in &b.requests {
+                let seconds = done - r.arrival;
+                latency.record(seconds);
+                if let Some(tracer) = &self.tracer {
+                    tracer.latency_record("serve.latency_seconds", seconds);
+                }
             }
-            let mut sweep = BatchSweep {
-                server: self,
-                shard: 0,
-                queue,
-                seq: 0,
-                free_at: vec![0.0f64; gpu_count],
-                latency: LatencyStats::new(),
-                compute_seconds: 0.0,
-                last_done: 0.0,
-            };
-            Scheduler::new()
-                .run(&mut [&mut sweep], inj)
-                .expect("batch sweep cannot stall: every batch has a ready time");
-            (sweep.latency, sweep.compute_seconds, sweep.last_done)
-        };
+        }
         if let Some(tracer) = &self.tracer {
             tracer.counter_add("serve.requests", requests.len() as u64);
         }
@@ -362,8 +327,8 @@ impl Server {
         ServeReport {
             label: label.to_string(),
             requests: requests.len(),
-            batches: n_batches,
-            mean_batch: requests.len() as f64 / n_batches as f64,
+            batches: batches.len(),
+            mean_batch: requests.len() as f64 / batches.len() as f64,
             duration,
             throughput_rps: requests.len() as f64 / duration,
             mean_ms: latency.mean() * 1e3,
@@ -644,97 +609,6 @@ impl Server {
             self.cache.insert(g, ctx.miss_agg.row(i));
         }
         (ctx.out, makespan)
-    }
-}
-
-/// The serving batcher as a scheduler [`Component`]: pending batches sit in
-/// an [`EventQueue`] keyed by ready time, and each dispatch services every
-/// batch that is ready at the current instant — replica selection
-/// (earliest-free GPU), execution, and latency accounting run in exactly the
-/// legacy loop's order. The service itself is virtual bookkeeping
-/// (`free_at`), so the component retires nothing in `advance`; its events
-/// are purely batch-ready instants.
-struct BatchSweep<'s> {
-    server: &'s mut Server,
-    /// Identity of this sweep at [`DispatchSite::BatchDispatch`] sites
-    /// (shard id in a cluster, 0 standalone).
-    shard: usize,
-    queue: EventQueue<Batch>,
-    /// Dispatch counter: the `seq` coordinate fault plans match on.
-    seq: usize,
-    free_at: Vec<f64>,
-    latency: LatencyStats,
-    compute_seconds: f64,
-    last_done: f64,
-}
-
-impl Component for BatchSweep<'_> {
-    fn label(&self) -> String {
-        format!("serve batch sweep (shard {})", self.shard)
-    }
-
-    fn dispatch(&mut self, now: f64, inj: &Injector) -> bool {
-        let mut any = false;
-        while self.queue.peek_time().is_some_and(|t| t <= now) {
-            let (ready_at, b) = self.queue.pop().expect("peeked");
-            let seq = self.seq;
-            self.seq += 1;
-            if !inj.is_noop() {
-                match inj.at(DispatchSite::BatchDispatch { shard: self.shard, seq }) {
-                    Action::Pause { seconds } => {
-                        // The batching front end is preempted: defer the
-                        // batch. It re-dispatches (under a fresh seq) at
-                        // now + pause; the extra queueing lands in every
-                        // member request's latency.
-                        self.queue.push(now + seconds, b);
-                        any = true;
-                        continue;
-                    }
-                    // A single-node server has no failover target — kills
-                    // model node loss and are meaningful at cluster level
-                    // (shard loss ⇒ degraded answers). Ignored here.
-                    Action::Kill | Action::None => {}
-                }
-            }
-            let gpu = (0..self.free_at.len())
-                .min_by(|&a, &b| self.free_at[a].total_cmp(&self.free_at[b]))
-                .expect("machine has GPUs");
-            let (_, service) = self.server.execute_batch(&b.vertices(), gpu);
-            // A deferred batch starts no earlier than its deferred dispatch.
-            let start = ready_at.max(b.ready_at).max(self.free_at[gpu]);
-            let done = start + service;
-            self.free_at[gpu] = done;
-            self.last_done = self.last_done.max(done);
-            self.compute_seconds += service;
-            for r in &b.requests {
-                let seconds = done - r.arrival;
-                self.latency.record(seconds);
-                if let Some(tracer) = &self.server.tracer {
-                    tracer.latency_record("serve.latency_seconds", seconds);
-                }
-            }
-            any = true;
-        }
-        any
-    }
-
-    fn next_event(&mut self, _now: f64) -> Option<f64> {
-        self.queue.peek_time()
-    }
-
-    fn advance(&mut self, _next: f64, _inj: &Injector) -> bool {
-        false
-    }
-
-    fn is_done(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    fn stuck(&self) -> Vec<String> {
-        self.queue
-            .peek_time()
-            .map(|t| vec![format!("shard {} batch pending at t={t}", self.shard)])
-            .unwrap_or_default()
     }
 }
 

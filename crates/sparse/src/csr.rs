@@ -310,12 +310,6 @@ impl Csr {
         }
         Csr { rows: rows.len(), cols: self.cols, row_ptr, col_idx, values }
     }
-
-    /// Bytes this matrix occupies on a device: row_ptr (8B each) +
-    /// col_idx (4B) + values (4B). Used by the memory tracker.
-    pub fn device_bytes(&self) -> u64 {
-        (self.row_ptr.len() * 8 + self.col_idx.len() * 4 + self.values.len() * 4) as u64
-    }
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@ use mggcn_cluster::{AdmissionPolicy, Cluster, ClusterConfig, PartitionPlan};
 use mggcn_dense::Dense;
 use mggcn_exec::Backend;
 use mggcn_graph::generators::sbm::{self, SbmConfig};
-use mggcn_serve::{generate_load, BatchPolicy, LoadGenConfig, ServingModel};
+use mggcn_serve::{generate_load, BatchPolicy, LoadGenConfig, ServeConfig, Server, ServingModel};
 
 fn model(n: usize, seed: u64) -> (ServingModel, Dense, mggcn_sparse::Csr) {
     let graph = sbm::generate(&SbmConfig::community_benchmark(n, 4), seed);
@@ -127,5 +127,50 @@ fn degraded_answers_are_deterministic_across_identical_runs() {
         assert_eq!(x.degraded, y.degraded);
         assert_eq!(x.row, y.row, "request {} not reproducible", x.id);
         assert_eq!(x.latency, y.latency);
+    }
+}
+
+/// `Server::serve` and `Cluster::run_shard` are separate loops on purpose
+/// (admission, shedding and fault handling would make a shared one branch
+/// on its caller). With those three switched off they must be the same
+/// loop: same replica choice, same accounting, bit for bit.
+#[test]
+fn a_one_shard_unbounded_cluster_is_a_standalone_server_bit_for_bit() {
+    let (m, _, _) = model(200, 29);
+    let reqs = generate_load(&LoadGenConfig::skewed(60_000.0, 600, 200, 31));
+    let mut cfg = ClusterConfig::new(1, 2, BatchPolicy::new(4e-4, 8));
+    cfg.cache_bytes = 2 << 10; // small enough to evict
+    cfg.admission = AdmissionPolicy::unbounded();
+    let server_cfg = ServeConfig::new(cfg.shard_machine(), cfg.policy, cfg.cache_bytes);
+    let mut server = Server::new(m.clone(), server_cfg);
+    let mut cluster = Cluster::new(&m, cfg, None);
+
+    let alone = server.serve("alone", &reqs);
+    let sharded = cluster.serve_trace("sharded", &reqs);
+    let c = &sharded.report;
+    assert_eq!(c.degraded, 0);
+    assert!(alone.cache.evictions > 0, "the cache budget must bind");
+    // Answers come back in id order, which on one shard is the order the
+    // server recorded them in, so their mean is the server's sum. (The
+    // report's own `admitted_mean_ms` sums each shard's samples after its
+    // quantiles sorted them and may differ in the last place.)
+    let mean = sharded.answers.iter().map(|a| a.latency).sum::<f64>() / reqs.len() as f64;
+    assert!((c.admitted_mean_ms - alone.mean_ms).abs() <= 1e-12 * alone.mean_ms);
+    for (name, a, b) in [
+        ("mean", alone.mean_ms, mean * 1e3),
+        ("p50", alone.p50_ms, c.admitted_p50_ms),
+        ("p95", alone.p95_ms, c.admitted_p95_ms),
+        ("p99", alone.p99_ms, c.admitted_p99_ms),
+        ("max", alone.max_ms, c.admitted_max_ms),
+        ("duration", alone.duration, c.duration),
+        ("compute seconds", alone.compute_seconds, c.compute_seconds),
+    ] {
+        assert_eq!(a.to_bits(), b.to_bits(), "{name}: server {a} vs cluster {b}");
+    }
+    assert_eq!(alone.batches, c.shards[0].batches);
+    // `serve` keeps no rows; the server's answer to each vertex is what a
+    // query returns, whatever the cache holds by now.
+    for a in &sharded.answers {
+        assert_eq!(a.row, server.query(&[a.vertex]).row(0), "request {}", a.id);
     }
 }

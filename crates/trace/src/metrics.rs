@@ -134,10 +134,6 @@ impl MetricsRegistry {
         self.histograms.entry(name.to_string()).or_insert_with(|| Histogram::new(bounds)).record(v);
     }
 
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
     /// Serialize the whole registry as one JSON object:
     /// `{"counters":{...},"gauges":{...},"histograms":{...}}`.
     pub fn to_json(&self) -> String {
