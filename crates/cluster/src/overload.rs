@@ -130,9 +130,10 @@ pub fn overload_study(
     let n = model.vertices();
     let (hops, d) = (model.layers(), model.feat_dim());
     let random = PartitionPlan::random(n, cfg.shards, spec.seed);
-    let plan = PartitionPlan::cache_aware(model.adj(), cfg.shards, spec.seed);
-    let (_, random_bytes) = random.fanout_bytes(model.adj(), hops, d);
-    let (_, aware_bytes) = plan.fanout_bytes(model.adj(), hops, d);
+    let adj = model.adj();
+    let plan = PartitionPlan::cache_aware(&adj, cfg.shards, spec.seed);
+    let (_, random_bytes) = random.fanout_bytes(&adj, hops, d);
+    let (_, aware_bytes) = plan.fanout_bytes(&adj, hops, d);
 
     let mut cluster = Cluster::new(model, cfg.clone(), Some(&plan));
     if let Some(t) = tracer {

@@ -20,8 +20,8 @@
 //! The batched, cached serving path is *bit-identical* to the reference
 //! full-graph forward pass ([`ServingModel::forward_full`]): induced
 //! blocks preserve full-graph accumulation order, cached rows are exact
-//! bit copies, and delta invalidation removes a superset of every row
-//! whose aggregation changed.
+//! bit copies, and delta invalidation removes exactly the rows whose
+//! aggregation changed (the delta's endpoints).
 //!
 //! # Example
 //!

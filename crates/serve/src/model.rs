@@ -10,27 +10,26 @@
 //! (`Âᵀ·H⁰`) pure per-vertex functions of frozen state — exactly what the
 //! propagation cache stores.
 //!
-//! Graph deltas (new edges) re-normalize the adjacency and report the
-//! 1-hop out-neighborhood of the touched endpoints as the invalidation
-//! set — a superset of the rows whose aggregations actually change under
-//! any of the usual normalizations, so cached entries that survive remain
-//! bit-exact.
+//! Graph deltas are exact: an edge `(u, v)` changes only columns `u` and
+//! `v` of the in-degree-normalized `Â` (rows `u`, `v` of `Âᵀ`), so a delta
+//! patches the raw operator in place, re-normalizes its endpoints' rows
+//! and invalidates exactly those; every other row keeps its bits.
 
 use mggcn_core::checkpoint::Checkpoint;
 use mggcn_core::config::{GcnConfig, TrainOptions};
 use mggcn_core::problem::Problem;
 use mggcn_core::trainer::Trainer;
 use mggcn_dense::{gemm, relu_inplace, Accumulate, Dense};
-use mggcn_graph::sampling::khop_neighborhood;
 use mggcn_graph::Graph;
-use mggcn_sparse::{spmm, spmm_rows, Coo, Csr};
+use mggcn_sparse::{spmm, spmm_rows, Csr};
 use std::sync::Arc;
 
 /// A frozen GCN ready to answer queries.
 #[derive(Clone, Debug)]
 pub struct ServingModel {
-    /// Raw adjacency, kept for delta application.
-    adj: Csr,
+    /// Raw adjacency, transposed (row `c` lists column `c` of `A`) so a
+    /// delta patches it in place and `Âᵀ` is its row normalization.
+    adj_t: Csr,
     a_hat_t: Arc<Csr>,
     features: Arc<Dense>,
     weights: Arc<Vec<Dense>>,
@@ -73,10 +72,11 @@ impl ServingModel {
             }
             d = w.cols();
         }
-        let a_hat_t = adj.normalize_columns().transpose();
+        // Same f64 sums in the same order as `adj.normalize_columns().transpose()`.
+        let adj_t = adj.transpose();
         Ok(Self {
-            adj,
-            a_hat_t: Arc::new(a_hat_t),
+            a_hat_t: Arc::new(adj_t.normalize_rows()),
+            adj_t,
             features: Arc::new(features),
             weights: Arc::new(weights),
         })
@@ -87,7 +87,7 @@ impl ServingModel {
     }
 
     pub fn vertices(&self) -> usize {
-        self.adj.rows()
+        self.adj_t.rows()
     }
 
     /// Input feature width (`H⁰` columns) — the propagation-cache stride.
@@ -102,9 +102,9 @@ impl ServingModel {
 
     /// The raw (un-normalized) adjacency the propagation operator derives
     /// from — conformance tests rebuild a reference operator from it after
-    /// [`apply_delta`](Self::apply_delta).
-    pub fn adj(&self) -> &Csr {
-        &self.adj
+    /// [`apply_delta`](Self::apply_delta). Built on each call (`O(nnz)`).
+    pub fn adj(&self) -> Csr {
+        self.adj_t.transpose()
     }
 
     pub fn a_hat_t(&self) -> &Arc<Csr> {
@@ -147,31 +147,34 @@ impl ServingModel {
     }
 
     /// Apply a graph delta: add undirected edges (unit weight, both
-    /// directions), re-normalize, and return the vertices whose cached
-    /// aggregations must be invalidated — the endpoints plus their 1-hop
-    /// out-neighborhood in the updated operator.
+    /// directions; a self edge adds 2), re-normalize the endpoints' rows of
+    /// `Âᵀ`, and return those endpoints, ascending and deduplicated — the
+    /// only vertices whose cached aggregations change. All-or-nothing:
+    /// panics naming the first out-of-range edge before touching anything.
     pub fn apply_delta(&mut self, edges: &[(u32, u32)]) -> Vec<u32> {
+        let n = self.vertices();
+        if let Some((u, v)) = edges.iter().find(|&&(u, v)| u.max(v) as usize >= n) {
+            panic!("delta edge ({u}, {v}) out of range for {n} vertices");
+        }
         if edges.is_empty() {
             return Vec::new();
         }
-        let n = self.adj.rows();
-        let mut coo = Coo::with_capacity(n, n, self.adj.nnz() + edges.len() * 2);
-        for r in 0..n {
-            for (c, v) in self.adj.row(r) {
-                coo.push(r as u32, c, v);
-            }
-        }
+        let a_hat_t = Arc::make_mut(&mut self.a_hat_t);
         let mut endpoints = Vec::with_capacity(edges.len() * 2);
         for &(u, v) in edges {
-            assert!((u as usize) < n && (v as usize) < n, "delta endpoint out of range");
-            coo.push(u, v, 1.0);
-            coo.push(v, u, 1.0);
-            endpoints.push(u);
-            endpoints.push(v);
+            for (r, c) in [(v, u), (u, v)] {
+                if self.adj_t.add_entry(r as usize, c, 1.0) {
+                    a_hat_t.add_entry(r as usize, c, 0.0);
+                }
+                endpoints.push(r);
+            }
         }
-        self.adj = coo.to_csr();
-        self.a_hat_t = Arc::new(self.adj.normalize_columns().transpose());
-        khop_neighborhood(&self.a_hat_t, &endpoints, 1)
+        endpoints.sort_unstable();
+        endpoints.dedup();
+        for &r in &endpoints {
+            a_hat_t.normalize_row_from(r as usize, &self.adj_t);
+        }
+        endpoints
     }
 }
 
@@ -220,19 +223,28 @@ mod tests {
     }
 
     #[test]
-    fn delta_adds_edges_and_reports_neighborhood() {
+    fn delta_adds_edges_and_reports_its_endpoints() {
         let mut m = tiny_model(20, 4, 3, 2, 4);
-        let before = m.adj.nnz();
-        let invalidated = m.apply_delta(&[(0, 19)]);
-        assert!(m.adj.nnz() >= before + 2);
-        assert!(invalidated.contains(&0) && invalidated.contains(&19));
-        // The invalidation set is the 1-hop out-neighborhood of {0, 19}.
-        let expect = khop_neighborhood(m.a_hat_t(), &[0, 19], 1);
-        let mut a = invalidated.clone();
-        let mut b = expect.clone();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
+        let before = m.adj_t.nnz();
+        assert_eq!(m.apply_delta(&[(19, 0)]), vec![0, 19]);
+        assert!(m.adj_t.nnz() >= before + 2);
+        assert_eq!(m.a_hat_t().nnz(), m.adj_t.nnz());
+        // Self edges and repeats are reported once.
+        assert_eq!(m.apply_delta(&[(3, 3), (0, 3), (3, 0)]), vec![0, 3]);
+    }
+
+    #[test]
+    fn an_out_of_range_delta_changes_nothing() {
+        let mut m = tiny_model(20, 4, 3, 2, 6);
+        let (adj, a_hat_t) = (m.adj(), (**m.a_hat_t()).clone());
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            m.apply_delta(&[(0, 19), (1, 20)]);
+        }))
+        .expect_err("vertex 20 is out of range");
+        let msg = panic.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.contains("(1, 20)"), "panic names the edge: {msg}");
+        assert_eq!(m.adj(), adj);
+        assert_eq!(**m.a_hat_t(), a_hat_t);
     }
 
     #[test]

@@ -120,26 +120,25 @@ fn warm_cache_reduces_mean_per_request_compute() {
     );
 }
 
-/// Pins `Server::apply_delta`'s contract through the cache-invalidation
-/// rename: the first element is the 1-hop out-neighborhood of the delta
-/// endpoints in the updated operator (the *invalidated* vertices —
-/// serve-side cache coherence, nothing to do with training-time bounded
-/// staleness), and the second counts rows actually evicted, which is
-/// zero on a cold cache and bounded by the invalidated set when warm.
+/// Pins `Server::apply_delta`'s contract: the first element is exactly the
+/// delta's endpoints, ascending and deduplicated — the only rows of `Âᵀ` an
+/// edge changes (the *invalidated* vertices — serve-side cache coherence,
+/// nothing to do with training-time bounded staleness) — and the second
+/// counts rows actually evicted, which is zero on a cold cache and bounded
+/// by the invalidated set when warm.
 #[test]
 fn apply_delta_returns_invalidated_vertices_and_eviction_count() {
     let m = model(120, 10, 8, 4, 17);
     let mut server = Server::new(m, config(BatchPolicy::new(1e-3, 16), 1 << 20));
 
     // Cold cache: the invalidated set is purely structural, evictions 0.
-    let (cold_invalidated, cold_evicted) = server.apply_delta(&[(5, 60)]);
-    assert!(cold_invalidated.contains(&5) && cold_invalidated.contains(&60));
+    let (cold_invalidated, cold_evicted) = server.apply_delta(&[(60, 5)]);
+    assert_eq!(cold_invalidated, vec![5, 60]);
     assert_eq!(cold_evicted, 0, "nothing cached, nothing to evict");
 
-    // Warm the cache, re-apply the same delta: the structural set is
-    // identical (same endpoints, same operator shape — the edge already
-    // exists, so re-adding it changes no sparsity pattern), and now the
-    // eviction count is positive but never exceeds the invalidated set.
+    // Warm the cache, re-apply the same delta: the set is identical (same
+    // endpoints), and now the eviction count is positive but never exceeds
+    // the invalidated set.
     let all: Vec<u32> = (0..120).collect();
     server.query(&all);
     let (warm_invalidated, warm_evicted) = server.apply_delta(&[(5, 60)]);

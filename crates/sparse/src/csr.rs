@@ -236,17 +236,59 @@ impl Csr {
     /// the form mini-batch blocks use, where edges already point from a
     /// vertex to its sampled neighbors).
     pub fn normalize_rows(&self) -> Csr {
-        let mut values = self.values.clone();
+        let mut out = self.clone();
         for r in 0..self.rows {
-            let range = self.row_ptr[r]..self.row_ptr[r + 1];
-            let sum: f64 = values[range.clone()].iter().map(|&v| v as f64).sum();
-            if sum != 0.0 {
-                for v in &mut values[range] {
-                    *v = (*v as f64 / sum) as f32;
+            out.normalize_row_from(r, self);
+        }
+        out
+    }
+
+    /// Overwrite row `r`'s values with `raw`'s row `r` divided by its sum —
+    /// one row of [`normalize_rows`](Self::normalize_rows), same bits. Both
+    /// matrices must store row `r` with the same column pattern.
+    pub fn normalize_row_from(&mut self, r: usize, raw: &Csr) {
+        let range = self.row_ptr[r]..self.row_ptr[r + 1];
+        let raw_range = raw.row_ptr[r]..raw.row_ptr[r + 1];
+        debug_assert_eq!(self.col_idx[range.clone()], raw.col_idx[raw_range.clone()]);
+        let src = &raw.values[raw_range];
+        let sum: f64 = src.iter().map(|&v| v as f64).sum();
+        for (out, &v) in self.values[range].iter_mut().zip(src) {
+            *out = if sum != 0.0 { (v as f64 / sum) as f32 } else { v };
+        }
+    }
+
+    /// Add `v` to entry `(r, c)`, inserting it in column order if it is not
+    /// stored yet; returns whether it was inserted. Row `r`'s columns must
+    /// be ascending (binary search finds the slot); an insertion also
+    /// shifts the entries after it and bumps the later row offsets.
+    pub fn add_entry(&mut self, r: usize, c: u32, v: f32) -> bool {
+        assert!(r < self.rows && (c as usize) < self.cols, "entry ({r}, {c}) out of range");
+        let (start, end) = (self.row_ptr[r], self.row_ptr[r + 1]);
+        let cols = &self.col_idx[start..end];
+        debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "row {r} columns not ascending");
+        match cols.binary_search(&c) {
+            Ok(i) => {
+                self.values[start + i] += v;
+                false
+            }
+            Err(i) => {
+                // A full Vec would double; grow by a bounded step instead so
+                // a long-lived, rarely-growing matrix keeps its footprint.
+                let step = self.col_idx.len() / 64 + 16;
+                if self.col_idx.len() == self.col_idx.capacity() {
+                    self.col_idx.reserve_exact(step);
                 }
+                if self.values.len() == self.values.capacity() {
+                    self.values.reserve_exact(step);
+                }
+                self.col_idx.insert(start + i, c);
+                self.values.insert(start + i, v);
+                for p in &mut self.row_ptr[r + 1..] {
+                    *p += 1;
+                }
+                true
             }
         }
-        Csr { values, ..self.clone() }
     }
 
     /// Symmetric relabeling by a permutation: entry `(u, v)` moves to
@@ -414,6 +456,59 @@ mod tests {
             let s: f32 = (0..4).map(|c| d.get(r, c)).sum();
             assert!((s - 1.0).abs() < 1e-6 || s == 0.0, "row {r} sums to {s}");
         }
+    }
+
+    #[test]
+    fn add_entry_accumulates_or_inserts_in_column_order() {
+        let mut m = sample();
+        assert!(!m.add_entry(0, 2, 0.5), "(0, 2) is stored: accumulate");
+        assert!(m.add_entry(1, 0, 7.0), "start of row 1");
+        assert!(m.add_entry(2, 3, 6.0), "end of row 2");
+        assert!(m.add_entry(0, 1, 8.0), "middle of row 0");
+        assert_eq!(m.validate(), Ok(()));
+        let mut coo = Coo::new(3, 4);
+        let want = [
+            (0, 0, 1.0),
+            (0, 1, 8.0),
+            (0, 2, 2.5),
+            (1, 0, 7.0),
+            (1, 3, 3.0),
+            (2, 0, 4.0),
+            (2, 1, 5.0),
+            (2, 3, 6.0),
+        ];
+        for (r, c, v) in want {
+            coo.push(r, c, v);
+        }
+        assert_eq!(m, coo.to_csr());
+
+        let mut e = Csr::empty(3, 3);
+        assert!(e.add_entry(1, 2, 1.0), "into an empty row");
+        assert!(!e.add_entry(1, 2, 1.0));
+        assert_eq!(e.validate(), Ok(()));
+        assert_eq!(e.row_ptr(), &[0, 0, 1, 1]);
+        assert_eq!(e.row(1).collect::<Vec<_>>(), vec![(2, 2.0)]);
+    }
+
+    #[test]
+    fn add_entry_grows_capacity_by_a_bounded_step() {
+        let mut m = sample();
+        let len = m.nnz();
+        m.col_idx.shrink_to_fit();
+        m.values.shrink_to_fit();
+        m.add_entry(1, 1, 1.0);
+        let bound = len + len / 64 + 16;
+        assert!(m.col_idx.capacity() <= bound && m.values.capacity() <= bound);
+    }
+
+    #[test]
+    fn normalize_row_from_is_one_row_of_normalize_rows() {
+        let raw = sample();
+        let full = raw.normalize_rows();
+        let mut patched = raw.clone();
+        patched.normalize_row_from(2, &raw);
+        assert_eq!(patched.row(2).collect::<Vec<_>>(), full.row(2).collect::<Vec<_>>());
+        assert_eq!(patched.row(0).collect::<Vec<_>>(), raw.row(0).collect::<Vec<_>>());
     }
 
     #[test]

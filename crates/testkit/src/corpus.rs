@@ -19,7 +19,7 @@ use mggcn_core::trainer::Trainer;
 use mggcn_exec::Backend;
 use mggcn_graph::Graph;
 use mggcn_serve::ServingModel;
-use mggcn_sparse::Coo;
+use mggcn_sparse::{Coo, Csr};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -219,9 +219,10 @@ pub fn run_case(case: &FuzzCase) -> Result<(), String> {
     check!(err < TRAINER_VS_ORACLE_TOL, "served logits diverge from oracle by {err:.3e}");
 
     // 4. Graph delta: add an edge online, then check the server's
-    //    re-normalized operator is structurally sound, the invalidation
-    //    set covers the endpoints, and the post-delta logits match an
-    //    oracle rebuilt on the updated graph at the same weights.
+    //    re-normalized operator is structurally sound and bit-equal to a
+    //    from-scratch rebuild, the invalidation set covers the endpoints,
+    //    and the post-delta logits match an oracle rebuilt on the updated
+    //    graph at the same weights.
     if case.graph.n() >= 2 {
         let mut model = model;
         let (u, v) = (0u32, (case.graph.n() - 1) as u32);
@@ -230,9 +231,22 @@ pub fn run_case(case: &FuzzCase) -> Result<(), String> {
             invalidated.contains(&u) && invalidated.contains(&v),
             "delta invalidation set {invalidated:?} misses an endpoint of ({u},{v})"
         );
-        model.adj().validate().map_err(|e| format!("delta left a malformed adjacency: {e}"))?;
+        let adj = model.adj();
+        adj.validate().map_err(|e| format!("delta left a malformed adjacency: {e}"))?;
+        let rebuilt = ServingModel::from_parts(
+            final_ck.weights.clone(),
+            adj.clone(),
+            case.graph.features.clone(),
+        )
+        .map_err(|e| format!("rebuilding the post-delta model failed: {e}"))?;
+        let (a, b) = (rebuilt.a_hat_t(), model.a_hat_t());
+        let bits = |m: &Csr| m.values().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        check!(
+            a.row_ptr() == b.row_ptr() && a.col_idx() == b.col_idx() && bits(a) == bits(b),
+            "patched operator differs from a from-scratch rebuild"
+        );
         let updated = Graph::new(
-            model.adj().clone(),
+            adj,
             case.graph.features.clone(),
             case.graph.labels.clone(),
             case.graph.classes,
