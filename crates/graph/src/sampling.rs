@@ -31,36 +31,37 @@ impl SampledBlock {
     }
 }
 
-/// Exact `hops`-hop in-neighborhood of `batch` (no fanout cap) — the
-/// worst case a full-gradient mini-batch would need.
-pub fn khop_neighborhood(adj: &Csr, batch: &[u32], hops: usize) -> Vec<u32> {
-    let mut seen = vec![false; adj.rows()];
-    let mut all = Vec::new();
-    let mut frontier: Vec<u32> = Vec::new();
-    for &v in batch {
-        if !seen[v as usize] {
-            seen[v as usize] = true;
-            all.push(v);
-            frontier.push(v);
+/// Distance BFS from `seeds` out to `hops`: the reached vertices in
+/// discovery order (seeds first, deduplicated; distances never decrease
+/// along it) and every vertex's distance, `u32::MAX` when unreached.
+fn bfs(adj: &Csr, seeds: &[u32], hops: usize) -> (Vec<u32>, Vec<u32>) {
+    let mut dist = vec![u32::MAX; adj.rows()];
+    let mut order = Vec::new();
+    for &v in seeds {
+        if dist[v as usize] == u32::MAX {
+            dist[v as usize] = 0;
+            order.push(v);
         }
     }
-    for _ in 0..hops {
-        let mut next = Vec::new();
-        for &v in &frontier {
-            for (u, _) in adj.row(v as usize) {
-                if !seen[u as usize] {
-                    seen[u as usize] = true;
-                    all.push(u);
-                    next.push(u);
+    let mut frontier = 0..order.len();
+    for h in 1..=hops as u32 {
+        for i in frontier.clone() {
+            for (u, _) in adj.row(order[i] as usize) {
+                if dist[u as usize] == u32::MAX {
+                    dist[u as usize] = h;
+                    order.push(u);
                 }
             }
         }
-        if next.is_empty() {
-            break;
-        }
-        frontier = next;
+        frontier = frontier.end..order.len();
     }
-    all
+    (order, dist)
+}
+
+/// Exact `hops`-hop in-neighborhood of `batch` (no fanout cap) — the
+/// worst case a full-gradient mini-batch would need.
+pub fn khop_neighborhood(adj: &Csr, batch: &[u32], hops: usize) -> Vec<u32> {
+    bfs(adj, batch, hops).0
 }
 
 /// The induced k-hop computation block of one inference batch.
@@ -97,35 +98,9 @@ impl InducedBlock {
 /// block) an SpMM over its induced row therefore accumulates in exactly
 /// the full-graph order and is bit-identical to the full-graph result.
 pub fn khop_induced(adj: &Csr, seeds: &[u32], hops: usize) -> InducedBlock {
-    let n = adj.rows();
-    let mut dist_of = vec![u32::MAX; n];
-    let mut frontier: Vec<u32> = Vec::new();
-    for &v in seeds {
-        if dist_of[v as usize] == u32::MAX {
-            dist_of[v as usize] = 0;
-            frontier.push(v);
-        }
-    }
-    let mut reached: Vec<u32> = frontier.clone();
-    for h in 1..=hops as u32 {
-        let mut next = Vec::new();
-        for &v in &frontier {
-            for (u, _) in adj.row(v as usize) {
-                if dist_of[u as usize] == u32::MAX {
-                    dist_of[u as usize] = h;
-                    reached.push(u);
-                    next.push(u);
-                }
-            }
-        }
-        if next.is_empty() {
-            break;
-        }
-        frontier = next;
-    }
-
+    let (mut reached, dist_of) = bfs(adj, seeds, hops);
     reached.sort_unstable();
-    let mut local_of = vec![u32::MAX; n];
+    let mut local_of = vec![u32::MAX; adj.rows()];
     for (l, &g) in reached.iter().enumerate() {
         local_of[g as usize] = l as u32;
     }
@@ -148,6 +123,76 @@ pub fn khop_induced(adj: &Csr, seeds: &[u32], hops: usize) -> InducedBlock {
     let sub = Csr::from_parts(n_local, n_local, row_ptr, col_idx, values);
     let dist = reached.iter().map(|&g| dist_of[g as usize]).collect();
     InducedBlock { vertices: reached, dist, adj: sub }
+}
+
+/// What an `hops`-layer batch around some seeds computes, layer by layer,
+/// over the global operator — see [`khop_layers`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct KhopLayers {
+    /// `rows[l]`: the global ids within `hops − 1 − l` hops of the seeds,
+    /// ascending — the rows layer `l` produces (`rows[hops − 1]` is the
+    /// deduplicated seeds).
+    pub rows: Vec<Vec<u32>>,
+    /// `shells[l − 1]` for layer `l ≥ 1`: rows `rows[l]` of the operator,
+    /// each column renumbered to its position in `rows[l − 1]`, entries in
+    /// the operator's order.
+    pub shells: Vec<Csr>,
+    /// `khop_induced(..).vertices.len()`, without the block.
+    pub block_vertices: usize,
+    /// `khop_induced(..).adj.nnz()`, without the block.
+    pub block_edges: usize,
+}
+
+/// The rows each layer of an `hops`-layer batch around `seeds` produces
+/// and the shells that feed each layer from the one before, plus the
+/// induced block's two counts — everything the block was built for, with
+/// no block.
+///
+/// Every neighbour of a row of `rows[l]` is one hop further out, so it is
+/// in `rows[l − 1]` and the shell can renumber it; the shell keeps each
+/// row's entries in `adj`'s order, so an SpMM over it folds every row in
+/// exactly the full-graph order. A vertex within `hops − 1` hops keeps its
+/// whole row in the block, so only the outer shell's rows are scanned (and
+/// they are never sorted).
+pub fn khop_layers(adj: &Csr, seeds: &[u32], hops: usize) -> KhopLayers {
+    let (order, mut dist) = bfs(adj, seeds, hops);
+    let inner = order.partition_point(|&v| (dist[v as usize] as usize) < hops);
+    let (computed, outer) = order.split_at(inner);
+    let block_edges = computed.iter().map(|&v| adj.row_nnz(v as usize)).sum::<usize>()
+        + outer
+            .iter()
+            .flat_map(|&v| adj.row(v as usize))
+            .filter(|&(u, _)| dist[u as usize] != u32::MAX)
+            .count();
+    let mut computed = computed.to_vec();
+    computed.sort_unstable();
+    let rows: Vec<Vec<u32>> = (0..hops as u32)
+        .rev()
+        .map(|d| computed.iter().copied().filter(|&v| dist[v as usize] <= d).collect())
+        .collect();
+    // The distances are spent: reuse the array as the position map.
+    let pos = &mut dist;
+    let shells = rows
+        .windows(2)
+        .map(|w| {
+            let (prev, cur) = (&w[0], &w[1]);
+            for (i, &v) in prev.iter().enumerate() {
+                pos[v as usize] = i as u32;
+            }
+            let mut row_ptr = Vec::with_capacity(cur.len() + 1);
+            row_ptr.push(0);
+            let (mut col_idx, mut values) = (Vec::new(), Vec::new());
+            for &v in cur {
+                for (u, x) in adj.row(v as usize) {
+                    col_idx.push(pos[u as usize]);
+                    values.push(x);
+                }
+                row_ptr.push(col_idx.len());
+            }
+            Csr::from_parts(cur.len(), prev.len(), row_ptr, col_idx, values)
+        })
+        .collect();
+    KhopLayers { rows, shells, block_vertices: order.len(), block_edges }
 }
 
 /// GraphSAGE-style sampling: at each hop keep at most `fanout` random

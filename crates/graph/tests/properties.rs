@@ -185,3 +185,58 @@ proptest! {
         }
     }
 }
+
+// The accounting oracle for the serving batch path: `khop_layers` must
+// report the induced block's exact counts, compute exactly the rows the
+// block's `locals_within` selects, and hand each layer the block's rows,
+// renumbered, with every value's bits — on any CSR, directed or not.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    #[test]
+    fn khop_layers_account_exactly_like_the_induced_block(
+        entries in proptest::collection::vec((0u32..40, 0u32..40, 1u32..100), 0..120),
+        hops in 1usize..4,
+        seeds in proptest::collection::vec(0u32..40, 1..6),
+    ) {
+        use mggcn_graph::sampling::{khop_induced, khop_layers};
+
+        // Random directed entries: most rows stay empty, duplicates sum.
+        let mut coo = mggcn_sparse::Coo::new(40, 40);
+        for &(u, v, w) in &entries {
+            coo.push(u, v, w as f32 * 0.37);
+        }
+        let adj = coo.to_csr();
+        let mut seeds = seeds;
+        seeds.push(seeds[0]);
+
+        let block = khop_induced(&adj, &seeds, hops);
+        let layers = khop_layers(&adj, &seeds, hops);
+        prop_assert_eq!(layers.block_vertices, block.vertices.len());
+        prop_assert_eq!(layers.block_edges, block.adj.nnz());
+        prop_assert_eq!(layers.rows.len(), hops);
+        prop_assert_eq!(layers.shells.len(), hops - 1);
+        let global = |locals: Vec<u32>| -> Vec<u32> {
+            locals.iter().map(|&l| block.vertices[l as usize]).collect()
+        };
+        for (l, rows) in layers.rows.iter().enumerate() {
+            prop_assert_eq!(rows, &global(block.locals_within((hops - 1 - l) as u32)), "layer {}", l);
+        }
+        for (l, shell) in (1..hops).zip(&layers.shells) {
+            let (prev, cur) = (&layers.rows[l - 1], &layers.rows[l]);
+            prop_assert_eq!((shell.rows(), shell.cols()), (cur.len(), prev.len()));
+            for (i, &g) in cur.iter().enumerate() {
+                let local = block.local_of(g).expect("computed rows are in the block") as usize;
+                let want: Vec<(u32, u32)> = block
+                    .adj
+                    .row(local)
+                    .map(|(c, x)| {
+                        let at = prev.binary_search(&block.vertices[c as usize]);
+                        (at.expect("neighbour is one layer out") as u32, x.to_bits())
+                    })
+                    .collect();
+                let got: Vec<(u32, u32)> = shell.row(i).map(|(c, x)| (c, x.to_bits())).collect();
+                prop_assert_eq!(got, want, "layer {} row {}", l, g);
+            }
+        }
+    }
+}

@@ -10,16 +10,17 @@
 //!   aggregation rows, LRU-bounded and explicitly invalidated on graph
 //!   deltas — the CaPGNN idea applied to this stack;
 //! * **request micro-batching** ([`batcher`]): concurrent requests within
-//!   a time/size window collapse into one k-hop induced-subgraph
-//!   extraction plus one batched row-sliced forward pass, amortizing the
-//!   per-batch fixed costs that dominate small-query inference;
+//!   a time/size window collapse into one batched forward pass over the
+//!   global operator that computes, layer by layer, only the rows the
+//!   batch's seeds depend on, amortizing the per-batch fixed costs that
+//!   dominate small-query inference;
 //! * **latency observability**: a seeded open-loop [`loadgen`], per-request
 //!   latency quantiles (p50/p95/p99) through `gpusim`'s [`LatencyStats`],
 //!   and a JSON [`ServeReport`] surfaced by `mggcn serve-bench`.
 //!
 //! The batched, cached serving path is *bit-identical* to the reference
-//! full-graph forward pass ([`ServingModel::forward_full`]): induced
-//! blocks preserve full-graph accumulation order, cached rows are exact
+//! full-graph forward pass ([`ServingModel::forward_full`]): every row
+//! folds in full-graph accumulation order, cached rows are exact
 //! bit copies, and delta invalidation removes exactly the rows whose
 //! aggregation changed (the delta's endpoints).
 //!

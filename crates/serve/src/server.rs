@@ -1,26 +1,37 @@
 //! The serving engine: batches → tagged op schedules on the simulated
 //! machine → bit-exact outputs + latency accounting.
 //!
-//! Each batch becomes one [`Schedule`] on a replica GPU's stream 0. The
-//! ops declare their buffer effects and the schedule infers the
-//! dependencies (on one lane, FIFO order already covers all of them):
+//! A batch reads the global `Âᵀ` and `H⁰` directly, one layer at a time:
+//! layer `l` produces only the rows `R_l`, the vertices within `L−1−l`
+//! hops of the seeds (`graph::sampling::khop_layers`), and no buffer is
+//! as tall as the batch's L-hop induced block. Each batch becomes one
+//! [`Schedule`] on a replica GPU's stream 0. The ops declare their buffer
+//! effects and the schedule infers the dependencies (on one lane, FIFO
+//! order already covers all of them):
 //!
-//! * `serve-extract` — k-hop induced-subgraph extraction (fixed cost plus
-//!   a per-edge term), paid **once per batch** — the quantity
-//!   micro-batching amortizes;
+//! * `serve-extract` — k-hop extraction, costed as the induced block's
+//!   fixed cost plus a per-edge term and paid **once per batch** — the
+//!   quantity micro-batching amortizes;
 //! * `serve-gather` — feature rows + cached aggregation rows into device
-//!   buffers;
-//! * `serve-spmm` — row-sliced SpMM per layer; at layer 0 only the
-//!   **cache-miss** rows are computed, so a warm propagation cache
-//!   shrinks the dominant kernel;
-//! * `serve-gemm` / `serve-relu` — the dense tail of each layer;
-//! * `serve-output` — gather per-request output rows.
+//!   buffers (costed only: the cache hits are written into the compact
+//!   layer-0 aggregation when the cache is probed, and `H⁰` is read in
+//!   place);
+//! * `serve-spmm` — per layer: at layer 0 only the **cache-miss** rows of
+//!   `R_0`, straight from `Âᵀ` and `H⁰`, so a warm propagation cache
+//!   shrinks the dominant kernel; at layer `l ≥ 1` the shell — rows `R_l`
+//!   of `Âᵀ`, columns renumbered into positions of `R_{l−1}`;
+//! * `serve-gemm` / `serve-relu` — the dense tail of each layer, on
+//!   `|R_l|`-row matrices;
+//! * `serve-output` — each request's row of `R_{L−1}`, by binary search.
 //!
 //! Op bodies execute the real numerics against a [`BatchCtx`], so the
-//! same schedule that is timed also produces the answers — and those
-//! answers are bit-identical to [`ServingModel::forward_full`] rows (the
-//! induced block preserves full-graph accumulation order; see
-//! `graph::sampling::khop_induced`).
+//! same schedule that is timed also produces the answers, and those
+//! answers are bit-identical to [`ServingModel::forward_full`] rows: a
+//! miss row is `spmm_rows` over the full operator, the row kernel
+//! `forward_full`'s `spmm` runs; a cached row holds those bits; a shell
+//! row lists the same entries in the same order with every column pointing
+//! at the row its vertex holds in the previous layer, so it folds the same
+//! products in the same order; and GeMM and ReLU act row by row.
 //!
 //! Replica scheduling is earliest-free: batches are executed in arrival
 //! order on the least-loaded GPU, and a request's latency is its batch's
@@ -35,8 +46,8 @@ use mggcn_gpusim::engine::OpDesc;
 use mggcn_gpusim::{
     BufId, Category, CostModel, Effects, LatencyStats, MachineSpec, Schedule, Work,
 };
-use mggcn_graph::sampling::{khop_induced, InducedBlock};
-use mggcn_sparse::spmm_rows;
+use mggcn_graph::sampling::{khop_layers, KhopLayers};
+use mggcn_sparse::{spmm, spmm_rows, Csr};
 use mggcn_trace::json::JsonWriter;
 use std::sync::{Arc, Mutex};
 
@@ -77,24 +88,24 @@ impl ServeConfig {
 /// batch schedule ([`Server::batch_schedule`]) is a nameable type for
 /// static analysis; the fields stay internal to the serving engine.
 pub struct BatchCtx {
-    block: InducedBlock,
+    a_hat_t: Arc<Csr>,
     features: Arc<Dense>,
     weights: Arc<Vec<Dense>>,
-    /// Local row ids each layer must produce (`locals_within(L-1-l)`).
-    rows_per_layer: Vec<Vec<u32>>,
-    /// Cache hits for layer 0: (local id, cached aggregation row bits).
-    hits: Vec<(u32, Vec<f32>)>,
-    /// Layer-0 rows that must be recomputed (local ids, ascending).
+    /// The rows each layer produces and the shells between layers.
+    khop: KhopLayers,
+    /// Layer-0 cache misses (global ids, ascending) and their positions
+    /// in `khop.rows[0]`.
     misses: Vec<u32>,
-    /// Current layer input, full block height (uncomputed rows stay 0 and
-    /// are never referenced by valid output rows).
-    h: Dense,
-    /// Current layer aggregation, full block height.
+    miss_at: Vec<u32>,
+    /// Current layer aggregation, one row per `khop.rows[l]`; layer 0's
+    /// cache hits are written in when the batch is built.
     agg: Dense,
+    /// Current layer output, same rows.
+    h: Dense,
     /// Computed miss rows, saved for post-run cache insertion.
     miss_agg: Dense,
-    /// Per-request local seed ids, request order.
-    seeds_local: Vec<u32>,
+    /// The queried vertices, request order.
+    queries: Vec<u32>,
     /// Per-request output rows.
     out: Dense,
 }
@@ -215,8 +226,12 @@ impl Server {
 
     /// Answer one batch of vertex queries immediately (no batching delay,
     /// replica 0). Returns one output row per queried vertex, bit-identical
-    /// to the corresponding [`ServingModel::forward_full`] rows.
+    /// to the corresponding [`ServingModel::forward_full`] rows; an empty
+    /// query is a `0 × classes` matrix.
     pub fn query(&mut self, vertices: &[u32]) -> Dense {
+        if vertices.is_empty() {
+            return Dense::zeros(0, self.model.out_dim());
+        }
         self.execute_batch(vertices, 0).0
     }
 
@@ -354,37 +369,40 @@ impl Server {
     }
 
     /// Build one batch's schedule plus the context its bodies compute
-    /// over. Returns (schedule, context, cache hits, cache misses).
+    /// over. Returns (schedule, context, cache hits, cache misses). Panics
+    /// on an empty batch, or naming the first out-of-range vertex before
+    /// the cache is probed.
     fn build_batch(
         &mut self,
         vertices: &[u32],
         gpu: usize,
     ) -> (Schedule<Mutex<BatchCtx>>, Mutex<BatchCtx>, u64, u64) {
         assert!(!vertices.is_empty(), "empty batch");
+        let n = self.model.vertices();
+        if let Some(v) = vertices.iter().find(|&&v| v as usize >= n) {
+            panic!("query vertex {v} out of range for {n} vertices");
+        }
         let layers = self.model.layers();
         let d0 = self.model.feat_dim();
-        let block = khop_induced(self.model.a_hat_t(), vertices, layers);
-        let n_local = block.vertices.len();
-        let rows_per_layer: Vec<Vec<u32>> =
-            (0..layers).map(|l| block.locals_within((layers - 1 - l) as u32)).collect();
+        let a_hat_t = self.model.a_hat_t().clone();
+        let khop = khop_layers(&a_hat_t, vertices, layers);
+        let n_local = khop.block_vertices;
 
-        // Probe the cache for layer-0 aggregation rows (host-side: the
-        // schedule's costs depend on the miss count).
-        let mut hits: Vec<(u32, Vec<f32>)> = Vec::new();
-        let mut misses: Vec<u32> = Vec::new();
-        for &l in &rows_per_layer[0] {
-            let g = block.vertices[l as usize];
+        // Probe the cache for layer-0 aggregation rows in ascending global
+        // order (host-side: the schedule's costs depend on the miss count).
+        let mut agg = Dense::zeros(khop.rows[0].len(), d0);
+        let (mut misses, mut miss_at) = (Vec::new(), Vec::new());
+        for (i, &g) in khop.rows[0].iter().enumerate() {
             match self.cache.get(g) {
-                Some(row) => hits.push((l, row.to_vec())),
-                None => misses.push(l),
+                Some(row) => agg.row_mut(i).copy_from_slice(row),
+                None => {
+                    misses.push(g);
+                    miss_at.push(i as u32);
+                }
             }
         }
-        let miss_nnz: usize = misses.iter().map(|&l| block.adj.row_nnz(l as usize)).sum();
-
-        let seeds_local: Vec<u32> = vertices
-            .iter()
-            .map(|&v| block.local_of(v).expect("seed is in its own block"))
-            .collect();
+        let hits = khop.rows[0].len() - misses.len();
+        let miss_nnz: usize = misses.iter().map(|&g| a_hat_t.row_nnz(g as usize)).sum();
 
         let spec = self.cfg.machine.gpus[gpu];
         let cost = self.cfg.cost;
@@ -397,42 +415,29 @@ impl Server {
             stream,
             Work::Fixed {
                 seconds: self.cfg.extract_fixed
-                    + self.cfg.extract_per_edge * block.adj.nnz() as f64,
+                    + self.cfg.extract_per_edge * khop.block_edges as f64,
             },
             OpDesc::new(Category::Other, "serve-extract"),
             Effects::none(),
             None,
         );
 
-        // Gather feature rows + cached aggregation rows.
-        let gather_elems = (n_local * d0 + hits.len() * d0) as u64;
+        // Gather feature rows + cached aggregation rows: costed only, the
+        // hits are already in `agg` and `H⁰` is read in place.
+        let gather_elems = (n_local * d0 + hits * d0) as u64;
         sched.record(
             gpu,
             stream,
             cost.elementwise(gather_elems, 1.0),
             OpDesc::new(Category::Other, "serve-gather"),
             Effects::none().writes([BufId::new(gpu, "SRV_H"), BufId::new(gpu, "SRV_AGG")]),
-            Some(Box::new(move |ctx: &Mutex<BatchCtx>| {
-                let ctx = &mut *lock_ctx(ctx);
-                let n = ctx.block.vertices.len();
-                let d = ctx.features.cols();
-                let mut h = Dense::zeros(n, d);
-                for (l, &g) in ctx.block.vertices.iter().enumerate() {
-                    h.row_mut(l).copy_from_slice(ctx.features.row(g as usize));
-                }
-                let mut agg = Dense::zeros(n, d);
-                for (l, row) in &ctx.hits {
-                    agg.row_mut(*l as usize).copy_from_slice(row);
-                }
-                ctx.h = h;
-                ctx.agg = agg;
-            })),
+            None,
         );
 
         for l in 0..layers {
             let w = &self.model.weights()[l];
             let (d_in, d_out) = (w.rows(), w.cols());
-            let n_rows = rows_per_layer[l].len();
+            let n_rows = khop.rows[l].len();
             if l == 0 {
                 // Layer 0: row-sliced SpMM over cache misses only.
                 if !misses.is_empty() {
@@ -455,20 +460,19 @@ impl Server {
                             .rw(BufId::new(gpu, "SRV_AGG"))
                             .writes([BufId::new(gpu, "SRV_MISS")]),
                         Some(Box::new(move |ctx: &Mutex<BatchCtx>| {
-                            let BatchCtx { block, misses, h, agg, miss_agg, .. } =
-                                &mut *lock_ctx(ctx);
-                            let mut out = Dense::zeros(misses.len(), h.cols());
-                            spmm_rows(&block.adj, misses, h, &mut out, Accumulate::Overwrite);
-                            for (i, &lm) in misses.iter().enumerate() {
-                                agg.row_mut(lm as usize).copy_from_slice(out.row(i));
+                            let BatchCtx {
+                                a_hat_t, features, misses, miss_at, agg, miss_agg, ..
+                            } = &mut *lock_ctx(ctx);
+                            *miss_agg = Dense::zeros(misses.len(), features.cols());
+                            spmm_rows(a_hat_t, misses, features, miss_agg, Accumulate::Overwrite);
+                            for (i, &at) in miss_at.iter().enumerate() {
+                                agg.row_mut(at as usize).copy_from_slice(miss_agg.row(i));
                             }
-                            *miss_agg = out;
                         })),
                     );
                 }
             } else {
-                let nnz: usize =
-                    rows_per_layer[l].iter().map(|&r| block.adj.row_nnz(r as usize)).sum();
+                let nnz = khop.shells[l - 1].nnz();
                 sched.record(
                     gpu,
                     stream,
@@ -478,15 +482,10 @@ impl Server {
                         .reads([BufId::new(gpu, "SRV_H")])
                         .writes([BufId::new(gpu, "SRV_AGG")]),
                     Some(Box::new(move |ctx: &Mutex<BatchCtx>| {
-                        let BatchCtx { block, rows_per_layer, h, agg, .. } = &mut *lock_ctx(ctx);
-                        let rows = &rows_per_layer[l];
-                        let mut out = Dense::zeros(rows.len(), h.cols());
-                        spmm_rows(&block.adj, rows, h, &mut out, Accumulate::Overwrite);
-                        let mut full = Dense::zeros(block.vertices.len(), h.cols());
-                        for (i, &r) in rows.iter().enumerate() {
-                            full.row_mut(r as usize).copy_from_slice(out.row(i));
-                        }
-                        *agg = full;
+                        let BatchCtx { khop, h, agg, .. } = &mut *lock_ctx(ctx);
+                        let shell = &khop.shells[l - 1];
+                        *agg = Dense::zeros(shell.rows(), h.cols());
+                        spmm(shell, h, agg, Accumulate::Overwrite);
                     })),
                 );
             }
@@ -500,21 +499,10 @@ impl Server {
                     .reads([BufId::new(gpu, "SRV_AGG")])
                     .writes([BufId::new(gpu, "SRV_H")]),
                 Some(Box::new(move |ctx: &Mutex<BatchCtx>| {
-                    let BatchCtx { block, weights, rows_per_layer, h, agg, .. } =
-                        &mut *lock_ctx(ctx);
+                    let BatchCtx { weights, h, agg, .. } = &mut *lock_ctx(ctx);
                     let w = &weights[l];
-                    let rows = &rows_per_layer[l];
-                    let mut compact_in = Dense::zeros(rows.len(), w.rows());
-                    for (i, &r) in rows.iter().enumerate() {
-                        compact_in.row_mut(i).copy_from_slice(agg.row(r as usize));
-                    }
-                    let mut compact_z = Dense::zeros(rows.len(), w.cols());
-                    gemm(&compact_in, w, &mut compact_z, Accumulate::Overwrite);
-                    let mut full = Dense::zeros(block.vertices.len(), w.cols());
-                    for (i, &r) in rows.iter().enumerate() {
-                        full.row_mut(r as usize).copy_from_slice(compact_z.row(i));
-                    }
-                    *h = full;
+                    *h = Dense::zeros(agg.rows(), w.cols());
+                    gemm(agg, w, h, Accumulate::Overwrite);
                 })),
             );
 
@@ -525,11 +513,8 @@ impl Server {
                     cost.elementwise((n_rows * d_out) as u64, 2.0),
                     OpDesc::new(Category::Activation, "serve-relu"),
                     Effects::none().rw(BufId::new(gpu, "SRV_H")),
-                    Some(Box::new(move |ctx: &Mutex<BatchCtx>| {
-                        let BatchCtx { rows_per_layer, h, .. } = &mut *lock_ctx(ctx);
-                        for &r in &rows_per_layer[l] {
-                            relu_inplace(h.row_mut(r as usize));
-                        }
+                    Some(Box::new(|ctx: &Mutex<BatchCtx>| {
+                        relu_inplace(lock_ctx(ctx).h.as_mut_slice());
                     })),
                 );
             }
@@ -542,31 +527,32 @@ impl Server {
             cost.elementwise((vertices.len() * classes) as u64, 2.0),
             OpDesc::new(Category::Other, "serve-output"),
             Effects::none().reads([BufId::new(gpu, "SRV_H")]).writes([BufId::new(gpu, "SRV_OUT")]),
-            Some(Box::new(move |ctx: &Mutex<BatchCtx>| {
-                let ctx = &mut *lock_ctx(ctx);
-                let mut out = Dense::zeros(ctx.seeds_local.len(), ctx.h.cols());
-                for (i, &s) in ctx.seeds_local.iter().enumerate() {
-                    out.row_mut(i).copy_from_slice(ctx.h.row(s as usize));
+            Some(Box::new(|ctx: &Mutex<BatchCtx>| {
+                let BatchCtx { khop, queries, h, out, .. } = &mut *lock_ctx(ctx);
+                let seeds = khop.rows.last().expect("a model has layers");
+                *out = Dense::zeros(queries.len(), h.cols());
+                for (i, v) in queries.iter().enumerate() {
+                    let at = seeds.binary_search(v).expect("every query is a seed");
+                    out.row_mut(i).copy_from_slice(h.row(at));
                 }
-                ctx.out = out;
             })),
         );
 
-        let (hit_count, miss_count) = (hits.len() as u64, misses.len() as u64);
+        let miss_count = misses.len() as u64;
         let ctx = Mutex::new(BatchCtx {
-            block,
+            a_hat_t,
             features: self.model.features().clone(),
             weights: self.model.weights().clone(),
-            rows_per_layer,
-            hits,
+            khop,
             misses,
+            miss_at,
+            agg,
             h: Dense::zeros(0, 0),
-            agg: Dense::zeros(0, 0),
             miss_agg: Dense::zeros(0, 0),
-            seeds_local,
+            queries: vertices.to_vec(),
             out: Dense::zeros(0, 0),
         });
-        (sched, ctx, hit_count, miss_count)
+        (sched, ctx, hits as u64, miss_count)
     }
 
     /// Execute one batch on `gpu`: build the tagged op schedule, run it
@@ -604,8 +590,7 @@ impl Server {
         let ctx = ctx.into_inner().unwrap_or_else(|e| e.into_inner());
 
         // Feed freshly computed aggregation rows back into the cache.
-        for (i, &lm) in ctx.misses.iter().enumerate() {
-            let g = ctx.block.vertices[lm as usize];
+        for (i, &g) in ctx.misses.iter().enumerate() {
             self.cache.insert(g, ctx.miss_agg.row(i));
         }
         (ctx.out, makespan)

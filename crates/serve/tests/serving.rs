@@ -5,12 +5,16 @@
 //!    graph-delta invalidation;
 //! 2. micro-batching sustains ≥2× the throughput of batch-size-1 serving
 //!    on the same simulated hardware;
-//! 3. a warm propagation cache reduces mean per-request compute vs cold.
+//! 3. a warm propagation cache reduces mean per-request compute vs cold;
+//! 4. a query outside the graph is refused before it touches the cache.
 
 use mggcn_dense::Dense;
+use mggcn_exec::Backend;
 use mggcn_gpusim::{GpuSpec, MachineSpec};
 use mggcn_graph::generators::chung_lu;
 use mggcn_serve::{generate_load, BatchPolicy, LoadGenConfig, ServeConfig, Server, ServingModel};
+use mggcn_sparse::Coo;
+use std::sync::Arc;
 
 fn model(n: usize, d0: usize, hidden: usize, classes: usize, seed: u64) -> ServingModel {
     let adj = chung_lu::generate(&vec![6u32; n], seed);
@@ -30,7 +34,7 @@ fn served_outputs_bit_identical_to_full_forward() {
     let reference = m.forward_full();
     let mut server = Server::new(m, config(BatchPolicy::new(1e-3, 16), 1 << 20));
 
-    // Cold pass: every aggregation row computed via the induced block.
+    // Cold pass: every aggregation row computed from the global operator.
     let queries: Vec<u32> = vec![0, 7, 42, 199, 7, 63];
     let out = server.query(&queries);
     for (i, &v) in queries.iter().enumerate() {
@@ -152,4 +156,99 @@ fn apply_delta_returns_invalidated_vertices_and_eviction_count() {
     for v in 0..120usize {
         assert_eq!(out.row(v), reference.row(v), "post-delta row {v}");
     }
+}
+
+/// A `layers`-deep model over a directed graph in which vertex 0 has no
+/// in-edges (an empty row of `Âᵀ`) and most edges have no reverse.
+fn directed_model(n: usize, layers: usize) -> ServingModel {
+    let mut coo = Coo::new(n, n);
+    for u in 0..n as u32 {
+        for k in 1..6u32 {
+            let v = (u * 7 + k * 13) % n as u32;
+            if v != 0 {
+                coo.push(u, v, 1.0);
+            }
+        }
+    }
+    let dims = [5usize, 6, 4, 3][3 - layers..].to_vec();
+    let weights = dims
+        .windows(2)
+        .enumerate()
+        .map(|(l, d)| Dense::from_fn(d[0], d[1], |r, c| ((r * 5 + c + l) as f32 * 0.7).cos() * 0.5))
+        .collect();
+    let feats = Dense::from_fn(n, dims[0], |r, c| ((r * dims[0] + c) as f32 * 0.31).sin());
+    ServingModel::from_parts(weights, coo.to_csr(), feats).expect("valid model")
+}
+
+fn bits(m: &Dense, r: usize) -> Vec<u32> {
+    m.row(r).iter().map(|x| x.to_bits()).collect()
+}
+
+fn assert_answers(out: &Dense, batch: &[u32], reference: &Dense, when: &str) {
+    assert_eq!(out.rows(), batch.len());
+    for (i, &v) in batch.iter().enumerate() {
+        assert_eq!(bits(out, i), bits(reference, v as usize), "{when}: vertex {v}");
+    }
+}
+
+#[test]
+fn one_two_and_three_layer_batches_equal_forward_full_on_both_backends() {
+    let n = 90;
+    for layers in 1..=3 {
+        for backend in [Backend::Simulated, Backend::Threaded] {
+            let when = |phase: &str| format!("{layers} layers, {}, {phase}", backend.name());
+            let m = directed_model(n, layers);
+            let reference = m.forward_full();
+            assert_eq!(m.a_hat_t().row_nnz(0), 0, "vertex 0 has no in-edges");
+            let mut cfg = config(BatchPolicy::new(1e-3, 16), 1 << 20);
+            cfg.backend = backend;
+            let mut server = Server::new(m, cfg);
+            let batch = [0u32, 17, 17, 42, 5, 0, 89];
+
+            // Cold: every layer-0 row misses.
+            let before = *server.cache().stats();
+            assert_answers(&server.query(&batch), &batch, &reference, &when("cold"));
+            assert_eq!(server.cache().stats().hits, before.hits, "{}", when("cold hits"));
+
+            // Warm: the same batch again, every layer-0 row hits.
+            let before = *server.cache().stats();
+            assert_answers(&server.query(&batch), &batch, &reference, &when("warm"));
+            assert_eq!(server.cache().stats().misses, before.misses, "{}", when("warm misses"));
+
+            // The batch context let go of the operator, so a delta patches
+            // it in place instead of deep-copying it.
+            assert_eq!(Arc::strong_count(server.model().a_hat_t()), 1, "{}", when("refs"));
+            let operator = Arc::as_ptr(server.model().a_hat_t());
+            server.apply_delta(&[(0, 17), (42, 89)]);
+            assert_eq!(Arc::as_ptr(server.model().a_hat_t()), operator, "{}", when("delta"));
+
+            // After the delta: survivors hit, the endpoints recompute.
+            let reference = server.model().forward_full();
+            let mixed = [89u32, 3, 0, 42, 17, 61, 3];
+            assert_answers(&server.query(&mixed), &mixed, &reference, &when("after delta"));
+            assert_eq!(Arc::strong_count(server.model().a_hat_t()), 1, "{}", when("refs"));
+        }
+    }
+}
+
+#[test]
+fn out_of_range_queries_are_refused_before_the_cache_and_empty_ones_are_empty() {
+    let m = model(60, 8, 6, 3, 23);
+    let mut server = Server::new(m, config(BatchPolicy::new(1e-3, 16), 1 << 20));
+    server.query(&[1, 2, 3]);
+    let before = *server.cache().stats();
+    let keys = server.cache().keys_mru_first();
+
+    let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        server.query(&[4, 60, 5]);
+    }))
+    .expect_err("vertex 60 is out of range");
+    let msg = panic.downcast_ref::<String>().expect("formatted panic");
+    assert!(msg.contains("query vertex 60 out of range for 60 vertices"), "got: {msg}");
+    assert_eq!(*server.cache().stats(), before, "no lookup may happen");
+    assert_eq!(server.cache().keys_mru_first(), keys, "LRU order untouched");
+
+    let none = server.query(&[]);
+    assert_eq!((none.rows(), none.cols()), (0, 3));
+    assert_eq!(*server.cache().stats(), before);
 }

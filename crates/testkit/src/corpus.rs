@@ -16,9 +16,11 @@ use mggcn_core::checkpoint::Checkpoint;
 use mggcn_core::config::{GcnConfig, TrainOptions};
 use mggcn_core::problem::Problem;
 use mggcn_core::trainer::Trainer;
+use mggcn_dense::Dense;
 use mggcn_exec::Backend;
+use mggcn_gpusim::MachineSpec;
 use mggcn_graph::Graph;
-use mggcn_serve::ServingModel;
+use mggcn_serve::{BatchPolicy, ServeConfig, Server, ServingModel};
 use mggcn_sparse::{Coo, Csr};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -206,7 +208,9 @@ pub fn run_case(case: &FuzzCase) -> Result<(), String> {
     drop((ga, gb));
 
     // 3. Serve the final checkpoint and compare logits against the oracle
-    //    evaluated at the same (f32) weights.
+    //    evaluated at the same (f32) weights; a random batch (duplicates
+    //    allowed) through the batch path must return `forward_full`'s rows
+    //    bit for bit, cold and warm.
     let final_ck = Checkpoint::from_trainer(&trainer);
     let model = ServingModel::from_checkpoint(&final_ck, &case.graph)
         .map_err(|e| format!("serving rejected a valid checkpoint: {e}"))?;
@@ -217,12 +221,22 @@ pub fn run_case(case: &FuzzCase) -> Result<(), String> {
     let logits = reference.last().expect("logits");
     let err = max_rel_diff_f32(logits, &served, REL_FLOOR.max(logits.max_abs() * 1e-3));
     check!(err < TRAINER_VS_ORACLE_TOL, "served logits diverge from oracle by {err:.3e}");
+    let mut rng = SmallRng::seed_from_u64(case.seed ^ 0xba7c_ba7c);
+    let n = case.graph.n() as u32;
+    let batch: Vec<u32> = (0..rng.gen_range(1..=6)).map(|_| rng.gen_range(0..n)).collect();
+    let mut cfg = ServeConfig::new(MachineSpec::dgx_a100(), BatchPolicy::new(1e-3, 8), 1 << 16);
+    cfg.backend = case.backend;
+    let mut server = Server::new(model.clone(), cfg);
+    for phase in ["cold", "warm"] {
+        check_batch(&server.query(&batch), &batch, &served, phase)?;
+    }
 
     // 4. Graph delta: add an edge online, then check the server's
     //    re-normalized operator is structurally sound and bit-equal to a
     //    from-scratch rebuild, the invalidation set covers the endpoints,
-    //    and the post-delta logits match an oracle rebuilt on the updated
-    //    graph at the same weights.
+    //    the post-delta logits match an oracle rebuilt on the updated
+    //    graph at the same weights, and the batch path answers from the
+    //    updated graph bit for bit.
     if case.graph.n() >= 2 {
         let mut model = model;
         let (u, v) = (0u32, (case.graph.n() - 1) as u32);
@@ -261,6 +275,21 @@ pub fn run_case(case: &FuzzCase) -> Result<(), String> {
         check!(
             err < TRAINER_VS_ORACLE_TOL,
             "post-delta served logits diverge from oracle by {err:.3e}"
+        );
+        server.apply_delta(&[(u, v)]);
+        check_batch(&server.query(&batch), &batch, &served, "post-delta")?;
+    }
+    Ok(())
+}
+
+/// Each row of a served batch must carry the bits of its vertex's
+/// `forward_full` row.
+fn check_batch(out: &Dense, batch: &[u32], full: &Dense, phase: &str) -> Result<(), String> {
+    for (i, &v) in batch.iter().enumerate() {
+        let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        check!(
+            bits(out.row(i)) == bits(full.row(v as usize)),
+            "{phase} batch {batch:?}: vertex {v} differs from forward_full"
         );
     }
     Ok(())
