@@ -3,10 +3,9 @@
 //! The build environment resolves crates hermetically (no registry
 //! access), so this crate provides the criterion 0.5 API subset the
 //! workspace's benchmarks use: `Criterion`, `benchmark_group` with
-//! `sample_size`/`measurement_time`/`throughput`, `bench_function`/
-//! `bench_with_input`, `BenchmarkId`, `Bencher::iter`, and the
-//! `criterion_group!` / `criterion_main!` macros, plus one extension,
-//! [`BenchmarkGroup::ceiling`]. As with criterion, the
+//! `sample_size`/`measurement_time`/`throughput`, `bench_function`,
+//! `Bencher::iter`, and the `criterion_group!` / `criterion_main!` macros,
+//! plus one extension, [`BenchmarkGroup::ceiling`]. As with criterion, the
 //! first free command-line argument (`cargo bench --bench kernels -- spmm`)
 //! keeps only the benchmarks whose `group/id` contains it.
 //!
@@ -17,7 +16,7 @@
 
 #![forbid(unsafe_code)]
 
-pub use std::hint::black_box;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 /// Top-level harness handle, passed to every benchmark function.
@@ -50,27 +49,6 @@ impl Criterion {
 #[derive(Clone, Copy)]
 pub enum Throughput {
     Elements(u64),
-}
-
-/// Display label for one parameterized benchmark case.
-pub struct BenchmarkId {
-    id: String,
-}
-
-impl BenchmarkId {
-    pub fn from_parameter(p: impl std::fmt::Display) -> Self {
-        Self { id: p.to_string() }
-    }
-
-    pub fn new(name: impl Into<String>, p: impl std::fmt::Display) -> Self {
-        Self { id: format!("{}/{}", name.into(), p) }
-    }
-}
-
-impl std::fmt::Display for BenchmarkId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.id)
-    }
 }
 
 /// A named group of related benchmarks sharing sampling settings.
@@ -121,18 +99,6 @@ impl BenchmarkGroup {
         f(&mut b);
         b.report(&self.name, &id, self.throughput, self.ceiling);
         self
-    }
-
-    pub fn bench_with_input<I: ?Sized, F>(
-        &mut self,
-        id: BenchmarkId,
-        input: &I,
-        mut f: F,
-    ) -> &mut Self
-    where
-        F: FnMut(&mut Bencher, &I),
-    {
-        self.bench_function(id, |b| f(b, input))
     }
 
     pub fn finish(self) {}
@@ -242,9 +208,6 @@ mod tests {
                 hits += 1;
                 black_box(hits)
             })
-        });
-        group.bench_with_input(BenchmarkId::from_parameter("x"), &(), |b, ()| {
-            b.iter(|| black_box(1 + 1))
         });
         group.finish();
         assert!(hits > 0);

@@ -274,30 +274,6 @@ impl<'a, T: Send> Producer for SliceMutProducer<'a, T> {
 }
 identity_into_par_iter!(SliceMutProducer<'a, T> | 'a, T: Send);
 
-/// Shared chunks (`par_chunks`). Length is counted in chunks.
-pub struct ChunksProducer<'a, T> {
-    slice: &'a [T],
-    size: usize,
-}
-
-impl<'a, T: Sync> Producer for ChunksProducer<'a, T> {
-    type Item = &'a [T];
-    type SeqIter = std::slice::Chunks<'a, T>;
-
-    fn len(&self) -> usize {
-        self.slice.len().div_ceil(self.size)
-    }
-    fn split_at(self, index: usize) -> (Self, Self) {
-        let mid = (index * self.size).min(self.slice.len());
-        let (a, b) = self.slice.split_at(mid);
-        (Self { slice: a, size: self.size }, Self { slice: b, size: self.size })
-    }
-    fn into_seq(self) -> Self::SeqIter {
-        self.slice.chunks(self.size)
-    }
-}
-identity_into_par_iter!(ChunksProducer<'a, T> | 'a, T: Sync);
-
 /// Mutable chunks (`par_chunks_mut`) — the workhorse of every kernel.
 pub struct ChunksMutProducer<'a, T> {
     slice: &'a mut [T],
@@ -464,20 +440,14 @@ identity_into_par_iter!(Map<P, F> | P, F);
 // Slice entry points.
 // ---------------------------------------------------------------------
 
-/// `par_iter`/`par_chunks` on slices (and, via deref, `Vec`).
+/// `par_iter` on slices (and, via deref, `Vec`).
 pub trait ParallelSlice<T: Sync> {
     fn par_iter(&self) -> SliceProducer<'_, T>;
-    fn par_chunks(&self, chunk_size: usize) -> ChunksProducer<'_, T>;
 }
 
 impl<T: Sync> ParallelSlice<T> for [T] {
     fn par_iter(&self) -> SliceProducer<'_, T> {
         SliceProducer { slice: self }
-    }
-
-    fn par_chunks(&self, chunk_size: usize) -> ChunksProducer<'_, T> {
-        assert!(chunk_size > 0, "chunk size must be positive");
-        ChunksProducer { slice: self, size: chunk_size }
     }
 }
 

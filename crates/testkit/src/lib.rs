@@ -12,7 +12,8 @@
 //!   train → checkpoint → restore → serve on degenerate graphs;
 //! * integration tests (under `tests/`) — finite-difference gradient
 //!   checking, P-invariance over P ∈ {1,2,3,4,8}, golden gpusim schedules,
-//!   memory-plan conformance, and the fuzz driver.
+//!   memory-plan conformance, the fuzz driver, and the paper's evaluation
+//!   (a golden per table of `mggcn_bench::paper`, a test per verdict).
 //!
 //! # Tolerance policy
 //!

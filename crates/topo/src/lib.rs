@@ -618,6 +618,30 @@ mod tests {
         assert_eq!(g1, vec![4, 5, 6, 7]);
     }
 
+    /// The DES makespan of each wire pattern equals its §5.1 closed form.
+    fn assert_closed_forms_match(m: &MachineSpec, nd: f64) {
+        let a = analysis::analyze(m, nd);
+        let (t1, t15) = (sim_1d_comm(m, nd), sim_15d_comm(m, nd));
+        assert!((t1 - a.t_1d).abs() / a.t_1d < 1e-9, "{}: 1D {t1} vs {}", m.name, a.t_1d);
+        assert!((t15 - a.t_15d).abs() / a.t_15d < 1e-9, "{}: 1.5D {t15} vs {}", m.name, a.t_15d);
+    }
+
+    #[test]
+    fn closed_forms_match_simulation_on_single_node_machines() {
+        for m in [MachineSpec::dgx_v100(), MachineSpec::dgx_a100()] {
+            assert_closed_forms_match(&m, 4.0e8);
+        }
+    }
+
+    #[test]
+    fn closed_forms_match_simulation_across_the_nic_sweep() {
+        // The NICs `comm::analysis`'s crossover test sweeps, either side of
+        // and at the 100 GB/s tie.
+        for nic_gbps in [10.0, 25.0, 50.0, 75.0, 90.0, 100.0, 110.0, 125.0, 150.0, 200.0] {
+            assert_closed_forms_match(&MachineSpec::v100_quad_cluster(nic_gbps * 1.0e9), 1.0e9);
+        }
+    }
+
     #[test]
     fn paper_51_verdicts_from_closed_form_and_des() {
         let (dgx1, a100) = paper_51_verdicts(1.0e9);
