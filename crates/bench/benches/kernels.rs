@@ -17,42 +17,63 @@ use mggcn_dense::{gemm, gemm_a_bt, gemm_at_b, Accumulate, Dense};
 use mggcn_graph::generators::bter::{self, ClusteringProfile};
 use mggcn_graph::generators::{chung_lu, degree};
 use mggcn_graph::random_permutation;
-use mggcn_sparse::{spmm, TileGrid};
+use mggcn_sparse::{spmm, spmm_rows, Csr, TileGrid};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
-/// The staged SpMM of one `train-spmm` epoch pass: a 12 000-vertex
-/// power-law graph (avg degree 136) in 4×4 tiles of 3 000 rows and ~33
-/// nonzeros a row, every tile folded into its row block. The 16 tiles
-/// together (13 MB of CSR) do not fit L2, as in the workload. The bound
-/// counts every byte the kernel asks for as if it came from memory — a
-/// value, a column index and a row of `B` per nonzero; a row pointer, a read
-/// and a write of the output row per row — so a share above 1 says how much
-/// of `B` the caches served.
+/// A power-law graph of `n` vertices (exponent 2.2, no degree above n/8).
+fn power_law(n: usize, avg_degree: f64) -> Csr {
+    let model = degree::DegreeModel { avg_degree, exponent: 2.2, max_degree: n / 8 };
+    chung_lu::generate(&degree::sample_degrees(&model, n, 0x2022), 42)
+}
+
+/// SpMM at every width the benchmark's workloads run it at. d ∈ {16, 32}
+/// (`train-spmm`, one strip wide) and d = 128 (`train-gemm`, four strips):
+/// the staged SpMM of one epoch pass, a 12 000-vertex graph of average
+/// degree 136 (resp. 6 400 vertices, degree 4) in 4×4 tiles, every tile
+/// folded into its row block; the 16 tiles of the first (13 MB of CSR) do
+/// not fit L2, as in the workload. d = 64 (`serve-churn`'s feature width,
+/// two strips): `spmm_rows` on 512 random rows of a 6 000-vertex graph of
+/// degree 16, about the first layer's rows of a 32-vertex batch. The bound counts every byte the kernel
+/// asks for as if it came from memory — a value, a column index and a row
+/// of `B` per nonzero; a row pointer, a read and a write of the output row
+/// per row — so a share above 1 says how much of `B` the caches served.
 fn bench_spmm(c: &mut Criterion) {
     let mut group = c.benchmark_group("spmm");
     group.sample_size(10).measurement_time(std::time::Duration::from_secs(2));
     let triad = host::triad_gbs() * 1e9;
-    let n = 12_000;
-    let model = degree::DegreeModel { avg_degree: 136.0, exponent: 2.2, max_degree: 1_500 };
-    let a = chung_lu::generate(&degree::sample_degrees(&model, n, 0x2022), 42);
-    let grid = TileGrid::symmetric_uniform(&a, 4);
-    for d in [16usize, 32] {
-        let b = Dense::from_fn(n / 4, d, |r, cc| ((r * d + cc) as f32).sin());
-        let mut out = Dense::zeros(n / 4, d);
-        let flops = 2 * a.nnz() * d;
-        let bytes = a.nnz() * (8 + 4 * d) + 16 * (n / 4) * (8 + 8 * d);
+    let mut time = |id: String, nnz: usize, rows: usize, d: usize, run: &mut dyn FnMut()| {
+        let flops = 2 * nnz * d;
+        let bytes = nnz * (8 + 4 * d) + rows * (8 + 8 * d);
         group.throughput(Throughput::Elements(flops as u64));
         group.ceiling(triad * flops as f64 / bytes as f64);
-        group.bench_function(format!("16x3000rows_nnz{}_d{d}", a.nnz()), |bench| {
-            bench.iter(|| {
+        group.bench_function(id, |bench| bench.iter(&mut *run));
+    };
+    for (n, avg_degree, widths) in [(12_000, 136.0, &[16usize, 32][..]), (6_400, 4.0, &[128])] {
+        let a = power_law(n, avg_degree);
+        let grid = TileGrid::symmetric_uniform(&a, 4);
+        for &d in widths {
+            let b = Dense::from_fn(n / 4, d, |r, cc| ((r * d + cc) as f32).sin());
+            let mut out = Dense::zeros(n / 4, d);
+            let id = format!("16x{}rows_nnz{}_d{d}", n / 4, a.nnz());
+            time(id, a.nnz(), 4 * n, d, &mut || {
                 for t in grid.tiles() {
                     spmm(black_box(&t.csr), black_box(&b), &mut out, Accumulate::Add);
                 }
-            })
-        });
+            });
+        }
     }
+    let (n, d) = (6_000, 64);
+    let a = power_law(n, 16.0);
+    let mut rng = SmallRng::seed_from_u64(11);
+    let rows: Vec<u32> = (0..512).map(|_| rng.gen_range(0..n as u32)).collect();
+    let nnz = rows.iter().map(|&r| a.row_nnz(r as usize)).sum();
+    let b = Dense::from_fn(n, d, |r, cc| ((r * d + cc) as f32).sin());
+    let mut out = Dense::zeros(rows.len(), d);
+    time(format!("rows512_of_{n}_nnz{nnz}_d{d}"), nnz, rows.len(), d, &mut || {
+        spmm_rows(black_box(&a), black_box(&rows), black_box(&b), &mut out, Accumulate::Overwrite)
+    });
     group.finish();
 }
 

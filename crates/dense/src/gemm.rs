@@ -21,7 +21,9 @@
 //! of whole strips, found by index alone, which takes the address arithmetic
 //! and one of two bounds checks out of a loop that is short of issue slots,
 //! not of arithmetic units. SpMM gathers rows of a `B` too large to copy, so
-//! [`fold_row`] hands the driver `B` as it lies.
+//! [`fold_listed_rows`] hands the driver `B` as it lies: as one panel when it
+//! is one strip wide, which a row-major `B` then already is, and otherwise
+//! row by row through its strips.
 //!
 //! The dense kernels list the nonzero entries of a block of `A` rows once
 //! (without a branch: activations after ReLU are half zeros at unpredictable
@@ -212,14 +214,37 @@ fn fold_block<'a, I: Iterator<Item = u32>>(
     }
 }
 
-/// `c_row (+)= Σ_e vals[e] · B[idx[e], :]`, entries in the order given, for
-/// a row-major `b` whose rows are as wide as `c_row`: the driver on one row
-/// and `b` as it lies (SpMM's row kernel).
-pub fn fold_row(idx: &[u32], vals: &[f32], b: &[f32], c_row: &mut [f32], acc: Accumulate) {
-    debug_assert_eq!(idx.len(), vals.len(), "one value per index");
-    let n = c_row.len();
-    let b_rows = (b, Layout::Rows { cols: n });
-    fold_block(b_rows, c_row, n, 0..1, |_| (idx.iter().copied(), vals), acc.into());
+/// Row `i` of the row-major, `n`-wide `c` `(+)= Σ_e vals[e] · B[idx[e], :]`
+/// for `(idx, vals) = list(i)`, entries in the order given, where `b` is
+/// row-major and `n` wide too (SpMM's entry point: a block of CSR rows a
+/// call). A `b` one strip wide is already a packed panel, so the whole block
+/// folds it as one, the width chosen once; a wider `b` is folded a row at a
+/// time through all its strips, the row listed once.
+pub fn fold_listed_rows<'a>(
+    b: &[f32],
+    c: &mut [f32],
+    n: usize,
+    list: impl Fn(usize) -> (&'a [u32], &'a [f32]),
+    acc: Accumulate,
+) {
+    let entries = |(idx, vals): (&'a [u32], &'a [f32])| {
+        debug_assert_eq!(idx.len(), vals.len(), "one value per index");
+        (idx.iter().copied(), vals)
+    };
+    match n {
+        0 => {}
+        4 | 8 | 16 | 32 => {
+            let b_panel = (b, Layout::Panels { rows: b.len() / n });
+            fold_block(b_panel, c, n, 0..c.len() / n, |i| entries(list(i)), acc.into());
+        }
+        _ => {
+            let b_rows = (b, Layout::Rows { cols: n });
+            for (i, c_row) in c.chunks_exact_mut(n).enumerate() {
+                let row = list(i);
+                fold_block(b_rows, c_row, n, 0..1, |_| entries(row), acc.into());
+            }
+        }
+    }
 }
 
 /// The first `len` items of a scratch buffer, grown if it is shorter — to

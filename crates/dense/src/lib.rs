@@ -5,9 +5,10 @@
 //! crate provides the equivalent CPU kernels: a row-major [`Dense`] matrix,
 //! GeMM in all the transpose combinations the GCN forward/backward pass
 //! needs — row blocks spread over the kernel pool, each output row built in
-//! register-resident strips by the micro-kernel [`gemm::fold_row`], which
-//! the SpMM of `mggcn-sparse` runs too — and the elementwise kernels (ReLU,
-//! AXPY, scaling) that the training loop is built from.
+//! register-resident strips by one micro-kernel (`fold_strip`) under one
+//! driver, which the SpMM of `mggcn-sparse` runs too through
+//! [`gemm::fold_listed_rows`] — and the elementwise kernels (ReLU, AXPY,
+//! scaling) that the training loop is built from.
 
 #![forbid(unsafe_code)]
 

@@ -3,14 +3,16 @@
 //!
 //! `C = A · B` (or `C += A · B`) with `A` in CSR and `B`, `C` row-major
 //! dense. Parallelism is over blocks of output rows, statically chunked by
-//! the kernel pool. Each output row is one call of the row kernel the dense
-//! GeMMs use too ([`fold_row`]): a strip of the row is held in registers
-//! while every nonzero of the CSR row adds its scaled `B` strip to it, in
-//! CSR order, and is stored once — the gather of `B` rows is the only
-//! memory traffic per nonzero.
+//! the kernel pool. Each block is one call of [`fold_listed_rows`], the
+//! driver and micro-kernel the dense GeMMs run too, with the CSR rows as
+//! its lists: a strip of an output row is held in registers while every
+//! nonzero of the CSR row adds its scaled `B` strip to it, in CSR order,
+//! and is stored once — the gather of `B` rows is the only memory traffic
+//! per nonzero. A `B` one strip wide (4, 8, 16 or 32: the narrow side a
+//! GCN layer multiplies on) is read as the packed panel it already is.
 
 use crate::csr::Csr;
-use mggcn_dense::gemm::{fold_row, Accumulate};
+use mggcn_dense::gemm::{fold_listed_rows, Accumulate};
 use mggcn_dense::Dense;
 use rayon::prelude::*;
 
@@ -63,11 +65,12 @@ fn fold_rows(
     let col_idx = a.col_idx();
     let values = a.values();
     c.as_mut_slice().par_chunks_mut(ROW_BLOCK * d).enumerate().for_each(|(blk, c_chunk)| {
-        for (i, c_row) in c_chunk.chunks_mut(d).enumerate() {
+        let csr_row = |i| {
             let r = row_of(blk * ROW_BLOCK + i);
             let nz = row_ptr[r]..row_ptr[r + 1];
-            fold_row(&col_idx[nz.clone()], &values[nz], b_data, c_row, acc);
-        }
+            (&col_idx[nz.clone()], &values[nz])
+        };
+        fold_listed_rows(b_data, c_chunk, d, csr_row, acc);
     });
 }
 
