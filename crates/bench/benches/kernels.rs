@@ -1,6 +1,6 @@
-//! Criterion micro-benchmarks for the kernel substrate: SpMM, GeMM,
-//! collectives, the BTER generator, permutation application, and the
-//! discrete-event engine itself.
+//! Criterion micro-benchmarks for the kernel substrate: SpMM, a serving
+//! batch's k-hop walk, GeMM, collectives, the BTER generator, permutation
+//! application, and the discrete-event engine itself.
 //!
 //! These wall-clock numbers are about *this machine's CPU kernels*, not the
 //! paper's GPUs. The SpMM and GeMM groups time the shapes the repository's
@@ -17,6 +17,7 @@ use mggcn_dense::{gemm, gemm_a_bt, gemm_at_b, Accumulate, Dense};
 use mggcn_graph::generators::bter::{self, ClusteringProfile};
 use mggcn_graph::generators::{chung_lu, degree};
 use mggcn_graph::random_permutation;
+use mggcn_graph::sampling::{khop_layers, Pattern};
 use mggcn_sparse::{spmm, spmm_rows, Csr, TileGrid};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -74,6 +75,24 @@ fn bench_spmm(c: &mut Criterion) {
     time(format!("rows512_of_{n}_nnz{nnz}_d{d}"), nnz, rows.len(), d, &mut || {
         spmm_rows(black_box(&a), black_box(&rows), black_box(&b), &mut out, Accumulate::Overwrite)
     });
+    group.finish();
+}
+
+/// `khop_layers` for a two-layer batch of 32 random seeds on `serve-churn`'s
+/// graph shape (6 000 vertices, degree 16): the walk, the rows and shells,
+/// and the block's two counts — `Symmetric` may count the edges from the
+/// rows the batch does not reach, `General` reads the last hop's rows.
+fn bench_khop(c: &mut Criterion) {
+    let mut group = c.benchmark_group("khop");
+    group.sample_size(10).measurement_time(std::time::Duration::from_secs(2));
+    let a = power_law(6_000, 16.0);
+    let mut rng = SmallRng::seed_from_u64(13);
+    let seeds: Vec<u32> = (0..32).map(|_| rng.gen_range(0..6_000)).collect();
+    for pattern in [Pattern::Symmetric, Pattern::General] {
+        group.bench_function(format!("layers2_seeds32_nnz{}_{pattern:?}", a.nnz()), |bench| {
+            bench.iter(|| khop_layers(black_box(&a), black_box(&seeds), 2, pattern))
+        });
+    }
     group.finish();
 }
 
@@ -197,6 +216,7 @@ fn bench_engine(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_spmm,
+    bench_khop,
     bench_gemm,
     bench_collectives,
     bench_generators,

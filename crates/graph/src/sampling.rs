@@ -34,27 +34,36 @@ impl SampledBlock {
 /// Distance BFS from `seeds` out to `hops`: the reached vertices in
 /// discovery order (seeds first, deduplicated; distances never decrease
 /// along it) and every vertex's distance, `u32::MAX` when unreached.
+///
+/// Whether a neighbour is new is a coin toss on a power-law graph, so the
+/// walk does not branch on it: every neighbour is written one past the
+/// reached prefix of a vertex-sized buffer, and the prefix grows by one
+/// only when the neighbour was new.
 fn bfs(adj: &Csr, seeds: &[u32], hops: usize) -> (Vec<u32>, Vec<u32>) {
     let mut dist = vec![u32::MAX; adj.rows()];
-    let mut order = Vec::new();
+    let mut order = vec![0; adj.rows() + 1];
+    let mut len = 0;
     for &v in seeds {
         if dist[v as usize] == u32::MAX {
             dist[v as usize] = 0;
-            order.push(v);
+            order[len] = v;
+            len += 1;
         }
     }
-    let mut frontier = 0..order.len();
+    let mut frontier = 0..len;
     for h in 1..=hops as u32 {
         for i in frontier.clone() {
-            for (u, _) in adj.row(order[i] as usize) {
-                if dist[u as usize] == u32::MAX {
-                    dist[u as usize] = h;
-                    order.push(u);
-                }
+            for &u in adj.row_cols(order[i] as usize) {
+                let d = &mut dist[u as usize];
+                let new = *d == u32::MAX;
+                *d = if new { h } else { *d };
+                order[len] = u;
+                len += new as usize;
             }
         }
-        frontier = frontier.end..order.len();
+        frontier = frontier.end..len;
     }
+    order.truncate(len);
     (order, dist)
 }
 
@@ -143,6 +152,16 @@ pub struct KhopLayers {
     pub block_edges: usize,
 }
 
+/// What a caller knows about an operator's sparsity pattern.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Pattern {
+    /// Entry `(r, c)` is present exactly when `(c, r)` is (an undirected
+    /// graph), so a batch's block can be counted from the unreached side.
+    Symmetric,
+    /// Nothing known: the block is counted from the reached side.
+    General,
+}
+
 /// The rows each layer of an `hops`-layer batch around `seeds` produces
 /// and the shells that feed each layer from the one before, plus the
 /// induced block's two counts — everything the block was built for, with
@@ -151,19 +170,15 @@ pub struct KhopLayers {
 /// Every neighbour of a row of `rows[l]` is one hop further out, so it is
 /// in `rows[l − 1]` and the shell can renumber it; the shell keeps each
 /// row's entries in `adj`'s order, so an SpMM over it folds every row in
-/// exactly the full-graph order. A vertex within `hops − 1` hops keeps its
-/// whole row in the block, so only the outer shell's rows are scanned (and
-/// they are never sorted).
-pub fn khop_layers(adj: &Csr, seeds: &[u32], hops: usize) -> KhopLayers {
+/// exactly the full-graph order. No layer computes the last hop's
+/// vertices, so the walk only marks them, and the block's entries are
+/// counted from whichever side of the reach cut is cheaper to read — with
+/// a symmetric `pattern`, usually the rows nobody reached.
+pub fn khop_layers(adj: &Csr, seeds: &[u32], hops: usize, pattern: Pattern) -> KhopLayers {
     let (order, mut dist) = bfs(adj, seeds, hops);
     let inner = order.partition_point(|&v| (dist[v as usize] as usize) < hops);
     let (computed, outer) = order.split_at(inner);
-    let block_edges = computed.iter().map(|&v| adj.row_nnz(v as usize)).sum::<usize>()
-        + outer
-            .iter()
-            .flat_map(|&v| adj.row(v as usize))
-            .filter(|&(u, _)| dist[u as usize] != u32::MAX)
-            .count();
+    let block_edges = reached_nnz(adj, &dist, computed, outer, pattern);
     let mut computed = computed.to_vec();
     computed.sort_unstable();
     let rows: Vec<Vec<u32>> = (0..hops as u32)
@@ -193,6 +208,43 @@ pub fn khop_layers(adj: &Csr, seeds: &[u32], hops: usize) -> KhopLayers {
         })
         .collect();
     KhopLayers { rows, shells, block_vertices: order.len(), block_edges }
+}
+
+/// The entries of `adj` whose row and column were both reached (`dist`
+/// set) — the induced block's `nnz` — counted from the side of the reach
+/// cut with fewer entries to read. `inner` are the reached vertices whose
+/// whole neighbourhood was reached, `outer` the last hop's.
+///
+/// From the reached side, an inner row counts whole and an outer row
+/// counts the entries whose column was reached. From the unreached side
+/// (symmetric patterns only), every entry is counted except those of an
+/// unreached row and, through their mirrors, those of a reached row that
+/// point into an unreached column — so only the rows nobody reached are
+/// read, plus one pass over `dist` to find them. On a power-law graph a
+/// batch reaches most vertices in two hops, and the unreached rows are the
+/// few, short ones.
+fn reached_nnz(adj: &Csr, dist: &[u32], inner: &[u32], outer: &[u32], pattern: Pattern) -> usize {
+    let nnz_of = |vs: &[u32]| vs.iter().map(|&v| adj.row_nnz(v as usize)).sum::<usize>();
+    let (inner_nnz, outer_nnz) = (nnz_of(inner), nnz_of(outer));
+    let unreached_nnz = adj.nnz() - inner_nnz - outer_nnz;
+    if pattern == Pattern::Symmetric && adj.rows() + unreached_nnz < outer_nnz {
+        adj.nnz() - cut_from_unreached(adj, dist)
+    } else {
+        inner_nnz + outer.iter().map(|&v| reached_neighbours(adj, dist, v)).sum::<usize>()
+    }
+}
+
+/// The entries of a symmetric `adj` with an unreached row or column.
+fn cut_from_unreached(adj: &Csr, dist: &[u32]) -> usize {
+    (0..adj.rows() as u32)
+        .filter(|&u| dist[u as usize] == u32::MAX)
+        .map(|u| adj.row_nnz(u as usize) + reached_neighbours(adj, dist, u))
+        .sum()
+}
+
+/// How many of row `v`'s columns were reached.
+fn reached_neighbours(adj: &Csr, dist: &[u32], v: u32) -> usize {
+    adj.row_cols(v as usize).iter().filter(|&&c| dist[c as usize] != u32::MAX).count()
 }
 
 /// GraphSAGE-style sampling: at each hop keep at most `fanout` random
@@ -353,6 +405,30 @@ mod tests {
                 .collect();
             assert_eq!(induced, expect);
         }
+    }
+
+    #[test]
+    fn both_sides_of_the_reach_cut_count_the_induced_block() {
+        let degrees: Vec<u32> = (0..400u32).map(|v| if v % 40 == 0 { 60 } else { 3 }).collect();
+        let g = chung_lu::generate(&degrees, 21);
+        for (seeds, hops) in [(&[1u32, 2][..], 1), (&[5, 90, 91, 300][..], 2), (&[7][..], 3)] {
+            let (order, dist) = bfs(&g, seeds, hops);
+            let inner = order.partition_point(|&v| (dist[v as usize] as usize) < hops);
+            let (inner, outer) = order.split_at(inner);
+            let want = khop_induced(&g, seeds, hops).adj.nnz();
+            assert_eq!(reached_nnz(&g, &dist, inner, outer, Pattern::General), want);
+            assert_eq!(g.nnz() - cut_from_unreached(&g, &dist), want);
+            let layers = khop_layers(&g, seeds, hops, Pattern::Symmetric);
+            assert_eq!((layers.block_vertices, layers.block_edges), (order.len(), want));
+        }
+        // A hub-heavy batch reaches most of the graph in two hops: the rows
+        // left unreached are the cheaper side, the one `Symmetric` reads.
+        let (order, dist) = bfs(&g, &[0, 40, 80], 2);
+        let outer = order.iter().filter(|&&v| dist[v as usize] == 2);
+        let outer_nnz: usize = outer.map(|&v| g.row_nnz(v as usize)).sum();
+        let unreached_nnz: usize =
+            (0..g.rows()).filter(|&u| dist[u] == u32::MAX).map(|u| g.row_nnz(u)).sum();
+        assert!(g.rows() + unreached_nnz < outer_nnz, "{unreached_nnz} vs {outer_nnz}");
     }
 
     #[test]

@@ -189,28 +189,35 @@ proptest! {
 // The accounting oracle for the serving batch path: `khop_layers` must
 // report the induced block's exact counts, compute exactly the rows the
 // block's `locals_within` selects, and hand each layer the block's rows,
-// renumbered, with every value's bits — on any CSR, directed or not.
+// renumbered, with every value's bits — on any CSR, directed or not, and
+// on an undirected one counted from either side of the reach cut.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
     #[test]
     fn khop_layers_account_exactly_like_the_induced_block(
         entries in proptest::collection::vec((0u32..40, 0u32..40, 1u32..100), 0..120),
+        undirected in 0u8..2,
         hops in 1usize..4,
         seeds in proptest::collection::vec(0u32..40, 1..6),
     ) {
-        use mggcn_graph::sampling::{khop_induced, khop_layers};
+        use mggcn_graph::sampling::{khop_induced, khop_layers, Pattern};
 
         // Random directed entries: most rows stay empty, duplicates sum.
+        // Half the cases mirror each one (a self edge then sums with itself).
         let mut coo = mggcn_sparse::Coo::new(40, 40);
         for &(u, v, w) in &entries {
             coo.push(u, v, w as f32 * 0.37);
+            if undirected == 1 {
+                coo.push(v, u, w as f32 * 0.37);
+            }
         }
         let adj = coo.to_csr();
+        let pattern = if undirected == 1 { Pattern::Symmetric } else { Pattern::General };
         let mut seeds = seeds;
         seeds.push(seeds[0]);
 
         let block = khop_induced(&adj, &seeds, hops);
-        let layers = khop_layers(&adj, &seeds, hops);
+        let layers = khop_layers(&adj, &seeds, hops, pattern);
         prop_assert_eq!(layers.block_vertices, block.vertices.len());
         prop_assert_eq!(layers.block_edges, block.adj.nnz());
         prop_assert_eq!(layers.rows.len(), hops);

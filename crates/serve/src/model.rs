@@ -20,6 +20,7 @@ use mggcn_core::config::{GcnConfig, TrainOptions};
 use mggcn_core::problem::Problem;
 use mggcn_core::trainer::Trainer;
 use mggcn_dense::{gemm, relu_inplace, Accumulate, Dense};
+use mggcn_graph::sampling::Pattern;
 use mggcn_graph::Graph;
 use mggcn_sparse::{spmm, spmm_rows, Csr};
 use std::sync::Arc;
@@ -31,6 +32,9 @@ pub struct ServingModel {
     /// delta patches it in place and `Âᵀ` is its row normalization.
     adj_t: Csr,
     a_hat_t: Arc<Csr>,
+    /// Whether `Âᵀ`'s pattern is symmetric; a delta adds both directions,
+    /// so it stays what the frozen graph made it.
+    pattern: Pattern,
     features: Arc<Dense>,
     weights: Arc<Vec<Dense>>,
 }
@@ -74,9 +78,15 @@ impl ServingModel {
         }
         // Same f64 sums in the same order as `adj.normalize_columns().transpose()`.
         let adj_t = adj.transpose();
+        let pattern = if adj_t.row_ptr() == adj.row_ptr() && adj_t.col_idx() == adj.col_idx() {
+            Pattern::Symmetric
+        } else {
+            Pattern::General
+        };
         Ok(Self {
             a_hat_t: Arc::new(adj_t.normalize_rows()),
             adj_t,
+            pattern,
             features: Arc::new(features),
             weights: Arc::new(weights),
         })
@@ -109,6 +119,13 @@ impl ServingModel {
 
     pub fn a_hat_t(&self) -> &Arc<Csr> {
         &self.a_hat_t
+    }
+
+    /// `Symmetric` when the frozen adjacency is undirected (its pattern
+    /// equals its transpose's, columns ascending); a batch's block is then
+    /// counted from the vertices it does not reach.
+    pub fn pattern(&self) -> Pattern {
+        self.pattern
     }
 
     pub fn features(&self) -> &Arc<Dense> {
@@ -231,6 +248,20 @@ mod tests {
         assert_eq!(m.a_hat_t().nnz(), m.adj_t.nnz());
         // Self edges and repeats are reported once.
         assert_eq!(m.apply_delta(&[(3, 3), (0, 3), (3, 0)]), vec![0, 3]);
+    }
+
+    #[test]
+    fn an_undirected_graph_is_symmetric_and_its_deltas_keep_it_so() {
+        let mut m = tiny_model(20, 4, 3, 2, 7);
+        assert_eq!(m.pattern(), Pattern::Symmetric);
+        m.apply_delta(&[(19, 0), (4, 4)]);
+        let (adj, a_hat_t) = (m.adj(), m.a_hat_t());
+        assert_eq!((adj.row_ptr(), adj.col_idx()), (a_hat_t.row_ptr(), a_hat_t.col_idx()));
+        let mut coo = mggcn_sparse::Coo::new(3, 3);
+        coo.push(0, 1, 1.0);
+        let directed =
+            ServingModel::from_parts(vec![Dense::zeros(2, 2)], coo.to_csr(), Dense::zeros(3, 2));
+        assert_eq!(directed.expect("valid model").pattern(), Pattern::General);
     }
 
     #[test]

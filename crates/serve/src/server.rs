@@ -11,7 +11,9 @@
 //!
 //! * `serve-extract` — k-hop extraction, costed as the induced block's
 //!   fixed cost plus a per-edge term and paid **once per batch** — the
-//!   quantity micro-batching amortizes;
+//!   quantity micro-batching amortizes; the edges are counted, not built,
+//!   and on an undirected graph ([`ServingModel::pattern`]) from the rows
+//!   the batch does not reach;
 //! * `serve-gather` — feature rows + cached aggregation rows into device
 //!   buffers (costed only: the cache hits are written into the compact
 //!   layer-0 aggregation when the cache is probed, and `H⁰` is read in
@@ -385,7 +387,7 @@ impl Server {
         let layers = self.model.layers();
         let d0 = self.model.feat_dim();
         let a_hat_t = self.model.a_hat_t().clone();
-        let khop = khop_layers(&a_hat_t, vertices, layers);
+        let khop = khop_layers(&a_hat_t, vertices, layers, self.model.pattern());
         let n_local = khop.block_vertices;
 
         // Probe the cache for layer-0 aggregation rows in ascending global

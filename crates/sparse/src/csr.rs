@@ -176,6 +176,12 @@ impl Csr {
         self.col_idx[range.clone()].iter().copied().zip(self.values[range].iter().copied())
     }
 
+    /// The column indices of row `r` — its sparsity pattern, for a graph
+    /// walk that never reads the values.
+    pub fn row_cols(&self, r: usize) -> &[u32] {
+        &self.col_idx[self.row_ptr[r]..self.row_ptr[r + 1]]
+    }
+
     /// Number of nonzeros in row `r`.
     pub fn row_nnz(&self, r: usize) -> usize {
         self.row_ptr[r + 1] - self.row_ptr[r]
