@@ -48,10 +48,11 @@ echo "==> tests (workspace, kernel pool width 4)"
 # wider than the machine.
 MGGCN_THREADS=4 cargo test -q --workspace
 
-echo "==> kernel bit-identity and steady-state allocations (release)"
-# The benchmark times the vectorised release kernels; the workspace passes
-# above only run the debug build of them.
+echo "==> kernel bit-identity, steady-state allocations, served answers (release)"
+# The benchmark times the vectorised release kernels and serves with them;
+# the workspace passes above only run the debug build of them.
 cargo test --release -q --test kernel_bits --test steady_state_allocs
+cargo test --release -q -p mggcn-serve --test serving
 
 echo "==> exec runtime on one CPU, then 20x oversubscribed"
 # One-CPU interleavings are what the benchmark gates, and where a lost

@@ -18,7 +18,7 @@ use mggcn_core::config::{GcnConfig, TrainOptions};
 use mggcn_core::memplan::BufferPolicy;
 use mggcn_core::problem::Problem;
 use mggcn_core::trainer::Trainer;
-use mggcn_gpusim::{CostModel, MachineSpec, OomError};
+use mggcn_gpusim::{spmm_first, CostModel, MachineSpec, OomError};
 
 /// Kernel-efficiency haircut relative to the paper's hand-tuned CUDA.
 const DGL_SPMM_EFFICIENCY: f64 = 0.33;
@@ -39,7 +39,7 @@ pub fn options(machine: MachineSpec, cfg: &GcnConfig) -> TrainOptions {
     // backward needs no SpMM at all — only MG-GCN's shared buffers force a
     // recomputation there (which §4.4 then skips). Cost-wise the two are
     // identical, so the baseline "skips" exactly when DGL's autograd would.
-    o.skip_first_backward_spmm = cfg.d_in(0) < cfg.d_out(0);
+    o.skip_first_backward_spmm = spmm_first(cfg.d_in(0), cfg.d_out(0));
     o.cost = CostModel {
         gemm_efficiency: DGL_GEMM_EFFICIENCY,
         spmm_efficiency: DGL_SPMM_EFFICIENCY,

@@ -34,12 +34,14 @@ fn power_law(n: usize, avg_degree: f64) -> Csr {
 /// the staged SpMM of one epoch pass, a 12 000-vertex graph of average
 /// degree 136 (resp. 6 400 vertices, degree 4) in 4×4 tiles, every tile
 /// folded into its row block; the 16 tiles of the first (13 MB of CSR) do
-/// not fit L2, as in the workload. d = 64 (`serve-churn`'s feature width,
-/// two strips): `spmm_rows` on 512 random rows of a 6 000-vertex graph of
-/// degree 16, about the first layer's rows of a 32-vertex batch. The bound counts every byte the kernel
-/// asks for as if it came from memory — a value, a column index and a row
-/// of `B` per nonzero; a row pointer, a read and a write of the output row
-/// per row — so a share above 1 says how much of `B` the caches served.
+/// not fit L2, as in the workload. d = 32 (`serve-churn`'s layer-0 SpMM
+/// width: its layer 0 narrows 64 → 32, so it runs over `H⁰·W⁰`, one strip
+/// wide): `spmm_rows` on 512 random rows of a 6 000-vertex graph of degree
+/// 16, about the first layer's rows of a 32-vertex batch. The bound counts
+/// every byte the kernel asks for as if it came from memory — a value, a
+/// column index and a row of `B` per nonzero; a row pointer, a read and a
+/// write of the output row per row — so a share above 1 says how much of
+/// `B` the caches served.
 fn bench_spmm(c: &mut Criterion) {
     let mut group = c.benchmark_group("spmm");
     group.sample_size(10).measurement_time(std::time::Duration::from_secs(2));
@@ -65,7 +67,7 @@ fn bench_spmm(c: &mut Criterion) {
             });
         }
     }
-    let (n, d) = (6_000, 64);
+    let (n, d) = (6_000, 32);
     let a = power_law(n, 16.0);
     let mut rng = SmallRng::seed_from_u64(11);
     let rows: Vec<u32> = (0..512).map(|_| rng.gen_range(0..n as u32)).collect();

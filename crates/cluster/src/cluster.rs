@@ -108,7 +108,7 @@ impl Router {
 /// One answered request. Exactly one answer exists per request id;
 /// `degraded` distinguishes the exact batched path from the shed
 /// fallback, and `from_cache` says whether a degraded answer used the
-/// cached layer-0 aggregation row (vs. the raw feature row).
+/// cached layer-0 row (vs. its row of layer 0's operand).
 #[derive(Clone, Debug)]
 pub struct Answer {
     pub id: u64,
@@ -383,8 +383,8 @@ impl Cluster {
                     lost = true;
                     // Cache-node loss rides along with shard loss: the
                     // resident rows are gone, so degraded answers fall
-                    // back to raw feature rows (still deterministic,
-                    // still tagged).
+                    // back to rows of layer 0's operand (still
+                    // deterministic, still tagged).
                     server.drop_cache();
                     if let Some(t) = tracer {
                         t.counter_add(&format!("cluster.shard{sid}.lost"), 1);

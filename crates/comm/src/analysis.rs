@@ -13,7 +13,7 @@
 //! sees 12 links and 1.5D is 4/3 *faster* — but needs twice the memory,
 //! which is why MG-GCN ships 1D only (§5.1's conclusion).
 
-use mggcn_gpusim::MachineSpec;
+use mggcn_gpusim::{spmm_first, MachineSpec};
 
 /// DGX-1 hybrid cube mesh: links each GPU has toward the full machine —
 /// the fan-out a 1D full-machine broadcast pipelines over (§5.1).
@@ -102,7 +102,7 @@ pub fn partition_fanout_bytes(foreign_rows: &[usize], d: usize) -> Vec<u64> {
 /// totals are `rows[s] · 4 · Σ widths`, where the width sum follows the
 /// trainer's operand choices:
 /// * forward layer `l` moves width `d_in` when the §4.4 operand-order
-///   optimization applies (`op_order_opt` and `d_in < d_out`), else
+///   optimization applies (`op_order_opt` and [`spmm_first`]), else
 ///   `d_out`;
 /// * backward layer `l` moves width `d_out`, except layer 0 when
 ///   `skip_first_backward_spmm` elides it entirely (§4.4).
@@ -125,7 +125,8 @@ pub fn epoch_broadcast_bytes(
     let mut width_sum = 0u64;
     for l in 0..layers {
         let (d_in, d_out) = (dims[l], dims[l + 1]);
-        width_sum += if op_order_opt && d_in < d_out { d_in as u64 } else { d_out as u64 };
+        width_sum +=
+            if op_order_opt && spmm_first(d_in, d_out) { d_in as u64 } else { d_out as u64 };
     }
     for l in (0..layers).rev() {
         if l == 0 && skip_first_backward_spmm {

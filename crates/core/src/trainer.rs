@@ -38,7 +38,9 @@ use crate::state::{BcSlot, DeviceState, GpuState};
 use mggcn_dense::{gemm, gemm_a_bt, gemm_at_b, relu_inplace, Accumulate, Dense};
 use mggcn_exec::{Backend, ExecError, ExecReport};
 use mggcn_gpusim::engine::{Body, EpochPlan, OpDesc};
-use mggcn_gpusim::{BufId, Category, Effects, OomError, RunReport, Schedule, StaleRead, Work};
+use mggcn_gpusim::{
+    spmm_first, BufId, Category, Effects, OomError, RunReport, Schedule, StaleRead, Work,
+};
 use mggcn_sparse::{spmm, Csr};
 use std::sync::Arc;
 
@@ -173,7 +175,7 @@ pub fn sf_buffer_count(cfg: &GcnConfig, opts: &TrainOptions) -> usize {
 /// Whether layer `l`'s forward broadcast needs an `SF` snapshot to go
 /// stale (layer 0 under spmm-first broadcasts the constant `X`).
 fn needs_sf(cfg: &GcnConfig, opts: &TrainOptions, l: usize) -> bool {
-    !(l == 0 && opts.op_order_opt && cfg.d_in(0) < cfg.d_out(0))
+    !(l == 0 && opts.op_order_opt && spmm_first(cfg.d_in(0), cfg.d_out(0)))
 }
 
 /// The MG-GCN multi-GPU trainer.
@@ -708,7 +710,7 @@ impl<'a> EpochBuilder<'a> {
                 snapshot: needs_sf(self.cfg, self.opts, l).then_some((l, age)),
             });
 
-            let (bcast_src, bcast_d) = if self.opts.op_order_opt && d_in < d_out {
+            let (bcast_src, bcast_d) = if self.opts.op_order_opt && spmm_first(d_in, d_out) {
                 // AH = Âᵀ·H (width d_in) into HW, then AHW = AH·W.
                 self.staged_collective_spmm(Dir::Fwd, input, Buf::Hw, d_in, prefetch);
                 self.local_gemm_xw(l, Buf::Hw, Buf::Ahw(l));

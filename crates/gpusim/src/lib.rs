@@ -75,7 +75,7 @@ pub use deps::infer_waits;
 pub use effects::{BufId, Effects, StaleRead};
 pub use engine::{EpochPlan, OpId, OpInfo, RunReport, Schedule, SimOutcome, Site, Work};
 pub use memory::OomError;
-pub use model::CostModel;
+pub use model::{spmm_first, CostModel};
 pub use report::{LatencyStats, Profile};
 pub use shadow::{ActualEffects, EffectRecorder};
 pub use specs::{GpuSpec, Interconnect, MachineSpec};

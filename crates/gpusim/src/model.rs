@@ -17,6 +17,14 @@
 use crate::engine::Work;
 use crate::specs::GpuSpec;
 
+/// The §4.4 op-order rule for one GCN layer `d_in → d_out`: run the SpMM
+/// before the GeMM iff the layer widens (`d_in < d_out`), so the sparse
+/// product always runs at the narrower of the two widths. A layer that
+/// narrows or keeps its width multiplies by `W` first.
+pub fn spmm_first(d_in: usize, d_out: usize) -> bool {
+    d_in < d_out
+}
+
 /// Tunable efficiencies, shared by MG-GCN and the baselines (the baselines
 /// differ in schedule and buffer behaviour, not in silicon).
 #[derive(Clone, Copy, Debug)]

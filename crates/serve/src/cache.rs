@@ -1,11 +1,12 @@
-//! The propagation cache: a size-bounded LRU over per-vertex layer-1
-//! aggregation rows (`Â·H⁰`), the CaPGNN idea applied to this stack.
+//! The propagation cache: a byte-bounded LRU over per-vertex rows of layer
+//! 0's SpMM (`Âᵀ·H⁰W⁰`, or `Âᵀ·H⁰` when layer 0 widens), the CaPGNN idea
+//! applied to this stack.
 //!
 //! The expensive part of serving a GCN query is the first layer's SpMM —
-//! it touches the raw feature matrix, whose width dwarfs the hidden
-//! layers. But a vertex's layer-1 aggregation row depends only on the
-//! graph and `H⁰`, both frozen between graph deltas, so repeat queries can
-//! reuse it bit-for-bit. This cache stores those rows.
+//! it reaches furthest into the graph. But its rows depend only on the
+//! graph and frozen model state, unchanged between graph deltas, so
+//! repeat queries can reuse them bit-for-bit. This cache stores those
+//! rows; the narrower they are, the more of them a budget holds.
 //!
 //! The implementation is **drop-free**: all storage lives in flat `Vec`s
 //! (one `f32` arena holding fixed-stride rows, plus intrusive prev/next

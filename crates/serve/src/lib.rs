@@ -6,8 +6,8 @@
 //! queries online, with the three mechanisms real GNN serving systems
 //! lean on:
 //!
-//! * a **propagation cache** ([`PropagationCache`]) of per-vertex layer-1
-//!   aggregation rows, LRU-bounded and explicitly invalidated on graph
+//! * a **propagation cache** ([`PropagationCache`]) of per-vertex rows of
+//!   layer 0's SpMM, LRU-bounded and explicitly invalidated on graph
 //!   deltas — the CaPGNN idea applied to this stack;
 //! * **request micro-batching** ([`batcher`]): concurrent requests within
 //!   a time/size window collapse into one batched forward pass over the

@@ -5,10 +5,16 @@
 //! replicas (`Arc`s, so per-batch execution contexts can hold it without
 //! copying): the layer weights, the feature matrix `H⁰`, and the
 //! column-normalized transposed adjacency `Âᵀ` the forward pass multiplies
-//! by. The forward pass is aggregation-first at every layer,
-//! `H⁽ˡ⁺¹⁾ = σ((Âᵀ·H⁽ˡ⁾)·Wˡ)`, which makes the layer-0 aggregation rows
-//! (`Âᵀ·H⁰`) pure per-vertex functions of frozen state — exactly what the
-//! propagation cache stores.
+//! by. Each layer is `H⁽ˡ⁺¹⁾ = σ(Âᵀ·H⁽ˡ⁾·Wˡ)`. Layer 0 follows §4.4's
+//! order ([`spmm_first`]): a layer that narrows (or keeps its width)
+//! multiplies by `W⁰` first, and since `H⁰` and `W⁰` are both frozen,
+//! `H⁰·W⁰` is computed once, here, and layer 0 is one SpMM over it; a
+//! widening layer 0 aggregates `H⁰` first. Either way layer 0's SpMM
+//! operand ([`layer0_operand`](ServingModel::layer0_operand)) is frozen,
+//! so its output rows `(Âᵀ·operand)[v]` — layer 0's pre-activation, or its
+//! aggregation when it widens — are pure per-vertex functions of frozen
+//! state: exactly what the propagation cache stores. Layers above 0
+//! aggregate first, so a batch multiplies only the rows it keeps.
 //!
 //! Graph deltas are exact: an edge `(u, v)` changes only columns `u` and
 //! `v` of the in-degree-normalized `Â` (rows `u`, `v` of `Âᵀ`), so a delta
@@ -20,6 +26,7 @@ use mggcn_core::config::{GcnConfig, TrainOptions};
 use mggcn_core::problem::Problem;
 use mggcn_core::trainer::Trainer;
 use mggcn_dense::{gemm, relu_inplace, Accumulate, Dense};
+use mggcn_gpusim::spmm_first;
 use mggcn_graph::sampling::Pattern;
 use mggcn_graph::Graph;
 use mggcn_sparse::{spmm, spmm_rows, Csr};
@@ -36,6 +43,9 @@ pub struct ServingModel {
     /// so it stays what the frozen graph made it.
     pattern: Pattern,
     features: Arc<Dense>,
+    /// Layer 0's SpMM operand: `H⁰·W⁰` when layer 0 multiplies first, else
+    /// `features` itself.
+    layer0: Arc<Dense>,
     weights: Arc<Vec<Dense>>,
 }
 
@@ -83,11 +93,21 @@ impl ServingModel {
         } else {
             Pattern::General
         };
+        let features = Arc::new(features);
+        let w0 = &weights[0];
+        let layer0 = if spmm_first(w0.rows(), w0.cols()) {
+            features.clone()
+        } else {
+            let mut hw = Dense::zeros(features.rows(), w0.cols());
+            gemm(&features, w0, &mut hw, Accumulate::Overwrite);
+            Arc::new(hw)
+        };
         Ok(Self {
             a_hat_t: Arc::new(adj_t.normalize_rows()),
             adj_t,
             pattern,
-            features: Arc::new(features),
+            features,
+            layer0,
             weights: Arc::new(weights),
         })
     }
@@ -100,7 +120,8 @@ impl ServingModel {
         self.adj_t.rows()
     }
 
-    /// Input feature width (`H⁰` columns) — the propagation-cache stride.
+    /// Input feature width (`H⁰` columns). The propagation cache's stride
+    /// is layer 0's SpMM width, [`layer0_operand`](Self::layer0_operand)'s.
     pub fn feat_dim(&self) -> usize {
         self.features.cols()
     }
@@ -136,17 +157,38 @@ impl ServingModel {
         &self.weights
     }
 
-    /// Reference full-graph forward pass, `H⁽ˡ⁺¹⁾ = σ((Âᵀ·H⁽ˡ⁾)·Wˡ)` with
-    /// no activation on the last layer. The batched/cached serving path
-    /// must reproduce these rows bit-for-bit.
+    /// Whether layer 0 multiplies by `W⁰` before it aggregates: §4.4's
+    /// order for a layer that does not widen.
+    pub fn layer0_gemm_first(&self) -> bool {
+        let w0 = &self.weights[0];
+        !spmm_first(w0.rows(), w0.cols())
+    }
+
+    /// What layer 0's SpMM multiplies: `H⁰·W⁰`, computed once when the
+    /// model is frozen, if [`layer0_gemm_first`](Self::layer0_gemm_first),
+    /// else `H⁰`. Its width is the propagation cache's stride.
+    pub fn layer0_operand(&self) -> &Arc<Dense> {
+        &self.layer0
+    }
+
+    /// Reference full-graph forward pass, `H⁽ˡ⁺¹⁾ = σ(Âᵀ·H⁽ˡ⁾·Wˡ)` with
+    /// no activation on the last layer: layer 0 as `Âᵀ·(H⁰W⁰)` when it
+    /// multiplies first, every other layer as `(Âᵀ·H⁽ˡ⁾)·Wˡ`. The
+    /// batched/cached serving path must reproduce these rows bit-for-bit.
     pub fn forward_full(&self) -> Dense {
         let n = self.vertices();
-        let mut h = (*self.features).clone();
+        let mut h = Dense::zeros(0, 0);
         for (l, w) in self.weights.iter().enumerate() {
-            let mut agg = Dense::zeros(n, h.cols());
-            spmm(&self.a_hat_t, &h, &mut agg, Accumulate::Overwrite);
-            let mut z = Dense::zeros(n, w.cols());
-            gemm(&agg, w, &mut z, Accumulate::Overwrite);
+            let input = if l == 0 { &*self.layer0 } else { &h };
+            let mut agg = Dense::zeros(n, input.cols());
+            spmm(&self.a_hat_t, input, &mut agg, Accumulate::Overwrite);
+            let mut z = if l == 0 && self.layer0_gemm_first() {
+                agg
+            } else {
+                let mut z = Dense::zeros(n, w.cols());
+                gemm(&agg, w, &mut z, Accumulate::Overwrite);
+                z
+            };
             if l + 1 < self.weights.len() {
                 relu_inplace(z.as_mut_slice());
             }
@@ -155,18 +197,19 @@ impl ServingModel {
         h
     }
 
-    /// Layer-0 aggregation rows `(Âᵀ·H⁰)[v]` for the given vertices —
-    /// what the propagation cache stores, computed from scratch.
+    /// Layer 0's SpMM rows `(Âᵀ·operand)[v]` for the given vertices
+    /// ([`layer0_operand`](Self::layer0_operand)) — what the propagation
+    /// cache stores, computed from scratch.
     pub fn aggregation_rows(&self, vertices: &[u32]) -> Dense {
-        let mut out = Dense::zeros(vertices.len(), self.feat_dim());
-        spmm_rows(&self.a_hat_t, vertices, &self.features, &mut out, Accumulate::Overwrite);
+        let mut out = Dense::zeros(vertices.len(), self.layer0.cols());
+        spmm_rows(&self.a_hat_t, vertices, &self.layer0, &mut out, Accumulate::Overwrite);
         out
     }
 
     /// Apply a graph delta: add undirected edges (unit weight, both
     /// directions; a self edge adds 2), re-normalize the endpoints' rows of
     /// `Âᵀ`, and return those endpoints, ascending and deduplicated — the
-    /// only vertices whose cached aggregations change. All-or-nothing:
+    /// only vertices whose cached rows change. All-or-nothing:
     /// panics naming the first out-of-range edge before touching anything.
     pub fn apply_delta(&mut self, edges: &[(u32, u32)]) -> Vec<u32> {
         let n = self.vertices();
@@ -231,8 +274,8 @@ mod tests {
     #[test]
     fn aggregation_rows_match_full_spmm() {
         let m = tiny_model(25, 5, 4, 2, 3);
-        let mut full = Dense::zeros(25, 5);
-        spmm(m.a_hat_t(), m.features(), &mut full, Accumulate::Overwrite);
+        let mut full = Dense::zeros(25, m.layer0_operand().cols());
+        spmm(m.a_hat_t(), m.layer0_operand(), &mut full, Accumulate::Overwrite);
         let some = m.aggregation_rows(&[0, 7, 24]);
         assert_eq!(some.row(0), full.row(0));
         assert_eq!(some.row(1), full.row(7));

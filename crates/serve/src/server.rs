@@ -1,39 +1,45 @@
 //! The serving engine: batches → tagged op schedules on the simulated
 //! machine → bit-exact outputs + latency accounting.
 //!
-//! A batch reads the global `Âᵀ` and `H⁰` directly, one layer at a time:
-//! layer `l` produces only the rows `R_l`, the vertices within `L−1−l`
-//! hops of the seeds (`graph::sampling::khop_layers`), and no buffer is
-//! as tall as the batch's L-hop induced block. Each batch becomes one
-//! [`Schedule`] on a replica GPU's stream 0. The ops declare their buffer
-//! effects and the schedule infers the dependencies (on one lane, FIFO
-//! order already covers all of them):
+//! A batch reads the global `Âᵀ` and layer 0's frozen operand
+//! ([`ServingModel::layer0_operand`]: `H⁰·W⁰` when layer 0 does not widen,
+//! else `H⁰`) directly, one layer at a time: layer `l` produces only the
+//! rows `R_l`, the vertices within `L−1−l` hops of the seeds
+//! (`graph::sampling::khop_layers`), and no buffer is as tall as the
+//! batch's L-hop induced block. Layer 0 follows §4.4's order, so a layer
+//! 0 that does not widen is one SpMM at `d_out(0)` with no GeMM; every
+//! layer above it aggregates first, because multiplying first would run
+//! the GeMM over all of `R_{l−1}` instead of the smaller `R_l`. Each batch
+//! becomes one [`Schedule`] on a replica GPU's stream 0. The ops declare
+//! their buffer effects and the schedule infers the dependencies (on one
+//! lane, FIFO order already covers all of them):
 //!
 //! * `serve-extract` — k-hop extraction, costed as the induced block's
 //!   fixed cost plus a per-edge term and paid **once per batch** — the
 //!   quantity micro-batching amortizes; the edges are counted, not built,
 //!   and on an undirected graph ([`ServingModel::pattern`]) from the rows
 //!   the batch does not reach;
-//! * `serve-gather` — feature rows + cached aggregation rows into device
-//!   buffers (costed only: the cache hits are written into the compact
-//!   layer-0 aggregation when the cache is probed, and `H⁰` is read in
-//!   place);
+//! * `serve-gather` — operand rows + cached layer-0 rows into device
+//!   buffers, at the operand's width (costed only: the cache hits are
+//!   written into the compact layer-0 output when the cache is probed, and
+//!   the operand is read in place);
 //! * `serve-spmm` — per layer: at layer 0 only the **cache-miss** rows of
-//!   `R_0`, straight from `Âᵀ` and `H⁰`, so a warm propagation cache
+//!   `R_0`, straight from `Âᵀ` and the operand, so a warm propagation cache
 //!   shrinks the dominant kernel; at layer `l ≥ 1` the shell — rows `R_l`
 //!   of `Âᵀ`, columns renumbered into positions of `R_{l−1}`;
 //! * `serve-gemm` / `serve-relu` — the dense tail of each layer, on
-//!   `|R_l|`-row matrices;
+//!   `|R_l|`-row matrices; a layer 0 that multiplied first has no GeMM;
 //! * `serve-output` — each request's row of `R_{L−1}`, by binary search.
 //!
 //! Op bodies execute the real numerics against a [`BatchCtx`], so the
 //! same schedule that is timed also produces the answers, and those
 //! answers are bit-identical to [`ServingModel::forward_full`] rows: a
-//! miss row is `spmm_rows` over the full operator, the row kernel
-//! `forward_full`'s `spmm` runs; a cached row holds those bits; a shell
-//! row lists the same entries in the same order with every column pointing
-//! at the row its vertex holds in the previous layer, so it folds the same
-//! products in the same order; and GeMM and ReLU act row by row.
+//! miss row is `spmm_rows` over the full operator and the same frozen
+//! operand, the row kernel `forward_full`'s `spmm` runs; a cached row
+//! holds those bits; a shell row lists the same entries in the same order
+//! with every column pointing at the row its vertex holds in the previous
+//! layer, so it folds the same products in the same order; and GeMM and
+//! ReLU act row by row.
 //!
 //! Replica scheduling is earliest-free: batches are executed in arrival
 //! order on the least-loaded GPU, and a request's latency is its batch's
@@ -91,7 +97,8 @@ impl ServeConfig {
 /// static analysis; the fields stay internal to the serving engine.
 pub struct BatchCtx {
     a_hat_t: Arc<Csr>,
-    features: Arc<Dense>,
+    /// Layer 0's SpMM operand ([`ServingModel::layer0_operand`]).
+    operand: Arc<Dense>,
     weights: Arc<Vec<Dense>>,
     /// The rows each layer produces and the shells between layers.
     khop: KhopLayers,
@@ -99,10 +106,11 @@ pub struct BatchCtx {
     /// in `khop.rows[0]`.
     misses: Vec<u32>,
     miss_at: Vec<u32>,
-    /// Current layer aggregation, one row per `khop.rows[l]`; layer 0's
-    /// cache hits are written in when the batch is built.
+    /// Current layer aggregation, one row per `khop.rows[l]`.
     agg: Dense,
-    /// Current layer output, same rows.
+    /// Current layer output, same rows. Layer 0's rows — its aggregation,
+    /// or its pre-activation when it multiplied first — start in `agg` or
+    /// `h` respectively, cache hits written in when the batch is built.
     h: Dense,
     /// Computed miss rows, saved for post-run cache insertion.
     miss_agg: Dense,
@@ -200,7 +208,7 @@ pub struct Server {
 
 impl Server {
     pub fn new(model: ServingModel, cfg: ServeConfig) -> Self {
-        let cache = PropagationCache::new(cfg.cache_bytes, model.feat_dim());
+        let cache = PropagationCache::new(cfg.cache_bytes, model.layer0_operand().cols());
         Self { model, cache, cfg, tracer: None }
     }
 
@@ -246,36 +254,41 @@ impl Server {
     }
 
     /// Answer one vertex **without touching the GPU queue**: the overload
-    /// fallback. Returns (output row, whether the layer-0 aggregation came
-    /// from the propagation cache).
+    /// fallback. Returns (output row, whether the layer-0 row came from the
+    /// propagation cache).
     ///
-    /// The degraded forward pass uses the cached aggregation row when
-    /// resident (exact layer-0 aggregation — the expensive SpMM the cache
-    /// exists to skip) and the vertex's raw feature row otherwise, then
-    /// applies the dense tail with **identity propagation** for layers ≥ 1
-    /// (no neighbor rows are available without the k-hop extraction this
-    /// path exists to avoid). The answer is approximate and must be tagged
-    /// degraded by the caller; it is deterministic, finite, and costs
-    /// O(Σ dᵢ·dᵢ₊₁) host work with no queueing.
+    /// The degraded forward pass uses the cached layer-0 row when resident
+    /// (layer 0's exact SpMM output — the expensive kernel the cache exists
+    /// to skip) and the vertex's own row of the layer-0 operand otherwise
+    /// (`(H⁰W⁰)[v]` or `H⁰[v]`), then applies the dense tail with
+    /// **identity propagation** for layers ≥ 1 (no neighbor rows are
+    /// available without the k-hop extraction this path exists to avoid).
+    /// The answer is approximate and must be tagged degraded by the caller;
+    /// it is deterministic, finite, and costs O(Σ dᵢ·dᵢ₊₁) host work with
+    /// no queueing.
     pub fn degraded_answer(&mut self, vertex: u32) -> (Vec<f32>, bool) {
         assert!((vertex as usize) < self.model.vertices(), "vertex out of range");
         let (mut h, cached) = match self.cache.get(vertex) {
             Some(row) => (row.to_vec(), true),
-            None => (self.model.features().row(vertex as usize).to_vec(), false),
+            None => (self.model.layer0_operand().row(vertex as usize).to_vec(), false),
         };
+        let gemm_first = self.model.layer0_gemm_first();
         let weights = self.model.weights().clone();
         for (l, w) in weights.iter().enumerate() {
-            let mut z = vec![0.0f32; w.cols()];
-            for (i, &x) in h.iter().enumerate() {
-                let wrow = w.row(i);
-                for (j, zj) in z.iter_mut().enumerate() {
-                    *zj += x * wrow[j];
+            // A layer 0 that multiplied first already holds `·W⁰`.
+            if l > 0 || !gemm_first {
+                let mut z = vec![0.0f32; w.cols()];
+                for (i, &x) in h.iter().enumerate() {
+                    let wrow = w.row(i);
+                    for (j, zj) in z.iter_mut().enumerate() {
+                        *zj += x * wrow[j];
+                    }
                 }
+                h = z;
             }
             if l + 1 < weights.len() {
-                relu_inplace(&mut z);
+                relu_inplace(&mut h);
             }
-            h = z;
         }
         (h, cached)
     }
@@ -385,18 +398,20 @@ impl Server {
             panic!("query vertex {v} out of range for {n} vertices");
         }
         let layers = self.model.layers();
-        let d0 = self.model.feat_dim();
+        let gemm_first = self.model.layer0_gemm_first();
+        let operand = self.model.layer0_operand().clone();
+        let d0 = operand.cols();
         let a_hat_t = self.model.a_hat_t().clone();
         let khop = khop_layers(&a_hat_t, vertices, layers, self.model.pattern());
         let n_local = khop.block_vertices;
 
-        // Probe the cache for layer-0 aggregation rows in ascending global
-        // order (host-side: the schedule's costs depend on the miss count).
-        let mut agg = Dense::zeros(khop.rows[0].len(), d0);
+        // Probe the cache for layer-0 rows in ascending global order
+        // (host-side: the schedule's costs depend on the miss count).
+        let mut rows0 = Dense::zeros(khop.rows[0].len(), d0);
         let (mut misses, mut miss_at) = (Vec::new(), Vec::new());
         for (i, &g) in khop.rows[0].iter().enumerate() {
             match self.cache.get(g) {
-                Some(row) => agg.row_mut(i).copy_from_slice(row),
+                Some(row) => rows0.row_mut(i).copy_from_slice(row),
                 None => {
                     misses.push(g);
                     miss_at.push(i as u32);
@@ -424,15 +439,18 @@ impl Server {
             None,
         );
 
-        // Gather feature rows + cached aggregation rows: costed only, the
-        // hits are already in `agg` and `H⁰` is read in place.
+        // Gather operand rows + cached layer-0 rows: costed only, the hits
+        // are already in `rows0` and the operand is read in place. Layer 0
+        // writes where its consumer reads: the aggregation the GeMM takes,
+        // or, when it multiplied first, the output the ReLU takes.
+        let (src0, dst0) = if gemm_first { ("SRV_HW", "SRV_H") } else { ("SRV_H", "SRV_AGG") };
         let gather_elems = (n_local * d0 + hits * d0) as u64;
         sched.record(
             gpu,
             stream,
             cost.elementwise(gather_elems, 1.0),
             OpDesc::new(Category::Other, "serve-gather"),
-            Effects::none().writes([BufId::new(gpu, "SRV_H"), BufId::new(gpu, "SRV_AGG")]),
+            Effects::none().writes([BufId::new(gpu, src0), BufId::new(gpu, dst0)]),
             None,
         );
 
@@ -455,20 +473,28 @@ impl Server {
                             false,
                         ),
                         OpDesc::new(Category::SpMM, "serve-spmm"),
-                        // Only the miss rows of the aggregation buffer are
+                        // Only the miss rows of layer 0's output are
                         // overwritten — the cache hits survive (RMW).
                         Effects::none()
-                            .reads([BufId::new(gpu, "SRV_H")])
-                            .rw(BufId::new(gpu, "SRV_AGG"))
+                            .reads([BufId::new(gpu, src0)])
+                            .rw(BufId::new(gpu, dst0))
                             .writes([BufId::new(gpu, "SRV_MISS")]),
                         Some(Box::new(move |ctx: &Mutex<BatchCtx>| {
                             let BatchCtx {
-                                a_hat_t, features, misses, miss_at, agg, miss_agg, ..
+                                a_hat_t,
+                                operand,
+                                misses,
+                                miss_at,
+                                agg,
+                                h,
+                                miss_agg,
+                                ..
                             } = &mut *lock_ctx(ctx);
-                            *miss_agg = Dense::zeros(misses.len(), features.cols());
-                            spmm_rows(a_hat_t, misses, features, miss_agg, Accumulate::Overwrite);
+                            let rows0 = if gemm_first { h } else { agg };
+                            *miss_agg = Dense::zeros(misses.len(), operand.cols());
+                            spmm_rows(a_hat_t, misses, operand, miss_agg, Accumulate::Overwrite);
                             for (i, &at) in miss_at.iter().enumerate() {
-                                agg.row_mut(at as usize).copy_from_slice(miss_agg.row(i));
+                                rows0.row_mut(at as usize).copy_from_slice(miss_agg.row(i));
                             }
                         })),
                     );
@@ -492,21 +518,24 @@ impl Server {
                 );
             }
 
-            sched.record(
-                gpu,
-                stream,
-                cost.gemm(&spec, n_rows as u64, d_in as u64, d_out as u64),
-                OpDesc::new(Category::GeMM, "serve-gemm"),
-                Effects::none()
-                    .reads([BufId::new(gpu, "SRV_AGG")])
-                    .writes([BufId::new(gpu, "SRV_H")]),
-                Some(Box::new(move |ctx: &Mutex<BatchCtx>| {
-                    let BatchCtx { weights, h, agg, .. } = &mut *lock_ctx(ctx);
-                    let w = &weights[l];
-                    *h = Dense::zeros(agg.rows(), w.cols());
-                    gemm(agg, w, h, Accumulate::Overwrite);
-                })),
-            );
+            // A layer 0 that multiplied first has its `·W⁰` in the operand.
+            if l > 0 || !gemm_first {
+                sched.record(
+                    gpu,
+                    stream,
+                    cost.gemm(&spec, n_rows as u64, d_in as u64, d_out as u64),
+                    OpDesc::new(Category::GeMM, "serve-gemm"),
+                    Effects::none()
+                        .reads([BufId::new(gpu, "SRV_AGG")])
+                        .writes([BufId::new(gpu, "SRV_H")]),
+                    Some(Box::new(move |ctx: &Mutex<BatchCtx>| {
+                        let BatchCtx { weights, h, agg, .. } = &mut *lock_ctx(ctx);
+                        let w = &weights[l];
+                        *h = Dense::zeros(agg.rows(), w.cols());
+                        gemm(agg, w, h, Accumulate::Overwrite);
+                    })),
+                );
+            }
 
             if l + 1 < layers {
                 sched.record(
@@ -541,15 +570,17 @@ impl Server {
         );
 
         let miss_count = misses.len() as u64;
+        let (agg, h) =
+            if gemm_first { (Dense::zeros(0, 0), rows0) } else { (rows0, Dense::zeros(0, 0)) };
         let ctx = Mutex::new(BatchCtx {
             a_hat_t,
-            features: self.model.features().clone(),
+            operand,
             weights: self.model.weights().clone(),
             khop,
             misses,
             miss_at,
             agg,
-            h: Dense::zeros(0, 0),
+            h,
             miss_agg: Dense::zeros(0, 0),
             queries: vertices.to_vec(),
             out: Dense::zeros(0, 0),
@@ -558,7 +589,7 @@ impl Server {
     }
 
     /// Execute one batch on `gpu`: build the tagged op schedule, run it
-    /// (bodies compute the numerics), feed newly computed aggregation rows
+    /// (bodies compute the numerics), feed newly computed layer-0 rows
     /// back into the cache. Returns (per-request outputs, service seconds).
     fn execute_batch(&mut self, vertices: &[u32], gpu: usize) -> (Dense, f64) {
         let (sched, ctx, hit_count, miss_count) = self.build_batch(vertices, gpu);
@@ -591,7 +622,7 @@ impl Server {
         }
         let ctx = ctx.into_inner().unwrap_or_else(|e| e.into_inner());
 
-        // Feed freshly computed aggregation rows back into the cache.
+        // Feed freshly computed layer-0 rows back into the cache.
         for (i, &g) in ctx.misses.iter().enumerate() {
             self.cache.insert(g, ctx.miss_agg.row(i));
         }
@@ -669,7 +700,7 @@ mod tests {
         assert!(!cached);
         assert!(cold.iter().all(|v| v.is_finite()));
         // Warm the cache via the exact path, then the degraded answer uses
-        // the exact layer-0 aggregation row.
+        // the exact layer-0 row.
         server.query(&[3]);
         let (warm, cached) = server.degraded_answer(3);
         assert!(cached, "row must be resident after an exact query");

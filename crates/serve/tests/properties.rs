@@ -61,7 +61,8 @@ proptest! {
 
         // Cache every vertex's aggregation row, hold the pre-delta
         // operator (so the delta patches a shared `Arc`), apply one delta.
-        let mut cache = PropagationCache::new(n * 6 * 4, 6);
+        let width = model.layer0_operand().cols();
+        let mut cache = PropagationCache::new(n * width * 4, width);
         let all: Vec<u32> = (0..n as u32).collect();
         let rows = model.aggregation_rows(&all);
         for (i, &g) in all.iter().enumerate() {

@@ -6,14 +6,19 @@
 //! 2. micro-batching sustains ≥2× the throughput of batch-size-1 serving
 //!    on the same simulated hardware;
 //! 3. a warm propagation cache reduces mean per-request compute vs cold;
-//! 4. a query outside the graph is refused before it touches the cache.
+//! 4. a query outside the graph is refused before it touches the cache;
+//! 5. layer 0 runs in §4.4's order: a layer 0 that does not widen is one
+//!    SpMM over the frozen `H⁰·W⁰` at `d_out(0)` with no GeMM, a widening
+//!    one aggregates `H⁰` first exactly as before.
 
 use mggcn_dense::Dense;
+use mggcn_dense::{gemm, relu_inplace, Accumulate};
 use mggcn_exec::Backend;
-use mggcn_gpusim::{GpuSpec, MachineSpec};
+use mggcn_gpusim::{GpuSpec, MachineSpec, Work};
 use mggcn_graph::generators::chung_lu;
+use mggcn_graph::sampling::khop_layers;
 use mggcn_serve::{generate_load, BatchPolicy, LoadGenConfig, ServeConfig, Server, ServingModel};
-use mggcn_sparse::Coo;
+use mggcn_sparse::{spmm, Coo};
 use std::sync::Arc;
 
 fn model(n: usize, d0: usize, hidden: usize, classes: usize, seed: u64) -> ServingModel {
@@ -251,4 +256,114 @@ fn out_of_range_queries_are_refused_before_the_cache_and_empty_ones_are_empty() 
     let none = server.query(&[]);
     assert_eq!((none.rows(), none.cols()), (0, 3));
     assert_eq!(*server.cache().stats(), before);
+}
+
+/// The `(label, work)` list a cold batch records, derived from the cost
+/// model: layer 0's SpMM over every row of `R_0` at width `d0`, its GeMM
+/// only when `layer0_gemm`, and every layer above aggregating first.
+fn cold_batch_ops(
+    m: &ServingModel,
+    cfg: &ServeConfig,
+    batch: &[u32],
+    d0: usize,
+    layer0_gemm: bool,
+) -> Vec<(&'static str, Work)> {
+    let (cost, spec) = (cfg.cost, cfg.machine.gpus[0]);
+    let khop = khop_layers(m.a_hat_t(), batch, m.layers(), m.pattern());
+    let n_local = khop.block_vertices as u64;
+    let extract = cfg.extract_fixed + cfg.extract_per_edge * khop.block_edges as f64;
+    let mut ops = vec![
+        ("serve-extract", Work::Fixed { seconds: extract }),
+        ("serve-gather", cost.elementwise(n_local * d0 as u64, 1.0)),
+    ];
+    for (l, w) in m.weights().iter().enumerate() {
+        let rows = khop.rows[l].len() as u64;
+        let (nnz, d) = if l == 0 {
+            (khop.rows[0].iter().map(|&g| m.a_hat_t().row_nnz(g as usize)).sum(), d0)
+        } else {
+            (khop.shells[l - 1].nnz(), w.rows())
+        };
+        ops.push(("serve-spmm", cost.spmm(&spec, rows, n_local, nnz as u64, d as u64, false)));
+        if l > 0 || layer0_gemm {
+            ops.push(("serve-gemm", cost.gemm(&spec, rows, w.rows() as u64, w.cols() as u64)));
+        }
+        if l + 1 < m.layers() {
+            ops.push(("serve-relu", cost.elementwise(rows * w.cols() as u64, 2.0)));
+        }
+    }
+    ops.push(("serve-output", cost.elementwise((batch.len() * m.out_dim()) as u64, 2.0)));
+    ops
+}
+
+/// `Âᵀ·H·W` for every layer, in the order given for layer 0 and
+/// aggregation first above it, with ReLU between layers.
+fn forward_in_order(m: &ServingModel, gemm_first_at_0: bool) -> Dense {
+    let n = m.vertices();
+    let mut h = (**m.features()).clone();
+    for (l, w) in m.weights().iter().enumerate() {
+        let product = |a: &Dense| {
+            let mut c = Dense::zeros(n, w.cols());
+            gemm(a, w, &mut c, Accumulate::Overwrite);
+            c
+        };
+        let aggregate = |a: &Dense| {
+            let mut c = Dense::zeros(n, a.cols());
+            spmm(m.a_hat_t(), a, &mut c, Accumulate::Overwrite);
+            c
+        };
+        h = if l == 0 && gemm_first_at_0 {
+            aggregate(&product(&h))
+        } else {
+            product(&aggregate(&h))
+        };
+        if l + 1 < m.layers() {
+            relu_inplace(h.as_mut_slice());
+        }
+    }
+    h
+}
+
+#[test]
+fn layer_zero_follows_the_op_order_rule_and_serves_forward_full_bits() {
+    let n = 90;
+    let batch = [0u32, 17, 17, 42, 5, 0, 89];
+    // (d_in(0), d_out(0)): narrowing, widening, and equal width, which
+    // multiplies first like a narrowing layer.
+    for (d_in, d_out, gemm_first) in [(8, 5, true), (5, 8, false), (6, 6, true)] {
+        let m = model(n, d_in, d_out, 3, 29);
+        let case = format!("{d_in} -> {d_out}");
+        assert_eq!(m.layer0_gemm_first(), gemm_first, "{case}");
+        let width = if gemm_first { d_out } else { d_in };
+        assert_eq!(m.layer0_operand().cols(), width, "{case}: operand width");
+        assert_eq!(m.feat_dim(), d_in, "{case}: feat_dim stays H⁰'s width");
+        // forward_full is the order under test, bit for bit; a widening
+        // layer 0 keeps the aggregation-first bits it always had.
+        let reference = m.forward_full();
+        assert_eq!(reference, forward_in_order(&m, gemm_first), "{case}: forward_full order");
+
+        // A cold batch's ops and costs: no layer-0 GeMM when multiplying
+        // first, and the layer-0 SpMM and gather at the operand's width.
+        let cfg = config(BatchPolicy::new(1e-3, 16), 1 << 20);
+        let want = cold_batch_ops(&m, &cfg, &batch, width, !gemm_first);
+        let sched = Server::new(m.clone(), cfg.clone()).batch_schedule(&batch, 0);
+        let got: Vec<(&str, Work)> =
+            sched.op_infos().iter().map(|o| (o.desc.label, o.work)).collect();
+        assert_eq!(got, want, "{case}: ops and costs");
+
+        for backend in [Backend::Simulated, Backend::Threaded] {
+            let when = |phase: &str| format!("{case}, {}, {phase}", backend.name());
+            let mut cfg = cfg.clone();
+            cfg.backend = backend;
+            let mut server = Server::new(m.clone(), cfg);
+            assert_eq!(server.cache().stride(), width, "{}", when("cache stride"));
+            assert_answers(&server.query(&batch), &batch, &reference, &when("cold"));
+            let before = *server.cache().stats();
+            assert_answers(&server.query(&batch), &batch, &reference, &when("warm"));
+            assert_eq!(server.cache().stats().misses, before.misses, "{}", when("warm misses"));
+            server.apply_delta(&[(0, 17), (42, 89), (5, 5)]);
+            let reference = server.model().forward_full();
+            let mixed = [89u32, 3, 0, 42, 17, 61, 3, 5];
+            assert_answers(&server.query(&mixed), &mixed, &reference, &when("after delta"));
+        }
+    }
 }
