@@ -33,12 +33,6 @@ fi
 echo "==> build (release, workspace)"
 cargo build --release --workspace
 
-echo "==> paper harness that really trains (release)"
-# Every other table of the paper's evaluation is a golden and a verdict test
-# (mggcn-testkit's `paper` and `neighborhood_explosion` suites); this one
-# trains to a target accuracy, so no test runs it and it runs here.
-cargo bench -q -p mggcn-bench --bench ext_convergence
-
 echo "==> tests (workspace, kernel pool width 1)"
 MGGCN_THREADS=1 cargo test -q --workspace
 
@@ -91,7 +85,7 @@ echo "==> benchmark harness gate (BENCHMARK.json; unit tests + 20-step smoke of 
 # so this also proves the public API the harness times (Trainer, Schedule,
 # preflight, execute, Server) still compiles. Performance claims cite its
 # metrics (benchmark/README.md); simulated-clock claims are `#[test]`s and
-# the BENCH_topo.json golden, all inside the workspace tests above.
+# table goldens, all inside the workspace tests above.
 # benchmark/Cargo.lock records every crate's dependency edges; check.sh would
 # silently rewrite it after a change to any of them, so refuse that first.
 cargo metadata --offline --locked --manifest-path benchmark/Cargo.toml --format-version 1 >/dev/null

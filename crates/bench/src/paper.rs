@@ -1,5 +1,7 @@
 //! The paper's evaluation — Tables 1–3, Figs 5–14 and the §5.1 analysis —
-//! plus the ablations and the multi-node extension, one function per table.
+//! plus the ablations and the multi-node extensions, one function per table.
+//! The `ext_15d_*` tables present `mggcn-topo`'s studies of where §5.1's
+//! 1D verdict flips once a node boundary and its NIC enter the machine.
 //!
 //! Every number comes from the simulated clock (stat cards on the virtual
 //! machines of `mggcn-gpusim`), except Table 1's replica statistics, which
@@ -20,6 +22,10 @@ use mggcn_graph::datasets::{
 };
 use mggcn_graph::tilestats::{TileStats, VertexOrdering};
 use mggcn_graph::DatasetCard;
+use mggcn_topo::{
+    crossover_nic_gbps, e2e_sweep, nic_sweep, paper_51_verdicts, staleness_sweep, traffic_split,
+    STALE_EPOCHS, STALE_NIC_GBPS,
+};
 
 use crate::{epoch, staged_spmm_timeline};
 
@@ -100,7 +106,7 @@ impl Table {
 pub type TableFn = fn() -> Table;
 
 /// Every table, by id, in the paper's order.
-pub const TABLES: [(&str, TableFn); 19] = [
+pub const TABLES: [(&str, TableFn); 23] = [
     ("table1", table1),
     ("table1_replicas", table1_replicas),
     ("fig05", fig05),
@@ -120,6 +126,10 @@ pub const TABLES: [(&str, TableFn); 19] = [
     ("ablation_overlap", ablation_overlap),
     ("ext_multinode", ext_multinode),
     ("ext_multinode_nic", ext_multinode_nic),
+    ("ext_15d_comm", ext_15d_comm),
+    ("ext_15d_papers", ext_15d_papers),
+    ("ext_15d_traffic", ext_15d_traffic),
+    ("ext_15d_staleness", ext_15d_staleness),
 ];
 
 const GPUS: [usize; 4] = [1, 2, 4, 8];
@@ -139,6 +149,11 @@ fn num(v: Option<f64>, prec: usize, unit: &str) -> Cell {
 
 fn int(v: usize) -> Cell {
     num(Some(v as f64), 0, "")
+}
+
+/// A NIC bandwidth in GB/s, printed as given.
+fn gbps(nic: f64) -> Cell {
+    Cell::Num(nic, nic.to_string())
 }
 
 /// Epoch seconds: three decimals from 0.1 s, four below.
@@ -725,7 +740,7 @@ fn ext_multinode_nic() -> Table {
     let rows = [12.5, 25.0, 50.0, 100.0, 200.0, 400.0]
         .map(|nic| {
             let t16 = cluster_epoch(2, nic, 16, &REDDIT);
-            vec![Cell::Num(nic, nic.to_string()), num(t16, 4, ""), speedup(t8, t16)]
+            vec![gbps(nic), num(t16, 4, ""), speedup(t8, t16)]
         })
         .into();
     Table {
@@ -735,6 +750,108 @@ fn ext_multinode_nic() -> Table {
         note: "(values < 1.0x mean adding the second node *hurts* — the CAGNET\n \
                cliff; scaling resumes once the NIC approaches NVLink bandwidth)"
             .into(),
+    }
+}
+
+/// Feature bytes `n·d·4` each §5.1 communication comparison moves.
+const ND_BYTES: f64 = 1.0e9;
+
+/// A slowdown or simulated seconds, to six decimals.
+fn six(v: f64) -> Cell {
+    num(Some(v), 6, "")
+}
+
+/// Extension (§5.1 past one node): 1.5D/1D communication time in closed
+/// form and on the DES on the paper's two machines, then on DGX-1 split
+/// into two quad nodes behind a NIC, down to the NIC where 1.5D wins.
+fn ext_15d_comm() -> Table {
+    let (dgx1, a100) = paper_51_verdicts(ND_BYTES);
+    let mut rows: Vec<Vec<Cell>> = [dgx1, a100]
+        .map(|p| {
+            let mem = num(Some(p.mem_factor_15d), 2, "");
+            vec![text(p.machine), text("-"), six(p.slowdown_closed), six(p.slowdown_sim), mem]
+        })
+        .into();
+    let sweep = nic_sweep(&[200.0, 150.0, 120.0, 80.0, 50.0, 25.0], ND_BYTES);
+    for p in &sweep {
+        let (closed, sim) = (six(p.slowdown_closed), six(p.slowdown_sim));
+        rows.push(vec![text("V100-quad-cluster"), gbps(p.nic_gbps), closed, sim, text("-")]);
+    }
+    let crossover = crossover_nic_gbps(&sweep).map_or(text("none"), |x| num(Some(x), 3, ""));
+    rows.push(vec![text("crossover"), crossover, text("-"), text("-"), text("-")]);
+    Table {
+        title: "Extension: 1.5D/1D communication time (n*d*4 = 1 GB, c = 2) in closed form and \
+                on the DES, the paper's machines and DGX-1 split into two quad nodes"
+            .into(),
+        header: cols(&["Machine", "NIC (GB/s)", "closed form", "DES", "mem x"]),
+        rows,
+        note: "(above 1.0 1D wins; crossover: the NIC where the DES column crosses 1.0,\n \
+               interpolated — analytically 100 GB/s, where the NIC caps 1D's 6-link\n \
+               fan-out to 1.5D's rate)"
+            .into(),
+    }
+}
+
+/// Extension (§5.1 past one node): whole papers100M trainer epochs, P = 8
+/// across two A100 quad nodes, under both partitionings at each NIC.
+fn ext_15d_papers() -> Table {
+    let rows = e2e_sweep(&[400.0, 200.0, 100.0, 50.0, 25.0, 12.5])
+        .iter()
+        .map(|p| {
+            let winner = if p.slowdown_15d() < 1.0 { "1.5D" } else { "1D" };
+            let (t1, t15) = (six(p.t_1d), six(p.t_15d));
+            vec![gbps(p.nic_gbps), t1, t15, six(p.slowdown_15d()), text(winner)]
+        })
+        .collect();
+    Table {
+        title: "Extension: papers100M trainer epochs (s), 8 GPUs on two A100 quad nodes, \
+                hidden 128, per NIC"
+            .into(),
+        header: cols(&["NIC (GB/s)", "1D", "1.5D", "1.5D/1D", "winner"]),
+        rows,
+        note: "(compute is the same under both; hidden 208, model D, does not fit the\n \
+               1.5D L + 4 buffer budget on 8 x 80 GB)"
+            .into(),
+    }
+}
+
+/// Extension (§5.1 past one node): where one traced epoch's comm bytes
+/// travel on a 2-node × 2-GPU machine.
+fn ext_15d_traffic() -> Table {
+    let rows = [(Partition::OneD, "1D"), (Partition::OneFiveD, "1.5D")].map(|(partition, name)| {
+        let t = traffic_split(partition, 1);
+        let bytes = |b: u64| num(Some(b as f64), 0, "");
+        vec![text(name), bytes(t.intra_node), bytes(t.inter_node), bytes(t.total)]
+    });
+    Table {
+        title: "Extension: traced comm bytes of one epoch by node locality, 4 GPUs on an A100 \
+                2-node x 2-GPU machine (SBM n = 400, hidden 16)"
+            .into(),
+        header: cols(&["Partition", "intra-node", "inter-node", "total"]),
+        rows: rows.into(),
+        note: "(1.5D's group broadcasts stay inside a node; its cross-node bytes equal 1D's:\n \
+               the pairwise reductions replace the broadcasts' NIC crossings exactly)"
+            .into(),
+    }
+}
+
+/// Extension (DESIGN §15): bounded staleness on a NIC-bound 2-node machine.
+fn ext_15d_staleness() -> Table {
+    let rows = staleness_sweep()
+        .iter()
+        .map(|p| {
+            let four = |v, unit| num(Some(v), 4, unit);
+            vec![int(p.staleness), four(p.epoch_ms, ""), four(p.speedup_vs_fresh, "x")]
+        })
+        .collect();
+    Table {
+        title: format!(
+            "Extension: bounded staleness k, 4 GPUs on an A100 2-node x 2-GPU machine behind a \
+             {STALE_NIC_GBPS} GB/s NIC, mean simulated epoch over {STALE_EPOCHS} fused epochs"
+        ),
+        header: cols(&["k", "epoch (ms)", "vs k = 0"]),
+        rows,
+        note: "(k > 0 prefetches epoch e + 1's broadcasts under epoch e's backward pass)".into(),
     }
 }
 

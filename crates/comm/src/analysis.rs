@@ -165,7 +165,10 @@ mod tests {
         // tie is at nic* = DGX1_GROUP_LINKS · NVLINK_BW = 100 GB/s, and
         // below it 1.5D wins because only its reduction pays the NIC. The
         // DES agrees with these closed forms exactly on the same machines
-        // (`mggcn-topo`'s `closed_forms_match_simulation_across_the_nic_sweep`).
+        // (`mggcn-topo`'s `closed_forms_match_simulation_across_the_nic_sweep`),
+        // and its interpolated crossover is the `ext_15d_comm` paper table's,
+        // held within 2 GB/s of 100 by `mggcn-testkit`'s
+        // `paper::ext_15d_split_quad_nic_sweep_crosses_at_100_gbps`.
         let nd = 1.0e9;
         let nic_star = DGX1_GROUP_LINKS as f64 * NVLINK_BW;
         for nic_gbps in [10.0, 25.0, 50.0, 75.0, 90.0, 100.0, 110.0, 125.0, 150.0, 200.0] {

@@ -27,10 +27,12 @@
 //!   `mggcn-analyze` hazard/deadlock/budget verifier;
 //! * [`staleness_sweep`] — bounded-staleness pipelining (DESIGN §15) on a
 //!   NIC-bound 2-node machine: how much epoch time prefetching `k`-epoch-old
-//!   tiles hides;
-//! * [`run_topo_bench`] — all of the above as the `BENCH_topo.json` stat
-//!   card. The committed card is a golden: a test holds it byte-equal to
-//!   what this tree computes, and the unit tests below assert each verdict.
+//!   tiles hides.
+//!
+//! The studies are measurements, not presentations: `mggcn_bench::paper`
+//! prints them as its `ext_15d_*` tables, and `mggcn-testkit`'s `paper`
+//! suite holds each table to a golden and asserts its verdicts. The
+//! preflight count is a verification result, asserted by a unit test below.
 
 #![forbid(unsafe_code)]
 
@@ -44,11 +46,7 @@ use mggcn_core::trainer::Trainer;
 use mggcn_gpusim::engine::OpDesc;
 use mggcn_gpusim::{Category, GpuSpec, MachineSpec, Schedule};
 use mggcn_graph::generators::sbm::{self, SbmConfig};
-use mggcn_trace::json::JsonWriter;
 use mggcn_trace::Tracer;
-
-/// Schema tag of the `BENCH_topo.json` stat card.
-pub const BENCH_TOPO_SCHEMA: &str = "mggcn-topo-v1";
 
 /// The two replication groups: the machine's halves, which on node-major
 /// hierarchical machines with `nodes | 2` align with node boundaries.
@@ -342,8 +340,9 @@ pub struct StalePoint {
 /// broadcasts dominate what prefetch can hide, fast enough that the NIC is
 /// not saturated (a saturated NIC bounds the epoch by total bytes and no
 /// amount of pipelining helps).
-const STALE_NIC_GBPS: f64 = 1.0;
-const STALE_EPOCHS: usize = 5;
+pub const STALE_NIC_GBPS: f64 = 1.0;
+/// Epochs of each fused staleness run.
+pub const STALE_EPOCHS: usize = 5;
 
 /// Fused [`STALE_EPOCHS`]-epoch training runs at staleness `k ∈ {0, 1, 2}`
 /// on a 2-node × 2-GPU machine behind a [`STALE_NIC_GBPS`] NIC, where epoch
@@ -378,233 +377,6 @@ pub fn staleness_sweep() -> Vec<StalePoint> {
             StalePoint { staleness, epoch_ms, speedup_vs_fresh: fresh / epoch_ms }
         })
         .collect()
-}
-
-/// Everything `BENCH_topo.json` reports.
-#[derive(Clone, Debug)]
-pub struct TopoBench {
-    pub paper_dgx1: PaperVerdict,
-    pub paper_a100: PaperVerdict,
-    pub sweep: Vec<SweepPoint>,
-    pub crossover_gbps: Option<f64>,
-    pub e2e: Vec<E2ePoint>,
-    pub traffic_1d: TrafficSplit,
-    pub traffic_15d: TrafficSplit,
-    pub preflight: PreflightSummary,
-    pub staleness: Vec<StalePoint>,
-}
-
-/// The pass/fail gates of the card.
-#[derive(Clone, Copy, Debug)]
-pub struct Verdicts {
-    /// DGX-1: 1.5D ≈ 1.5× slower (closed form exact, DES within 2%).
-    pub dgx1_1d_wins: bool,
-    /// DGX-A100: 1.5D ≈ 4/3× faster (closed form exact, DES within 2%).
-    pub a100_15d_wins: bool,
-    /// The split-quad comm crossover lands at 100 ± 10 GB/s.
-    pub crossover_in_band: bool,
-    /// Papers100M end to end: 1D still wins at the highest NIC…
-    pub e2e_1d_wins_at_high_nic: bool,
-    /// …and 1.5D wins at the lowest.
-    pub e2e_15d_wins_at_low_nic: bool,
-    /// 1.5D moved its broadcasts off the NIC without adding NIC bytes:
-    /// `intra_1d = 0`, `intra_15d > 0`, `inter_15d = inter_1d`.
-    pub traffic_relocated: bool,
-    /// Every generated schedule passed `mggcn-analyze`.
-    pub preflight_clean: bool,
-    /// `k = 0` is the 1.0× baseline and one epoch of staleness hides at
-    /// least half a percent of the NIC-bound epoch. The clock is simulated,
-    /// so this is a floor, not a noise band (1.3 % at these settings).
-    pub staleness_hides_comm: bool,
-}
-
-impl Verdicts {
-    pub fn all_ok(&self) -> bool {
-        self.dgx1_1d_wins
-            && self.a100_15d_wins
-            && self.crossover_in_band
-            && self.e2e_1d_wins_at_high_nic
-            && self.e2e_15d_wins_at_low_nic
-            && self.traffic_relocated
-            && self.preflight_clean
-            && self.staleness_hides_comm
-    }
-}
-
-fn near(x: f64, target: f64, rel: f64) -> bool {
-    (x - target).abs() <= rel * target
-}
-
-impl TopoBench {
-    pub fn verdicts(&self) -> Verdicts {
-        let first = self.e2e.first();
-        let last = self.e2e.last();
-        Verdicts {
-            dgx1_1d_wins: near(self.paper_dgx1.slowdown_closed, 1.5, 1e-9)
-                && near(self.paper_dgx1.slowdown_sim, 1.5, 0.02),
-            a100_15d_wins: near(self.paper_a100.slowdown_closed, 0.75, 1e-9)
-                && near(self.paper_a100.slowdown_sim, 0.75, 0.02),
-            crossover_in_band: self.crossover_gbps.is_some_and(|x| (90.0..=110.0).contains(&x)),
-            e2e_1d_wins_at_high_nic: first.is_some_and(|p| p.slowdown_15d() > 1.0),
-            e2e_15d_wins_at_low_nic: last.is_some_and(|p| p.slowdown_15d() < 1.0),
-            traffic_relocated: self.traffic_1d.intra_node == 0
-                && self.traffic_15d.intra_node > 0
-                && self.traffic_15d.inter_node == self.traffic_1d.inter_node,
-            preflight_clean: self.preflight.schedules > 0
-                && self.preflight.clean == self.preflight.schedules,
-            staleness_hides_comm: match self.staleness.as_slice() {
-                [fresh, one, ..] => {
-                    (fresh.staleness, one.staleness) == (0, 1)
-                        && fresh.speedup_vs_fresh == 1.0
-                        && one.speedup_vs_fresh >= 1.005
-                }
-                _ => false,
-            },
-        }
-    }
-
-    pub fn ok(&self) -> bool {
-        self.verdicts().all_ok()
-    }
-
-    /// Render the `BENCH_topo.json` document.
-    pub fn to_json(&self) -> String {
-        let paper = |v: &PaperVerdict| {
-            JsonWriter::new()
-                .str("machine", &v.machine)
-                .f64("slowdown_closed", v.slowdown_closed, 6)
-                .f64("slowdown_sim", v.slowdown_sim, 6)
-                .f64("mem_factor_15d", v.mem_factor_15d, 2)
-                .finish()
-        };
-        let paper_51 = JsonWriter::new()
-            .raw("dgx1", &paper(&self.paper_dgx1))
-            .raw("a100", &paper(&self.paper_a100))
-            .finish();
-        let sweep = format!(
-            "[{}]",
-            self.sweep
-                .iter()
-                .map(|p| JsonWriter::new()
-                    .f64("nic_gbps", p.nic_gbps, 3)
-                    .f64("slowdown_closed", p.slowdown_closed, 6)
-                    .f64("slowdown_sim", p.slowdown_sim, 6)
-                    .finish())
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        let e2e_points = format!(
-            "[{}]",
-            self.e2e
-                .iter()
-                .map(|p| JsonWriter::new()
-                    .f64("nic_gbps", p.nic_gbps, 3)
-                    .f64("t_1d_s", p.t_1d, 6)
-                    .f64("t_15d_s", p.t_15d, 6)
-                    .f64("slowdown_15d", p.slowdown_15d(), 6)
-                    .finish())
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        let e2e = JsonWriter::new()
-            .str("dataset", "papers100M")
-            .usize("gpus", 8)
-            .str("machine", "A100-quad-cluster")
-            .raw("points", &e2e_points)
-            .finish();
-        let split = |t: &TrafficSplit| {
-            JsonWriter::new()
-                .u64("intra_node", t.intra_node)
-                .u64("inter_node", t.inter_node)
-                .u64("total", t.total)
-                .finish()
-        };
-        let traffic = JsonWriter::new()
-            .str("machine", "A100-2x2")
-            .usize("gpus", 4)
-            .usize("epochs", 1)
-            .raw("one_d", &split(&self.traffic_1d))
-            .raw("one_five_d", &split(&self.traffic_15d))
-            .finish();
-        let preflight = JsonWriter::new()
-            .usize("schedules", self.preflight.schedules)
-            .usize("clean", self.preflight.clean)
-            .finish();
-        let stale_points: Vec<String> = self
-            .staleness
-            .iter()
-            .map(|p| {
-                JsonWriter::new()
-                    .usize("staleness", p.staleness)
-                    .f64("epoch_ms_sim", p.epoch_ms, 4)
-                    .f64("speedup_vs_fresh", p.speedup_vs_fresh, 4)
-                    .finish()
-            })
-            .collect();
-        let staleness = JsonWriter::new()
-            .str("machine", "A100-2x2")
-            .usize("gpus", 4)
-            .f64("nic_gbps", STALE_NIC_GBPS, 3)
-            .usize("epochs", STALE_EPOCHS)
-            .arr("points", &stale_points)
-            .finish();
-        let v = self.verdicts();
-        let verdict = JsonWriter::new()
-            .bool("dgx1_1d_wins", v.dgx1_1d_wins)
-            .bool("a100_15d_wins", v.a100_15d_wins)
-            .bool("crossover_in_band", v.crossover_in_band)
-            .bool("e2e_1d_wins_at_high_nic", v.e2e_1d_wins_at_high_nic)
-            .bool("e2e_15d_wins_at_low_nic", v.e2e_15d_wins_at_low_nic)
-            .bool("traffic_relocated", v.traffic_relocated)
-            .bool("preflight_clean", v.preflight_clean)
-            .bool("staleness_hides_comm", v.staleness_hides_comm)
-            .finish();
-        let mut w = JsonWriter::new()
-            .str("bench", "topo")
-            .str("schema", BENCH_TOPO_SCHEMA)
-            .raw("paper_51", &paper_51)
-            .raw("nic_sweep", &sweep);
-        w = match self.crossover_gbps {
-            Some(x) => w.f64("crossover_nic_gbps", x, 3),
-            None => w.raw("crossover_nic_gbps", "null"),
-        };
-        w.raw("e2e", &e2e)
-            .raw("traffic", &traffic)
-            .raw("preflight", &preflight)
-            .raw("staleness", &staleness)
-            .raw("verdict", &verdict)
-            .finish()
-    }
-}
-
-/// Feature payload of the closed-form/DES comparisons, bytes.
-const ND_BYTES: f64 = 1.0e9;
-/// NIC settings of the split-quad comm sweep, GB/s, descending.
-const SWEEP_NICS_GBPS: [f64; 6] = [200.0, 150.0, 120.0, 80.0, 50.0, 25.0];
-/// NIC settings of the papers100M end-to-end sweep, GB/s, descending.
-const E2E_NICS_GBPS: [f64; 6] = [400.0, 200.0, 100.0, 50.0, 25.0, 12.5];
-
-/// Run every study and assemble the card.
-pub fn run_topo_bench() -> TopoBench {
-    let (paper_dgx1, paper_a100) = paper_51_verdicts(ND_BYTES);
-    let sweep = nic_sweep(&SWEEP_NICS_GBPS, ND_BYTES);
-    let crossover_gbps = crossover_nic_gbps(&sweep);
-    let e2e = e2e_sweep(&E2E_NICS_GBPS);
-    let traffic_1d = traffic_split(Partition::OneD, 1);
-    let traffic_15d = traffic_split(Partition::OneFiveD, 1);
-    let preflight = preflight_sweep();
-    let staleness = staleness_sweep();
-    TopoBench {
-        paper_dgx1,
-        paper_a100,
-        sweep,
-        crossover_gbps,
-        e2e,
-        traffic_1d,
-        traffic_15d,
-        preflight,
-        staleness,
-    }
 }
 
 #[cfg(test)]
@@ -643,99 +415,9 @@ mod tests {
     }
 
     #[test]
-    fn paper_51_verdicts_from_closed_form_and_des() {
-        let (dgx1, a100) = paper_51_verdicts(1.0e9);
-        assert!((dgx1.slowdown_closed - 1.5).abs() < 1e-9, "DGX-1 closed {}", dgx1.slowdown_closed);
-        assert!((a100.slowdown_closed - 0.75).abs() < 1e-9, "A100 closed {}", a100.slowdown_closed);
-        assert!((dgx1.slowdown_sim - 1.5).abs() < 0.03, "DGX-1 sim {}", dgx1.slowdown_sim);
-        assert!((a100.slowdown_sim - 0.75).abs() < 0.02, "A100 sim {}", a100.slowdown_sim);
-        assert_eq!(dgx1.mem_factor_15d, 2.0);
-    }
-
-    #[test]
-    fn nic_sweep_crosses_at_100_gbps() {
-        let sweep = nic_sweep(&[200.0, 150.0, 120.0, 80.0, 50.0, 25.0], 1.0e9);
-        // Slowdown is monotone non-increasing as the NIC shrinks.
-        for w in sweep.windows(2) {
-            assert!(w[1].slowdown_sim <= w[0].slowdown_sim + 1e-9);
-        }
-        assert!(sweep.first().unwrap().slowdown_sim > 1.0, "1D must win at 200 GB/s");
-        assert!(sweep.last().unwrap().slowdown_sim < 1.0, "1.5D must win at 25 GB/s");
-        let x = crossover_nic_gbps(&sweep).expect("sweep must cross");
-        assert!((x - 100.0).abs() < 2.0, "crossover at {x} GB/s, expected ≈100");
-    }
-
-    #[test]
-    fn e2e_crossover_exists_at_papers_scale() {
-        let pts = e2e_sweep(&[400.0, 12.5]);
-        assert!(pts[0].slowdown_15d() > 1.0, "1D must win e2e at 400 GB/s: {:?}", pts[0]);
-        assert!(pts[1].slowdown_15d() < 1.0, "1.5D must win e2e at 12.5 GB/s: {:?}", pts[1]);
-    }
-
-    #[test]
-    fn traffic_split_relocates_broadcasts_off_the_nic() {
-        let t1 = traffic_split(Partition::OneD, 1);
-        let t15 = traffic_split(Partition::OneFiveD, 1);
-        assert_eq!(t1.intra_node, 0, "every 1D collective spans both nodes");
-        assert!(t15.intra_node > 0, "1.5D group broadcasts are node-local");
-        assert_eq!(
-            t15.inter_node, t1.inter_node,
-            "1.5D adds zero NIC bytes: reductions replace broadcasts exactly"
-        );
-        assert_eq!(t1.intra_node + t1.inter_node, t1.total);
-        assert_eq!(t15.intra_node + t15.inter_node, t15.total);
-        assert!(t15.total > t1.total, "the relocated bytes exist on NVLink");
-    }
-
-    #[test]
     fn preflight_is_clean_for_every_generated_schedule() {
         let p = preflight_sweep();
         assert!(p.schedules >= 24, "sweep must cover the shape grid: {p:?}");
         assert_eq!(p.clean, p.schedules, "analyze found findings: {p:?}");
-    }
-
-    #[test]
-    fn one_epoch_of_staleness_hides_nic_time_and_k0_is_the_baseline() {
-        let pts = staleness_sweep();
-        assert_eq!(pts.iter().map(|p| p.staleness).collect::<Vec<_>>(), [0, 1, 2]);
-        assert_eq!(pts[0].speedup_vs_fresh, 1.0, "k = 0 is the fresh pipeline");
-        assert!(
-            pts[1].speedup_vs_fresh >= 1.005,
-            "k = 1 must hide at least 0.5 % of the NIC-bound epoch: {:?}",
-            pts[1]
-        );
-    }
-
-    /// The committed simulated-clock card, relative to this crate.
-    const CARD: &str = "BENCH_topo.json";
-
-    fn repo_root() -> std::path::PathBuf {
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-    }
-
-    /// The card is a golden: every verdict holds, and the committed file is
-    /// what this tree computes, byte for byte. After an intended cost-model
-    /// change regenerate it with `mggcn topo-bench --out BENCH_topo.json`.
-    #[test]
-    fn committed_card_is_what_this_tree_computes() {
-        let bench = run_topo_bench();
-        assert!(bench.ok(), "verdicts: {:?}", bench.verdicts());
-        let committed = std::fs::read_to_string(repo_root().join(CARD)).expect("card is committed");
-        let computed = format!("{}\n", bench.to_json());
-        assert!(computed == committed, "{CARD} is stale; this tree computes:\n{computed}");
-    }
-
-    /// A card nothing pins goes stale unnoticed (`BENCH_cluster.json` did):
-    /// the repo root may hold the wall-clock benchmark's declaration and
-    /// the one card pinned above, and no other `BENCH*.json`.
-    #[test]
-    fn every_bench_card_at_the_repo_root_is_pinned() {
-        let mut cards: Vec<String> = std::fs::read_dir(repo_root())
-            .expect("repo root lists")
-            .map(|e| e.expect("dir entry").file_name().to_string_lossy().into_owned())
-            .filter(|n| n.starts_with("BENCH") && n.ends_with(".json"))
-            .collect();
-        cards.sort();
-        assert_eq!(cards, ["BENCHMARK.json", CARD], "an unpinned card at the repo root");
     }
 }

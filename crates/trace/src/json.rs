@@ -1,6 +1,6 @@
 //! A minimal JSON parser and writer, just enough to parse and emit the
 //! workspace's own artifacts (Chrome traces, the tracer's registry dump,
-//! `serve-bench`/`cluster-bench`/`topo-bench` reports) without a serde
+//! `serve-bench`/`cluster-bench`/`analyze --json` reports) without a serde
 //! dependency.
 //! The parser accepts standard JSON; numbers are f64. The [`JsonWriter`]
 //! builder is the shared emission path: every field goes through one

@@ -3,8 +3,8 @@
 //! arguments for the usage text; README.md describes each subcommand.
 //!
 //! Exit codes: 0 success, 1 the run failed or a verdict did not hold, 2 a
-//! usage error (unknown subcommand or flag, unparsable or out-of-range
-//! value).
+//! usage error (unknown subcommand or flag, unparsable, non-finite or
+//! out-of-range value).
 
 use mg_gcn::cluster::{overload_study, OverloadSpec};
 use mg_gcn::core::checkpoint::Checkpoint;
@@ -40,8 +40,7 @@ const USAGE: &str = "usage:
   mggcn analyze  [--gpus N] [--vertices V] [--hidden H] [--dump]
                  [--audit-effects] [--model-check] [--json] [--out PATH]
   mggcn analyze  --dataset NAME [--machine v100|a100] [--gpus N] [--model a|b|c|d]
-                 [--partition 1d|1.5d] [--dump] [--json] [--out PATH]
-  mggcn topo-bench [--out PATH]";
+                 [--partition 1d|1.5d] [--dump] [--json] [--out PATH]";
 
 /// A usage error: say what is wrong and exit 2.
 fn usage_error(msg: impl Display) -> ! {
@@ -96,12 +95,15 @@ impl Flags {
         Some(v)
     }
 
-    /// The flag's value as a number of at least `min`, if it was given.
+    /// The flag's value as a finite number of at least `min`, if it was
+    /// given (`inf` and `NaN` parse as `f64` but are no setting).
     fn opt<T: FromStr + PartialOrd + Display>(&self, name: &str, min: T) -> Option<T> {
         let v = self.0.get(name)?;
         match v.parse::<T>() {
-            Ok(x) if x >= min => Some(x),
-            _ => usage_error(format!("--{name} expects a number of at least {min}, got {v:?}")),
+            Ok(x) if x >= min && v.parse::<f64>().is_ok_and(f64::is_finite) => Some(x),
+            _ => usage_error(format!(
+                "--{name} expects a finite number of at least {min}, got {v:?}"
+            )),
         }
     }
 
@@ -114,7 +116,7 @@ impl Flags {
     fn positive(&self, name: &str, default: f64) -> f64 {
         match self.opt(name, 0.0f64) {
             None => default,
-            Some(x) if x > 0.0 && x.is_finite() => x,
+            Some(x) if x > 0.0 => x,
             Some(x) => usage_error(format!("--{name} expects a positive number, got {x}")),
         }
     }
@@ -232,7 +234,6 @@ fn main() {
             "gpus vertices hidden dump audit-effects model-check json out dataset machine model \
              partition",
         )),
-        "topo-bench" => cmd_topo_bench(&flags("out")),
         _ => usage_error(USAGE),
     }
 }
@@ -739,56 +740,5 @@ fn print_schedule_report(row: &AnalyzedSchedule) {
             println!("  effect audit: sound ({} over-declaration warning(s))", a.warnings.len())
         }
         None => {}
-    }
-}
-
-/// `topo-bench`: the §5.1 hierarchical-machine study and the staleness
-/// sweep (`topo::run_topo_bench`); `--out` writes the card the repo
-/// commits as `BENCH_topo.json`. Exits 1 if any verdict fails.
-fn cmd_topo_bench(f: &Flags) {
-    let bench = mg_gcn::topo::run_topo_bench();
-    println!("§5.1 verdicts (t_15d / t_1d; above 1 means 1D wins):");
-    for v in [&bench.paper_dgx1, &bench.paper_a100] {
-        println!(
-            "  {:<12} closed {:.4}  sim {:.4}  (1.5D memory ×{:.0})",
-            v.machine, v.slowdown_closed, v.slowdown_sim, v.mem_factor_15d
-        );
-    }
-    match bench.crossover_gbps {
-        Some(x) => println!("split-quad NIC sweep: 1.5D overtakes 1D below {x:.1} GB/s"),
-        None => println!("split-quad NIC sweep: no crossover found"),
-    }
-    println!("papers100M end-to-end epochs (P=8, two A100 quads):");
-    for p in &bench.e2e {
-        println!(
-            "  NIC {:>6.1} GB/s: 1D {:>7.3} s   1.5D {:>7.3} s   ratio {:.3}  ({} wins)",
-            p.nic_gbps,
-            p.t_1d,
-            p.t_15d,
-            p.slowdown_15d(),
-            if p.slowdown_15d() < 1.0 { "1.5D" } else { "1D" }
-        );
-    }
-    println!(
-        "2-node traced bytes: 1D intra {} / inter {}; 1.5D intra {} / inter {}",
-        bench.traffic_1d.intra_node,
-        bench.traffic_1d.inter_node,
-        bench.traffic_15d.intra_node,
-        bench.traffic_15d.inter_node
-    );
-    println!(
-        "analyze preflight: {}/{} schedules clean",
-        bench.preflight.clean, bench.preflight.schedules
-    );
-    println!("bounded staleness on a NIC-bound 2x2 cluster (simulated epoch, speedup vs k=0):");
-    for p in &bench.staleness {
-        println!("  k={}: {:.4} ms  {:.4}x", p.staleness, p.epoch_ms, p.speedup_vs_fresh);
-    }
-    if let Some(out) = f.text("out") {
-        write_file(out, &format!("{}\n", bench.to_json()));
-        println!("wrote {out}");
-    }
-    if !bench.ok() {
-        fail(format!("verdicts FAILED: {:?}", bench.verdicts()));
     }
 }

@@ -29,7 +29,7 @@
 //! | [`cluster`] | `mggcn-cluster` | sharded serving tier: consistent-hash routing, cache-aware partitioning, admission control, load shedding |
 //! | [`exec`] | `mggcn-exec` | real execution: worker-per-GPU runtime, deterministic kernel pool, wall-clock profiling |
 //! | [`trace`] | `mggcn-trace` | observability: structured spans, metrics registry, Chrome-trace export, derived overlap/memory metrics |
-//! | [`topo`] | `mggcn-topo` | hierarchical multi-node studies: §5.1 1D/1.5D crossover, NIC and staleness sweeps, `BENCH_topo.json` |
+//! | [`topo`] | `mggcn-topo` | hierarchical multi-node studies: §5.1 1D/1.5D crossover, NIC and staleness sweeps (the `ext_15d_*` paper tables) |
 //!
 //! ## Quick start
 //!

@@ -147,7 +147,8 @@ fn train_and_analyze_reject_impossible_gpu_counts_with_exit_2() {
         (&["train", "--epochs", "abc"], "--epochs"),
         (&["train", "--epochs"], "--epochs"),
         (&["train", "--epoch", "1"], "--epoch"),
-        (&["topo-bench", "--check", "BENCH_topo.json"], "--check"),
+        (&["serve-bench", "--batch-window", "inf"], "--batch-window"),
+        (&["cluster-bench", "--batch-window", "inf"], "--batch-window"),
     ] {
         let out = mggcn().args(args).output().expect("run");
         let err = String::from_utf8_lossy(&out.stderr);
