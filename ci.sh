@@ -13,6 +13,10 @@ cargo fmt --check
 echo "==> clippy -D warnings (workspace, all targets)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc -D warnings (workspace)"
+# A deleted or private item must not leave a dangling intra-doc link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> unsafe audit (forbid(unsafe_code) everywhere but the rayon shim)"
 # Every crate root carries #![forbid(unsafe_code)]. The single sanctioned
 # unsafe site is the in-tree rayon shim's type-erased job dispatch

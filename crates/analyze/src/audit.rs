@@ -2,7 +2,7 @@
 //! against shadow-observed [`ActualEffects`].
 //!
 //! Every analysis in this crate trusts the hand-maintained declarations
-//! at each `launch_fx`/`collective_fx` site. This pass closes the loop:
+//! at each `record`/`record_collective` site. This pass closes the loop:
 //! `mggcn_core::shadow::record_actual_effects` executes the schedule's
 //! bodies against a fresh device state with instrumented accessors and
 //! per-op fingerprint diffing, and [`audit_effects`] compares what each
@@ -145,15 +145,7 @@ mod tests {
     fn sched_with(fx: Effects) -> Schedule<()> {
         let mut s: Schedule<()> =
             Schedule::new(MachineSpec::uniform("test", GpuSpec::v100(), 1, 6, 25.0e9));
-        s.launch_fx(
-            0,
-            0,
-            Work::Fixed { seconds: 0.1 },
-            OpDesc::new(Category::Other, "op"),
-            &[],
-            fx,
-            None,
-        );
+        s.record(0, 0, Work::Fixed { seconds: 0.1 }, OpDesc::new(Category::Other, "op"), fx, None);
         s
     }
 

@@ -261,15 +261,7 @@ mod tests {
         // one Mazurkiewicz trace — sleep sets prune to a single run.
         let mut s: Schedule<()> = Schedule::new(machine(3));
         for g in 0..3 {
-            s.launch_fx(
-                g,
-                0,
-                fixed(),
-                desc("w"),
-                &[],
-                Effects::none().writes([BufId::new(g, "HW")]),
-                None,
-            );
+            s.record(g, 0, fixed(), desc("w"), Effects::none().writes([BufId::new(g, "HW")]), None);
         }
         let mut count = 0usize;
         let r = model_check(&s.op_infos(), &DporOptions::default(), &mut |_| {
@@ -290,8 +282,9 @@ mod tests {
         // divergence.
         let mut s: Schedule<()> = Schedule::new(machine(1));
         let shared = BufId::new(0, "HW");
-        s.launch_fx(0, 0, fixed(), desc("a"), &[], Effects::none().writes([shared]), None);
-        s.launch_fx(0, 1, fixed(), desc("b"), &[], Effects::none().writes([shared]), None);
+        let a = s.record(0, 0, fixed(), desc("a"), Effects::none().writes([shared]), None);
+        let b = s.record(0, 1, fixed(), desc("b"), Effects::none().writes([shared]), None);
+        s.remove_wait(b, a);
         let r = model_check(&s.op_infos(), &DporOptions::default(), &mut order_digest);
         assert_eq!(r.executions, 2);
         let d = r.divergence.expect("order-sensitive digest must diverge");
@@ -306,24 +299,8 @@ mod tests {
         // orders).
         let build = || {
             let mut s: Schedule<()> = Schedule::new(machine(1));
-            s.launch_fx(
-                0,
-                0,
-                fixed(),
-                desc("a"),
-                &[],
-                Effects::none().writes([BufId::new(0, "HW")]),
-                None,
-            );
-            s.launch_fx(
-                0,
-                1,
-                fixed(),
-                desc("b"),
-                &[],
-                Effects::none().writes([BufId::new(0, "RP")]),
-                None,
-            );
+            s.record(0, 0, fixed(), desc("a"), Effects::none().writes([BufId::new(0, "HW")]), None);
+            s.record(0, 1, fixed(), desc("b"), Effects::none().writes([BufId::new(0, "RP")]), None);
             s
         };
         let footprint =
@@ -341,9 +318,11 @@ mod tests {
     #[test]
     fn wait_edges_leave_a_single_linearization() {
         let mut s: Schedule<()> = Schedule::new(machine(1));
-        let a = s.launch_fx(0, 0, fixed(), desc("a"), &[], Effects::none(), None);
-        let b = s.launch_fx(0, 1, fixed(), desc("b"), &[a], Effects::none(), None);
-        s.launch_fx(0, 0, fixed(), desc("c"), &[b], Effects::none(), None);
+        let (x, y) = (BufId::new(0, "X"), BufId::new(0, "Y"));
+        let a = s.record(0, 0, fixed(), desc("a"), Effects::none().writes([x]), None);
+        let b = s.record(0, 1, fixed(), desc("b"), Effects::none().reads([x]).writes([y]), None);
+        let c = s.record(0, 0, fixed(), desc("c"), Effects::none().reads([y]), None);
+        assert_eq!(s.wait_edges(), vec![(b, a), (c, b)]);
         let r = model_check(&s.op_infos(), &DporOptions::default(), &mut order_digest);
         assert_eq!(r.executions, 1);
         assert!(r.deterministic());
@@ -352,8 +331,8 @@ mod tests {
     #[test]
     fn execution_cap_truncates() {
         let mut s: Schedule<()> = Schedule::new(machine(1));
-        s.launch_fx(0, 0, fixed(), desc("a"), &[], Effects::none(), None);
-        s.launch_fx(0, 1, fixed(), desc("b"), &[], Effects::none(), None);
+        s.record(0, 0, fixed(), desc("a"), Effects::none(), None);
+        s.record(0, 1, fixed(), desc("b"), Effects::none(), None);
         let r = model_check(
             &s.op_infos(),
             &DporOptions { max_executions: 1, device_dependence: true },
@@ -368,9 +347,10 @@ mod tests {
     #[should_panic(expected = "deadlock-free")]
     fn cyclic_schedules_are_rejected() {
         let mut s: Schedule<()> = Schedule::new(machine(1));
-        let p = s.launch(0, 1, fixed(), desc("p"), &[], None);
-        s.launch(0, 0, fixed(), desc("x"), &[p + 2], None);
-        s.launch(0, 0, fixed(), desc("y"), &[], None);
+        s.record(0, 1, fixed(), desc("p"), Effects::none(), None);
+        let x = s.record(0, 0, fixed(), desc("x"), Effects::none(), None);
+        let y = s.record(0, 0, fixed(), desc("y"), Effects::none(), None);
+        s.add_wait(x, y);
         let _ = model_check(&s.op_infos(), &DporOptions::default(), &mut |_| 0);
     }
 
@@ -380,8 +360,9 @@ mod tests {
     fn cross_gpu_footprint_conflict_is_dependent() {
         let mut s: Schedule<()> = Schedule::new(machine(2));
         let shared = BufId::new(0, "BC1");
-        s.launch_fx(0, 0, fixed(), desc("w"), &[], Effects::none().writes([shared]), None);
-        s.launch_fx(1, 0, fixed(), desc("r"), &[], Effects::none().reads([shared]), None);
+        let w = s.record(0, 0, fixed(), desc("w"), Effects::none().writes([shared]), None);
+        let r = s.record(1, 0, fixed(), desc("r"), Effects::none().reads([shared]), None);
+        s.remove_wait(r, w);
         let r = model_check(&s.op_infos(), &DporOptions::default(), &mut order_digest);
         assert_eq!(r.executions, 2, "both orders of a dependent pair must run");
         assert!(r.divergence.is_some());

@@ -6,7 +6,8 @@
 //!   an op starts strictly after every earlier op on each of its lanes has
 //!   completed. Adjacent lane pairs generate these edges; transitivity
 //!   supplies the rest.
-//! * **Explicit waits** — CUDA-event style `waits` entries.
+//! * **Waits** — the CUDA-event style `waits` each op was recorded with,
+//!   inferred from conflicts in the ops' declared effects.
 //! * **Collective rendezvous** — a collective occupies one lane per
 //!   participant, so its FIFO edges act as a cross-GPU barrier: everything
 //!   before it on any participant lane happens before everything after it
@@ -43,7 +44,7 @@ impl Hb {
         let n = ops.len();
 
         // Reconstruct the per-lane FIFO queues: ops land on their lanes in
-        // issue (id) order, exactly as `Schedule::launch`/`collective` do.
+        // issue (id) order, exactly as `Schedule::record`/`record_collective` do.
         let mut queues: BTreeMap<(usize, usize), Vec<OpId>> = BTreeMap::new();
         for op in ops {
             for &lane in op.lanes {
@@ -181,7 +182,7 @@ fn split(
 mod tests {
     use super::*;
     use mggcn_gpusim::engine::OpDesc;
-    use mggcn_gpusim::{Category, GpuSpec, MachineSpec, Schedule, Work};
+    use mggcn_gpusim::{BufId, Category, Effects, GpuSpec, MachineSpec, Schedule, Work};
 
     fn machine(n: usize) -> MachineSpec {
         MachineSpec::uniform("test", GpuSpec::v100(), n, 6, 25.0e9)
@@ -199,7 +200,7 @@ mod tests {
     fn lane_fifo_orders_transitively() {
         let mut s: Schedule<()> = Schedule::new(machine(1));
         for _ in 0..3 {
-            s.launch(0, 0, fixed(), desc(), &[], None);
+            s.record(0, 0, fixed(), desc(), Effects::none(), None);
         }
         let infos = s.op_infos();
         let hb = Hb::of_ops(&infos);
@@ -211,23 +212,24 @@ mod tests {
     #[test]
     fn collective_is_a_cross_gpu_barrier() {
         let mut s: Schedule<()> = Schedule::new(machine(2));
-        let a = s.launch(0, 0, fixed(), desc(), &[], None); // before, GPU 0
-        s.launch(1, 0, fixed(), desc(), &[], None); // before, GPU 1
-        s.collective(&[(0, 0), (1, 0)], 1.0e9, 25.0e9, desc(), &[], None);
-        let d = s.launch(1, 0, fixed(), desc(), &[], None); // after, GPU 1
+        let a = s.record(0, 0, fixed(), desc(), Effects::none(), None); // before, GPU 0
+        s.record(1, 0, fixed(), desc(), Effects::none(), None); // before, GPU 1
+        s.record_collective(&[(0, 0), (1, 0)], 1.0e9, 25.0e9, desc(), Effects::none(), None);
+        let d = s.record(1, 0, fixed(), desc(), Effects::none(), None); // after, GPU 1
         let infos = s.op_infos();
         let hb = Hb::of_ops(&infos);
         // GPU 0's pre-op is ordered before GPU 1's post-op through the
-        // rendezvous, despite no shared lane or explicit wait.
+        // rendezvous, despite no shared lane or wait edge.
         assert!(hb.ordered(a, d));
         assert!(!hb.ordered(d, a));
     }
 
     #[test]
-    fn explicit_wait_crosses_streams() {
+    fn declared_conflict_crosses_streams() {
         let mut s: Schedule<()> = Schedule::new(machine(1));
-        let a = s.launch(0, 0, fixed(), desc(), &[], None);
-        let b = s.launch(0, 1, fixed(), desc(), &[a], None);
+        let x = BufId::new(0, "X");
+        let a = s.record(0, 0, fixed(), desc(), Effects::none().writes([x]), None);
+        let b = s.record(0, 1, fixed(), desc(), Effects::none().reads([x]), None);
         let infos = s.op_infos();
         let hb = Hb::of_ops(&infos);
         assert!(hb.ordered(a, b));
@@ -237,8 +239,8 @@ mod tests {
     #[test]
     fn unrelated_streams_are_unordered() {
         let mut s: Schedule<()> = Schedule::new(machine(2));
-        let a = s.launch(0, 0, fixed(), desc(), &[], None);
-        let b = s.launch(1, 0, fixed(), desc(), &[], None);
+        let a = s.record(0, 0, fixed(), desc(), Effects::none(), None);
+        let b = s.record(1, 0, fixed(), desc(), Effects::none(), None);
         let infos = s.op_infos();
         let hb = Hb::of_ops(&infos);
         assert!(!hb.ordered(a, b) && !hb.ordered(b, a));
@@ -249,9 +251,10 @@ mod tests {
         // The engine's own deadlock test case: head op waits on an op
         // behind it in the same FIFO.
         let mut s: Schedule<()> = Schedule::new(machine(1));
-        let placeholder = s.launch(0, 1, fixed(), desc(), &[], None);
-        s.launch(0, 0, fixed(), desc(), &[placeholder + 2], None);
-        s.launch(0, 0, fixed(), desc(), &[], None);
+        s.record(0, 1, fixed(), desc(), Effects::none(), None);
+        let x = s.record(0, 0, fixed(), desc(), Effects::none(), None);
+        let y = s.record(0, 0, fixed(), desc(), Effects::none(), None);
+        s.add_wait(x, y);
         let infos = s.op_infos();
         let hb = Hb::of_ops(&infos);
         let cycle = hb.cycle.expect("cycle found");
@@ -261,8 +264,10 @@ mod tests {
     #[test]
     fn mismatched_collective_order_is_a_cycle() {
         let mut s: Schedule<()> = Schedule::new(machine(2));
-        s.launch(1, 1, fixed(), desc(), &[1], None);
-        s.collective(&[(0, 1), (1, 1)], 1.0e9, 25.0e9, desc(), &[], None);
+        let blocker = s.record(1, 1, fixed(), desc(), Effects::none(), None);
+        let c =
+            s.record_collective(&[(0, 1), (1, 1)], 1.0e9, 25.0e9, desc(), Effects::none(), None);
+        s.add_wait(blocker, c);
         let infos = s.op_infos();
         let hb = Hb::of_ops(&infos);
         assert!(hb.cycle.is_some());

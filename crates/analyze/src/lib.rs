@@ -665,8 +665,9 @@ mod tests {
     #[test]
     fn unordered_conflict_is_a_hazard() {
         let mut s: Schedule<()> = Schedule::new(machine(1));
-        s.launch_fx(0, 0, fixed(), desc("w"), &[], Effects::none().writes([bc(0, 0)]), None);
-        s.launch_fx(0, 1, fixed(), desc("r"), &[], Effects::none().reads([bc(0, 0)]), None);
+        let w = s.record(0, 0, fixed(), desc("w"), Effects::none().writes([bc(0, 0)]), None);
+        let rd = s.record(0, 1, fixed(), desc("r"), Effects::none().reads([bc(0, 0)]), None);
+        s.remove_wait(rd, w);
         let r = analyze(&s);
         assert_eq!(r.findings.len(), 1);
         match &r.findings[0] {
@@ -681,34 +682,34 @@ mod tests {
     #[test]
     fn wait_edge_resolves_the_hazard() {
         let mut s: Schedule<()> = Schedule::new(machine(1));
-        let w =
-            s.launch_fx(0, 0, fixed(), desc("w"), &[], Effects::none().writes([bc(0, 0)]), None);
-        s.launch_fx(0, 1, fixed(), desc("r"), &[w], Effects::none().reads([bc(0, 0)]), None);
+        let w = s.record(0, 0, fixed(), desc("w"), Effects::none().writes([bc(0, 0)]), None);
+        let r = s.record(0, 1, fixed(), desc("r"), Effects::none().reads([bc(0, 0)]), None);
+        assert_eq!(s.wait_edges(), vec![(r, w)]);
         assert!(analyze(&s).clean());
     }
 
     #[test]
     fn lane_fifo_resolves_the_hazard() {
         let mut s: Schedule<()> = Schedule::new(machine(1));
-        s.launch_fx(0, 0, fixed(), desc("w"), &[], Effects::none().writes([bc(0, 0)]), None);
-        s.launch_fx(0, 0, fixed(), desc("r"), &[], Effects::none().reads([bc(0, 0)]), None);
+        s.record(0, 0, fixed(), desc("w"), Effects::none().writes([bc(0, 0)]), None);
+        s.record(0, 0, fixed(), desc("r"), Effects::none().reads([bc(0, 0)]), None);
         assert!(analyze(&s).clean());
     }
 
     #[test]
     fn reads_never_conflict() {
         let mut s: Schedule<()> = Schedule::new(machine(2));
-        let w =
-            s.launch_fx(0, 0, fixed(), desc("init"), &[], Effects::none().writes([bc(0, 0)]), None);
-        s.launch_fx(0, 0, fixed(), desc("r1"), &[], Effects::none().reads([bc(0, 0)]), None);
-        s.launch_fx(1, 0, fixed(), desc("r2"), &[w], Effects::none().reads([bc(0, 0)]), None);
+        let w = s.record(0, 0, fixed(), desc("init"), Effects::none().writes([bc(0, 0)]), None);
+        s.record(0, 0, fixed(), desc("r1"), Effects::none().reads([bc(0, 0)]), None);
+        let r2 = s.record(1, 0, fixed(), desc("r2"), Effects::none().reads([bc(0, 0)]), None);
+        assert_eq!(s.wait_edges(), vec![(r2, w)], "readers never wait on each other");
         assert!(analyze(&s).clean());
     }
 
     #[test]
     fn uninitialized_scratch_read_is_a_finding() {
         let mut s: Schedule<()> = Schedule::new(machine(1));
-        s.launch_fx(0, 0, fixed(), desc("r"), &[], Effects::none().reads([bc(0, 0)]), None);
+        s.record(0, 0, fixed(), desc("r"), Effects::none().reads([bc(0, 0)]), None);
         let r = analyze(&s);
         assert!(matches!(r.findings[..], [Finding::UninitRead { op: 0, .. }]));
         assert!(r.findings[0].to_string().contains("uninitialized read of BC1@g0"));
@@ -722,14 +723,14 @@ mod tests {
         let mut s: Schedule<()> = Schedule::new(machine(1));
         let x = BufId::new(0, "X");
         let w = BufId::indexed(0, "W", 0);
-        s.launch_fx(0, 0, fixed(), desc("gemm"), &[], Effects::none().reads([x, w]), None);
+        s.record(0, 0, fixed(), desc("gemm"), Effects::none().reads([x, w]), None);
         assert!(analyze(&s).clean());
     }
 
     #[test]
     fn dead_scratch_write_is_a_warning_not_a_finding() {
         let mut s: Schedule<()> = Schedule::new(machine(1));
-        s.launch_fx(0, 0, fixed(), desc("w"), &[], Effects::none().writes([bc(0, 0)]), None);
+        s.record(0, 0, fixed(), desc("w"), Effects::none().writes([bc(0, 0)]), None);
         let r = analyze(&s);
         assert!(r.clean(), "warnings must not fail clean()");
         assert!(matches!(r.warnings[..], [Warning::DeadWrite { op: 0, .. }]));
@@ -743,7 +744,7 @@ mod tests {
         // uninit read (its own write is not HB-before its read) — nothing
         // else initializes or consumes the buffer.
         let mut s: Schedule<()> = Schedule::new(machine(1));
-        s.launch_fx(0, 0, fixed(), desc("rmw"), &[], Effects::none().rw(bc(0, 0)), None);
+        s.record(0, 0, fixed(), desc("rmw"), Effects::none().rw(bc(0, 0)), None);
         let r = analyze(&s);
         assert!(matches!(r.findings[..], [Finding::UninitRead { op: 0, .. }]));
     }
@@ -757,8 +758,9 @@ mod tests {
             let mut s: Schedule<()> = Schedule::new(machine(1));
             // Op 0 RMWs, op 1 writes, unordered: the raw access pairs are
             // (r0,w1) and (w0,w1), but the canonical report is one WAW.
-            s.launch_fx(0, 0, fixed(), desc("rmw"), &[], Effects::none().rw(bc(0, 0)), None);
-            s.launch_fx(0, 1, fixed(), desc("w"), &[], Effects::none().writes([bc(0, 0)]), None);
+            s.record(0, 0, fixed(), desc("rmw"), Effects::none().rw(bc(0, 0)), None);
+            s.record(0, 1, fixed(), desc("w"), Effects::none().writes([bc(0, 0)]), None);
+            s.remove_wait(1, 0);
             s
         };
         let r = analyze(&build());
@@ -773,17 +775,18 @@ mod tests {
     #[test]
     fn distinct_buffers_never_conflict() {
         let mut s: Schedule<()> = Schedule::new(machine(2));
-        s.launch_fx(0, 0, fixed(), desc("w0"), &[], Effects::none().writes([bc(0, 0)]), None);
+        s.record(0, 0, fixed(), desc("w0"), Effects::none().writes([bc(0, 0)]), None);
         // Same name, different GPU: a different physical buffer.
-        s.launch_fx(1, 0, fixed(), desc("w1"), &[], Effects::none().writes([bc(1, 0)]), None);
+        s.record(1, 0, fixed(), desc("w1"), Effects::none().writes([bc(1, 0)]), None);
         assert!(analyze(&s).clean());
     }
 
     #[test]
     fn war_kind_is_reported() {
         let mut s: Schedule<()> = Schedule::new(machine(1));
-        s.launch_fx(0, 0, fixed(), desc("r"), &[], Effects::none().reads([bc(0, 0)]), None);
-        s.launch_fx(0, 1, fixed(), desc("w"), &[], Effects::none().writes([bc(0, 0)]), None);
+        s.record(0, 0, fixed(), desc("r"), Effects::none().reads([bc(0, 0)]), None);
+        s.record(0, 1, fixed(), desc("w"), Effects::none().writes([bc(0, 0)]), None);
+        s.remove_wait(1, 0);
         let r = analyze(&s);
         match &r.findings[0] {
             Finding::Hazard { kind, .. } => assert_eq!(*kind, HazardKind::War),
@@ -794,9 +797,10 @@ mod tests {
     #[test]
     fn deadlock_preempts_other_analyses() {
         let mut s: Schedule<()> = Schedule::new(machine(1));
-        let placeholder = s.launch(0, 1, fixed(), desc("p"), &[], None);
-        s.launch(0, 0, fixed(), desc("x"), &[placeholder + 2], None);
-        s.launch(0, 0, fixed(), desc("y"), &[], None);
+        s.record(0, 1, fixed(), desc("p"), Effects::none(), None);
+        let x = s.record(0, 0, fixed(), desc("x"), Effects::none(), None);
+        let y = s.record(0, 0, fixed(), desc("y"), Effects::none(), None);
+        s.add_wait(x, y);
         let r = analyze_budget(&s, &BudgetSpec::mg_gcn(2));
         assert_eq!(r.findings.len(), 1);
         assert!(matches!(r.findings[0], Finding::Deadlock { .. }));
@@ -811,30 +815,18 @@ mod tests {
         let build = |overlapped: bool| {
             let mut s: Schedule<()> = Schedule::new(machine(1));
             let comm = usize::from(overlapped);
-            let mut readers: [Option<OpId>; 2] = [None, None];
             for stage in 0..4 {
                 let slot = stage % 2;
                 // WAR: the slot's next broadcast waits on its last reader.
-                let waits: Vec<OpId> = readers[slot].into_iter().collect();
-                let w = s.launch_fx(
+                s.record(
                     0,
                     comm,
                     fixed(),
                     desc("bcast"),
-                    &waits,
                     Effects::none().writes([bc(0, slot)]),
                     None,
                 );
-                let r = s.launch_fx(
-                    0,
-                    0,
-                    fixed(),
-                    desc("spmm"),
-                    &[w],
-                    Effects::none().reads([bc(0, slot)]),
-                    None,
-                );
-                readers[slot] = Some(r);
+                s.record(0, 0, fixed(), desc("spmm"), Effects::none().reads([bc(0, slot)]), None);
             }
             s
         };
@@ -867,8 +859,8 @@ mod tests {
         // 1D one — the generalized budget, not a relabeling.
         let mut s: Schedule<()> = Schedule::new(machine(1));
         let rp = BufId::new(0, "RP");
-        s.launch_fx(0, 0, fixed(), desc("spmm-rp"), &[], Effects::none().writes([rp]), None);
-        s.launch_fx(0, 0, fixed(), desc("reduce"), &[], Effects::none().reads([rp]), None);
+        s.record(0, 0, fixed(), desc("spmm-rp"), Effects::none().writes([rp]), None);
+        s.record(0, 0, fixed(), desc("reduce"), Effects::none().reads([rp]), None);
         let r = analyze_budget(&s, &BudgetSpec::mg_gcn_15d(0));
         assert!(r.clean(), "{}", r.render());
         assert_eq!(r.liveness.as_ref().unwrap().buffers_needed, 1);
@@ -882,11 +874,11 @@ mod tests {
         let a = BufId::indexed(0, "AHW", 0);
         let b = BufId::new(0, "HW");
         let mut s: Schedule<()> = Schedule::new(machine(1));
-        s.launch_fx(0, 0, fixed(), desc("def-a"), &[], Effects::none().writes([a]), None);
-        s.launch_fx(0, 0, fixed(), desc("relu"), &[], Effects::none().rw(a), None);
-        s.launch_fx(0, 0, fixed(), desc("use-a"), &[], Effects::none().reads([a]), None);
-        s.launch_fx(0, 0, fixed(), desc("def-b"), &[], Effects::none().writes([b]), None);
-        s.launch_fx(0, 0, fixed(), desc("use-b"), &[], Effects::none().reads([b]), None);
+        s.record(0, 0, fixed(), desc("def-a"), Effects::none().writes([a]), None);
+        s.record(0, 0, fixed(), desc("relu"), Effects::none().rw(a), None);
+        s.record(0, 0, fixed(), desc("use-a"), Effects::none().reads([a]), None);
+        s.record(0, 0, fixed(), desc("def-b"), Effects::none().writes([b]), None);
+        s.record(0, 0, fixed(), desc("use-b"), Effects::none().reads([b]), None);
         let spec = BudgetSpec { names: vec!["AHW", "HW"], budget: 2 };
         let r = analyze_budget(&s, &spec);
         assert!(r.clean());
@@ -903,12 +895,11 @@ mod tests {
         // invisible to the hazard pass, caught by the cross-epoch pass.
         let build = |declared: Option<usize>| {
             let mut s: Schedule<()> = Schedule::new(machine(1));
-            s.launch_fx(
+            s.record(
                 0,
                 0,
                 fixed(),
                 desc("snapshot").in_epoch(0),
-                &[],
                 Effects::none().writes([sf]),
                 None,
             );
@@ -916,7 +907,7 @@ mod tests {
                 Some(age) => Effects::none().stale([StaleRead { buf: sf, age }]),
                 None => Effects::none().reads([sf]),
             };
-            s.launch_fx(0, 0, fixed(), desc("bcast").in_epoch(1), &[], fx, None);
+            s.record(0, 0, fixed(), desc("bcast").in_epoch(1), fx, None);
             s
         };
         assert!(analyze(&build(Some(1))).clean());
@@ -932,21 +923,12 @@ mod tests {
         use mggcn_gpusim::StaleRead;
         let sf = BufId::indexed(0, "SF", 0);
         let mut s: Schedule<()> = Schedule::new(machine(1));
-        s.launch_fx(
-            0,
-            0,
-            fixed(),
-            desc("snapshot").in_epoch(0),
-            &[],
-            Effects::none().writes([sf]),
-            None,
-        );
-        s.launch_fx(
+        s.record(0, 0, fixed(), desc("snapshot").in_epoch(0), Effects::none().writes([sf]), None);
+        s.record(
             0,
             0,
             fixed(),
             desc("bcast").in_epoch(2),
-            &[],
             Effects::none().stale([StaleRead { buf: sf, age: 1 }]),
             None,
         );
@@ -958,34 +940,10 @@ mod tests {
     fn same_epoch_refresh_resets_the_stale_clock() {
         let sf = BufId::indexed(0, "SF", 0);
         let mut s: Schedule<()> = Schedule::new(machine(1));
-        s.launch_fx(
-            0,
-            0,
-            fixed(),
-            desc("snap0").in_epoch(0),
-            &[],
-            Effects::none().writes([sf]),
-            None,
-        );
-        s.launch_fx(
-            0,
-            0,
-            fixed(),
-            desc("snap1").in_epoch(1),
-            &[],
-            Effects::none().writes([sf]),
-            None,
-        );
+        s.record(0, 0, fixed(), desc("snap0").in_epoch(0), Effects::none().writes([sf]), None);
+        s.record(0, 0, fixed(), desc("snap1").in_epoch(1), Effects::none().writes([sf]), None);
         // Last HB-before writer is snap1 (same epoch): no staleness.
-        s.launch_fx(
-            0,
-            0,
-            fixed(),
-            desc("read").in_epoch(1),
-            &[],
-            Effects::none().reads([sf]),
-            None,
-        );
+        s.record(0, 0, fixed(), desc("read").in_epoch(1), Effects::none().reads([sf]), None);
         assert!(analyze(&s).clean());
     }
 
@@ -993,8 +951,8 @@ mod tests {
     fn untagged_schedules_skip_the_cross_epoch_pass() {
         let sf = BufId::indexed(0, "SF", 0);
         let mut s: Schedule<()> = Schedule::new(machine(1));
-        s.launch_fx(0, 0, fixed(), desc("w"), &[], Effects::none().writes([sf]), None);
-        s.launch_fx(0, 0, fixed(), desc("r"), &[], Effects::none().reads([sf]), None);
+        s.record(0, 0, fixed(), desc("w"), Effects::none().writes([sf]), None);
+        s.record(0, 0, fixed(), desc("r"), Effects::none().reads([sf]), None);
         assert!(analyze(&s).clean());
     }
 
@@ -1011,8 +969,9 @@ mod tests {
     #[test]
     fn report_renders_findings_and_counts() {
         let mut s: Schedule<()> = Schedule::new(machine(1));
-        s.launch_fx(0, 0, fixed(), desc("w"), &[], Effects::none().writes([bc(0, 0)]), None);
-        s.launch_fx(0, 1, fixed(), desc("r"), &[], Effects::none().reads([bc(0, 0)]), None);
+        s.record(0, 0, fixed(), desc("w"), Effects::none().writes([bc(0, 0)]), None);
+        s.record(0, 1, fixed(), desc("r"), Effects::none().reads([bc(0, 0)]), None);
+        s.remove_wait(1, 0);
         let r = analyze(&s);
         let text = r.render();
         assert!(text.contains("2 ops"));

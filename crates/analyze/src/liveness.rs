@@ -180,15 +180,7 @@ mod tests {
     #[test]
     fn single_op_schedule_needs_exactly_one_buffer() {
         let mut s: Schedule<()> = Schedule::new(machine(1));
-        s.launch_fx(
-            0,
-            0,
-            fixed(),
-            desc("w"),
-            &[],
-            Effects::none().writes([BufId::new(0, "HW")]),
-            None,
-        );
+        s.record(0, 0, fixed(), desc("w"), Effects::none().writes([BufId::new(0, "HW")]), None);
         let lv = run(&s, &["HW"]);
         assert_eq!(lv.buffers_bound, 1);
         assert_eq!(lv.buffers_needed, 1);
@@ -206,16 +198,15 @@ mod tests {
         for slot in 0..2 {
             let name = if slot == 0 { "BC1" } else { "BC2" };
             let b = BufId::new(0, name);
-            s.collective_fx(
+            s.record_collective(
                 &[(0, 0)],
                 1.0e6,
                 25.0e9,
                 desc("bcast"),
-                &[],
                 Effects::none().writes([b]),
                 None,
             );
-            s.launch_fx(0, 0, fixed(), desc("spmm"), &[], Effects::none().reads([b]), None);
+            s.record(0, 0, fixed(), desc("spmm"), Effects::none().reads([b]), None);
         }
         let lv = run(&s, &["BC1", "BC2"]);
         assert_eq!(lv.buffers_bound, 2, "both slots are named");
@@ -231,12 +222,12 @@ mod tests {
         let a = BufId::indexed(0, "AHW", 0);
         let b = BufId::new(0, "HW");
         let mut s: Schedule<()> = Schedule::new(machine(1));
-        s.launch_fx(0, 0, fixed(), desc("def"), &[], Effects::none().writes([a]), None);
+        s.record(0, 0, fixed(), desc("def"), Effects::none().writes([a]), None);
         for _ in 0..3 {
-            s.launch_fx(0, 0, fixed(), desc("acc"), &[], Effects::none().rw(a), None);
+            s.record(0, 0, fixed(), desc("acc"), Effects::none().rw(a), None);
         }
-        s.launch_fx(0, 0, fixed(), desc("def-b"), &[], Effects::none().writes([b]), None);
-        s.launch_fx(0, 0, fixed(), desc("use-b"), &[], Effects::none().reads([b]), None);
+        s.record(0, 0, fixed(), desc("def-b"), Effects::none().writes([b]), None);
+        s.record(0, 0, fixed(), desc("use-b"), Effects::none().reads([b]), None);
         let lv = run(&s, &["AHW", "HW"]);
         assert_eq!(lv.buffers_bound, 2);
         assert_eq!(lv.buffers_needed, 1, "the RMW chain must not split into ranges");
@@ -244,8 +235,8 @@ mod tests {
         // Contrast: pure writes split values, but same-buffer ranges
         // still time-slice — a fresh def of `a` mid-chain changes nothing
         // for the count.
-        s.launch_fx(0, 0, fixed(), desc("redef"), &[], Effects::none().writes([a]), None);
-        s.launch_fx(0, 0, fixed(), desc("use-a"), &[], Effects::none().reads([a]), None);
+        s.record(0, 0, fixed(), desc("redef"), Effects::none().writes([a]), None);
+        s.record(0, 0, fixed(), desc("use-a"), Effects::none().reads([a]), None);
         let lv = run(&s, &["AHW", "HW"]);
         assert_eq!(lv.buffers_needed, 1);
     }

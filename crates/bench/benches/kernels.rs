@@ -190,24 +190,23 @@ fn bench_permutation(c: &mut Criterion) {
 
 fn bench_engine(c: &mut Criterion) {
     use mggcn_gpusim::engine::OpDesc;
-    use mggcn_gpusim::{Category, MachineSpec, Schedule, Work};
+    use mggcn_gpusim::{BufId, Category, Effects, MachineSpec, Schedule, Work};
     let mut group = c.benchmark_group("engine");
     group.sample_size(10).measurement_time(std::time::Duration::from_secs(2));
     group.bench_function("schedule_1k_ops", |bench| {
         bench.iter(|| {
             let mut s: Schedule<()> = Schedule::new(MachineSpec::dgx_a100());
-            let mut prev = None;
+            // Each op updates one buffer in place, so each waits on the
+            // op before it, on another GPU.
             for i in 0..1000usize {
-                let gpu = i % 8;
-                let waits: Vec<usize> = prev.into_iter().collect();
-                prev = Some(s.launch(
-                    gpu,
+                s.record(
+                    i % 8,
                     0,
                     Work::Compute { flops: 1.0e9, bytes: 1.0e6 },
                     OpDesc::new(Category::Other, "op"),
-                    &waits,
+                    Effects::none().rw(BufId::new(0, "X")),
                     None,
-                ));
+                );
             }
             s.run(&())
         })

@@ -1,7 +1,7 @@
 //! The sharded serving front end: routing, per-shard batching + admission,
 //! load shedding, and cluster-wide latency accounting.
 //!
-//! A [`Cluster`] is `P` shards, each a full [`serve::Server`] replica set
+//! A [`Cluster`] is `P` shards, each a full [`Server`] replica set
 //! (model weights and graph are `Arc`-shared, so replication is cheap).
 //! The [`Router`] homes every vertex on one shard — by cache-aware
 //! [`PartitionPlan`] when one is installed, by consistent-hash ring
@@ -205,7 +205,7 @@ impl Cluster {
     }
 
     /// [`serve_trace`](Self::serve_trace) under fault injection. Shards
-    /// run one after another ([`Cluster::run_shard`]), so a fault on one
+    /// run one after another (`Cluster::run_shard`), so a fault on one
     /// leaves every other shard's answers bit-identical. The injector can
     /// defer batches (preemption) or take a shard down — shard loss forces
     /// tagged degraded answers with a fixed host-side cost (never a

@@ -22,7 +22,7 @@
 //! dependency pattern falls out of the declarations — `spmm(s)` reads the
 //! slot `bcast(s)` writes, and `bcast(s)` overwrites the slot `spmm(s-2)`
 //! read on every GPU. 1D, 1.5D and the bounded-staleness prefetch are one
-//! staged SpMM over a replication-group [`Layout`].
+//! staged SpMM over a replication-group `Layout`.
 //!
 //! A classic epoch's schedule is a function of (config, options, problem) —
 //! Adam's step is read from the device state at run time — so the trainer

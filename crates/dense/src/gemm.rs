@@ -359,9 +359,9 @@ pub fn scratch_bytes() -> usize {
 
 /// What [`scratch_bytes`] can reach on a thread whose products have inner
 /// and output dimensions up to `d` (for a GCN: its widest layer) and any
-/// number of rows: a packed `d × d` operand, [`PARTIALS_LIVE`] partial
+/// number of rows: a packed `d × d` operand, `PARTIALS_LIVE` partial
 /// outputs and their sum for the call; a packed `K_BLOCK × d` operand and
-/// the lists of [`LIST_BLOCK`] rows for the piece.
+/// the lists of `LIST_BLOCK` rows for the piece.
 pub fn scratch_bound_bytes(d: usize) -> usize {
     4 * ((PARTIALS_LIVE + 2) * d * d + K_BLOCK * d + 2 * LIST_BLOCK * d.max(K_BLOCK))
 }

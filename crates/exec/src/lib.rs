@@ -5,13 +5,12 @@
 //! worker thread per GPU, mapping the simulator's concepts onto threads:
 //!
 //! * **stream FIFOs + CUDA events** → every op has a pending counter, set
-//!   each run from the plan: its explicit `waits` (the BC1/BC2 double-buffer
-//!   WAR fences arrive as ordinary edges) plus its FIFO predecessor on each
-//!   lane. A finished op decrements its successors; one that reaches zero
-//!   goes onto its GPU's ready queue, and that worker is woken only if it is
-//!   parked. A worker parks only when its queue is empty. A body without
-//!   declared effects gives no licence to reorder it: the plan fences it
-//!   against its GPU's other streams in the simulated completion order.
+//!   each run from the plan: its `waits`, inferred from declared effects
+//!   (the BC1/BC2 double-buffer WAR fences arrive as ordinary edges), plus
+//!   its FIFO predecessor on each lane. A finished op decrements its
+//!   successors; one that reaches zero goes onto its GPU's ready queue, and
+//!   that worker is woken only if it is parked. A worker parks only when
+//!   its queue is empty.
 //! * **NCCL rendezvous** → a collective sits in every participant's lane,
 //!   so its counter covers all of them; the worker whose completion brings
 //!   it to zero — the last arriver — runs the body (the lowest participant,
@@ -489,7 +488,7 @@ pub fn execute_chaos<Ctx: Sync>(
 mod tests {
     use super::*;
     use mggcn_gpusim::engine::OpDesc;
-    use mggcn_gpusim::{GpuSpec, MachineSpec, Work};
+    use mggcn_gpusim::{BufId, Effects, GpuSpec, MachineSpec, Work};
     use std::sync::atomic::AtomicU64;
 
     fn machine(n: usize) -> MachineSpec {
@@ -504,30 +503,31 @@ mod tests {
 
     #[test]
     fn bodies_run_exactly_once_and_in_dependency_order() {
-        // GPU-local chains plus a cross-GPU wait; log (gpu, step) pairs.
+        // GPU-local chains plus cross-GPU waits; log (gpu, step) pairs.
         let log: Mutex<Vec<(usize, u32)>> = Mutex::new(Vec::new());
         let mut s: Schedule<Mutex<Vec<(usize, u32)>>> = Schedule::new(machine(2));
-        let mut last = None;
+        // Every body appends to one log, declared as a read-modify-write.
+        let shared = Effects::none().rw(BufId::new(0, "LOG"));
         for step in 0..3u32 {
             for gpu in 0..2usize {
-                let waits: Vec<OpId> = last.into_iter().collect();
-                last = Some(s.launch(
+                s.record(
                     gpu,
                     0,
                     fixed(),
                     OpDesc::new(Category::Other, "step"),
-                    &waits,
+                    shared.clone(),
                     Some(Box::new(move |l: &Mutex<Vec<(usize, u32)>>| {
                         l.lock().unwrap().push((gpu, step))
                     })),
-                ));
+                );
             }
         }
         let r = execute(s, &log).expect("no panic");
         assert_eq!(r.bodies_run, 6);
         let got = log.into_inner().unwrap();
         assert_eq!(got.len(), 6);
-        // The zig-zag waits serialize everything globally.
+        // The inferred waits zig-zag across the GPUs and serialize
+        // everything globally.
         let expect: Vec<(usize, u32)> =
             (0..3u32).flat_map(|s| (0..2usize).map(move |g| (g, s))).collect();
         assert_eq!(got, expect);
@@ -535,8 +535,9 @@ mod tests {
 
     #[test]
     fn collective_barrier_sees_all_prior_writes() {
-        // Each GPU writes its slot, then an all-lane collective sums them.
-        // The leader must observe every participant's write.
+        // Each GPU writes its slot, then an all-lane collective on the other
+        // stream sums them. The leader must observe every participant's
+        // write: the collective reads every slot, so it waits on each one.
         struct Ctx {
             slots: Vec<AtomicU64>,
             total: AtomicU64,
@@ -544,41 +545,41 @@ mod tests {
         let p = 4;
         let ctx =
             Ctx { slots: (0..p).map(|_| AtomicU64::new(0)).collect(), total: AtomicU64::new(0) };
+        let slot = |g: usize| BufId::new(g, "SLOT");
         let mut s: Schedule<Ctx> = Schedule::new(machine(p));
         for g in 0..p {
-            s.launch(
+            s.record(
                 g,
                 0,
                 fixed(),
                 OpDesc::new(Category::Other, "write"),
-                &[],
+                Effects::none().writes([slot(g)]),
                 Some(Box::new(move |c: &Ctx| {
                     c.slots[g].store((g as u64 + 1) * 10, Ordering::SeqCst)
                 })),
             );
         }
         let lanes: Vec<(usize, usize)> = (0..p).map(|g| (g, 1)).collect();
-        s.collective(
+        s.record_collective(
             &lanes,
             1.0e6,
             25.0e9,
             OpDesc::new(Category::Comm, "sum"),
-            &[],
+            Effects::none().reads((0..p).map(slot)).writes([BufId::new(0, "TOTAL")]),
             Some(Box::new(|c: &Ctx| {
                 let t: u64 = c.slots.iter().map(|s| s.load(Ordering::SeqCst)).sum();
                 c.total.store(t, Ordering::SeqCst);
             })),
         );
-        // After the barrier, every GPU doubles its own slot — must not race
-        // with the collective read.
+        // After the barrier, every GPU bumps its own slot — must not race
+        // with the collective read (WAR on the slot).
         for g in 0..p {
-            // The collective is op index p.
-            s.launch(
+            s.record(
                 g,
                 0,
                 fixed(),
                 OpDesc::new(Category::Other, "after"),
-                &[p],
+                Effects::none().rw(slot(g)),
                 Some(Box::new(move |c: &Ctx| {
                     c.slots[g].fetch_add(1, Ordering::SeqCst);
                 })),
@@ -589,68 +590,18 @@ mod tests {
         assert_eq!(r.bodies_run, 2 * p + 1);
     }
 
-    /// A body that declares no effects is a fence on its GPU: with no wait
-    /// edge anywhere, every run keeps the simulated completion order there
-    /// (what `EpochPlan::run` does), not the order the streams become ready
-    /// in — and an op that does declare effects stays on its side of it.
-    #[test]
-    fn undeclared_bodies_fence_their_gpu_in_simulated_order() {
-        use mggcn_gpusim::{BufId, Effects};
-        type Log = Mutex<Vec<(usize, &'static str)>>;
-        let mut s: Schedule<Log> = Schedule::new(machine(2));
-        for g in 0..2usize {
-            // Issued slowest first, one stream each: the DES ends them in
-            // the opposite order.
-            for (stream, label, seconds) in
-                [(0, "slow", 50e-6), (1, "declared", 10e-6), (2, "fast", 1e-6)]
-            {
-                let fx = match label {
-                    "declared" => Effects::none().writes([BufId::new(g, "HW")]),
-                    _ => Effects::none(),
-                };
-                s.launch_fx(
-                    g,
-                    stream,
-                    Work::Fixed { seconds },
-                    OpDesc::new(Category::Other, label),
-                    &[],
-                    fx,
-                    Some(Box::new(move |l: &Log| l.lock().unwrap().push((g, label)))),
-                );
-            }
-        }
-        let plan = s.compile();
-        let on = |log: &Log, g: usize| -> Vec<&'static str> {
-            log.lock().unwrap().iter().filter(|e| e.0 == g).map(|e| e.1).collect()
-        };
-        let serial = Mutex::new(Vec::new());
-        plan.run(&serial);
-        assert_eq!(on(&serial, 0), ["fast", "declared", "slow"]);
-        let log = Mutex::new(Vec::new());
-        with_workers(&plan, &log, |run| {
-            for _ in 0..20 {
-                log.lock().unwrap().clear();
-                run().expect("no panic");
-                for g in 0..2 {
-                    assert_eq!(on(&log, g), on(&serial, g), "gpu {g}");
-                }
-            }
-        })
-        .expect("verifies");
-    }
-
     #[test]
     fn panic_in_body_returns_err_without_hanging() {
         let p = 4;
         let ctx = ();
         let mut s: Schedule<()> = Schedule::new(machine(p));
         for g in 0..p {
-            s.launch(
+            s.record(
                 g,
                 0,
                 fixed(),
                 OpDesc::new(Category::Other, "pre"),
-                &[],
+                Effects::none().writes([BufId::new(g, "HW")]),
                 Some(Box::new(move |_: &()| {
                     if g == 2 {
                         panic!("device 2 exploded");
@@ -660,7 +611,14 @@ mod tests {
         }
         // A collective behind the panicking op: its barrier must not hang.
         let lanes: Vec<(usize, usize)> = (0..p).map(|g| (g, 0)).collect();
-        s.collective(&lanes, 1.0e6, 25.0e9, OpDesc::new(Category::Comm, "barrier"), &[], None);
+        s.record_collective(
+            &lanes,
+            1.0e6,
+            25.0e9,
+            OpDesc::new(Category::Comm, "barrier"),
+            Effects::none(),
+            None,
+        );
         let start = Instant::now();
         let err = execute(s, &ctx).expect_err("must fail");
         assert!(start.elapsed() < Duration::from_secs(10), "bounded-time failure");
@@ -673,12 +631,12 @@ mod tests {
         let ctx = ();
         let mut s: Schedule<()> = Schedule::new(machine(2));
         for g in 0..2 {
-            s.launch(
+            s.record(
                 g,
                 0,
                 fixed(),
                 OpDesc::new(Category::GeMM, "work"),
-                &[],
+                Effects::none().writes([BufId::new(g, "HW")]),
                 Some(Box::new(|_: &()| std::thread::sleep(Duration::from_millis(2)))),
             );
         }
@@ -706,20 +664,21 @@ mod tests {
         let mut s: Schedule<()> = Schedule::new(machine(2));
         // GPU 0 works for ~40ms; GPU 1's only op depends on it, so GPU 1
         // spends those 40ms blocked.
-        let a = s.launch(
+        let hw = BufId::new(0, "HW");
+        s.record(
             0,
             0,
             fixed(),
             OpDesc::new(Category::GeMM, "long"),
-            &[],
+            Effects::none().writes([hw]),
             Some(Box::new(|_: &()| std::thread::sleep(Duration::from_millis(40)))),
         );
-        s.launch(
+        s.record(
             1,
             0,
             fixed(),
             OpDesc::new(Category::GeMM, "short"),
-            &[a],
+            Effects::none().reads([hw]),
             Some(Box::new(|_: &()| std::thread::sleep(Duration::from_millis(2)))),
         );
         let r = execute(s, &ctx).expect("ok");
@@ -769,12 +728,12 @@ mod tests {
         let mk = || {
             let mut s: Schedule<Mutex<Vec<usize>>> = Schedule::new(machine(2));
             for g in 0..2usize {
-                s.launch(
+                s.record(
                     g,
                     0,
                     fixed(),
                     OpDesc::new(Category::GeMM, "work"),
-                    &[],
+                    Effects::none().writes([BufId::new(g, "HW")]),
                     Some(Box::new(move |l: &Mutex<Vec<usize>>| l.lock().unwrap().push(g))),
                 );
             }
@@ -821,7 +780,14 @@ mod tests {
         let p = 4;
         let mut s: Schedule<()> = Schedule::new(machine(p));
         let lanes: Vec<(usize, usize)> = (0..p).map(|g| (g, 0)).collect();
-        s.collective(&lanes, 1.0e6, 25.0e9, OpDesc::new(Category::Comm, "allreduce"), &[], None);
+        s.record_collective(
+            &lanes,
+            1.0e6,
+            25.0e9,
+            OpDesc::new(Category::Comm, "allreduce"),
+            Effects::none(),
+            None,
+        );
         // Kill GPU 2 at its first dispatch — the collective itself, so the
         // other three participants are already arriving at the rendezvous.
         let plan = FaultPlan { kills: vec![Kill { gpu: 2, seq: 0 }], ..FaultPlan::none() };
@@ -834,49 +800,49 @@ mod tests {
     }
 
     /// A schedule whose declared effects conflict without an ordering edge
-    /// must be rejected before any worker thread (or body) starts.
+    /// (the inferred one removed) must be rejected before any worker thread
+    /// (or body) starts.
     #[test]
     fn preflight_rejects_unordered_buffer_conflict() {
-        use mggcn_gpusim::{BufId, Effects};
         let ran = AtomicBool::new(false);
         let mut s: Schedule<AtomicBool> = Schedule::new(machine(1));
         let buf = BufId::new(0, "HW");
-        s.launch_fx(
+        let writer = s.record(
             0,
             0,
             fixed(),
             OpDesc::new(Category::GeMM, "writer"),
-            &[],
             Effects::none().writes([buf]),
             Some(Box::new(|r: &AtomicBool| r.store(true, Ordering::SeqCst))),
         );
-        s.launch_fx(
+        let reader = s.record(
             0,
             1,
             fixed(),
             OpDesc::new(Category::SpMM, "reader"),
-            &[],
             Effects::none().reads([buf]),
             Some(Box::new(|r: &AtomicBool| r.store(true, Ordering::SeqCst))),
         );
+        s.remove_wait(reader, writer);
         let err = execute(s, &ran).expect_err("hazardous schedule accepted");
         assert_eq!(err.label, "preflight");
         assert!(err.message.contains("RAW hazard"), "unexpected message: {}", err.message);
         assert!(!ran.load(Ordering::SeqCst), "a body ran despite preflight failure");
     }
 
-    /// A dependency cycle among bodies without declared effects — where
-    /// compiling the plan consults the simulator for the fence order — is
-    /// still a preflight `Err`, not a simulator deadlock panic.
+    /// A dependency cycle among declared bodies is a preflight `Err`, not
+    /// a simulator deadlock panic.
     #[test]
-    fn preflight_rejects_cycle_among_undeclared_bodies() {
+    fn preflight_rejects_cycle_among_declared_bodies() {
         let ran = AtomicBool::new(false);
         let mut s: Schedule<AtomicBool> = Schedule::new(machine(1));
         let body = || Some(Box::new(|r: &AtomicBool| r.store(true, Ordering::SeqCst)) as _);
+        let hw = BufId::new(0, "HW");
+        let fx = || Effects::none().rw(hw);
         // x heads stream 0 but waits on y, which sits behind it there.
-        let x = s.launch(0, 0, fixed(), OpDesc::new(Category::Other, "x"), &[1], body());
-        s.launch(0, 0, fixed(), OpDesc::new(Category::Other, "y"), &[], body());
-        assert_eq!(x, 0);
+        let x = s.record(0, 0, fixed(), OpDesc::new(Category::Other, "x"), fx(), body());
+        let y = s.record(0, 0, fixed(), OpDesc::new(Category::Other, "y"), fx(), body());
+        s.add_wait(x, y);
         let err = execute(s, &ran).expect_err("cyclic schedule accepted");
         assert_eq!(err.label, "preflight");
         assert!(!ran.load(Ordering::SeqCst), "a body ran despite preflight failure");
@@ -887,15 +853,13 @@ mod tests {
     /// worker thread (or body) starts.
     #[test]
     fn preflight_rejects_uninitialized_scratch_read() {
-        use mggcn_gpusim::{BufId, Effects};
         let ran = AtomicBool::new(false);
         let mut s: Schedule<AtomicBool> = Schedule::new(machine(1));
-        s.launch_fx(
+        s.record(
             0,
             0,
             fixed(),
             OpDesc::new(Category::SpMM, "reader"),
-            &[],
             Effects::none().reads([BufId::new(0, "BC1")]),
             Some(Box::new(|r: &AtomicBool| r.store(true, Ordering::SeqCst))),
         );

@@ -104,7 +104,7 @@ fn build(gpus: usize, streams: usize, ops: &[OpSpec]) -> Schedule<Ctx> {
     s
 }
 
-/// Every op's happens-before predecessors: explicit waits and lane FIFO
+/// Every op's happens-before predecessors: recorded waits and lane FIFO
 /// (which carries the collective rendezvous), transitively closed. Ops are
 /// issued in id order and every edge points backwards, so one pass closes.
 fn happens_before(plan: &EpochPlan<Ctx>) -> Vec<Vec<usize>> {
@@ -164,7 +164,8 @@ proptest! {
 }
 
 /// Three GPUs, two streams: kernels, a pair collective, an all-GPU
-/// collective behind cross-stream waits, and tails that need it.
+/// collective behind cross-stream waits, and tails that need it — each
+/// edge a consumer reading its producer's buffer.
 fn small(panic_in: Option<usize>) -> Schedule<()> {
     let mut s = Schedule::new(MachineSpec::uniform("small", GpuSpec::v100(), 3, 6, 25.0e9));
     let body = |id: usize| {
@@ -176,13 +177,17 @@ fn small(panic_in: Option<usize>) -> Schedule<()> {
     };
     let fixed = Work::Fixed { seconds: 1e-6 };
     let desc = |label| OpDesc::new(Category::Other, label);
-    let heads: Vec<usize> =
-        (0..3).map(|g| s.launch(g, 0, fixed, desc("head"), &[], body(g))).collect();
-    let pair = s.collective(&[(0, 1), (1, 1)], 1e3, 25e9, desc("pair"), &heads[..2], body(3));
-    let all =
-        s.collective(&[(0, 1), (1, 1), (2, 1)], 1e3, 25e9, desc("all"), &[pair, heads[2]], body(4));
+    let head = |g| BufId::new(g, "HEAD");
+    let (pair, all) = (BufId::new(0, "PAIR"), BufId::new(0, "ALL"));
     for g in 0..3 {
-        s.launch(g, 0, fixed, desc("tail"), &[all], body(5 + g));
+        s.record(g, 0, fixed, desc("head"), Effects::none().writes([head(g)]), body(g));
+    }
+    let fx = Effects::none().reads([head(0), head(1)]).writes([pair]);
+    s.record_collective(&[(0, 1), (1, 1)], 1e3, 25e9, desc("pair"), fx, body(3));
+    let fx = Effects::none().reads([pair, head(2)]).writes([all]);
+    s.record_collective(&[(0, 1), (1, 1), (2, 1)], 1e3, 25e9, desc("all"), fx, body(4));
+    for g in 0..3 {
+        s.record(g, 0, fixed, desc("tail"), Effects::none().reads([all]), body(5 + g));
     }
     s
 }

@@ -59,14 +59,9 @@ pub(crate) struct DepTracker {
 
 impl DepTracker {
     /// Account for the next op (its id is the count so far) and return its
-    /// waits: `explicit` ones as given, otherwise the transitive reduction
-    /// of the RAW/WAR/WAW dependencies `fx` implies, ascending.
-    pub(crate) fn admit(
-        &mut self,
-        lanes: &[(usize, usize)],
-        fx: &Effects,
-        explicit: Option<&[OpId]>,
-    ) -> Vec<OpId> {
+    /// waits: the transitive reduction of the RAW/WAR/WAW dependencies `fx`
+    /// implies, ascending.
+    pub(crate) fn admit(&mut self, lanes: &[(usize, usize)], fx: &Effects) -> Vec<OpId> {
         let id = self.clocks.len();
         // What lane FIFO and rendezvous order before the op, then the op's
         // own place at the tail of each of its lanes.
@@ -87,10 +82,6 @@ impl DepTracker {
                 self.at.push((*ix, clock[*ix]));
             }
         }
-        // Forward references (the engine's deadlock tests) carry no order.
-        for &w in explicit.unwrap_or_default().iter().filter(|&&w| w < id) {
-            merge(&mut clock, &self.clocks[w]);
-        }
         // One visit per declared buffer: collect the accesses this op
         // conflicts with and install it in their place.
         let mut candidates: Vec<OpId> = Vec::new();
@@ -106,36 +97,30 @@ impl DepTracker {
             candidates.extend(state.writer.replace(id));
             candidates.append(&mut state.readers);
         }
-        let waits = match explicit {
-            Some(waits) => waits.to_vec(),
-            None => {
-                // Newest first: happens-before implies issue order, so a
-                // candidate covered by a later one is met only after that
-                // one was chosen. (The op itself, met again through a
-                // buffer declared twice, is covered by its own clock.)
-                candidates.sort_unstable_by(|a, b| b.cmp(a));
-                candidates.dedup();
-                candidates.retain(|&c| {
-                    let needed = !covers(&clock, self.at[c]);
-                    if needed {
-                        merge(&mut clock, &self.clocks[c]);
-                    }
-                    needed
-                });
-                candidates.reverse();
-                candidates
+        // Newest first: happens-before implies issue order, so a candidate
+        // covered by a later one is met only after that one was chosen. (The
+        // op itself, met again through a buffer declared twice, is covered
+        // by its own clock.)
+        candidates.sort_unstable_by(|a, b| b.cmp(a));
+        candidates.dedup();
+        candidates.retain(|&c| {
+            let needed = !covers(&clock, self.at[c]);
+            if needed {
+                merge(&mut clock, &self.clocks[c]);
             }
-        };
+            needed
+        });
+        candidates.reverse();
         self.clocks.push(clock);
-        waits
+        candidates
     }
 }
 
 /// Re-run the inference rule over recorded op metadata, ignoring the
 /// recorded `waits`: what [`crate::Schedule::record`] would emit for each
-/// op in turn. A schedule built only through the inferring calls
-/// reproduces its own `waits` exactly.
+/// op in turn. A schedule no testing hook has edited reproduces its own
+/// `waits` exactly.
 pub fn infer_waits(ops: &[OpInfo<'_>]) -> Vec<Vec<OpId>> {
     let mut deps = DepTracker::default();
-    ops.iter().map(|op| deps.admit(op.lanes, op.effects, None)).collect()
+    ops.iter().map(|op| deps.admit(op.lanes, op.effects)).collect()
 }

@@ -3,17 +3,15 @@
 //! Every op can declare the logical buffers its body reads and writes
 //! ([`Effects`]). Buffers are named per GPU ([`BufId`]): the trainer's
 //! `AHW.l@g`, `HW@g`, the §4.3 double buffers `BC1@g`/`BC2@g`, weights
-//! `W.l@g`, gradients `WG.l@g`, and so on. For the production recorders
-//! the declarations are the *only* dependency source:
-//! `Schedule::record`/`record_collective` infer every wait edge from them
-//! ([`crate::deps`]), and the simulator and the threaded executor see just
-//! the resulting `waits`. `mggcn-analyze` independently proves
-//! hazard-freedom and the §4.2 `L + 3` liveness bound over the same
-//! declarations, so a schedule built on the explicit-wait
-//! `launch_fx`/`collective_fx` layer that drops a double-buffer WAR edge
-//! is a static finding instead of silent data corruption — and the effect
-//! audit (`analyze::audit_effects`) checks the declarations themselves
-//! against what the bodies really touch.
+//! `W.l@g`, gradients `WG.l@g`, and so on. The declarations are the *only*
+//! dependency source: `Schedule::record`/`record_collective` infer every
+//! wait edge from them ([`crate::deps`]), and the simulator and the
+//! threaded executor see just the resulting `waits`. `mggcn-analyze`
+//! independently proves hazard-freedom and the §4.2 `L + 3` liveness bound
+//! over the same declarations, so a schedule mutant that drops a
+//! double-buffer WAR edge is a static finding instead of silent data
+//! corruption — and the effect audit (`analyze::audit_effects`) checks the
+//! declarations themselves against what the bodies really touch.
 
 use std::fmt;
 
@@ -79,7 +77,8 @@ pub struct Effects {
 }
 
 impl Effects {
-    /// No declared effects (the default for plain `launch`/`collective`).
+    /// No declared effects: an op that touches no buffer (a pure timing op
+    /// without a body) and so is ordered only by its lanes.
     pub fn none() -> Self {
         Self::default()
     }

@@ -3,12 +3,13 @@
 //! A [`Schedule`] is built the way an MG-GCN epoch is issued on real
 //! hardware: kernels are launched onto per-GPU *streams* (stream 0 compute,
 //! stream 1 communication, per §4.3), collectives rendezvous across GPUs,
-//! and cross-stream dependencies are expressed by waiting on a previous
-//! op's completion (CUDA events) — named explicitly (`launch`/`collective`
-//! and their `_fx` forms) or inferred from declared buffer effects
-//! ([`Schedule::record`], [`crate::deps`]). [`Schedule::run`] then plays
-//! the whole DAG forward in simulated time; the event loop is
-//! [`Schedule::simulate_with`], over the run state in `RateCore`.
+//! and every op declares the buffers it reads and writes. Cross-stream
+//! dependencies (CUDA events) are inferred from those declarations
+//! ([`Schedule::record`], [`crate::deps`]): two ops are ordered by lane
+//! FIFO, by a collective's rendezvous, or by a conflict in their declared
+//! effects, and by nothing else. [`Schedule::run`] then plays the whole DAG
+//! forward in simulated time; the event loop is [`Schedule::simulate_with`],
+//! over the run state in `RateCore`.
 //!
 //! The simulator is *rate-based*: every running op drains work dimensions
 //! (seconds, FLOPs, bytes) at rates set by its GPU, and those rates are
@@ -19,11 +20,12 @@
 //! up some of the global memory bandwidth").
 //!
 //! Ops may carry a *body*: a closure over a caller-supplied context that
-//! executes when the op completes in simulated time. Completion order is a
-//! topological order of the dependency DAG, so bodies compute real numerics
-//! under exactly the schedule being timed — and a schedule missing a
-//! double-buffer WAR dependency will corrupt real data the same way real
-//! hardware would.
+//! executes when the op completes in simulated time. An op with a body must
+//! declare at least one effect, or its recording panics: nothing could order
+//! it otherwise. Completion order is a topological order of the dependency
+//! DAG, so bodies compute real numerics under exactly the schedule being
+//! timed — and a schedule missing a double-buffer WAR dependency will
+//! corrupt real data the same way real hardware would.
 
 use crate::deps::DepTracker;
 use crate::effects::Effects;
@@ -154,38 +156,11 @@ impl<Ctx> Schedule<Ctx> {
         &self.machine
     }
 
-    /// Launch a kernel on `(gpu, stream)` after `waits` complete (in
-    /// addition to the implicit in-order dependency on the same stream).
-    pub fn launch(
-        &mut self,
-        gpu: usize,
-        stream: usize,
-        work: Work,
-        desc: OpDesc,
-        waits: &[OpId],
-        body: Option<Body<Ctx>>,
-    ) -> OpId {
-        self.launch_fx(gpu, stream, work, desc, waits, Effects::none(), body)
-    }
-
-    /// [`Schedule::launch`] with a declared buffer footprint.
-    #[allow(clippy::too_many_arguments)]
-    pub fn launch_fx(
-        &mut self,
-        gpu: usize,
-        stream: usize,
-        work: Work,
-        desc: OpDesc,
-        waits: &[OpId],
-        effects: Effects,
-        body: Option<Body<Ctx>>,
-    ) -> OpId {
-        self.push(desc, work, vec![(gpu, stream)], Some(waits), effects, body)
-    }
-
-    /// Launch a kernel whose dependencies are *inferred*: the op waits on
-    /// exactly the earlier ops its declared `effects` conflict with (RAW,
-    /// WAR, WAW) and is not already ordered after — see [`crate::deps`].
+    /// Launch a kernel on `(gpu, stream)`. Its dependencies are *inferred*:
+    /// the op waits on exactly the earlier ops its declared `effects`
+    /// conflict with (RAW, WAR, WAW) and is not already ordered after — see
+    /// [`crate::deps`]. An op with a `body` must declare at least one
+    /// effect; otherwise nothing could order it against what it touches.
     pub fn record(
         &mut self,
         gpu: usize,
@@ -195,41 +170,13 @@ impl<Ctx> Schedule<Ctx> {
         effects: Effects,
         body: Option<Body<Ctx>>,
     ) -> OpId {
-        self.push(desc, work, vec![(gpu, stream)], None, effects, body)
+        self.push(desc, work, vec![(gpu, stream)], effects, body)
     }
 
     /// Launch a collective occupying one lane on every participant. It
     /// starts only when it is at the head of *all* participant lanes (NCCL
-    /// rendezvous semantics) and its `waits` are satisfied.
-    pub fn collective(
-        &mut self,
-        lanes: &[(usize, usize)],
-        bytes: f64,
-        bw: f64,
-        desc: OpDesc,
-        waits: &[OpId],
-        body: Option<Body<Ctx>>,
-    ) -> OpId {
-        self.collective_fx(lanes, bytes, bw, desc, waits, Effects::none(), body)
-    }
-
-    /// [`Schedule::collective`] with a declared buffer footprint.
-    #[allow(clippy::too_many_arguments)]
-    pub fn collective_fx(
-        &mut self,
-        lanes: &[(usize, usize)],
-        bytes: f64,
-        bw: f64,
-        desc: OpDesc,
-        waits: &[OpId],
-        effects: Effects,
-        body: Option<Body<Ctx>>,
-    ) -> OpId {
-        self.push(desc, comm_work(bytes, bw), lanes.to_vec(), Some(waits), effects, body)
-    }
-
-    /// Launch a collective whose dependencies are inferred from its
-    /// declared `effects`, like [`Schedule::record`].
+    /// rendezvous semantics) and the waits its declared `effects` imply are
+    /// satisfied, like [`Schedule::record`].
     pub fn record_collective(
         &mut self,
         lanes: &[(usize, usize)],
@@ -239,21 +186,25 @@ impl<Ctx> Schedule<Ctx> {
         effects: Effects,
         body: Option<Body<Ctx>>,
     ) -> OpId {
-        self.push(desc, comm_work(bytes, bw), lanes.to_vec(), None, effects, body)
+        self.push(desc, comm_work(bytes, bw), lanes.to_vec(), effects, body)
     }
 
-    /// Append one op; `waits: None` asks for them to be inferred.
+    /// Append one op with the waits its effects imply.
     fn push(
         &mut self,
         desc: OpDesc,
         work: Work,
         lanes: Vec<(usize, usize)>,
-        waits: Option<&[OpId]>,
         effects: Effects,
         body: Option<Body<Ctx>>,
     ) -> OpId {
         assert!(!lanes.is_empty(), "collective needs participants");
         let id = self.ops.len();
+        assert!(
+            body.is_none() || !effects.is_empty(),
+            "op {id} ({}) has a body but declares no effects — nothing could order it",
+            desc.label
+        );
         for (i, lane) in lanes.iter().enumerate() {
             assert!(lane.0 < self.machine.gpu_count(), "gpu index out of range");
             assert!(
@@ -266,12 +217,7 @@ impl<Ctx> Schedule<Ctx> {
             );
             self.queues.entry(*lane).or_default().push(id);
         }
-        let waits = self.deps.admit(&lanes, &effects, waits);
-        assert!(
-            !waits.contains(&id),
-            "op {id} ({}) waits on itself — it could never start",
-            desc.label
-        );
+        let waits = self.deps.admit(&lanes, &effects);
         self.ops.push(Op { desc, work, lanes, waits, effects, body });
         id
     }
@@ -298,7 +244,7 @@ impl<Ctx> Schedule<Ctx> {
             .collect()
     }
 
-    /// All explicit dependency edges as `(op, wait)` pairs, in issue order.
+    /// All dependency edges as `(op, wait)` pairs, in issue order.
     /// The mutation-testing enumeration hook: each pair can be removed with
     /// [`Schedule::remove_wait`] to produce one schedule mutant.
     pub fn wait_edges(&self) -> Vec<(OpId, OpId)> {
@@ -309,13 +255,25 @@ impl<Ctx> Schedule<Ctx> {
             .collect()
     }
 
-    /// Delete one explicit dependency edge (testing hook: build a schedule
-    /// mutant with a dropped WAR/RAW edge). Panics if the edge is absent.
+    /// Delete one dependency edge (testing hook: build a schedule mutant
+    /// with a dropped WAR/RAW edge). Panics if the edge is absent.
     pub fn remove_wait(&mut self, op: OpId, wait: OpId) {
         let waits = &mut self.ops[op].waits;
         let before = waits.len();
         waits.retain(|&w| w != wait);
         assert!(waits.len() < before, "op {op} has no wait on {wait}");
+    }
+
+    /// Add one dependency edge (testing hook: an inferred schedule only
+    /// waits on earlier ops, so this is the one way to plant a cycle).
+    /// Panics on a self-wait, which could never start.
+    pub fn add_wait(&mut self, op: OpId, wait: OpId) {
+        assert!(
+            op != wait,
+            "op {op} ({}) waits on itself — it could never start",
+            self.ops[op].desc.label
+        );
+        self.ops[op].waits.push(wait);
     }
 
     /// Mutable access to an op's declared effects (testing hook: build a
@@ -334,7 +292,7 @@ impl<Ctx> Schedule<Ctx> {
     }
 
     /// Deterministic textual dump of the recorded op stream, one line per
-    /// op: id, work kind, category/label(/stage), lanes, explicit waits,
+    /// op: id, work kind, category/label(/stage), lanes, waits,
     /// and declared buffer effects. Work *magnitudes* are deliberately
     /// omitted so the dump pins the schedule's structure (op order, lane
     /// placement, dependency edges, buffer footprints — the §4.2/§4.3
@@ -498,10 +456,9 @@ pub struct Site {
 /// (config, partition, options), so a trainer compiles its epoch once.
 pub struct EpochPlan<Ctx> {
     sched: Schedule<Ctx>,
-    /// Ops that must wait for each op: those naming it in `waits`, its FIFO
-    /// successor on every lane it occupies (a collective sits in all its
-    /// participants' lanes, so the rendezvous needs no edge of its own) and,
-    /// around a body without declared effects, its GPUs' neighbouring ops.
+    /// Ops that must wait for each op: those naming it in `waits` and its
+    /// FIFO successor on every lane it occupies (a collective sits in all its
+    /// participants' lanes, so the rendezvous needs no edge of its own).
     succs: Vec<Vec<OpId>>,
     /// Distinct predecessors of each op under `succs`.
     pending: Vec<u32>,
@@ -537,35 +494,6 @@ impl<Ctx> EpochPlan<Ctx> {
                 preds[pair[1]].push(pair[0]);
             }
         }
-        // A body that declares no effects may touch anything, so nothing
-        // licenses moving it against the other streams of its GPUs: it is a
-        // device-wide fence there (as CUDA's legacy default stream is), at
-        // its place in the simulated completion order — the order
-        // [`EpochPlan::run`] uses, so both backends agree on it. A schedule
-        // that stalls gets no fences; verification rejects it before a run.
-        let sim = OnceLock::new();
-        let opaque = |op: &Op<Ctx>| op.body.is_some() && op.effects.is_empty();
-        let timed = if sched.ops.iter().any(opaque) {
-            sched.simulate_with(&Injector::none()).ok()
-        } else {
-            None
-        };
-        if let Some(out) = timed {
-            let mut fence = vec![None; next_seq.len()];
-            let mut since = vec![Vec::new(); next_seq.len()];
-            for &id in &out.completion_order {
-                for site in &sites[id] {
-                    preds[id].extend(fence[site.gpu]);
-                    if opaque(&sched.ops[id]) {
-                        preds[id].append(&mut since[site.gpu]);
-                        fence[site.gpu] = Some(id);
-                    } else {
-                        since[site.gpu].push(id);
-                    }
-                }
-            }
-            let _ = sim.set(out);
-        }
         let mut succs = vec![Vec::new(); n];
         let mut pending = vec![0u32; n];
         for (id, p) in preds.iter_mut().enumerate() {
@@ -576,7 +504,7 @@ impl<Ctx> EpochPlan<Ctx> {
                 succs[w].push(id);
             }
         }
-        Self { sched, succs, pending, sites, sim, verdict: OnceLock::new() }
+        Self { sched, succs, pending, sites, sim: OnceLock::new(), verdict: OnceLock::new() }
     }
 
     /// The compiled schedule: op metadata for analysis and reporting.
@@ -959,6 +887,7 @@ impl Rem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::effects::{BufId, Effects};
     use crate::specs::{GpuSpec, MachineSpec};
 
     fn machine(n: usize) -> MachineSpec {
@@ -971,11 +900,20 @@ mod tests {
         OpDesc::new(cat, "test")
     }
 
+    fn none() -> Effects {
+        Effects::none()
+    }
+
+    /// A buffer on GPU 0 that orders a writer before its readers.
+    fn buf(name: &'static str) -> BufId {
+        BufId::new(0, name)
+    }
+
     #[test]
     fn single_fixed_op_duration() {
         let mut s: Schedule<()> = Schedule::new(machine(1));
         s.launch_overhead = 0.0;
-        s.launch(0, 0, Work::Fixed { seconds: 1.5 }, desc(Category::Other), &[], None);
+        s.record(0, 0, Work::Fixed { seconds: 1.5 }, desc(Category::Other), none(), None);
         let r = s.run(&());
         assert!((r.makespan - 1.5).abs() < 1e-9);
         assert_eq!(r.ops_executed, 1);
@@ -986,12 +924,12 @@ mod tests {
         let mut s: Schedule<std::sync::Mutex<Vec<u32>>> = Schedule::new(machine(1));
         s.launch_overhead = 0.0;
         for i in 0..3u32 {
-            s.launch(
+            s.record(
                 0,
                 0,
                 Work::Fixed { seconds: 0.1 },
                 desc(Category::Other),
-                &[],
+                none().rw(buf("LOG")),
                 Some(Box::new(move |v: &std::sync::Mutex<Vec<u32>>| v.lock().unwrap().push(i))),
             );
         }
@@ -1005,8 +943,8 @@ mod tests {
     fn independent_streams_run_in_parallel() {
         let mut s: Schedule<()> = Schedule::new(machine(2));
         s.launch_overhead = 0.0;
-        s.launch(0, 0, Work::Fixed { seconds: 1.0 }, desc(Category::Other), &[], None);
-        s.launch(1, 0, Work::Fixed { seconds: 1.0 }, desc(Category::Other), &[], None);
+        s.record(0, 0, Work::Fixed { seconds: 1.0 }, desc(Category::Other), none(), None);
+        s.record(1, 0, Work::Fixed { seconds: 1.0 }, desc(Category::Other), none(), None);
         let r = s.run(&());
         assert!((r.makespan - 1.0).abs() < 1e-9, "makespan {}", r.makespan);
     }
@@ -1016,20 +954,20 @@ mod tests {
         type Log = std::sync::Mutex<Vec<&'static str>>;
         let mut s: Schedule<Log> = Schedule::new(machine(1));
         s.launch_overhead = 0.0;
-        let a = s.launch(
+        s.record(
             0,
             0,
             Work::Fixed { seconds: 1.0 },
             desc(Category::Other),
-            &[],
+            none().writes([buf("X")]),
             Some(Box::new(|v: &Log| v.lock().unwrap().push("a"))),
         );
-        s.launch(
+        s.record(
             0,
             1,
             Work::Fixed { seconds: 0.5 },
             desc(Category::Other),
-            &[a],
+            none().reads([buf("X")]),
             Some(Box::new(|v: &Log| v.lock().unwrap().push("b"))),
         );
         let order: Log = std::sync::Mutex::new(Vec::new());
@@ -1043,12 +981,12 @@ mod tests {
         // bytes-bound: 900e9 bytes at 900 GB/s = 1s even though flops tiny.
         let mut s: Schedule<()> = Schedule::new(machine(1));
         s.launch_overhead = 0.0;
-        s.launch(
+        s.record(
             0,
             0,
             Work::Compute { flops: 1.0, bytes: 900.0e9 },
             desc(Category::SpMM),
-            &[],
+            none(),
             None,
         );
         let r = s.run(&());
@@ -1065,28 +1003,22 @@ mod tests {
             s.launch_overhead = 0.0;
             s
         };
+        let spmm = Work::Compute { flops: 0.0, bytes: 900.0e9 };
         let mut alone = mk();
-        alone.launch(
-            0,
-            0,
-            Work::Compute { flops: 0.0, bytes: 900.0e9 },
-            desc(Category::SpMM),
-            &[],
-            None,
-        );
+        alone.record(0, 0, spmm, desc(Category::SpMM), none(), None);
         let t_alone = alone.run(&()).makespan;
 
         let mut overlapped = mk();
-        overlapped.launch(
-            0,
-            0,
-            Work::Compute { flops: 0.0, bytes: 900.0e9 },
-            desc(Category::SpMM),
-            &[],
+        overlapped.record(0, 0, spmm, desc(Category::SpMM), none(), None);
+        // A long-running broadcast on the comm stream of the same GPU.
+        overlapped.record_collective(
+            &[(0, 1), (1, 1)],
+            600.0e9,
+            150.0e9,
+            desc(Category::Comm),
+            none(),
             None,
         );
-        // A long-running broadcast on the comm stream of the same GPU.
-        overlapped.collective(&[(0, 1), (1, 1)], 600.0e9, 150.0e9, desc(Category::Comm), &[], None);
         let t_over = overlapped.run(&()).makespan;
         assert!(t_over > t_alone * 1.15, "alone {t_alone}, overlapped {t_over}");
     }
@@ -1097,8 +1029,8 @@ mod tests {
         // reaches it immediately. The collective (0.1s) must end after 1.1s.
         let mut s: Schedule<()> = Schedule::new(machine(2));
         s.launch_overhead = 0.0;
-        s.launch(1, 1, Work::Fixed { seconds: 1.0 }, desc(Category::Other), &[], None);
-        s.collective(&[(0, 1), (1, 1)], 2.5e9, 25.0e9, desc(Category::Comm), &[], None);
+        s.record(1, 1, Work::Fixed { seconds: 1.0 }, desc(Category::Other), none(), None);
+        s.record_collective(&[(0, 1), (1, 1)], 2.5e9, 25.0e9, desc(Category::Comm), none(), None);
         let r = s.run(&());
         assert!((r.makespan - 1.1).abs() < 1e-6, "makespan {}", r.makespan);
     }
@@ -1107,7 +1039,8 @@ mod tests {
     fn timeline_records_all_lanes_of_collective() {
         let mut s: Schedule<()> = Schedule::new(machine(3));
         s.launch_overhead = 0.0;
-        s.collective(&[(0, 1), (1, 1), (2, 1)], 1.0e9, 25.0e9, desc(Category::Comm), &[], None);
+        let lanes = [(0, 1), (1, 1), (2, 1)];
+        s.record_collective(&lanes, 1.0e9, 25.0e9, desc(Category::Comm), none(), None);
         let r = s.run(&());
         assert_eq!(r.timeline.spans.len(), 3);
     }
@@ -1119,31 +1052,31 @@ mod tests {
         // *behind* X in the same stream — the FIFO can never advance. This
         // is the stream-ordering bug class the detector exists for.
         let mut s: Schedule<()> = Schedule::new(machine(1));
-        let placeholder =
-            s.launch(0, 1, Work::Fixed { seconds: 0.1 }, desc(Category::Other), &[], None);
-        let _x = s.launch(
-            0,
-            0,
-            Work::Fixed { seconds: 0.1 },
-            desc(Category::Other),
-            &[placeholder + 2], // forward reference to y, launched next
-            None,
-        );
-        let _y = s.launch(0, 0, Work::Fixed { seconds: 0.1 }, desc(Category::Other), &[], None);
+        s.record(0, 1, Work::Fixed { seconds: 0.1 }, desc(Category::Other), none(), None);
+        let x = s.record(0, 0, Work::Fixed { seconds: 0.1 }, desc(Category::Other), none(), None);
+        let y = s.record(0, 0, Work::Fixed { seconds: 0.1 }, desc(Category::Other), none(), None);
+        s.add_wait(x, y);
         let _ = s.run(&());
     }
 
     #[test]
     #[should_panic(expected = "deadlock")]
     fn mismatched_collective_order_deadlocks() {
-        // GPU0's stream enqueues collective A then B; GPU1's stream enqueues
-        // B's slot first via a blocker that waits on B. Classic NCCL-style
-        // rendezvous deadlock: A needs GPU1's head, which B's blocker holds.
+        // GPU1's stream enqueues a blocker that waits on collective B ahead
+        // of B itself. Classic NCCL-style rendezvous deadlock: B needs
+        // GPU1's head, which B's blocker holds.
         let mut s: Schedule<()> = Schedule::new(machine(2));
-        // B is op index 1 (launched second); blocker waits on it but is
-        // queued first on GPU1's lane.
-        s.launch(1, 1, Work::Fixed { seconds: 0.1 }, desc(Category::Other), &[1], None);
-        s.collective(&[(0, 1), (1, 1)], 1.0e9, 25.0e9, desc(Category::Comm), &[], None);
+        let blocker =
+            s.record(1, 1, Work::Fixed { seconds: 0.1 }, desc(Category::Other), none(), None);
+        let b = s.record_collective(
+            &[(0, 1), (1, 1)],
+            1.0e9,
+            25.0e9,
+            desc(Category::Comm),
+            none(),
+            None,
+        );
+        s.add_wait(blocker, b);
         let _ = s.run(&());
     }
 
@@ -1157,12 +1090,12 @@ mod tests {
             let mut s: Schedule<()> = Schedule::new(machine(1));
             s.launch_overhead = 0.0;
             for st in streams {
-                s.launch(
+                s.record(
                     0,
                     st,
                     Work::Compute { flops, bytes: 0.0 },
                     desc(Category::GeMM),
-                    &[],
+                    none(),
                     None,
                 );
             }
@@ -1180,7 +1113,7 @@ mod tests {
         let mut s: Schedule<()> = Schedule::new(machine(2));
         s.launch_overhead = 0.0;
         for g in 0..2 {
-            s.launch(g, 0, Work::Compute { flops, bytes: 0.0 }, desc(Category::GeMM), &[], None);
+            s.record(g, 0, Work::Compute { flops, bytes: 0.0 }, desc(Category::GeMM), none(), None);
         }
         let t = s.run(&()).makespan;
         assert!((t - 1.0).abs() < 1e-6, "makespan {t}");
@@ -1191,15 +1124,15 @@ mod tests {
         // A broadcast's link bandwidth is independent of GPU compute load.
         let mut s: Schedule<()> = Schedule::new(machine(2));
         s.launch_overhead = 0.0;
-        s.launch(
+        s.record(
             0,
             0,
             Work::Compute { flops: GpuSpec::v100().flops, bytes: 0.0 },
             desc(Category::GeMM),
-            &[],
+            none(),
             None,
         );
-        s.collective(&[(0, 1), (1, 1)], 25.0e9, 25.0e9, desc(Category::Comm), &[], None);
+        s.record_collective(&[(0, 1), (1, 1)], 25.0e9, 25.0e9, desc(Category::Comm), none(), None);
         let r = s.run(&());
         // Comm finishes at 1.0 s despite the busy GPU; makespan is the
         // 1-second compute.
@@ -1215,43 +1148,72 @@ mod tests {
         // the head of one FIFO twice. Must be rejected at record time, not
         // discovered as a deadlock at run time.
         let mut s: Schedule<()> = Schedule::new(machine(2));
-        s.collective(&[(0, 1), (1, 1), (1, 1)], 1.0e9, 25.0e9, desc(Category::Comm), &[], None);
+        let lanes = [(0, 1), (1, 1), (1, 1)];
+        s.record_collective(&lanes, 1.0e9, 25.0e9, desc(Category::Comm), none(), None);
     }
 
     #[test]
     #[should_panic(expected = "waits on itself")]
     fn collective_rejects_self_wait() {
         let mut s: Schedule<()> = Schedule::new(machine(2));
-        // The collective will get id 0; waiting on 0 is a self-wait.
-        s.collective(&[(0, 1), (1, 1)], 1.0e9, 25.0e9, desc(Category::Comm), &[0], None);
+        let c = s.record_collective(
+            &[(0, 1), (1, 1)],
+            1.0e9,
+            25.0e9,
+            desc(Category::Comm),
+            none(),
+            None,
+        );
+        s.add_wait(c, c);
     }
 
     #[test]
     #[should_panic(expected = "waits on itself")]
     fn launch_rejects_self_wait() {
         let mut s: Schedule<()> = Schedule::new(machine(1));
-        s.launch(0, 0, Work::Fixed { seconds: 0.1 }, desc(Category::Other), &[0], None);
+        let k = s.record(0, 0, Work::Fixed { seconds: 0.1 }, desc(Category::Other), none(), None);
+        s.add_wait(k, k);
+    }
+
+    #[test]
+    #[should_panic(expected = "op 1 (undeclared) has a body but declares no effects")]
+    fn a_body_without_declared_effects_is_rejected() {
+        let mut s: Schedule<()> = Schedule::new(machine(1));
+        s.record(0, 0, Work::Fixed { seconds: 0.1 }, desc(Category::Other), none(), None);
+        s.record(
+            0,
+            1,
+            Work::Fixed { seconds: 0.1 },
+            OpDesc::new(Category::Other, "undeclared"),
+            none(),
+            Some(Box::new(|_: &()| {})),
+        );
     }
 
     #[test]
     fn effects_are_recorded_dumped_and_mutable() {
-        use crate::effects::{BufId, Effects};
         let mut s: Schedule<()> = Schedule::new(machine(1));
-        let a = s.launch_fx(
+        let a = s.record(
             0,
             0,
             Work::Fixed { seconds: 0.1 },
             desc(Category::GeMM),
-            &[],
-            Effects::none().reads([BufId::new(0, "HW")]).writes([BufId::indexed(0, "AHW", 0)]),
+            none().reads([BufId::new(0, "HW")]).writes([BufId::indexed(0, "AHW", 0)]),
             None,
         );
-        let b = s.launch(0, 1, Work::Fixed { seconds: 0.1 }, desc(Category::Other), &[a], None);
+        let b = s.record(
+            0,
+            1,
+            Work::Fixed { seconds: 0.1 },
+            desc(Category::Other),
+            none().reads([BufId::indexed(0, "AHW", 0)]),
+            None,
+        );
 
         let infos = s.op_infos();
         assert_eq!(infos.len(), 2);
         assert_eq!(infos[a].effects.reads, vec![BufId::new(0, "HW")]);
-        assert!(infos[b].effects.is_empty());
+        assert_eq!(infos[b].effects.reads, vec![BufId::indexed(0, "AHW", 0)]);
         assert_eq!(s.wait_edges(), vec![(b, a)]);
 
         let dump = s.dump_ops();
@@ -1261,28 +1223,28 @@ mod tests {
         assert!(s.dump_ops().contains("W[BC1@g0]"));
         s.remove_wait(b, a);
         assert!(s.wait_edges().is_empty());
+        s.add_wait(b, a);
+        assert_eq!(s.wait_edges(), vec![(b, a)]);
     }
 
     #[test]
     #[should_panic(expected = "has no wait on")]
     fn remove_wait_rejects_absent_edge() {
         let mut s: Schedule<()> = Schedule::new(machine(1));
-        s.launch(0, 0, Work::Fixed { seconds: 0.1 }, desc(Category::Other), &[], None);
+        s.record(0, 0, Work::Fixed { seconds: 0.1 }, desc(Category::Other), none(), None);
         s.remove_wait(0, 5);
     }
 
     #[test]
     fn span_records_effect_counts() {
-        use crate::effects::{BufId, Effects};
         let mut s: Schedule<()> = Schedule::new(machine(1));
         s.launch_overhead = 0.0;
-        s.launch_fx(
+        s.record(
             0,
             0,
             Work::Fixed { seconds: 0.1 },
             desc(Category::SpMM),
-            &[],
-            Effects::none().reads([BufId::new(0, "BC1")]).rw(BufId::new(0, "HW")),
+            none().reads([BufId::new(0, "BC1")]).rw(BufId::new(0, "HW")),
             None,
         );
         let r = s.run(&());
@@ -1294,7 +1256,7 @@ mod tests {
     fn launch_overhead_is_charged() {
         let mut s: Schedule<()> = Schedule::new(machine(1));
         s.launch_overhead = 0.25;
-        s.launch(0, 0, Work::Fixed { seconds: 1.0 }, desc(Category::Other), &[], None);
+        s.record(0, 0, Work::Fixed { seconds: 1.0 }, desc(Category::Other), none(), None);
         let r = s.run(&());
         assert!((r.makespan - 1.25).abs() < 1e-9);
     }
@@ -1307,12 +1269,14 @@ mod tests {
         let mut s: Schedule<()> = Schedule::new(machine(2));
         s.launch_overhead = 0.0;
         let zero = Work::Fixed { seconds: 0.0 };
-        let a = s.launch(0, 0, zero, desc(Category::Other), &[], None);
-        let b = s.launch(1, 0, zero, desc(Category::Other), &[a], None);
+        let (z0, z1, z2) = (buf("Z0"), buf("Z1"), buf("Z2"));
+        s.record(0, 0, zero, desc(Category::Other), none().writes([z0]), None);
+        s.record(1, 0, zero, desc(Category::Other), none().reads([z0]).writes([z1]), None);
         // An infinitely fast link makes the collective a zero-second hop.
-        let c =
-            s.collective(&[(0, 1), (1, 1)], 0.0, f64::INFINITY, desc(Category::Comm), &[b], None);
-        s.launch(0, 0, zero, desc(Category::Other), &[c], None);
+        let fx = none().reads([z1]).writes([z2]);
+        s.record_collective(&[(0, 1), (1, 1)], 0.0, f64::INFINITY, desc(Category::Comm), fx, None);
+        s.record(0, 0, zero, desc(Category::Other), none().reads([z2]), None);
+        assert_eq!(s.wait_edges(), vec![(1, 0), (2, 1), (3, 2)]);
         let out = s.simulate();
         assert_eq!(out.report.makespan, 0.0);
         assert_eq!(out.report.ops_executed, 4);
@@ -1324,9 +1288,23 @@ mod tests {
         use mggcn_sched::{FaultPlan, Kill};
         let mut s: Schedule<()> = Schedule::new(machine(2));
         s.launch_overhead = 0.0;
-        s.launch(0, 0, Work::Fixed { seconds: 1.0 }, desc(Category::Other), &[], None);
-        let victim = s.launch(0, 0, Work::Fixed { seconds: 1.0 }, desc(Category::Other), &[], None);
-        s.launch(1, 0, Work::Fixed { seconds: 0.5 }, desc(Category::Other), &[victim], None);
+        s.record(0, 0, Work::Fixed { seconds: 1.0 }, desc(Category::Other), none(), None);
+        let victim = s.record(
+            0,
+            0,
+            Work::Fixed { seconds: 1.0 },
+            desc(Category::Other),
+            none().writes([buf("V")]),
+            None,
+        );
+        s.record(
+            1,
+            0,
+            Work::Fixed { seconds: 0.5 },
+            desc(Category::Other),
+            none().reads([buf("V")]),
+            None,
+        );
         // The victim reaches its lane head when op 0 completes, at t = 1.
         let plan = FaultPlan { kills: vec![Kill { gpu: 0, seq: victim }], ..FaultPlan::none() };
         let stall = s

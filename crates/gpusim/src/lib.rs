@@ -28,28 +28,32 @@
 //!
 //! ```
 //! use mggcn_gpusim::engine::OpDesc;
-//! use mggcn_gpusim::{Category, MachineSpec, Schedule, Work};
+//! use mggcn_gpusim::{BufId, Category, Effects, MachineSpec, Schedule, Work};
 //!
 //! // A kernel on GPU 0 overlapped with a broadcast to GPU 1. Bodies take
 //! // the context by shared reference (they are `Send`, so the threaded
 //! // backend can run them on workers); use interior mutability to write.
+//! // Each op declares the buffers it touches; the broadcast reads what the
+//! // kernel writes, so it is recorded waiting on the kernel.
 //! use std::sync::Mutex;
 //! let mut sched: Schedule<Mutex<Vec<&str>>> = Schedule::new(MachineSpec::dgx_a100());
-//! let k = sched.launch(
+//! let out = BufId::new(0, "AHW");
+//! let k = sched.record(
 //!     0, 0,
 //!     Work::Compute { flops: 1.0e12, bytes: 1.0e9 },
 //!     OpDesc::new(Category::SpMM, "spmm"),
-//!     &[],
+//!     Effects::none().writes([out]),
 //!     Some(Box::new(|log: &Mutex<Vec<&str>>| log.lock().unwrap().push("kernel ran"))),
 //! );
-//! sched.collective(
+//! let b = sched.record_collective(
 //!     &[(0, 1), (1, 1)],
 //!     1.0e8,
 //!     300.0e9,
 //!     OpDesc::new(Category::Comm, "bcast"),
-//!     &[k], // broadcast waits on the kernel
+//!     Effects::none().reads([out]).writes([BufId::new(1, "BC1")]),
 //!     None,
 //! );
+//! assert_eq!(sched.wait_edges(), vec![(b, k)]);
 //! let log = Mutex::new(Vec::new());
 //! let report = sched.run(&log);
 //! assert_eq!(*log.lock().unwrap(), vec!["kernel ran"]);

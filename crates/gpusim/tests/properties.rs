@@ -2,7 +2,7 @@
 //! cost models: conservation laws that must hold for any schedule.
 
 use mggcn_gpusim::engine::OpDesc;
-use mggcn_gpusim::{Category, CostModel, GpuSpec, MachineSpec, Schedule, Work};
+use mggcn_gpusim::{BufId, Category, CostModel, Effects, GpuSpec, MachineSpec, Schedule, Work};
 use proptest::prelude::*;
 
 fn machine(gpus: usize) -> MachineSpec {
@@ -38,28 +38,28 @@ fn ops_strategy(gpus: usize) -> impl Strategy<Value = Vec<OpSpec>> {
     })
 }
 
+/// Op `idx` writes its own output slot and reads the slot of the op it
+/// waits on, so the recorded schedule orders exactly that pair. Reads
+/// reference only *earlier* ops, so the DAG is acyclic by construction.
+fn effects(idx: usize, op: &OpSpec) -> Effects {
+    let slot = |i| BufId::indexed(0, "OUT", i);
+    let earlier = op.wait_back.and_then(|back| idx.checked_sub(back));
+    Effects::none().reads(earlier.map(slot)).writes([slot(idx)])
+}
+
 fn build_and_run(gpus: usize, specs: &[OpSpec]) -> (f64, usize, Vec<usize>) {
     type Log = std::sync::Mutex<Vec<usize>>;
     let mut sched: Schedule<Log> = Schedule::new(machine(gpus));
     sched.launch_overhead = 0.0;
-    let mut ids = Vec::new();
     for (idx, op) in specs.iter().enumerate() {
-        // Waits reference only *earlier* ops, so the DAG is acyclic by
-        // construction.
-        let waits: Vec<usize> = op
-            .wait_back
-            .and_then(|back| idx.checked_sub(back))
-            .map(|earlier| vec![ids[earlier]])
-            .unwrap_or_default();
-        let id = sched.launch(
+        sched.record(
             op.gpu,
             op.stream,
             Work::Fixed { seconds: op.seconds },
             OpDesc::new(Category::Other, "prop"),
-            &waits,
+            effects(idx, op),
             Some(Box::new(move |log: &Log| log.lock().unwrap().push(idx))),
         );
-        ids.push(id);
     }
     let log: Log = std::sync::Mutex::new(Vec::new());
     let report = sched.run(&log);
@@ -122,21 +122,15 @@ proptest! {
     fn timeline_spans_are_well_formed(specs in ops_strategy(4)) {
         let mut sched: Schedule<()> = Schedule::new(machine(4));
         sched.launch_overhead = 0.0;
-        let mut ids = Vec::new();
         for (idx, op) in specs.iter().enumerate() {
-            let waits: Vec<usize> = op
-                .wait_back
-                .and_then(|back| idx.checked_sub(back))
-                .map(|earlier| vec![ids[earlier]])
-                .unwrap_or_default();
-            ids.push(sched.launch(
+            sched.record(
                 op.gpu,
                 op.stream,
                 Work::Fixed { seconds: op.seconds },
                 OpDesc::new(Category::Other, "prop"),
-                &waits,
+                effects(idx, op),
                 None,
-            ));
+            );
         }
         let report = sched.run(&());
         prop_assert_eq!(report.timeline.spans.len(), specs.len());

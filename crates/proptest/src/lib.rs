@@ -2,7 +2,7 @@
 //!
 //! The build environment resolves crates hermetically (no registry
 //! access), so this crate provides the proptest 1.x API subset the
-//! workspace's property tests use: the [`Strategy`] trait with
+//! workspace's property tests use: the [`Strategy`](strategy::Strategy) trait with
 //! `prop_map`/`prop_flat_map`, range/tuple/`Just`/`collection::vec`/
 //! `option::of`/`any` strategies, `ProptestConfig`, and the `proptest!`
 //! / `prop_assert!` / `prop_assert_eq!` / `prop_assume!` macros.
@@ -169,7 +169,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::{Range, RangeInclusive};
 
-    /// Length specifications accepted by [`vec`].
+    /// Length specifications accepted by [`vec()`].
     pub trait SizeRange {
         fn sample_len(&self, rng: &mut TestRng) -> usize;
     }

@@ -6,7 +6,7 @@
 //! workspace uses — `par_iter`/`par_iter_mut`/`par_chunks_mut`/
 //! `into_par_iter`, `map`/`zip`/`enumerate`/`for_each`/`collect`, the
 //! two-closure `fold`/`reduce` pair, and `current_num_threads` —
-//! executing on the fixed-size kernel pool in [`pool`] (size from
+//! executing on the fixed-size kernel pool in `pool` (size from
 //! `MGGCN_THREADS`, default `available_parallelism`; work-stealing-free,
 //! statically chunked).
 //!
@@ -20,7 +20,7 @@
 //!   reproducing the sequential element order exactly;
 //! * `fold`/`reduce` — the only place accumulation *grouping* is
 //!   observable in f32 — uses a piece count that is a pure function of
-//!   the input length ([`pool::fold_pieces`]), never of the thread
+//!   the input length (`pool::fold_pieces`), never of the thread
 //!   count, and combines partials left-to-right on the calling thread
 //!   ([`fold_ranges`] hands the same pieces to a kernel that folds a
 //!   whole piece at once).
@@ -151,7 +151,7 @@ pub trait ParallelIterator: Producer {
 
     /// rayon-style fold: one accumulator per piece, each folded
     /// sequentially from `identity()`. Piece geometry is a pure function
-    /// of `len` (see [`pool::fold_pieces`]), so the f32 accumulation
+    /// of `len` (see `pool::fold_pieces`), so the f32 accumulation
     /// grouping — hence the result — is independent of the thread count.
     fn fold<T, ID, F>(self, identity: ID, fold_op: F) -> FoldResult<T>
     where

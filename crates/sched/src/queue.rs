@@ -50,11 +50,6 @@ impl<T> EventQueue<T> {
         self.seq += 1;
     }
 
-    /// Earliest pending event time, if any.
-    pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     pub fn pop(&mut self) -> Option<(f64, T)> {
         self.heap.pop().map(|e| (e.time, e.payload))
     }
@@ -76,7 +71,6 @@ mod tests {
         q.push(3.0, "c");
         q.push(1.0, "a");
         q.push(2.0, "b");
-        assert_eq!(q.peek_time(), Some(1.0));
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
         assert_eq!(order, vec!["a", "b", "c"]);
     }

@@ -15,7 +15,7 @@
 //!   batch's seeds depend on, amortizing the per-batch fixed costs that
 //!   dominate small-query inference;
 //! * **latency observability**: a seeded open-loop [`loadgen`], per-request
-//!   latency quantiles (p50/p95/p99) through `gpusim`'s [`LatencyStats`],
+//!   latency quantiles (p50/p95/p99) through `gpusim`'s [`LatencyStats`](mggcn_gpusim::LatencyStats),
 //!   and a JSON [`ServeReport`] surfaced by `mggcn serve-bench`.
 //!
 //! The batched, cached serving path is *bit-identical* to the reference

@@ -24,7 +24,7 @@ use mggcn_core::trainer::Trainer;
 use mggcn_dense::Dense;
 use mggcn_exec::{execute, execute_chaos};
 use mggcn_gpusim::engine::OpDesc;
-use mggcn_gpusim::{Category, GpuSpec, MachineSpec, Schedule, Work};
+use mggcn_gpusim::{BufId, Category, Effects, GpuSpec, MachineSpec, Schedule, Work};
 use mggcn_graph::generators::chung_lu;
 use mggcn_graph::generators::sbm::{self, SbmConfig};
 use mggcn_sched::{chaos_seed, chaos_seed_count, FaultPlan, Injector, Kill, Scenario, ShardLoss};
@@ -214,12 +214,12 @@ fn exec_machine(gpus: usize) -> MachineSpec {
 fn writer_schedule(gpus: usize) -> Schedule<Mutex<Vec<usize>>> {
     let mut s: Schedule<Mutex<Vec<usize>>> = Schedule::new(exec_machine(gpus));
     for g in 0..gpus {
-        s.launch(
+        s.record(
             g,
             0,
             Work::Fixed { seconds: 1e-6 },
             OpDesc::new(Category::GeMM, "write"),
-            &[],
+            Effects::none().writes([BufId::new(g, "HW")]),
             Some(Box::new(move |l: &Mutex<Vec<usize>>| l.lock().unwrap().push(g))),
         );
     }
@@ -259,7 +259,14 @@ fn exec_death_mid_collective_fails_bounded_and_tagged_for_every_seed() {
         let plan = FaultPlan::seeded(seed, Scenario::WorkerDeath { gpus: 4, ops_per_gpu: 1 });
         let mut s: Schedule<()> = Schedule::new(exec_machine(4));
         let lanes: Vec<(usize, usize)> = (0..4).map(|g| (g, 0)).collect();
-        s.collective(&lanes, 1.0e6, 25.0e9, OpDesc::new(Category::Comm, "allreduce"), &[], None);
+        s.record_collective(
+            &lanes,
+            1.0e6,
+            25.0e9,
+            OpDesc::new(Category::Comm, "allreduce"),
+            Effects::none(),
+            None,
+        );
         let start = Instant::now();
         let err = execute_chaos(s, &(), &Injector::new(plan))
             .expect_err("a dead rendezvous participant must fail the run");

@@ -44,7 +44,7 @@ use mggcn_core::config::{GcnConfig, Partition, TrainOptions};
 use mggcn_core::problem::Problem;
 use mggcn_core::trainer::Trainer;
 use mggcn_gpusim::engine::OpDesc;
-use mggcn_gpusim::{Category, GpuSpec, MachineSpec, Schedule};
+use mggcn_gpusim::{Category, Effects, GpuSpec, MachineSpec, Schedule};
 use mggcn_graph::generators::sbm::{self, SbmConfig};
 use mggcn_trace::Tracer;
 
@@ -68,12 +68,12 @@ pub fn sim_1d_comm(machine: &MachineSpec, nd_bytes: f64) -> f64 {
     s.launch_overhead = 0.0;
     for root in 0..p {
         let bw = m.broadcast_bw(root, &all);
-        s.collective(
+        s.record_collective(
             &lanes,
             nd_bytes / p as f64,
             bw,
             OpDesc::staged(Category::Comm, "bcast", root),
-            &[],
+            Effects::none(),
             None,
         );
     }
@@ -96,31 +96,31 @@ pub fn sim_15d_comm(machine: &MachineSpec, nd_bytes: f64) -> f64 {
     let mut s: Schedule<()> = Schedule::new(m.clone());
     s.launch_overhead = 0.0;
     for r in 0..half {
-        s.collective(
+        s.record_collective(
             &lanes0,
             nd_bytes / p as f64,
             m.broadcast_bw(r, &g0),
             OpDesc::staged(Category::Comm, "bcast", r),
-            &[],
+            Effects::none(),
             None,
         );
-        s.collective(
+        s.record_collective(
             &lanes1,
             nd_bytes / p as f64,
             m.broadcast_bw(half + r, &g1),
             OpDesc::staged(Category::Comm, "bcast", half + r),
-            &[],
+            Effects::none(),
             None,
         );
     }
     for a in 0..half {
         let pair = [a, a + half];
-        s.collective(
+        s.record_collective(
             &[(a, 1), (a + half, 1)],
             nd_bytes / half as f64,
             m.reduce_bw(a, &pair),
             OpDesc::new(Category::Comm, "reduce"),
-            &[],
+            Effects::none(),
             None,
         );
     }

@@ -60,6 +60,11 @@ fn fail(msg: impl Display) -> ! {
 /// default, never an assertion deep inside a library.
 struct Flags(HashMap<String, String>);
 
+/// Flags that take no value: a word after one is a usage error, not its
+/// value.
+const SWITCHES: [&str; 7] =
+    ["no-overlap", "no-permute", "profile", "dump", "audit-effects", "model-check", "json"];
+
 impl Flags {
     /// Read `--name [value]` pairs, rejecting anything but the `known`
     /// (space-separated) flags of subcommand `cmd`.
@@ -76,6 +81,9 @@ impl Flags {
                 usage_error(format!("`{cmd}` has no flag --{name} (run `mggcn` for usage)"));
             }
             let value = args.next_if(|v| !v.starts_with("--"));
+            if let Some(v) = value.filter(|_| SWITCHES.contains(&name)) {
+                usage_error(format!("--{name} is a switch and takes no value, got {v:?}"));
+            }
             flags.insert(name.to_string(), value.cloned().unwrap_or_default());
         }
         Self(flags)

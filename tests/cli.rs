@@ -149,6 +149,13 @@ fn train_and_analyze_reject_impossible_gpu_counts_with_exit_2() {
         (&["train", "--epoch", "1"], "--epoch"),
         (&["serve-bench", "--batch-window", "inf"], "--batch-window"),
         (&["cluster-bench", "--batch-window", "inf"], "--batch-window"),
+        (&["simulate", "--dataset", "reddit", "--profile", "nonsense"], "--profile"),
+        (&["train", "--epochs", "1", "--vertices", "200", "--no-overlap", "7"], "--no-overlap"),
+        (&["train", "--epochs", "1", "--vertices", "200", "--no-permute", "1"], "--no-permute"),
+        (&["analyze", "--gpus", "2", "--dump", "yes"], "--dump"),
+        (&["analyze", "--gpus", "2", "--audit-effects", "on"], "--audit-effects"),
+        (&["analyze", "--gpus", "2", "--model-check", "1"], "--model-check"),
+        (&["analyze", "--gpus", "2", "--json", "out.json"], "--json"),
     ] {
         let out = mggcn().args(args).output().expect("run");
         let err = String::from_utf8_lossy(&out.stderr);
