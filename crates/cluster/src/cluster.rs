@@ -26,14 +26,19 @@ use crate::admission::{AdmissionPolicy, ShedReason, Verdict};
 use crate::partition::PartitionPlan;
 use crate::report::{ClusterReport, ShardReport};
 use crate::ring::HashRing;
-use mggcn_exec::Backend;
 use mggcn_gpusim::{GpuSpec, LatencyStats, MachineSpec};
 use mggcn_sched::{Action, DispatchSite, EventQueue, Injector};
 use mggcn_serve::{form_batches, Batch, BatchPolicy, Request, ServeConfig, Server, ServingModel};
 use mggcn_trace::Tracer;
 use std::sync::Arc;
 
-/// Cluster-wide configuration: topology, batching, admission, fallback.
+/// Fixed host-side cost of one degraded answer, seconds.
+pub const DEGRADED_COST: f64 = 20.0e-6;
+
+/// Virtual nodes per shard on the routing ring.
+const VNODES: usize = 64;
+
+/// Cluster-wide configuration: topology, batching, admission.
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
     pub shards: usize,
@@ -42,11 +47,6 @@ pub struct ClusterConfig {
     /// Per-shard propagation-cache budget, bytes.
     pub cache_bytes: usize,
     pub admission: AdmissionPolicy,
-    pub backend: Backend,
-    /// Virtual nodes per shard on the routing ring.
-    pub vnodes: usize,
-    /// Fixed host-side cost of one degraded answer, seconds.
-    pub degraded_cost: f64,
 }
 
 impl ClusterConfig {
@@ -59,9 +59,6 @@ impl ClusterConfig {
             policy,
             cache_bytes: 1 << 20,
             admission: AdmissionPolicy::unbounded(),
-            backend: Backend::Simulated,
-            vnodes: 64,
-            degraded_cost: 20.0e-6,
         }
     }
 
@@ -80,18 +77,10 @@ pub struct Router {
 }
 
 impl Router {
-    /// Pure consistent-hash routing.
-    pub fn hash_only(shards: usize, vnodes: usize) -> Self {
-        Self { ring: HashRing::new(shards, vnodes), assignment: None }
-    }
-
-    /// Plan-backed routing with the ring as fallback for out-of-plan keys.
-    pub fn with_plan(plan: &PartitionPlan, vnodes: usize) -> Self {
-        Self { ring: HashRing::new(plan.shards, vnodes), assignment: Some(plan.assignment.clone()) }
-    }
-
-    pub fn ring(&self) -> &HashRing {
-        &self.ring
+    /// Plan-backed routing over `shards`, or pure consistent hashing
+    /// without a plan.
+    fn new(shards: usize, plan: Option<&PartitionPlan>) -> Self {
+        Self { ring: HashRing::new(shards, VNODES), assignment: plan.map(|p| p.assignment.clone()) }
     }
 
     /// The home shard of `vertex`.
@@ -156,17 +145,9 @@ impl Cluster {
         if let Some(p) = plan {
             assert_eq!(p.shards, cfg.shards, "plan shard count must match the cluster");
         }
-        let router = match plan {
-            Some(p) => Router::with_plan(p, cfg.vnodes),
-            None => Router::hash_only(cfg.shards, cfg.vnodes),
-        };
-        let shards = (0..cfg.shards)
-            .map(|_| {
-                let mut sc = ServeConfig::new(cfg.shard_machine(), cfg.policy, cfg.cache_bytes);
-                sc.backend = cfg.backend;
-                Server::new(model.clone(), sc)
-            })
-            .collect();
+        let router = Router::new(cfg.shards, plan);
+        let sc = ServeConfig::new(cfg.shard_machine(), cfg.policy, cfg.cache_bytes);
+        let shards = (0..cfg.shards).map(|_| Server::new(model.clone(), sc.clone())).collect();
         Self { shards, router, cfg, tracer: None }
     }
 
@@ -420,7 +401,7 @@ impl Cluster {
                     // Degraded answers are served host-side at the
                     // dispatch instant — no GPU queueing, fixed cost,
                     // never a timeout.
-                    (None, now + self.cfg.degraded_cost)
+                    (None, now + DEGRADED_COST)
                 }
             };
             run.last_answer = run.last_answer.max(done);
@@ -524,7 +505,7 @@ mod tests {
             assert!(a.latency.is_finite() && a.latency >= 0.0);
         }
         // Degraded latency is bounded by window + degraded cost.
-        let bound = 1e-4 + cluster.config().degraded_cost + 1e-12;
+        let bound = 1e-4 + DEGRADED_COST + 1e-12;
         assert!(out.answers.iter().filter(|a| a.degraded).all(|a| a.latency <= bound));
     }
 
@@ -603,7 +584,7 @@ mod tests {
     #[test]
     fn router_prefers_plan_and_falls_back_to_ring() {
         let plan = PartitionPlan { shards: 3, assignment: vec![2, 0, 1], strategy: "cache-aware" };
-        let router = Router::with_plan(&plan, 16);
+        let router = Router::new(3, Some(&plan));
         assert_eq!(router.route(0), 2);
         assert_eq!(router.route(2), 1);
         // Vertex 99 is outside the plan: the ring answers, in range.

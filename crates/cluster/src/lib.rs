@@ -27,8 +27,8 @@
 //!   `mggcn cluster-bench` prints and `tests/overload.rs` asserts.
 //!
 //! Admitted answers are bit-identical to the single-replica oracle
-//! ([`mggcn_serve::ServingModel::forward_full`]) for any shard count and
-//! either execution backend — asserted by the testkit differential suite.
+//! ([`mggcn_serve::ServingModel::forward_full`]) for any shard count —
+//! asserted by the testkit differential suite.
 
 #![forbid(unsafe_code)]
 
@@ -40,7 +40,7 @@ pub mod report;
 pub mod ring;
 
 pub use admission::{AdmissionPolicy, ShedReason, Verdict};
-pub use cluster::{Answer, Cluster, ClusterConfig, ClusterOutcome, Router};
+pub use cluster::{Answer, Cluster, ClusterConfig, ClusterOutcome, Router, DEGRADED_COST};
 pub use overload::{overload_study, OverloadSpec, OverloadStudy, OverloadVerdicts};
 pub use partition::PartitionPlan;
 pub use report::{ClusterReport, ShardReport, BENCH_CLUSTER_SCHEMA};

@@ -118,8 +118,8 @@ impl OverloadStudy {
     }
 }
 
-/// Run the study on `model` with the topology, batching, cache and backend
-/// of `cfg` (its admission policy is replaced: calibration runs unbounded,
+/// Run the study on `model` with the topology, batching and cache of
+/// `cfg` (its admission policy is replaced: calibration runs unbounded,
 /// the overload run under a bound derived from the SLO).
 pub fn overload_study(
     model: &ServingModel,

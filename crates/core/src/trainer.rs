@@ -343,7 +343,7 @@ impl Trainer {
                     None => (plan.sim().report.clone(), None),
                 };
                 if let Some(tracer) = &self.tracer {
-                    tracer.ingest_sim_timeline_on(&sim.timeline, sim.makespan, &self.opts.machine);
+                    tracer.ingest_sim_timeline(&sim.timeline, sim.makespan, &self.opts.machine);
                     for g in 0..self.state.gpu_count() {
                         tracer.record_memory(g, self.state.big_buffer_bytes(g));
                     }

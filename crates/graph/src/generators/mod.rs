@@ -6,12 +6,9 @@
 //! * [`bter`] — Block Two-level Erdős–Rényi, the generator the paper uses
 //!   for its Fig 9 density-scaling study;
 //! * [`sbm`] — planted-partition graphs with community-correlated labels and
-//!   features, for accuracy experiments with known ground truth;
-//! * [`rmat`] — recursive-matrix scale-free graphs (Graph500 flavour), the
-//!   community-less heavy-tail stress case for load balancing.
+//!   features, for accuracy experiments with known ground truth.
 
 pub mod bter;
 pub mod chung_lu;
 pub mod degree;
-pub mod rmat;
 pub mod sbm;

@@ -57,4 +57,4 @@ pub use batcher::{form_batches, Batch, BatchPolicy, Request};
 pub use cache::{CacheStats, PropagationCache};
 pub use loadgen::{generate as generate_load, summarize, LoadGenConfig, TraceSummary};
 pub use model::ServingModel;
-pub use server::{BatchCtx, ServeConfig, ServeReport, Server};
+pub use server::{BatchCtx, ServeConfig, ServeReport, Server, EXTRACT_FIXED, EXTRACT_PER_EDGE};

@@ -49,7 +49,6 @@ use crate::batcher::{form_batches, BatchPolicy, Request};
 use crate::cache::{CacheStats, PropagationCache};
 use crate::model::ServingModel;
 use mggcn_dense::{gemm, relu_inplace, Accumulate, Dense};
-use mggcn_exec::Backend;
 use mggcn_gpusim::engine::OpDesc;
 use mggcn_gpusim::{
     BufId, Category, CostModel, Effects, LatencyStats, MachineSpec, Schedule, Work,
@@ -59,36 +58,26 @@ use mggcn_sparse::{spmm, spmm_rows, Csr};
 use mggcn_trace::json::JsonWriter;
 use std::sync::{Arc, Mutex};
 
-/// Serving configuration: hardware, cost model, batching and cache knobs.
+/// Fixed host-side cost of one k-hop extraction, seconds.
+pub const EXTRACT_FIXED: f64 = 40.0e-6;
+/// Per-induced-edge extraction cost, seconds.
+pub const EXTRACT_PER_EDGE: f64 = 1.0e-9;
+
+/// Serving configuration: hardware, batching and cache knobs. Op costs
+/// come from [`CostModel::default`] and the two extraction constants.
+/// Every batch runs its schedule through the DES on the calling thread,
+/// so outputs and latency accounting are deterministic.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     pub machine: MachineSpec,
-    pub cost: CostModel,
     pub policy: BatchPolicy,
     /// Propagation-cache budget in bytes (0 disables caching).
     pub cache_bytes: usize,
-    /// Fixed host-side cost of one k-hop extraction, seconds.
-    pub extract_fixed: f64,
-    /// Per-induced-edge extraction cost, seconds.
-    pub extract_per_edge: f64,
-    /// How batch schedules execute: simulated (bodies on the calling
-    /// thread) or really on the `mggcn-exec` runtime. Outputs and latency
-    /// accounting are bit-identical; the threaded path additionally
-    /// exercises real synchronization.
-    pub backend: Backend,
 }
 
 impl ServeConfig {
     pub fn new(machine: MachineSpec, policy: BatchPolicy, cache_bytes: usize) -> Self {
-        Self {
-            machine,
-            cost: CostModel::default(),
-            policy,
-            cache_bytes,
-            extract_fixed: 40.0e-6,
-            extract_per_edge: 1.0e-9,
-            backend: Backend::Simulated,
-        }
+        Self { machine, policy, cache_bytes }
     }
 }
 
@@ -242,15 +231,7 @@ impl Server {
         if vertices.is_empty() {
             return Dense::zeros(0, self.model.out_dim());
         }
-        self.execute_batch(vertices, 0).0
-    }
-
-    /// Execute one batch of vertex queries on a specific replica GPU,
-    /// returning (per-request output rows, simulated service seconds) —
-    /// the building block a multi-shard front end schedules around.
-    /// Outputs are bit-identical to [`ServingModel::forward_full`] rows.
-    pub fn run_batch(&mut self, vertices: &[u32], gpu: usize) -> (Dense, f64) {
-        self.execute_batch(vertices, gpu)
+        self.run_batch(vertices, 0).0
     }
 
     /// Answer one vertex **without touching the GPU queue**: the overload
@@ -328,7 +309,7 @@ impl Server {
             let gpu = (0..free_at.len())
                 .min_by(|&x, &y| free_at[x].total_cmp(&free_at[y]))
                 .expect("machine has GPUs");
-            let (_, service) = self.execute_batch(&b.vertices(), gpu);
+            let (_, service) = self.run_batch(&b.vertices(), gpu);
             let done = b.ready_at.max(free_at[gpu]) + service;
             free_at[gpu] = done;
             last_done = last_done.max(done);
@@ -422,7 +403,7 @@ impl Server {
         let miss_nnz: usize = misses.iter().map(|&g| a_hat_t.row_nnz(g as usize)).sum();
 
         let spec = self.cfg.machine.gpus[gpu];
-        let cost = self.cfg.cost;
+        let cost = CostModel::default();
         let mut sched: Schedule<Mutex<BatchCtx>> = Schedule::new(self.cfg.machine.clone());
         let stream = 0;
 
@@ -430,10 +411,7 @@ impl Server {
         sched.record(
             gpu,
             stream,
-            Work::Fixed {
-                seconds: self.cfg.extract_fixed
-                    + self.cfg.extract_per_edge * khop.block_edges as f64,
-            },
+            Work::Fixed { seconds: EXTRACT_FIXED + EXTRACT_PER_EDGE * khop.block_edges as f64 },
             OpDesc::new(Category::Other, "serve-extract"),
             Effects::none(),
             None,
@@ -588,37 +566,21 @@ impl Server {
         (sched, ctx, hits as u64, miss_count)
     }
 
-    /// Execute one batch on `gpu`: build the tagged op schedule, run it
-    /// (bodies compute the numerics), feed newly computed layer-0 rows
-    /// back into the cache. Returns (per-request outputs, service seconds).
-    fn execute_batch(&mut self, vertices: &[u32], gpu: usize) -> (Dense, f64) {
+    /// Execute one batch of vertex queries on a specific replica GPU:
+    /// build the tagged op schedule, run it (bodies compute the numerics),
+    /// feed newly computed layer-0 rows back into the cache. Returns
+    /// (per-request output rows, simulated service seconds) — the building
+    /// block a multi-shard front end schedules around. Outputs are
+    /// bit-identical to [`ServingModel::forward_full`] rows.
+    pub fn run_batch(&mut self, vertices: &[u32], gpu: usize) -> (Dense, f64) {
         let (sched, ctx, hit_count, miss_count) = self.build_batch(vertices, gpu);
-        // Both backends report the *simulated* machine's service time, so
-        // latency accounting is deterministic; the threaded path executes
-        // the same bodies on the worker runtime (single-GPU schedule → one
-        // worker, real dependency enforcement).
-        let makespan = match self.cfg.backend {
-            Backend::Simulated => {
-                let r = sched.run(&ctx);
-                if let Some(tracer) = &self.tracer {
-                    tracer.ingest_sim_timeline(&r.timeline, r.makespan);
-                }
-                r.makespan
-            }
-            Backend::Threaded => {
-                let r = mggcn_exec::execute(sched, &ctx).expect("serve bodies do not panic");
-                if let Some(tracer) = &self.tracer {
-                    tracer.ingest_wall_spans(&r.spans, r.wall_seconds);
-                    tracer.ingest_sim_timeline(&r.sim.timeline, r.sim.makespan);
-                }
-                r.sim.makespan
-            }
-        };
+        let r = sched.run(&ctx);
         if let Some(tracer) = &self.tracer {
+            tracer.ingest_sim_timeline(&r.timeline, r.makespan, &self.cfg.machine);
             tracer.counter_add("serve.batches", 1);
             tracer.counter_add("serve.cache.hits", hit_count);
             tracer.counter_add("serve.cache.misses", miss_count);
-            tracer.latency_record("serve.batch_service_seconds", makespan);
+            tracer.latency_record("serve.batch_service_seconds", r.makespan);
         }
         let ctx = ctx.into_inner().unwrap_or_else(|e| e.into_inner());
 
@@ -626,7 +588,7 @@ impl Server {
         for (i, &g) in ctx.misses.iter().enumerate() {
             self.cache.insert(g, ctx.miss_agg.row(i));
         }
-        (ctx.out, makespan)
+        (ctx.out, r.makespan)
     }
 }
 

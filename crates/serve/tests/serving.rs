@@ -13,11 +13,13 @@
 
 use mggcn_dense::Dense;
 use mggcn_dense::{gemm, relu_inplace, Accumulate};
-use mggcn_exec::Backend;
-use mggcn_gpusim::{GpuSpec, MachineSpec, Work};
+use mggcn_gpusim::{CostModel, GpuSpec, MachineSpec, Work};
 use mggcn_graph::generators::chung_lu;
 use mggcn_graph::sampling::khop_layers;
-use mggcn_serve::{generate_load, BatchPolicy, LoadGenConfig, ServeConfig, Server, ServingModel};
+use mggcn_serve::{
+    generate_load, BatchPolicy, LoadGenConfig, ServeConfig, Server, ServingModel, EXTRACT_FIXED,
+    EXTRACT_PER_EDGE,
+};
 use mggcn_sparse::{spmm, Coo};
 use std::sync::Arc;
 
@@ -200,39 +202,35 @@ fn assert_answers(out: &Dense, batch: &[u32], reference: &Dense, when: &str) {
 fn one_two_and_three_layer_batches_equal_forward_full_on_both_backends() {
     let n = 90;
     for layers in 1..=3 {
-        for backend in [Backend::Simulated, Backend::Threaded] {
-            let when = |phase: &str| format!("{layers} layers, {}, {phase}", backend.name());
-            let m = directed_model(n, layers);
-            let reference = m.forward_full();
-            assert_eq!(m.a_hat_t().row_nnz(0), 0, "vertex 0 has no in-edges");
-            let mut cfg = config(BatchPolicy::new(1e-3, 16), 1 << 20);
-            cfg.backend = backend;
-            let mut server = Server::new(m, cfg);
-            let batch = [0u32, 17, 17, 42, 5, 0, 89];
+        let when = |phase: &str| format!("{layers} layers, {phase}");
+        let m = directed_model(n, layers);
+        let reference = m.forward_full();
+        assert_eq!(m.a_hat_t().row_nnz(0), 0, "vertex 0 has no in-edges");
+        let mut server = Server::new(m, config(BatchPolicy::new(1e-3, 16), 1 << 20));
+        let batch = [0u32, 17, 17, 42, 5, 0, 89];
 
-            // Cold: every layer-0 row misses.
-            let before = *server.cache().stats();
-            assert_answers(&server.query(&batch), &batch, &reference, &when("cold"));
-            assert_eq!(server.cache().stats().hits, before.hits, "{}", when("cold hits"));
+        // Cold: every layer-0 row misses.
+        let before = *server.cache().stats();
+        assert_answers(&server.query(&batch), &batch, &reference, &when("cold"));
+        assert_eq!(server.cache().stats().hits, before.hits, "{}", when("cold hits"));
 
-            // Warm: the same batch again, every layer-0 row hits.
-            let before = *server.cache().stats();
-            assert_answers(&server.query(&batch), &batch, &reference, &when("warm"));
-            assert_eq!(server.cache().stats().misses, before.misses, "{}", when("warm misses"));
+        // Warm: the same batch again, every layer-0 row hits.
+        let before = *server.cache().stats();
+        assert_answers(&server.query(&batch), &batch, &reference, &when("warm"));
+        assert_eq!(server.cache().stats().misses, before.misses, "{}", when("warm misses"));
 
-            // The batch context let go of the operator, so a delta patches
-            // it in place instead of deep-copying it.
-            assert_eq!(Arc::strong_count(server.model().a_hat_t()), 1, "{}", when("refs"));
-            let operator = Arc::as_ptr(server.model().a_hat_t());
-            server.apply_delta(&[(0, 17), (42, 89)]);
-            assert_eq!(Arc::as_ptr(server.model().a_hat_t()), operator, "{}", when("delta"));
+        // The batch context let go of the operator, so a delta patches
+        // it in place instead of deep-copying it.
+        assert_eq!(Arc::strong_count(server.model().a_hat_t()), 1, "{}", when("refs"));
+        let operator = Arc::as_ptr(server.model().a_hat_t());
+        server.apply_delta(&[(0, 17), (42, 89)]);
+        assert_eq!(Arc::as_ptr(server.model().a_hat_t()), operator, "{}", when("delta"));
 
-            // After the delta: survivors hit, the endpoints recompute.
-            let reference = server.model().forward_full();
-            let mixed = [89u32, 3, 0, 42, 17, 61, 3];
-            assert_answers(&server.query(&mixed), &mixed, &reference, &when("after delta"));
-            assert_eq!(Arc::strong_count(server.model().a_hat_t()), 1, "{}", when("refs"));
-        }
+        // After the delta: survivors hit, the endpoints recompute.
+        let reference = server.model().forward_full();
+        let mixed = [89u32, 3, 0, 42, 17, 61, 3];
+        assert_answers(&server.query(&mixed), &mixed, &reference, &when("after delta"));
+        assert_eq!(Arc::strong_count(server.model().a_hat_t()), 1, "{}", when("refs"));
     }
 }
 
@@ -268,10 +266,10 @@ fn cold_batch_ops(
     d0: usize,
     layer0_gemm: bool,
 ) -> Vec<(&'static str, Work)> {
-    let (cost, spec) = (cfg.cost, cfg.machine.gpus[0]);
+    let (cost, spec) = (CostModel::default(), cfg.machine.gpus[0]);
     let khop = khop_layers(m.a_hat_t(), batch, m.layers(), m.pattern());
     let n_local = khop.block_vertices as u64;
-    let extract = cfg.extract_fixed + cfg.extract_per_edge * khop.block_edges as f64;
+    let extract = EXTRACT_FIXED + EXTRACT_PER_EDGE * khop.block_edges as f64;
     let mut ops = vec![
         ("serve-extract", Work::Fixed { seconds: extract }),
         ("serve-gather", cost.elementwise(n_local * d0 as u64, 1.0)),
@@ -350,20 +348,16 @@ fn layer_zero_follows_the_op_order_rule_and_serves_forward_full_bits() {
             sched.op_infos().iter().map(|o| (o.desc.label, o.work)).collect();
         assert_eq!(got, want, "{case}: ops and costs");
 
-        for backend in [Backend::Simulated, Backend::Threaded] {
-            let when = |phase: &str| format!("{case}, {}, {phase}", backend.name());
-            let mut cfg = cfg.clone();
-            cfg.backend = backend;
-            let mut server = Server::new(m.clone(), cfg);
-            assert_eq!(server.cache().stride(), width, "{}", when("cache stride"));
-            assert_answers(&server.query(&batch), &batch, &reference, &when("cold"));
-            let before = *server.cache().stats();
-            assert_answers(&server.query(&batch), &batch, &reference, &when("warm"));
-            assert_eq!(server.cache().stats().misses, before.misses, "{}", when("warm misses"));
-            server.apply_delta(&[(0, 17), (42, 89), (5, 5)]);
-            let reference = server.model().forward_full();
-            let mixed = [89u32, 3, 0, 42, 17, 61, 3, 5];
-            assert_answers(&server.query(&mixed), &mixed, &reference, &when("after delta"));
-        }
+        let when = |phase: &str| format!("{case}, {phase}");
+        let mut server = Server::new(m, cfg);
+        assert_eq!(server.cache().stride(), width, "{}", when("cache stride"));
+        assert_answers(&server.query(&batch), &batch, &reference, &when("cold"));
+        let before = *server.cache().stats();
+        assert_answers(&server.query(&batch), &batch, &reference, &when("warm"));
+        assert_eq!(server.cache().stats().misses, before.misses, "{}", when("warm misses"));
+        server.apply_delta(&[(0, 17), (42, 89), (5, 5)]);
+        let reference = server.model().forward_full();
+        let mixed = [89u32, 3, 0, 42, 17, 61, 3, 5];
+        assert_answers(&server.query(&mixed), &mixed, &reference, &when("after delta"));
     }
 }

@@ -224,8 +224,7 @@ pub fn run_case(case: &FuzzCase) -> Result<(), String> {
     let mut rng = SmallRng::seed_from_u64(case.seed ^ 0xba7c_ba7c);
     let n = case.graph.n() as u32;
     let batch: Vec<u32> = (0..rng.gen_range(1..=6)).map(|_| rng.gen_range(0..n)).collect();
-    let mut cfg = ServeConfig::new(MachineSpec::dgx_a100(), BatchPolicy::new(1e-3, 8), 1 << 16);
-    cfg.backend = case.backend;
+    let cfg = ServeConfig::new(MachineSpec::dgx_a100(), BatchPolicy::new(1e-3, 8), 1 << 16);
     let mut server = Server::new(model.clone(), cfg);
     for phase in ["cold", "warm"] {
         check_batch(&server.query(&batch), &batch, &served, phase)?;

@@ -17,7 +17,7 @@
 //! `MGGCN_CHAOS_SEED=<seed> cargo test -p mggcn-testkit --test chaos_invariants`.
 //! `MGGCN_CHAOS_SEEDS=<n>` widens the sweep (seeds `base..base+n`).
 
-use mggcn_cluster::{AdmissionPolicy, Cluster, ClusterConfig};
+use mggcn_cluster::{AdmissionPolicy, Cluster, ClusterConfig, DEGRADED_COST};
 use mggcn_core::config::{GcnConfig, TrainOptions};
 use mggcn_core::problem::Problem;
 use mggcn_core::trainer::Trainer;
@@ -316,7 +316,7 @@ fn cluster_cache_node_loss_degrades_the_dead_shard_and_spares_the_rest() {
     // Graceful degradation: every request still gets exactly one answer.
     assert_eq!(out.answers.len(), reqs.len(), "requests lost under shard loss");
     assert!(out.report.shed_fault > 0, "the loss never fired");
-    let degraded_bound = window + cluster.config().degraded_cost + 1e-9;
+    let degraded_bound = window + DEGRADED_COST + 1e-9;
     for (a, o) in out.answers.iter().zip(&oracle.answers) {
         assert_eq!(a.id, o.id, "answers stay sorted by request id");
         if a.shard == 0 {

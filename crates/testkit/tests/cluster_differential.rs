@@ -1,5 +1,5 @@
 //! Differential conformance for the sharded serving tier: a cluster of
-//! any shard count, on either execution backend, must answer every
+//! any shard count must answer every
 //! non-degraded request **bit-identically** to the single-replica
 //! full-graph oracle ([`ServingModel::forward_full`]) — sharding, routing,
 //! batching, replica scheduling and per-shard caches are all
@@ -9,9 +9,8 @@
 //! shed ones come back tagged degraded with bounded latency, admitted
 //! ones stay bit-exact.
 
-use mggcn_cluster::{AdmissionPolicy, Cluster, ClusterConfig, PartitionPlan};
+use mggcn_cluster::{AdmissionPolicy, Cluster, ClusterConfig, PartitionPlan, DEGRADED_COST};
 use mggcn_dense::Dense;
-use mggcn_exec::Backend;
 use mggcn_graph::generators::sbm::{self, SbmConfig};
 use mggcn_serve::{generate_load, BatchPolicy, LoadGenConfig, ServeConfig, Server, ServingModel};
 
@@ -31,25 +30,21 @@ fn sharded_serving_matches_the_oracle_across_shard_counts_and_backends() {
     let reqs = generate_load(&LoadGenConfig::skewed(50_000.0, 500, 240, 13));
     for shards in [1usize, 2, 4] {
         let plan = PartitionPlan::cache_aware(&adj, shards, 7);
-        for backend in [Backend::Simulated, Backend::Threaded] {
-            let mut cfg = ClusterConfig::new(shards, 2, BatchPolicy::new(5e-4, 16));
-            cfg.backend = backend;
-            // Unbounded admission: every answer must take the exact path.
-            cfg.admission = AdmissionPolicy::unbounded();
-            let mut cluster = Cluster::new(&m, cfg, Some(&plan));
-            let out = cluster.serve_trace("diff", &reqs);
-            assert_eq!(out.answers.len(), reqs.len());
-            assert_eq!(out.report.degraded, 0, "unbounded admission never sheds");
-            for a in &out.answers {
-                assert!(!a.degraded);
-                assert_eq!(
-                    a.row,
-                    oracle.row(a.vertex as usize),
-                    "vertex {} differs at P={shards} backend {}",
-                    a.vertex,
-                    backend.name()
-                );
-            }
+        let mut cfg = ClusterConfig::new(shards, 2, BatchPolicy::new(5e-4, 16));
+        // Unbounded admission: every answer must take the exact path.
+        cfg.admission = AdmissionPolicy::unbounded();
+        let mut cluster = Cluster::new(&m, cfg, Some(&plan));
+        let out = cluster.serve_trace("diff", &reqs);
+        assert_eq!(out.answers.len(), reqs.len());
+        assert_eq!(out.report.degraded, 0, "unbounded admission never sheds");
+        for a in &out.answers {
+            assert!(!a.degraded);
+            assert_eq!(
+                a.row,
+                oracle.row(a.vertex as usize),
+                "vertex {} differs at P={shards}",
+                a.vertex
+            );
         }
     }
 }
@@ -83,7 +78,6 @@ fn tight_admission_sheds_with_tagged_bounded_degraded_answers() {
     let window = 2e-4;
     let mut cfg = ClusterConfig::new(2, 1, BatchPolicy::new(window, 8));
     cfg.admission = AdmissionPolicy::new(0.0, 1);
-    let degraded_cost = cfg.degraded_cost;
     let mut cluster = Cluster::new(&m, cfg, Some(&plan));
     // Way past one replica GPU per shard: shedding must engage.
     let reqs = generate_load(&LoadGenConfig::uniform(3.0e6, 600, 200, 17));
@@ -93,7 +87,7 @@ fn tight_admission_sheds_with_tagged_bounded_degraded_answers() {
     assert!(out.report.degraded > 0, "overload must shed");
     assert!(out.report.admitted > 0, "admission must not starve");
     assert_eq!(out.report.admitted + out.report.degraded, out.report.requests);
-    let bound = window + degraded_cost + 1e-12;
+    let bound = window + DEGRADED_COST + 1e-12;
     for a in &out.answers {
         if a.degraded {
             // Tagged, bounded, finite — never a timeout.

@@ -53,12 +53,11 @@ fn run(case: &FuzzCase, traced: bool) -> Outcome {
 
     let ck = Checkpoint::from_trainer(&trainer);
     let model = ServingModel::from_checkpoint(&ck, &case.graph).expect("serving model");
-    let mut cfg = ServeConfig::new(
+    let cfg = ServeConfig::new(
         mggcn_gpusim::MachineSpec::dgx_a100(),
         BatchPolicy::new(1e-3, 16),
         1 << 20,
     );
-    cfg.backend = case.backend;
     let mut server = Server::new(model, cfg);
     if let Some(t) = &tracer {
         server.set_tracer(t.clone());

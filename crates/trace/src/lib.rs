@@ -102,42 +102,25 @@ impl Tracer {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Ingest one completed simulated timeline (one schedule run). Spans
-    /// are shifted onto the tracer's continuous sim clock; byte counters
-    /// are deduplicated by op id (collectives span every lane but move
-    /// their payload once).
-    pub fn ingest_sim_timeline(&self, tl: &Timeline, makespan: f64) {
-        self.ingest_sim(tl, makespan, None);
-    }
-
-    /// [`Tracer::ingest_sim_timeline`] with node topology: comm bytes are
-    /// additionally split into `sim.comm.bytes.intra_node` /
-    /// `sim.comm.bytes.inter_node` counters by whether each op's
-    /// participant GPUs span a node boundary of `machine`. On a
-    /// single-node machine everything is intra-node, so the split is
-    /// purely additive — every counter the plain ingest writes is written
-    /// identically.
-    pub fn ingest_sim_timeline_on(&self, tl: &Timeline, makespan: f64, machine: &MachineSpec) {
-        self.ingest_sim(tl, makespan, Some(machine));
-    }
-
-    fn ingest_sim(&self, tl: &Timeline, makespan: f64, machine: Option<&MachineSpec>) {
+    /// Ingest one completed simulated timeline (one schedule run) of a
+    /// schedule on `machine`. Spans are shifted onto the tracer's
+    /// continuous sim clock; byte counters are deduplicated by op id
+    /// (collectives span every lane but move their payload once) and split
+    /// into `sim.comm.bytes.intra_node` / `sim.comm.bytes.inter_node` by
+    /// whether each op's participant GPUs span a node boundary of
+    /// `machine`.
+    pub fn ingest_sim_timeline(&self, tl: &Timeline, makespan: f64, machine: &MachineSpec) {
         // Collectives span one lane per participant; gather each comm op's
         // GPU set first so node-crossing is judged on the full group.
-        let op_gpus: BTreeMap<usize, Vec<usize>> = machine
-            .map(|_| {
-                let mut m: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-                for s in &tl.spans {
-                    if s.category == Category::Comm {
-                        let gpus = m.entry(s.op).or_default();
-                        if !gpus.contains(&s.gpu) {
-                            gpus.push(s.gpu);
-                        }
-                    }
+        let mut op_gpus: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for s in &tl.spans {
+            if s.category == Category::Comm {
+                let gpus = op_gpus.entry(s.op).or_default();
+                if !gpus.contains(&s.gpu) {
+                    gpus.push(s.gpu);
                 }
-                m
-            })
-            .unwrap_or_default();
+            }
+        }
         let mut inner = self.lock();
         let at = inner.sim_cursor;
         let mut seen_ops: BTreeSet<usize> = BTreeSet::new();
@@ -161,15 +144,12 @@ impl Tracer {
             if s.category == Category::Comm && seen_ops.insert(s.op) {
                 let bytes = s.bytes.round() as u64;
                 inner.metrics.counter_add("sim.comm.bytes.total", bytes);
-                if let Some(m) = machine {
-                    let crosses = m.crosses_nodes(&op_gpus[&s.op]);
-                    let key = if crosses {
-                        "sim.comm.bytes.inter_node"
-                    } else {
-                        "sim.comm.bytes.intra_node"
-                    };
-                    inner.metrics.counter_add(key, bytes);
-                }
+                let key = if machine.crosses_nodes(&op_gpus[&s.op]) {
+                    "sim.comm.bytes.inter_node"
+                } else {
+                    "sim.comm.bytes.intra_node"
+                };
+                inner.metrics.counter_add(key, bytes);
                 if let Some(stage) = s.stage {
                     inner.metrics.counter_add(&format!("sim.bcast.bytes.stage.{stage:05}"), bytes);
                     inner.metrics.counter_add("sim.bcast.bytes.total", bytes);
@@ -182,20 +162,16 @@ impl Tracer {
         inner.metrics.gauge_add("sim.overlap.hidden_seconds", overlap.hidden_seconds);
         // Fused bounded-staleness timelines (epoch-tagged spans, DESIGN
         // §15) additionally report broadcast-hidden time per epoch, plus
-        // the NIC (node-crossing) slice when topology is known. Untagged
+        // the NIC (node-crossing) slice. Untagged
         // timelines write none of these, so every pre-staleness trace
         // artifact is byte-identical.
         let epochs: BTreeSet<usize> = tl.spans.iter().filter_map(|s| s.epoch).collect();
         if !epochs.is_empty() {
-            let nic_ops: BTreeSet<usize> = machine
-                .map(|m| {
-                    op_gpus
-                        .iter()
-                        .filter(|(_, gpus)| m.crosses_nodes(gpus))
-                        .map(|(&op, _)| op)
-                        .collect()
-                })
-                .unwrap_or_default();
+            let nic_ops: BTreeSet<usize> = op_gpus
+                .iter()
+                .filter(|(_, gpus)| machine.crosses_nodes(gpus))
+                .map(|(&op, _)| op)
+                .collect();
             for &e in &epochs {
                 let o = derive::overlap_of_epoch_comm(tl, e, None);
                 inner
@@ -205,17 +181,15 @@ impl Tracer {
                     &format!("sim.overlap.epoch{e:05}.hidden_seconds"),
                     o.hidden_seconds,
                 );
-                if machine.is_some() {
-                    let n = derive::overlap_of_epoch_comm(tl, e, Some(&nic_ops));
-                    inner.metrics.gauge_add(
-                        &format!("sim.overlap.epoch{e:05}.nic_comm_seconds"),
-                        n.comm_seconds,
-                    );
-                    inner.metrics.gauge_add(
-                        &format!("sim.overlap.epoch{e:05}.nic_hidden_seconds"),
-                        n.hidden_seconds,
-                    );
-                }
+                let n = derive::overlap_of_epoch_comm(tl, e, Some(&nic_ops));
+                inner.metrics.gauge_add(
+                    &format!("sim.overlap.epoch{e:05}.nic_comm_seconds"),
+                    n.comm_seconds,
+                );
+                inner.metrics.gauge_add(
+                    &format!("sim.overlap.epoch{e:05}.nic_hidden_seconds"),
+                    n.hidden_seconds,
+                );
             }
         }
         inner.metrics.counter_add("sim.timelines", 1);
@@ -447,7 +421,7 @@ mod tests {
     #[test]
     fn collective_bytes_count_once_per_op() {
         let t = Tracer::new();
-        t.ingest_sim_timeline(&tl(), 2.0);
+        t.ingest_sim_timeline(&tl(), 2.0, &MachineSpec::dgx_a100());
         assert_eq!(t.broadcast_stage_bytes(), vec![400, 120]);
         assert_eq!(t.counter("sim.bcast.bytes.total"), 520);
         assert_eq!(t.counter("sim.comm.bytes.total"), 520);
@@ -455,15 +429,15 @@ mod tests {
 
     #[test]
     fn node_aware_ingest_splits_intra_and_inter_bytes() {
-        use mggcn_gpusim::{GpuSpec, MachineSpec};
+        use mggcn_gpusim::GpuSpec;
         // 2 nodes × 2 GPUs: op 2 spans GPUs {0,1} (node 0, intra) and op 3
         // runs on GPU 1 alone (intra by definition).
         let m = MachineSpec::hier_cluster("2x2", GpuSpec::a100(), 2, 2, 12, 25.0e9, 12.5e9);
         let t = Tracer::new();
-        t.ingest_sim_timeline_on(&tl(), 2.0, &m);
+        t.ingest_sim_timeline(&tl(), 2.0, &m);
         assert_eq!(t.counter("sim.comm.bytes.intra_node"), 520);
         assert_eq!(t.counter("sim.comm.bytes.inter_node"), 0);
-        // Every counter the plain ingest writes is written identically.
+        // The split leaves the totals as they are.
         assert_eq!(t.counter("sim.comm.bytes.total"), 520);
         assert_eq!(t.broadcast_stage_bytes(), vec![400, 120]);
 
@@ -472,23 +446,17 @@ mod tests {
         let mut cross = tl();
         cross.spans[2].gpu = 2;
         let t2 = Tracer::new();
-        t2.ingest_sim_timeline_on(&cross, 2.0, &m);
+        t2.ingest_sim_timeline(&cross, 2.0, &m);
         assert_eq!(t2.counter("sim.comm.bytes.inter_node"), 400);
         assert_eq!(t2.counter("sim.comm.bytes.intra_node"), 120);
         assert_eq!(t2.counter("sim.comm.bytes.total"), 520);
-
-        // The machine-blind ingest writes neither split counter.
-        let t3 = Tracer::new();
-        t3.ingest_sim_timeline(&cross, 2.0);
-        assert_eq!(t3.counter("sim.comm.bytes.intra_node"), 0);
-        assert_eq!(t3.counter("sim.comm.bytes.inter_node"), 0);
     }
 
     #[test]
     fn epochs_concatenate_on_the_sim_clock() {
         let t = Tracer::new();
-        t.ingest_sim_timeline(&tl(), 2.0);
-        t.ingest_sim_timeline(&tl(), 2.0);
+        t.ingest_sim_timeline(&tl(), 2.0, &MachineSpec::dgx_a100());
+        t.ingest_sim_timeline(&tl(), 2.0, &MachineSpec::dgx_a100());
         assert_eq!(t.counter("sim.timelines"), 2);
         // Second epoch's stage-0 bytes accumulate.
         assert_eq!(t.broadcast_stage_bytes(), vec![800, 240]);
@@ -516,7 +484,7 @@ mod tests {
     #[test]
     fn bench_json_parses_back_with_its_derived_block() {
         let t = Tracer::new();
-        t.ingest_sim_timeline(&tl(), 2.0);
+        t.ingest_sim_timeline(&tl(), 2.0, &MachineSpec::dgx_a100());
         t.set_memory_bound(1000);
         t.record_memory(0, 500);
         t.latency_record("serve.latency_seconds", 3e-4);
@@ -559,7 +527,7 @@ mod tests {
     #[test]
     fn overlap_accumulates_across_timelines() {
         let t = Tracer::new();
-        t.ingest_sim_timeline(&tl(), 2.0);
+        t.ingest_sim_timeline(&tl(), 2.0, &MachineSpec::dgx_a100());
         let o = t.overlap();
         // GPU0 comm [0,1] hidden under spmm [0,2]; GPU1 comm [0,1.5] exposed.
         assert!((o.comm_seconds - 2.5).abs() < 1e-12);

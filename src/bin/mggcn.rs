@@ -34,7 +34,7 @@ const USAGE: &str = "usage:
   mggcn cluster-bench [--shards P] [--gpus-per-shard G] [--qps-mult M] [--requests N]
                       [--vertices V] [--epochs E] [--seed S] [--slo-ms MS]
                       [--max-degraded R] [--batch-window S] [--max-batch B] [--cache-mb MB]
-                      [--backend simulated|threaded] [--threads T] [--out PATH] [--trace PATH]
+                      [--threads T] [--out PATH] [--trace PATH]
   mggcn trace    [--gpus N] [--vertices V] [--hidden H] [--epochs E]
                  [--backend simulated|threaded] [--threads T] [--out PATH] [--chrome PATH]
   mggcn analyze  [--gpus N] [--vertices V] [--hidden H] [--dump]
@@ -137,10 +137,6 @@ impl Flags {
             .unwrap_or_else(|| usage_error(format!("unknown {name} {v:?} (expected {spellings})")))
     }
 
-    fn backend(&self, spellings: &str) -> Backend {
-        self.choice("backend", spellings, Backend::parse)
-    }
-
     fn partition(&self) -> Partition {
         self.choice("partition", "1d|1.5d", Partition::parse)
     }
@@ -235,7 +231,7 @@ fn main() {
         )),
         "cluster-bench" => cmd_cluster_bench(&flags(
             "shards gpus-per-shard qps-mult requests vertices epochs seed slo-ms max-degraded \
-             batch-window max-batch cache-mb backend threads out trace",
+             batch-window max-batch cache-mb threads out trace",
         )),
         "trace" => cmd_trace(&flags("gpus vertices hidden epochs backend threads out chrome")),
         "analyze" => cmd_analyze(&flags(
@@ -262,7 +258,7 @@ fn community_trainer(
     backends: &str,
     tracer: Option<Arc<Tracer>>,
 ) -> Trainer {
-    let backend = f.backend(backends);
+    let backend = f.choice("backend", backends, Backend::parse);
     f.pin_threads();
     let partition = f.partition();
     let nodes = f.num("nodes", 1usize, 1);
@@ -500,7 +496,7 @@ fn cmd_serve_bench(f: &Flags) {
     let qps = f.positive("qps", 100_000.0);
     let policy = batch_policy(f);
     let cache_mb = f.num("cache-mb", 64usize, 0);
-    let requests = f.num("requests", 2000usize, 0);
+    let requests = f.num("requests", 2000usize, 1);
     let gpus = f.num("gpus", 1usize, 1);
     let seed = f.num("seed", 42u64, 0);
     let (graph, model) = serving_model(f, 2000, 15, seed);
@@ -565,26 +561,23 @@ fn cmd_cluster_bench(f: &Flags) {
         batch_policy(f),
     );
     cfg.cache_bytes = f.num("cache-mb", 16usize, 0) << 20;
-    cfg.backend = f.backend("simulated|threaded");
     f.pin_threads();
     let spec = OverloadSpec {
         qps_mult: f.positive("qps-mult", 2.0),
-        requests: f.num("requests", 2000usize, 0),
+        requests: f.num("requests", 2000usize, 1),
         seed: f.num("seed", 42u64, 0),
         slo_ms: f.positive("slo-ms", 50.0),
         max_degraded: f.num("max-degraded", 0.9, 0.0),
     };
     let (graph, model) = serving_model(f, 1500, 10, spec.seed);
     eprintln!(
-        "cluster: {} vertices, {} edges, {}-layer model, {} shard(s) x {} GPU(s), backend {}",
+        "cluster: {} vertices, {} edges, {}-layer model, {} shard(s) x {} GPU(s)",
         graph.n(),
         graph.adj.nnz(),
         model.layers(),
         cfg.shards,
         cfg.gpus_per_shard,
-        cfg.backend.name()
     );
-    let threaded = cfg.backend == Backend::Threaded;
     let tracer = f.has("trace").then(|| Arc::new(Tracer::new()));
     let study = overload_study(&model, cfg, spec, tracer.clone());
 
@@ -629,7 +622,7 @@ fn cmd_cluster_bench(f: &Flags) {
     }
     println!("{json}");
     if let Some(t) = &tracer {
-        f.write_chrome("trace", t, threaded);
+        f.write_chrome("trace", t, false);
     }
     if !study.ok() {
         fail(format!("cluster-bench FAILED: {:?}", study.verdicts));

@@ -156,6 +156,9 @@ fn train_and_analyze_reject_impossible_gpu_counts_with_exit_2() {
         (&["analyze", "--gpus", "2", "--audit-effects", "on"], "--audit-effects"),
         (&["analyze", "--gpus", "2", "--model-check", "1"], "--model-check"),
         (&["analyze", "--gpus", "2", "--json", "out.json"], "--json"),
+        (&["cluster-bench", "--backend", "threaded"], "--backend"),
+        (&["serve-bench", "--requests", "0"], "--requests"),
+        (&["cluster-bench", "--requests", "0"], "--requests"),
     ] {
         let out = mggcn().args(args).output().expect("run");
         let err = String::from_utf8_lossy(&out.stderr);
