@@ -52,6 +52,13 @@ echo "==> kernel bit-identity, steady-state allocations, served answers (release
 cargo test --release -q --test kernel_bits --test steady_state_allocs
 cargo test --release -q -p mggcn-serve --test serving
 
+echo "==> kernel bit-identity and the target_bits golden, baseline x86-64 (release)"
+# .cargo/config.toml builds for x86-64-v3; an explicit RUSTFLAGS replaces it.
+# Both targets must compute the same bits. Own target dir: the flag change
+# would otherwise rebuild the main cache twice.
+RUSTFLAGS="-C target-cpu=x86-64" cargo test --release -q --target-dir target/x86-64 \
+  -p mg-gcn -p mggcn-testkit --test kernel_bits --test target_bits
+
 echo "==> exec runtime on one CPU, then 20x oversubscribed"
 # One-CPU interleavings are what the benchmark gates, and where a lost
 # wake-up would hide: a parked worker that nobody wakes hangs the test.

@@ -6,10 +6,10 @@
 //! paper's GPUs. The SpMM and GeMM groups time the shapes the repository's
 //! benchmark (`BENCHMARK.json`) runs, with FLOPs as the throughput element
 //! (so `Gelem/s` reads as GFLOP/s) and, beside it, the share reached of the
-//! shape's roofline bound on this host (`mggcn_bench::host`): the measured
-//! multiply-and-add peak for a GeMM, the measured triad bandwidth times the
-//! shape's FLOPs per byte for an SpMM. `cargo bench --bench kernels -- spmm`
-//! runs one group.
+//! shape's roofline bound on this host (`mggcn_bench::host`, measured in
+//! the same build, `host::BUILD_TARGET`): the multiply-and-add peak for a
+//! GeMM, the triad bandwidth times the shape's FLOPs per byte for an SpMM.
+//! `cargo bench --bench kernels -- spmm` runs one group.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mggcn_bench::host;

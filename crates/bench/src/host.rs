@@ -1,7 +1,7 @@
 //! What this host can do at most — the denominators of the kernel figures.
 //!
 //! Both are measured on one core with plain Rust loops built like the rest
-//! of the workspace (the baseline ISA, no FMA contraction), so a kernel's
+//! of the workspace ([`BUILD_TARGET`], no FMA contraction), so a kernel's
 //! GFLOP/s or GB/s divided by them says how far the kernel is from the
 //! machine, not from a data sheet.
 
@@ -27,16 +27,30 @@ pub fn triad_gbs() -> f64 {
     12.0 * N as f64 / best / 1e9
 }
 
-/// Peak single-core multiply-and-add rate in GFLOP/s: 56 independent
+/// What the workspace is compiled for (`.cargo/config.toml`, unless
+/// `RUSTFLAGS` says otherwise).
+pub const BUILD_TARGET: &str = if cfg!(target_feature = "avx2") {
+    "x86-64-v3 (AVX2)"
+} else if cfg!(target_arch = "x86_64") {
+    "baseline x86-64 (SSE2)"
+} else {
+    std::env::consts::ARCH
+};
+
+/// `f32` lanes of a vector register in this build.
+const LANES: usize = if cfg!(target_feature = "avx") { 8 } else { 4 };
+
+/// Peak single-core multiply-and-add rate in GFLOP/s: independent
 /// `x = x·m + a` chains, one multiply and one add each per step — fourteen
-/// 4-wide accumulators beside the two constants fill the sixteen vector
-/// registers of the baseline ISA, so nothing is loaded (more chains would
-/// spill and measure the load ports), and they cover the latency of every
-/// unit that can take a multiply or an add. The best of many runs of a
-/// quarter of a millisecond: on a shared host a run of several milliseconds
-/// rarely has the core to itself from start to end.
+/// `LANES`-wide accumulators beside the two constants fill the sixteen
+/// vector registers, so nothing is loaded (more chains would spill and
+/// measure the load ports), and they cover the latency of every unit that
+/// can take a multiply or an add (fewer would time latency, not
+/// throughput). The best of many runs of a quarter of a millisecond: on a
+/// shared host a run of several milliseconds rarely has the core to itself
+/// from start to end.
 pub fn peak_mul_add_gflops() -> f64 {
-    const CHAINS: usize = 56;
+    const CHAINS: usize = 14 * LANES;
     const STEPS: usize = 100_000;
     let (m, a) = black_box((0.999_999f32, 1.0e-6f32));
     let mut best = f64::INFINITY;

@@ -30,7 +30,9 @@
 //! places) and leave the zero terms out of the sum, as they always have.
 //! Every output element has one accumulator and sees its products in `k`
 //! order, so results do not depend on the strip widths, the panel layout,
-//! the row blocking or the thread count.
+//! the row blocking, the thread count or the vector width of the build. The
+//! 32/16/8/4 strips were re-checked under x86-64-v3 (8 lanes): a 64-wide
+//! strip, eight ymm accumulators, was slower on `train-gemm`.
 //!
 //! Panels, lists and partial sums live in a per-thread `Scratch` that grows
 //! to the largest shape the thread has seen ([`scratch_bound_bytes`]) and is

@@ -2,9 +2,10 @@
 //! reading, one library call per subcommand, printing. Run it without
 //! arguments for the usage text; README.md describes each subcommand.
 //!
-//! Exit codes: 0 success, 1 the run failed or a verdict did not hold, 2 a
-//! usage error (unknown subcommand or flag, unparsable, non-finite or
-//! out-of-range value).
+//! Exit codes: 0 success, 1 the run failed, a verdict did not hold or the
+//! CPU lacks a feature this build needs (`mg_gcn::cpu`), 2 a usage error
+//! (unknown subcommand or flag, unparsable, non-finite or out-of-range
+//! value).
 
 use mg_gcn::cluster::{overload_study, OverloadSpec};
 use mg_gcn::core::checkpoint::Checkpoint;
@@ -214,6 +215,9 @@ fn write_file(path: &str, text: &str) {
 }
 
 fn main() {
+    if let Err(missing) = mg_gcn::cpu::preflight(mg_gcn::cpu::host_has) {
+        fail(missing)
+    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else { usage_error(USAGE) };
     // Each subcommand with the flags it knows.

@@ -68,6 +68,7 @@ pub use mggcn_sparse as sparse;
 pub use mggcn_topo as topo;
 pub use mggcn_trace as trace;
 
+pub mod cpu;
 pub mod sweep;
 
 /// The names most programs need.
