@@ -46,10 +46,11 @@ echo "==> tests (workspace, kernel pool width 4)"
 # wider than the machine.
 MGGCN_THREADS=4 cargo test -q --workspace
 
-echo "==> kernel bit-identity, steady-state allocations, served answers (release)"
+echo "==> kernel bit-identity, the target_bits golden, steady-state allocations, served answers (release)"
 # The benchmark times the vectorised release kernels and serves with them;
 # the workspace passes above only run the debug build of them.
-cargo test --release -q --test kernel_bits --test steady_state_allocs
+cargo test --release -q -p mg-gcn -p mggcn-testkit \
+  --test kernel_bits --test steady_state_allocs --test target_bits
 cargo test --release -q -p mggcn-serve --test serving
 
 echo "==> kernel bit-identity and the target_bits golden, baseline x86-64 (release)"

@@ -58,8 +58,10 @@ pub fn softmax_xent_inplace(
         let row = logits.row_mut(r);
         let label = labels[r] as usize;
         debug_assert!(label < classes);
-        // Numerically stable softmax.
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        // Numerically stable softmax. A plain compare, not `f32::max` (a
+        // blend under AVX2): it ignores NaN the same way, and picks a ±0 tie
+        // differently only where `exp(x - max)` is `exp(±0) = 1` either way.
+        let max = row.iter().copied().fold(f32::NEG_INFINITY, |m, x| if x > m { x } else { m });
         let mut sum = 0.0f32;
         for x in row.iter_mut() {
             *x = (*x - max).exp();

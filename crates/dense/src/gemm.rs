@@ -8,31 +8,41 @@
 //! * `C = HW_Gᵀ · H`    — [`gemm_at_b`] (weight gradient)
 //!
 //! All three, and the SpMM of `mggcn-sparse`, run one micro-kernel,
-//! `fold_strip`, under one driver, `fold_block`: an output row is the sum of
-//! rows of `B` scaled by the listed entries of a row of `A`. The kernel
-//! holds a strip of the output row in registers, adds the scaled `B` strips
-//! to it in the order the entries are listed, and writes it once. The driver
-//! walks `B` a panel — one strip wide, all of its rows — at a time and folds
-//! that panel into every row of a small block of output rows before it moves
-//! on, so the panel is read from L1. The dense kernels first copy `B` into
-//! contiguous panels (`pack`): the strips of a row-major `B` sit a whole row
-//! apart, which maps a strip of a 128-wide `W` onto 16 of L1's 64 sets and
-//! streams `W` from L2 for every output row; and a packed panel is a slice
-//! of whole strips, found by index alone, which takes the address arithmetic
-//! and one of two bounds checks out of a loop that is short of issue slots,
-//! not of arithmetic units. SpMM gathers rows of a `B` too large to copy, so
-//! [`fold_listed_rows`] hands the driver `B` as it lies: as one panel when it
-//! is one strip wide, which a row-major `B` then already is, and otherwise
-//! row by row through its strips.
+//! `fold_strip` (or its two-row form, below), under one driver, `fold_block`:
+//! an output row is the sum of rows of `B` scaled by the listed entries of a
+//! row of `A`. The kernel holds a strip of the output row in registers, adds
+//! the scaled `B` strips to it in the order the entries are listed, and
+//! writes it once. The driver walks `B` a panel — one strip wide, all of its
+//! rows — at a time and folds that panel into every row of a small block of
+//! output rows before it moves on, so the panel is read from L1. The dense
+//! kernels first copy `B` into contiguous panels (`pack`): the strips of a
+//! row-major `B` sit a whole row apart, which maps a strip of a 128-wide `W`
+//! onto 16 of L1's 64 sets and streams `W` from L2 for every output row; and
+//! a packed panel is a slice of whole strips, found by index alone, which
+//! takes the address arithmetic and one of two bounds checks out of a loop
+//! that is short of issue slots, not of arithmetic units. SpMM gathers rows
+//! of a `B` too large to copy, so [`fold_listed_rows`] hands the driver `B`
+//! as it lies: as one panel when it is one strip wide, which a row-major `B`
+//! then already is, and otherwise row by row through its strips.
 //!
 //! The dense kernels list the nonzero entries of a block of `A` rows once
 //! (without a branch: activations after ReLU are half zeros at unpredictable
 //! places) and leave the zero terms out of the sum, as they always have.
+//! Where the rows of a block share one list — always in [`gemm_a_bt`], which
+//! keeps every term, and in [`gemm`] and [`gemm_at_b`] when the block has no
+//! zero factor (dense features, the first layer's weight gradient) — the
+//! driver folds them two at a time (`fold_strip_pair`): one load of a panel
+//! row feeds both rows. "Shares one list" is a compile-time parameter of the
+//! driver, so SpMM's instantiation carries no branch for it. The two rows'
+//! accumulators must be indexed per row: zipping the two arrays kept all
+//! eight ymm accumulators on the stack, a load and a store each per entry,
+//! at less than half the speed. A 64-wide strip (eight ymm accumulators of
+//! one row) was slower on `train-gemm`, likely for the same reason; it was
+//! not re-measured, and the strips stay 32/16/8/4.
+//!
 //! Every output element has one accumulator and sees its products in `k`
 //! order, so results do not depend on the strip widths, the panel layout,
-//! the row blocking, the thread count or the vector width of the build. The
-//! 32/16/8/4 strips were re-checked under x86-64-v3 (8 lanes): a 64-wide
-//! strip, eight ymm accumulators, was slower on `train-gemm`.
+//! the row blocking, the thread count or the vector width of the build.
 //!
 //! Panels, lists and partial sums live in a per-thread `Scratch` that grows
 //! to the largest shape the thread has seen ([`scratch_bound_bytes`]) and is
@@ -112,6 +122,27 @@ enum Strip {
     AddDot,
 }
 
+impl Strip {
+    /// The accumulators of the output strip `c`.
+    #[inline(always)]
+    fn init<const W: usize>(self, c: &[f32; W]) -> [f32; W] {
+        match self {
+            Strip::Store(seed) => [seed; W],
+            Strip::Extend => *c,
+            Strip::AddDot => [-0.0; W],
+        }
+    }
+
+    /// Land the sums of the accumulators in the output strip `c`.
+    #[inline(always)]
+    fn land<const W: usize>(self, c: &mut [f32; W], sum: [f32; W]) {
+        match self {
+            Strip::AddDot => c.iter_mut().zip(sum).for_each(|(cj, dot)| *cj += dot),
+            _ => *c = sum,
+        }
+    }
+}
+
 impl From<Accumulate> for Strip {
     fn from(acc: Accumulate) -> Self {
         match acc {
@@ -140,31 +171,62 @@ fn fold_strip<'b, const W: usize>(
     sum
 }
 
+/// [`fold_strip`] for two output rows whose lists share one index sequence:
+/// each panel row is loaded once and feeds both rows' accumulators, every
+/// element still summed in list order. The accumulators are indexed per
+/// row; zipping the two arrays together keeps them on the stack.
+#[inline(always)]
+fn fold_strip_pair<'b, const W: usize>(
+    idx: impl Iterator<Item = u32>,
+    (vals0, vals1): (&[f32], &[f32]),
+    strip: impl Fn(usize) -> &'b [f32; W],
+    (mut s0, mut s1): ([f32; W], [f32; W]),
+) -> ([f32; W], [f32; W]) {
+    debug_assert_eq!(vals0.len(), vals1.len(), "one list, two rows of factors");
+    for ((r, &a0), &a1) in idx.zip(vals0).zip(vals1) {
+        let b = strip(r as usize);
+        for jj in 0..W {
+            s0[jj] += a0 * b[jj];
+        }
+        for jj in 0..W {
+            s1[jj] += a1 * b[jj];
+        }
+    }
+    (s0, s1)
+}
+
 /// One `W`-wide panel of `B` (`strip(r)`: its row `r`) folded into the strip
 /// at column `j` of rows `rows` of `c`, row `i` by the entries `list(i)`.
+/// With `SHARED`, every row's list has the same indices (only the factors
+/// differ), so the rows are folded two at a time.
 #[inline(always)]
-fn fold_panel<'a, 'b, const W: usize, I: Iterator<Item = u32>>(
+fn fold_panel<'a, 'b, const W: usize, const SHARED: bool, I: Iterator<Item = u32>>(
     strip: impl Fn(usize) -> &'b [f32; W],
     c: &mut [f32],
     (j, n): (usize, usize),
-    rows: Range<usize>,
+    mut rows: Range<usize>,
     list: &impl Fn(usize) -> (I, &'a [f32]),
     how: Strip,
 ) {
+    if SHARED {
+        let pairs = rows.start..rows.end - rows.len() % 2;
+        rows.start = pairs.end;
+        for i in pairs.step_by(2) {
+            let (c0, c1) = c[j + i * n..].split_at_mut(n);
+            let c0: &mut [f32; W] = (&mut c0[..W]).try_into().expect("strip is W wide");
+            let c1: &mut [f32; W] = (&mut c1[..W]).try_into().expect("strip is W wide");
+            let ((idx, vals0), (_, vals1)) = (list(i), list(i + 1));
+            let sums = fold_strip_pair(idx, (vals0, vals1), &strip, (how.init(c0), how.init(c1)));
+            how.land(c0, sums.0);
+            how.land(c1, sums.1);
+        }
+    }
     for i in rows {
         let (idx, vals) = list(i);
         let c_strip: &mut [f32; W] =
             (&mut c[j + i * n..][..W]).try_into().expect("strip is W wide");
-        let init = match how {
-            Strip::Store(seed) => [seed; W],
-            Strip::Extend => *c_strip,
-            Strip::AddDot => [-0.0; W],
-        };
-        let sum = fold_strip(idx, vals, &strip, init);
-        match how {
-            Strip::AddDot => c_strip.iter_mut().zip(sum).for_each(|(cj, dot)| *cj += dot),
-            _ => *c_strip = sum,
-        }
+        let sum = fold_strip(idx, vals, &strip, how.init(c_strip));
+        how.land(c_strip, sum);
     }
 }
 
@@ -172,7 +234,7 @@ fn fold_panel<'a, 'b, const W: usize, I: Iterator<Item = u32>>(
 /// as whole `W`-wide rows — one bounds check an entry and no multiplication
 /// to find it, which is what the listed loop has issue slots for.
 #[inline(always)]
-fn fold_panel_at<'a, const W: usize, I: Iterator<Item = u32>>(
+fn fold_panel_at<'a, const W: usize, const SHARED: bool, I: Iterator<Item = u32>>(
     (b, b_layout): (&[f32], Layout),
     c: &mut [f32],
     (j, n): (usize, usize),
@@ -183,11 +245,11 @@ fn fold_panel_at<'a, const W: usize, I: Iterator<Item = u32>>(
     match b_layout {
         Layout::Rows { cols } => {
             let strip = |r: usize| b[j + r * cols..][..W].try_into().expect("strip is W wide");
-            fold_panel::<W, I>(strip, c, (j, n), rows, list, how)
+            fold_panel::<W, SHARED, I>(strip, c, (j, n), rows, list, how)
         }
         Layout::Panels { rows: k } => {
             let (panel, _) = b[k * j..][..k * W].as_chunks::<W>();
-            fold_panel::<W, I>(|r| &panel[r], c, (j, n), rows, list, how)
+            fold_panel::<W, SHARED, I>(|r| &panel[r], c, (j, n), rows, list, how)
         }
     }
 }
@@ -195,8 +257,9 @@ fn fold_panel_at<'a, const W: usize, I: Iterator<Item = u32>>(
 /// The driver: rows `rows` of the row-major, `n`-wide `c` `(+)=` their
 /// listed entries (`list(i)`: row indices into `b`, and factors) times `b`.
 /// Panel-outer, row-inner, so one panel of `b` serves every row of the block.
+/// `SHARED`: every row's list has the same indices, as [`fold_panel`] needs.
 #[inline(always)]
-fn fold_block<'a, I: Iterator<Item = u32>>(
+fn fold_block<'a, const SHARED: bool, I: Iterator<Item = u32>>(
     b: (&[f32], Layout),
     c: &mut [f32],
     n: usize,
@@ -207,11 +270,11 @@ fn fold_block<'a, I: Iterator<Item = u32>>(
     for (j, w) in strips(n) {
         let rows = rows.clone();
         match w {
-            32 => fold_panel_at::<32, I>(b, c, (j, n), rows, &list, how),
-            16 => fold_panel_at::<16, I>(b, c, (j, n), rows, &list, how),
-            8 => fold_panel_at::<8, I>(b, c, (j, n), rows, &list, how),
-            4 => fold_panel_at::<4, I>(b, c, (j, n), rows, &list, how),
-            _ => fold_panel_at::<1, I>(b, c, (j, n), rows, &list, how),
+            32 => fold_panel_at::<32, SHARED, I>(b, c, (j, n), rows, &list, how),
+            16 => fold_panel_at::<16, SHARED, I>(b, c, (j, n), rows, &list, how),
+            8 => fold_panel_at::<8, SHARED, I>(b, c, (j, n), rows, &list, how),
+            4 => fold_panel_at::<4, SHARED, I>(b, c, (j, n), rows, &list, how),
+            _ => fold_panel_at::<1, SHARED, I>(b, c, (j, n), rows, &list, how),
         }
     }
 }
@@ -229,24 +292,46 @@ pub fn fold_listed_rows<'a>(
     list: impl Fn(usize) -> (&'a [u32], &'a [f32]),
     acc: Accumulate,
 ) {
-    let entries = |(idx, vals): (&'a [u32], &'a [f32])| {
-        debug_assert_eq!(idx.len(), vals.len(), "one value per index");
-        (idx.iter().copied(), vals)
-    };
     match n {
         0 => {}
         4 | 8 | 16 | 32 => {
             let b_panel = (b, Layout::Panels { rows: b.len() / n });
-            fold_block(b_panel, c, n, 0..c.len() / n, |i| entries(list(i)), acc.into());
+            fold_block::<false, _>(b_panel, c, n, 0..c.len() / n, |i| entries(list(i)), acc.into());
         }
-        _ => {
-            let b_rows = (b, Layout::Rows { cols: n });
-            for (i, c_row) in c.chunks_exact_mut(n).enumerate() {
-                let row = list(i);
-                fold_block(b_rows, c_row, n, 0..1, |_| entries(row), acc.into());
-            }
-        }
+        _ => fold_row_by_row(b, c, n, list, acc),
     }
+}
+
+/// [`fold_listed_rows`] for a `b` wider than one strip: a row at a time
+/// through all its strips, the row listed once. An empty row under
+/// [`Accumulate::Add`] is skipped: folding it would write back the bits it
+/// read. Out of line, so that the one-panel loop of the caller keeps its
+/// registers: inlined, this loop's live values pushed the panel loop's
+/// output pointer onto the stack, and criterion's 16-wide SpMM ran 7 %
+/// slower.
+#[inline(never)]
+fn fold_row_by_row<'a>(
+    b: &[f32],
+    c: &mut [f32],
+    n: usize,
+    list: impl Fn(usize) -> (&'a [u32], &'a [f32]),
+    acc: Accumulate,
+) {
+    let b_rows = (b, Layout::Rows { cols: n });
+    for (i, c_row) in c.chunks_exact_mut(n).enumerate() {
+        let row = list(i);
+        if row.0.is_empty() && acc == Accumulate::Add {
+            continue;
+        }
+        fold_block::<false, _>(b_rows, c_row, n, 0..1, |_| entries(row), acc.into());
+    }
+}
+
+/// A CSR row's entries as the driver takes them.
+#[inline(always)]
+fn entries<'a>((idx, vals): (&'a [u32], &'a [f32])) -> (impl Iterator<Item = u32> + 'a, &'a [f32]) {
+    debug_assert_eq!(idx.len(), vals.len(), "one value per index");
+    (idx.iter().copied(), vals)
 }
 
 /// The first `len` items of a scratch buffer, grown if it is shorter — to
@@ -370,8 +455,8 @@ pub fn scratch_bound_bytes(d: usize) -> usize {
 
 /// `C (+)= A · B` for `B: k×n` in panels and row-major `a: m×k`, `c: m×n`:
 /// [`ROW_BLOCK`] rows a parallel task, [`LIST_BLOCK`] rows at a time folded
-/// through every panel — by all their entries if `keep_zero`, else by their
-/// nonzeros, listed once.
+/// through every panel — by all their entries if `keep_zero` or the block
+/// has no zero, else by their nonzeros, listed once.
 fn fold_rows(
     a: &[f32],
     k: usize,
@@ -394,11 +479,14 @@ fn fold_rows(
                 let rows = c_block.len() / n;
                 let a_rows = &a[(blk * ROW_BLOCK + sub * LIST_BLOCK) * k..][..rows * k];
                 let a_row = |i: usize| &a_rows[i * k..(i + 1) * k];
-                if keep_zero {
-                    fold_block(b_panels, c_block, n, 0..rows, |i| (0..k32, a_row(i)), how);
+                // `-0.0 == 0.0` too: a block with a zero of either sign goes
+                // through the lists, which leave its terms out.
+                if keep_zero || !a_rows.contains(&0.0) {
+                    let all = |i: usize| (0..k32, a_row(i));
+                    fold_block::<true, _>(b_panels, c_block, n, 0..rows, all, how);
                 } else {
                     (0..rows).for_each(|i| lists.list(i, a_row(i).iter().copied()));
-                    fold_block(b_panels, c_block, n, 0..rows, |i| lists.row(i), how);
+                    fold_block::<false, _>(b_panels, c_block, n, 0..rows, |i| lists.row(i), how);
                 }
             }
         })
@@ -459,7 +547,13 @@ pub fn gemm_at_b(a: &Dense, b: &Dense, c: &mut Dense, acc: Accumulate) {
                     for i in cols.clone() {
                         lists.list(i - i0, ks.clone().map(|kk| a_data[kk * m + i]));
                     }
-                    fold_block(b_panels, partial, n, cols, |i| lists.row(i - i0), Strip::Extend);
+                    let row = |i: usize| lists.row(i - i0);
+                    if lists.lens[..cols.len()].iter().all(|&len| len == ks.len()) {
+                        let all = |i: usize| (0..ks.len() as u32, row(i).1);
+                        fold_block::<true, _>(b_panels, partial, n, cols, all, Strip::Extend);
+                    } else {
+                        fold_block::<false, _>(b_panels, partial, n, cols, row, Strip::Extend);
+                    }
                 }
             }
         })

@@ -453,6 +453,111 @@ fn workspace_left_by_a_larger_call_does_not_reach_a_later_result() {
     }
 }
 
+// ---------------------------------------------------------------------
+// Blocks whose rows share one list: `gemm_a_bt` always, `gemm` and
+// `gemm_at_b` when no factor of the block is zero. The value generator
+// above makes a zero-free 16-row block all but impossible, so these
+// inputs are built zero-free, or with one planted zero.
+// ---------------------------------------------------------------------
+
+impl Rng {
+    /// As `value`, never a zero of either sign.
+    fn nonzero(&mut self) -> f32 {
+        loop {
+            let x = self.value();
+            if x != 0.0 {
+                return x;
+            }
+        }
+    }
+
+    fn dense_nonzero(&mut self, rows: usize, cols: usize) -> Dense {
+        Dense::from_fn(rows, cols, |_, _| self.nonzero())
+    }
+}
+
+/// Row counts around the row pairs, the list block (16) and two of them.
+const SHARED_ROWS: [usize; 8] = [1, 2, 3, 15, 16, 17, 31, 33];
+
+#[test]
+fn zero_free_blocks_match_the_plain_loops_at_every_width_and_row_count() {
+    let mut rng = Rng(14);
+    for m in SHARED_ROWS {
+        for n in widths() {
+            let what = format!("{m}x19x{n}");
+            let (a, b, c0) = (rng.dense_nonzero(m, 19), rng.dense(19, n), rng.dense(m, n));
+            check_dense(&format!("gemm {what}"), gemm, gemm_reference, &a, &b, &c0);
+            let at = rng.dense_nonzero(19, m);
+            check_dense(&format!("gemm_at_b {what}"), gemm_at_b, gemm_at_b_reference, &at, &b, &c0);
+        }
+        // Depths around the `K_BLOCK` of `gemm_at_b`, whose last block is
+        // shorter.
+        for (k, n) in [(1, 36), (64, 16), (129, 128), (257, 33)] {
+            let what = format!("{m}x{k}x{n}");
+            let (a, b, c0) = (rng.dense_nonzero(m, k), rng.dense(k, n), rng.dense(m, n));
+            check_dense(&format!("gemm {what}"), gemm, gemm_reference, &a, &b, &c0);
+            let at = rng.dense_nonzero(k, m);
+            check_dense(&format!("gemm_at_b {what}"), gemm_at_b, gemm_at_b_reference, &at, &b, &c0);
+        }
+    }
+}
+
+#[test]
+fn one_zero_among_zero_free_rows_sends_its_block_back_to_the_lists() {
+    const POISON: [f32; 3] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+    let mut rng = Rng(15);
+    let (m, k, n) = (33, 40, 48);
+    // The zero's term would multiply a row of `B` that no product with zero
+    // survives: folding the block by the shared list shows as a NaN.
+    for zero in [0.0, -0.0] {
+        for (zi, zk) in [(0, 0), (17, 39), (32, 7)] {
+            let mut a = rng.dense_nonzero(m, k);
+            a.set(zi, zk, zero);
+            let b =
+                Dense::from_fn(k, n, |kk, j| if kk == zk { POISON[j % 3] } else { rng.value() });
+            let c0 = rng.dense(m, n);
+            let what = format!("zero {zero:?} at ({zi}, {zk})");
+            check_dense(&format!("gemm {what}"), gemm, gemm_reference, &a, &b, &c0);
+            let at = a.transpose();
+            check_dense(&format!("gemm_at_b {what}"), gemm_at_b, gemm_at_b_reference, &at, &b, &c0);
+        }
+    }
+}
+
+#[test]
+fn spmm_add_leaves_an_empty_row_as_it_found_it() {
+    let mut rng = Rng(16);
+    // Every fifth row of `a` is empty; its output row holds signed zeros
+    // and NaNs with payloads, whose bits an addition would not keep.
+    let a = rng.sparse(40, 23, 30);
+    let odd = [-0.0, f32::from_bits(0x7fc0_1234), f32::from_bits(0xffc0_0001)];
+    for d in widths() {
+        let b = rng.dense(23, d);
+        let c0 =
+            Dense::from_fn(
+                40,
+                d,
+                |i, j| {
+                    if a.row_nnz(i) == 0 {
+                        odd[(i + j) % 3]
+                    } else {
+                        rng.value()
+                    }
+                },
+            );
+        let mut want = c0.clone();
+        spmm_reference(&a, &b, &mut want, Accumulate::Add);
+        let run = || {
+            let mut c = c0.clone();
+            spmm(&a, &b, &mut c, Accumulate::Add);
+            c
+        };
+        for (w, got) in at_widths(run) {
+            assert_same_bits(&got, &want, &format!("spmm d={d} Add pool {w}"));
+        }
+    }
+}
+
 // A product with no output columns used to panic ("chunk size must be
 // positive"); with no output rows, or neither, it must do nothing as well.
 const EMPTY_SHAPES: [(usize, usize); 3] = [(6, 0), (0, 3), (0, 0)];
