@@ -8,6 +8,15 @@
 //! module provides the machinery to *measure* that claim — exact k-hop
 //! frontiers and GraphSAGE-style fanout-capped samplers — plus the
 //! subgraph extraction a mini-batch trainer needs.
+//!
+//! A serving batch walks the global operator with [`khop_layers`]. The
+//! hops its layers compute are a breadth-first walk; the last hop, which
+//! no layer computes, is only marked in a vertex bitset — a row longer
+//! than the bitset has words is kept as a bitset of its own ([`HubRows`])
+//! and ORed in a word at a time, any other row sets one bit per entry.
+//! The induced block is then counted from the bits: its vertices are the
+//! popcount, its entries are read from the reached rows or, on a
+//! symmetric operator, from the few rows the batch did not reach.
 
 use mggcn_sparse::{Coo, Csr};
 use rand::rngs::SmallRng;
@@ -162,25 +171,119 @@ pub enum Pattern {
     General,
 }
 
+/// The long rows of an operator kept as vertex bitsets, so that the last
+/// hop of [`khop_layers`] ORs each in a word at a time instead of storing
+/// one vertex per entry.
+///
+/// A row is kept when it has more entries than a bitset over the
+/// operator's columns has words: then its bitset is no larger than its
+/// column indices. Which rows those are is decided once, by
+/// [`new`](Self::new); [`insert`](Self::insert) keeps the bitsets exact as
+/// entries are added, and never promotes or demotes a row.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct HubRows {
+    /// Words per bitset, `⌈cols / 64⌉`.
+    words: usize,
+    /// `slot[r]`: which bitset row `r` owns, `NIL` when its entries are
+    /// read from the CSR.
+    slot: Vec<u32>,
+    /// Bitset `s` is `bits[s·words..(s + 1)·words]`.
+    bits: Vec<u64>,
+}
+
+const NIL: u32 = u32::MAX;
+
+impl HubRows {
+    /// Index every row of `adj` with more entries than a bitset has words.
+    pub fn new(adj: &Csr) -> Self {
+        let words = adj.cols().div_ceil(64);
+        let mut hubs = Self { words, slot: vec![NIL; adj.rows()], bits: Vec::new() };
+        for r in 0..adj.rows() {
+            if adj.row_nnz(r) > words {
+                hubs.slot[r] = (hubs.bits.len() / words) as u32;
+                hubs.bits.resize(hubs.bits.len() + words, 0);
+                adj.row_cols(r).iter().for_each(|&c| hubs.insert(r, c));
+            }
+        }
+        hubs
+    }
+
+    /// Record a new entry `(r, c)` of the operator: a hub row sets bit `c`,
+    /// any other row is read from the CSR and needs nothing.
+    pub fn insert(&mut self, r: usize, c: u32) {
+        let s = self.slot[r];
+        if s != NIL {
+            set_bit(&mut self.bits[s as usize * self.words..][..self.words], c);
+        }
+    }
+
+    /// Row `r`'s bitset, if it is a hub row.
+    fn row(&self, r: usize) -> Option<&[u64]> {
+        let s = self.slot[r];
+        (s != NIL).then(|| &self.bits[s as usize * self.words..][..self.words])
+    }
+}
+
+fn set_bit(bits: &mut [u64], v: u32) {
+    bits[v as usize / 64] |= 1 << (v % 64);
+}
+
+/// The positions of the set bits of `words`, ascending.
+fn ones(words: impl Iterator<Item = u64>) -> impl Iterator<Item = u32> {
+    words.enumerate().flat_map(|(w, mut bits)| {
+        std::iter::from_fn(move || {
+            let b = bits.trailing_zeros();
+            bits &= bits.wrapping_sub(1);
+            (b < 64).then_some(w as u32 * 64 + b)
+        })
+    })
+}
+
 /// The rows each layer of an `hops`-layer batch around `seeds` produces
 /// and the shells that feed each layer from the one before, plus the
 /// induced block's two counts — everything the block was built for, with
-/// no block.
+/// no block. `hubs` is [`HubRows::new`] of `adj`, kept up to date.
 ///
 /// Every neighbour of a row of `rows[l]` is one hop further out, so it is
 /// in `rows[l − 1]` and the shell can renumber it; the shell keeps each
 /// row's entries in `adj`'s order, so an SpMM over it folds every row in
 /// exactly the full-graph order. No layer computes the last hop's
-/// vertices, so the walk only marks them, and the block's entries are
-/// counted from whichever side of the reach cut is cheaper to read — with
-/// a symmetric `pattern`, usually the rows nobody reached.
-pub fn khop_layers(adj: &Csr, seeds: &[u32], hops: usize, pattern: Pattern) -> KhopLayers {
-    let (order, mut dist) = bfs(adj, seeds, hops);
-    let inner = order.partition_point(|&v| (dist[v as usize] as usize) < hops);
-    let (computed, outer) = order.split_at(inner);
-    let block_edges = reached_nnz(adj, &dist, computed, outer, pattern);
-    let mut computed = computed.to_vec();
-    computed.sort_unstable();
+/// vertices, so the walk stops a hop short and only marks the last hop in
+/// a bitset: a hub row on the frontier is ORed in a word at a time, any
+/// other row sets one bit per entry. The block's vertices are the
+/// bitset's popcount, and its entries are counted from whichever side of
+/// the reach cut holds fewer vertices — with a symmetric `pattern`,
+/// usually the few, short rows nobody reached.
+pub fn khop_layers(
+    adj: &Csr,
+    hubs: &HubRows,
+    seeds: &[u32],
+    hops: usize,
+    pattern: Pattern,
+) -> KhopLayers {
+    assert_eq!(hubs.slot.len(), adj.rows(), "hub index of another operator");
+    let (order, mut dist) = bfs(adj, seeds, hops.saturating_sub(1));
+    let mut reach = vec![0u64; hubs.words];
+    order.iter().for_each(|&v| set_bit(&mut reach, v));
+    // With no layer nothing is computed, and the block is the seeds.
+    let inner = if hops == 0 { vec![0; hubs.words] } else { reach.clone() };
+    let computed: Vec<u32> = ones(inner.iter().copied()).collect();
+    if hops > 0 {
+        let last = hops as u32 - 1;
+        for &v in &order[order.partition_point(|&v| dist[v as usize] < last)..] {
+            match hubs.row(v as usize) {
+                Some(row) => reach.iter_mut().zip(row).for_each(|(r, &b)| *r |= b),
+                None => adj.row_cols(v as usize).iter().for_each(|&c| set_bit(&mut reach, c)),
+            }
+        }
+    }
+    let block_vertices = reach.iter().map(|w| w.count_ones() as usize).sum::<usize>();
+    let outer = block_vertices - computed.len();
+    let block_edges = if pattern == Pattern::Symmetric && adj.rows() - block_vertices < outer {
+        adj.nnz() - cut_from_unreached(adj, &reach)
+    } else {
+        count_from_reached(adj, &reach, &computed, &inner)
+    };
     let rows: Vec<Vec<u32>> = (0..hops as u32)
         .rev()
         .map(|d| computed.iter().copied().filter(|&v| dist[v as usize] <= d).collect())
@@ -207,44 +310,38 @@ pub fn khop_layers(adj: &Csr, seeds: &[u32], hops: usize, pattern: Pattern) -> K
             Csr::from_parts(cur.len(), prev.len(), row_ptr, col_idx, values)
         })
         .collect();
-    KhopLayers { rows, shells, block_vertices: order.len(), block_edges }
+    KhopLayers { rows, shells, block_vertices, block_edges }
 }
 
-/// The entries of `adj` whose row and column were both reached (`dist`
-/// set) — the induced block's `nnz` — counted from the side of the reach
-/// cut with fewer entries to read. `inner` are the reached vertices whose
-/// whole neighbourhood was reached, `outer` the last hop's.
-///
-/// From the reached side, an inner row counts whole and an outer row
-/// counts the entries whose column was reached. From the unreached side
-/// (symmetric patterns only), every entry is counted except those of an
-/// unreached row and, through their mirrors, those of a reached row that
-/// point into an unreached column — so only the rows nobody reached are
-/// read, plus one pass over `dist` to find them. On a power-law graph a
-/// batch reaches most vertices in two hops, and the unreached rows are the
-/// few, short ones.
-fn reached_nnz(adj: &Csr, dist: &[u32], inner: &[u32], outer: &[u32], pattern: Pattern) -> usize {
-    let nnz_of = |vs: &[u32]| vs.iter().map(|&v| adj.row_nnz(v as usize)).sum::<usize>();
-    let (inner_nnz, outer_nnz) = (nnz_of(inner), nnz_of(outer));
-    let unreached_nnz = adj.nnz() - inner_nnz - outer_nnz;
-    if pattern == Pattern::Symmetric && adj.rows() + unreached_nnz < outer_nnz {
-        adj.nnz() - cut_from_unreached(adj, dist)
-    } else {
-        inner_nnz + outer.iter().map(|&v| reached_neighbours(adj, dist, v)).sum::<usize>()
-    }
+/// The entries of `adj` whose row and column are both in `reach` — the
+/// induced block's `nnz` — counted from the reached side. `inner` are the
+/// reached vertices whose whole rows were reached (`inner_bits` their
+/// bitset): each counts whole, and every other reached row counts the
+/// entries whose column was reached.
+fn count_from_reached(adj: &Csr, reach: &[u64], inner: &[u32], inner_bits: &[u64]) -> usize {
+    let inner_nnz = inner.iter().map(|&v| adj.row_nnz(v as usize)).sum::<usize>();
+    let outer = ones(reach.iter().zip(inner_bits).map(|(&r, &i)| r & !i));
+    inner_nnz + outer.map(|v| reached_neighbours(adj, reach, v)).sum::<usize>()
 }
 
-/// The entries of a symmetric `adj` with an unreached row or column.
-fn cut_from_unreached(adj: &Csr, dist: &[u32]) -> usize {
-    (0..adj.rows() as u32)
-        .filter(|&u| dist[u as usize] == u32::MAX)
-        .map(|u| adj.row_nnz(u as usize) + reached_neighbours(adj, dist, u))
+/// The entries of a symmetric `adj` with a row or column outside `reach`:
+/// every entry of an unreached row and, through its mirror, every entry of
+/// a reached row that points into an unreached column. Only the unreached
+/// rows are read; the bits of the last word past the last vertex are no
+/// vertex and are masked off.
+fn cut_from_unreached(adj: &Csr, reach: &[u64]) -> usize {
+    let (n, last) = (adj.rows(), reach.len().saturating_sub(1));
+    let live = |w: usize| if w == last && n % 64 != 0 { (1 << (n % 64)) - 1 } else { u64::MAX };
+    let unreached = ones(reach.iter().enumerate().map(|(w, &r)| !r & live(w)));
+    unreached.map(|u| adj.row_nnz(u as usize) + reached_neighbours(adj, reach, u)).sum()
+}
+
+/// How many of row `v`'s columns are in `reach`.
+fn reached_neighbours(adj: &Csr, reach: &[u64], v: u32) -> usize {
+    adj.row_cols(v as usize)
+        .iter()
+        .map(|&c| ((reach[c as usize / 64] >> (c % 64)) & 1) as usize)
         .sum()
-}
-
-/// How many of row `v`'s columns were reached.
-fn reached_neighbours(adj: &Csr, dist: &[u32], v: u32) -> usize {
-    adj.row_cols(v as usize).iter().filter(|&&c| dist[c as usize] != u32::MAX).count()
 }
 
 /// GraphSAGE-style sampling: at each hop keep at most `fanout` random
@@ -411,24 +508,91 @@ mod tests {
     fn both_sides_of_the_reach_cut_count_the_induced_block() {
         let degrees: Vec<u32> = (0..400u32).map(|v| if v % 40 == 0 { 60 } else { 3 }).collect();
         let g = chung_lu::generate(&degrees, 21);
+        let hubs = HubRows::new(&g);
         for (seeds, hops) in [(&[1u32, 2][..], 1), (&[5, 90, 91, 300][..], 2), (&[7][..], 3)] {
-            let (order, dist) = bfs(&g, seeds, hops);
-            let inner = order.partition_point(|&v| (dist[v as usize] as usize) < hops);
-            let (inner, outer) = order.split_at(inner);
-            let want = khop_induced(&g, seeds, hops).adj.nnz();
-            assert_eq!(reached_nnz(&g, &dist, inner, outer, Pattern::General), want);
-            assert_eq!(g.nnz() - cut_from_unreached(&g, &dist), want);
-            let layers = khop_layers(&g, seeds, hops, Pattern::Symmetric);
-            assert_eq!((layers.block_vertices, layers.block_edges), (order.len(), want));
+            let block = khop_induced(&g, seeds, hops);
+            let want = block.adj.nnz();
+            let inner: Vec<u32> = block
+                .locals_within(hops as u32 - 1)
+                .iter()
+                .map(|&l| block.vertices[l as usize])
+                .collect();
+            let (mut reach, mut inner_bits) = (vec![0; hubs.words], vec![0; hubs.words]);
+            block.vertices.iter().for_each(|&v| set_bit(&mut reach, v));
+            inner.iter().for_each(|&v| set_bit(&mut inner_bits, v));
+            assert_eq!(count_from_reached(&g, &reach, &inner, &inner_bits), want);
+            assert_eq!(g.nnz() - cut_from_unreached(&g, &reach), want);
+            let layers = khop_layers(&g, &hubs, seeds, hops, Pattern::Symmetric);
+            assert_eq!((layers.block_vertices, layers.block_edges), (block.vertices.len(), want));
         }
-        // A hub-heavy batch reaches most of the graph in two hops: the rows
-        // left unreached are the cheaper side, the one `Symmetric` reads.
-        let (order, dist) = bfs(&g, &[0, 40, 80], 2);
-        let outer = order.iter().filter(|&&v| dist[v as usize] == 2);
-        let outer_nnz: usize = outer.map(|&v| g.row_nnz(v as usize)).sum();
-        let unreached_nnz: usize =
-            (0..g.rows()).filter(|&u| dist[u] == u32::MAX).map(|u| g.row_nnz(u)).sum();
-        assert!(g.rows() + unreached_nnz < outer_nnz, "{unreached_nnz} vs {outer_nnz}");
+        // A hub-heavy batch reaches most of the graph in two hops: fewer
+        // vertices are left unreached than the last hop reached, so the
+        // unreached side is the one `Symmetric` reads.
+        let layers = khop_layers(&g, &hubs, &[0, 40, 80], 2, Pattern::Symmetric);
+        let (reached, outer) =
+            (layers.block_vertices, layers.block_vertices - layers.rows[0].len());
+        assert!(g.rows() - reached < outer, "{reached} reached, {outer} on the last hop");
+    }
+
+    #[test]
+    fn hub_bitsets_and_csr_rows_mark_the_same_last_hop() {
+        // 200 vertices: four words a bitset, the last one 8 bits deep.
+        let degrees: Vec<u32> = (0..200u32).map(|v| if v % 25 == 0 { 40 } else { 2 }).collect();
+        let undirected = chung_lu::generate(&degrees, 5);
+        let mut coo = Coo::new(200, 200);
+        for r in 0..200u32 {
+            for (c, x) in undirected.row(r as usize).filter(|&(c, _)| (r + c) % 3 != 0) {
+                coo.push(r, c, x);
+            }
+        }
+        let directed = coo.to_csr();
+        let seeds = [0u32, 3, 3, 199, 50];
+        let mut sides = [false; 2];
+        for (g, patterns) in [
+            (&undirected, &[Pattern::Symmetric, Pattern::General][..]),
+            (&directed, &[Pattern::General][..]),
+        ] {
+            let hubs = HubRows::new(g);
+            assert_eq!(hubs.words, 4);
+            let is_hub = |v: &u32| hubs.row(*v as usize).is_some();
+            assert!(seeds.iter().any(is_hub) && !seeds.iter().all(is_hub));
+            for hops in 0..4 {
+                let block = khop_induced(g, &seeds, hops);
+                for &pattern in patterns {
+                    let layers = khop_layers(g, &hubs, &seeds, hops, pattern);
+                    let got = (layers.block_vertices, layers.block_edges);
+                    assert_eq!(
+                        got,
+                        (block.vertices.len(), block.adj.nnz()),
+                        "{hops} hops {pattern:?}"
+                    );
+                    assert_eq!(
+                        (layers.rows.len(), layers.shells.len()),
+                        (hops, hops.saturating_sub(1))
+                    );
+                    if pattern == Pattern::Symmetric {
+                        let computed = layers.rows.first().map_or(0, Vec::len);
+                        sides[(200 - got.0 < got.0 - computed) as usize] = true;
+                    }
+                }
+            }
+        }
+        assert_eq!(sides, [true, true], "both sides of the cut were counted");
+        // No layer: the block is the deduplicated seeds and the entries
+        // among them.
+        let zero =
+            khop_layers(&undirected, &HubRows::new(&undirected), &seeds, 0, Pattern::General);
+        let among: usize = [0u32, 3, 50, 199]
+            .iter()
+            .map(|&v| {
+                undirected
+                    .row_cols(v as usize)
+                    .iter()
+                    .filter(|c| [0, 3, 50, 199].contains(*c))
+                    .count()
+            })
+            .sum();
+        assert_eq!((zero.block_vertices, zero.block_edges), (4, among));
     }
 
     #[test]

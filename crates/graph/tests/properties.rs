@@ -200,7 +200,7 @@ proptest! {
         hops in 1usize..4,
         seeds in proptest::collection::vec(0u32..40, 1..6),
     ) {
-        use mggcn_graph::sampling::{khop_induced, khop_layers, Pattern};
+        use mggcn_graph::sampling::{khop_induced, khop_layers, HubRows, Pattern};
 
         // Random directed entries: most rows stay empty, duplicates sum.
         // Half the cases mirror each one (a self edge then sums with itself).
@@ -217,7 +217,7 @@ proptest! {
         seeds.push(seeds[0]);
 
         let block = khop_induced(&adj, &seeds, hops);
-        let layers = khop_layers(&adj, &seeds, hops, pattern);
+        let layers = khop_layers(&adj, &HubRows::new(&adj), &seeds, hops, pattern);
         prop_assert_eq!(layers.block_vertices, block.vertices.len());
         prop_assert_eq!(layers.block_edges, block.adj.nnz());
         prop_assert_eq!(layers.rows.len(), hops);

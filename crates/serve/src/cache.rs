@@ -12,8 +12,8 @@
 //! (one `f32` arena holding fixed-stride rows, plus intrusive prev/next
 //! slot links for the LRU order), so there are no per-entry allocations,
 //! no linked `Box` chains to drop recursively, and eviction is O(1).
-
-use std::collections::HashMap;
+//! Vertex ids are dense, so a row's slot is found through a table indexed
+//! by vertex: four bytes a vertex, no hashing, and a fixed walk order.
 
 const NIL: u32 = u32::MAX;
 
@@ -53,7 +53,11 @@ pub struct PropagationCache {
     head: u32,
     tail: u32,
     free: Vec<u32>,
-    map: HashMap<u32, u32>,
+    /// `slot_of[v]`: the slot holding vertex `v`'s row, `NIL` when it is
+    /// not resident; grown on insert to the largest vertex seen.
+    slot_of: Vec<u32>,
+    /// Resident rows.
+    len: usize,
     stats: CacheStats,
 }
 
@@ -74,7 +78,8 @@ impl PropagationCache {
             head: NIL,
             tail: NIL,
             free: Vec::new(),
-            map: HashMap::new(),
+            slot_of: Vec::new(),
+            len: 0,
             stats: CacheStats::default(),
         }
     }
@@ -90,11 +95,11 @@ impl PropagationCache {
 
     /// Currently resident rows.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len == 0
     }
 
     /// Bytes of row payload currently resident.
@@ -108,7 +113,7 @@ impl PropagationCache {
 
     /// Look up a vertex's row, promoting it to most-recently-used.
     pub fn get(&mut self, vertex: u32) -> Option<&[f32]> {
-        match self.map.get(&vertex).copied() {
+        match self.slot(vertex) {
             Some(slot) => {
                 self.stats.hits += 1;
                 self.unlink(slot);
@@ -125,7 +130,7 @@ impl PropagationCache {
 
     /// Check residency without touching LRU order or hit/miss counters.
     pub fn contains(&self, vertex: u32) -> bool {
-        self.map.contains_key(&vertex)
+        self.slot(vertex).is_some()
     }
 
     /// Insert (or overwrite) a vertex's row, evicting the least-recently
@@ -135,7 +140,7 @@ impl PropagationCache {
         if self.capacity_rows == 0 {
             return;
         }
-        if let Some(&slot) = self.map.get(&vertex) {
+        if let Some(slot) = self.slot(vertex) {
             let s = slot as usize;
             self.data[s * self.stride..(s + 1) * self.stride].copy_from_slice(row);
             self.unlink(slot);
@@ -158,22 +163,30 @@ impl PropagationCache {
             let victim = self.tail;
             debug_assert_ne!(victim, NIL, "full cache must have a tail");
             self.unlink(victim);
-            self.map.remove(&self.keys[victim as usize]);
+            self.slot_of[self.keys[victim as usize] as usize] = NIL;
+            self.len -= 1;
             self.stats.evictions += 1;
             victim
         };
         let s = slot as usize;
         self.data[s * self.stride..(s + 1) * self.stride].copy_from_slice(row);
         self.keys[s] = vertex;
-        self.map.insert(vertex, slot);
+        let v = vertex as usize;
+        if v >= self.slot_of.len() {
+            self.slot_of.resize(v + 1, NIL);
+        }
+        self.slot_of[v] = slot;
+        self.len += 1;
         self.push_front(slot);
         self.stats.insertions += 1;
     }
 
     /// Remove one vertex's row. Returns whether it was resident.
     pub fn invalidate(&mut self, vertex: u32) -> bool {
-        match self.map.remove(&vertex) {
+        match self.slot(vertex) {
             Some(slot) => {
+                self.slot_of[vertex as usize] = NIL;
+                self.len -= 1;
                 self.unlink(slot);
                 self.keys[slot as usize] = NIL;
                 self.free.push(slot);
@@ -189,9 +202,9 @@ impl PropagationCache {
         vertices.iter().filter(|&&v| self.invalidate(v)).count()
     }
 
-    /// Drop everything (counts as invalidations).
+    /// Drop everything (counts as invalidations), in slot order.
     pub fn clear(&mut self) {
-        let resident: Vec<u32> = self.map.keys().copied().collect();
+        let resident: Vec<u32> = self.keys.iter().copied().filter(|&k| k != NIL).collect();
         self.invalidate_many(&resident);
     }
 
@@ -204,6 +217,11 @@ impl PropagationCache {
             s = self.next[s as usize];
         }
         out
+    }
+
+    /// The slot holding `vertex`'s row, if it is resident.
+    fn slot(&self, vertex: u32) -> Option<u32> {
+        self.slot_of.get(vertex as usize).copied().filter(|&s| s != NIL)
     }
 
     fn unlink(&mut self, slot: u32) {

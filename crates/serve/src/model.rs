@@ -27,7 +27,7 @@ use mggcn_core::problem::Problem;
 use mggcn_core::trainer::Trainer;
 use mggcn_dense::{gemm, relu_inplace, Accumulate, Dense};
 use mggcn_gpusim::spmm_first;
-use mggcn_graph::sampling::Pattern;
+use mggcn_graph::sampling::{HubRows, Pattern};
 use mggcn_graph::Graph;
 use mggcn_sparse::{spmm, spmm_rows, Csr};
 use std::sync::Arc;
@@ -42,6 +42,9 @@ pub struct ServingModel {
     /// Whether `Âᵀ`'s pattern is symmetric; a delta adds both directions,
     /// so it stays what the frozen graph made it.
     pattern: Pattern,
+    /// `Âᵀ`'s long rows as vertex bitsets, for a batch's last hop; a delta
+    /// sets the bit of each entry it adds.
+    hubs: HubRows,
     features: Arc<Dense>,
     /// Layer 0's SpMM operand: `H⁰·W⁰` when layer 0 multiplies first, else
     /// `features` itself.
@@ -93,6 +96,7 @@ impl ServingModel {
         } else {
             Pattern::General
         };
+        let hubs = HubRows::new(&adj_t);
         let features = Arc::new(features);
         let w0 = &weights[0];
         let layer0 = if spmm_first(w0.rows(), w0.cols()) {
@@ -106,6 +110,7 @@ impl ServingModel {
             a_hat_t: Arc::new(adj_t.normalize_rows()),
             adj_t,
             pattern,
+            hubs,
             features,
             layer0,
             weights: Arc::new(weights),
@@ -147,6 +152,12 @@ impl ServingModel {
     /// counted from the vertices it does not reach.
     pub fn pattern(&self) -> Pattern {
         self.pattern
+    }
+
+    /// The hub index of `Âᵀ` ([`HubRows`]) that
+    /// [`khop_layers`](mggcn_graph::sampling::khop_layers) walks with.
+    pub fn hubs(&self) -> &HubRows {
+        &self.hubs
     }
 
     pub fn features(&self) -> &Arc<Dense> {
@@ -225,6 +236,7 @@ impl ServingModel {
             for (r, c) in [(v, u), (u, v)] {
                 if self.adj_t.add_entry(r as usize, c, 1.0) {
                     a_hat_t.add_entry(r as usize, c, 0.0);
+                    self.hubs.insert(r as usize, c);
                 }
                 endpoints.push(r);
             }
@@ -242,6 +254,7 @@ impl ServingModel {
 mod tests {
     use super::*;
     use mggcn_graph::generators::chung_lu;
+    use mggcn_graph::sampling::{khop_induced, khop_layers};
 
     fn tiny_model(n: usize, d0: usize, hidden: usize, classes: usize, seed: u64) -> ServingModel {
         let adj = chung_lu::generate(&vec![4u32; n], seed);
@@ -305,6 +318,41 @@ mod tests {
         let directed =
             ServingModel::from_parts(vec![Dense::zeros(2, 2)], coo.to_csr(), Dense::zeros(3, 2));
         assert_eq!(directed.expect("valid model").pattern(), Pattern::General);
+    }
+
+    #[test]
+    fn a_delta_keeps_the_hub_index_exact() {
+        // 200 vertices: a bitset has four words, so the degree-40 rows are
+        // hubs and a row of at most 2 entries stays a CSR row after two more.
+        let n = 200;
+        let degrees: Vec<u32> = (0..n as u32).map(|v| if v % 25 == 0 { 40 } else { 1 }).collect();
+        let adj = chung_lu::generate(&degrees, 3);
+        let feats = Dense::from_fn(n, 4, |r, c| ((r + c) as f32).sin());
+        let mut m =
+            ServingModel::from_parts(vec![Dense::zeros(4, 3), Dense::zeros(3, 2)], adj, feats)
+                .expect("valid model");
+        let is_hub = |m: &ServingModel, v: u32| m.a_hat_t().row_nnz(v as usize) > 4;
+        let new = |m: &ServingModel, u: u32, v: u32| !m.a_hat_t().row_cols(u as usize).contains(&v);
+        let hubs: Vec<u32> = (0..n as u32).filter(|&v| is_hub(&m, v)).collect();
+        let (hub, far) = hubs
+            .iter()
+            .flat_map(|&h| hubs.iter().map(move |&f| (h, f)))
+            .find(|&(h, f)| h != f && new(&m, h, f) && new(&m, h, h))
+            .expect("two hubs not yet adjacent");
+        let short = |v: u32| m.a_hat_t().row_nnz(v as usize) <= 2 && new(&m, v, v);
+        let leaf = (0..n as u32).find(|&v| short(v) && new(&m, hub, v)).expect("a short row");
+        let other =
+            (0..n as u32).find(|&v| v != leaf && short(v) && new(&m, leaf, v)).expect("another");
+        m.apply_delta(&[(hub, far), (hub, hub), (hub, leaf), (leaf, other), (other, other)]);
+        assert!(!is_hub(&m, leaf) && !is_hub(&m, other), "no row crossed the threshold");
+        assert_eq!(*m.hubs(), HubRows::new(m.a_hat_t()));
+        let batch = [hub, other, 7];
+        let block = khop_induced(m.a_hat_t(), &batch, 2);
+        let layers = khop_layers(m.a_hat_t(), m.hubs(), &batch, 2, m.pattern());
+        assert_eq!(
+            (layers.block_vertices, layers.block_edges),
+            (block.vertices.len(), block.adj.nnz())
+        );
     }
 
     #[test]

@@ -16,9 +16,12 @@
 //!
 //! * `serve-extract` — k-hop extraction, costed as the induced block's
 //!   fixed cost plus a per-edge term and paid **once per batch** — the
-//!   quantity micro-batching amortizes; the edges are counted, not built,
-//!   and on an undirected graph ([`ServingModel::pattern`]) from the rows
-//!   the batch does not reach;
+//!   quantity micro-batching amortizes; the block is counted, not built:
+//!   the last hop is marked in a vertex bitset, the model's long rows
+//!   ([`ServingModel::hubs`]) ORed in a word at a time, the block's
+//!   vertices are its popcount, and its edges are counted from the bits —
+//!   on an undirected graph ([`ServingModel::pattern`]) from the rows the
+//!   batch does not reach;
 //! * `serve-gather` — operand rows + cached layer-0 rows into device
 //!   buffers, at the operand's width (costed only: the cache hits are
 //!   written into the compact layer-0 output when the cache is probed, and
@@ -383,7 +386,7 @@ impl Server {
         let operand = self.model.layer0_operand().clone();
         let d0 = operand.cols();
         let a_hat_t = self.model.a_hat_t().clone();
-        let khop = khop_layers(&a_hat_t, vertices, layers, self.model.pattern());
+        let khop = khop_layers(&a_hat_t, self.model.hubs(), vertices, layers, self.model.pattern());
         let n_local = khop.block_vertices;
 
         // Probe the cache for layer-0 rows in ascending global order

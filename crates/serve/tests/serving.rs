@@ -267,7 +267,7 @@ fn cold_batch_ops(
     layer0_gemm: bool,
 ) -> Vec<(&'static str, Work)> {
     let (cost, spec) = (CostModel::default(), cfg.machine.gpus[0]);
-    let khop = khop_layers(m.a_hat_t(), batch, m.layers(), m.pattern());
+    let khop = khop_layers(m.a_hat_t(), m.hubs(), batch, m.layers(), m.pattern());
     let n_local = khop.block_vertices as u64;
     let extract = EXTRACT_FIXED + EXTRACT_PER_EDGE * khop.block_edges as f64;
     let mut ops = vec![
