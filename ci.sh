@@ -49,8 +49,8 @@ MGGCN_THREADS=4 cargo test -q --workspace
 echo "==> kernel bit-identity, the target_bits golden, steady-state allocations, served answers, batch counts (release)"
 # The benchmark times the vectorised release kernels and serves with them;
 # the workspace passes above only run the debug build of them. A batch's
-# last hop is ORed and counted a word at a time: the graph crate's tests
-# hold those counts in the vectorised build too.
+# rows and shells come from `khop_layers`: the graph crate's tests hold
+# them to `khop_induced` in the vectorised build too.
 cargo test --release -q -p mg-gcn -p mggcn-testkit \
   --test kernel_bits --test steady_state_allocs --test target_bits
 cargo test --release -q -p mggcn-serve --test serving

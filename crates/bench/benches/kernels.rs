@@ -17,7 +17,7 @@ use mggcn_dense::{gemm, gemm_a_bt, gemm_at_b, Accumulate, Dense};
 use mggcn_graph::generators::bter::{self, ClusteringProfile};
 use mggcn_graph::generators::{chung_lu, degree};
 use mggcn_graph::random_permutation;
-use mggcn_graph::sampling::{khop_layers, HubRows, Pattern};
+use mggcn_graph::sampling::khop_layers;
 use mggcn_sparse::{spmm, spmm_rows, Csr, TileGrid};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -80,23 +80,25 @@ fn bench_spmm(c: &mut Criterion) {
     group.finish();
 }
 
-/// `khop_layers` for a two-layer batch of 32 random seeds on `serve-churn`'s
-/// graph shape (6 000 vertices, degree 16): the walk, the rows and shells,
-/// and the block's two counts — `Symmetric` may count the edges from the
-/// rows the batch does not reach, `General` reads the last hop's rows. The
-/// hub index is built once, outside the timed loop, as a model builds it.
+/// `khop_layers` for 64 two-layer batches of 32 random seeds each on
+/// `serve-churn`'s graph shape (6 000 vertices, degree 16): the walk, the
+/// rows and the shell. The batches are drawn once, outside the timed loop;
+/// one batch timed over and over would let the branch predictor learn its
+/// walk and read 2–3× under the served cost.
 fn bench_khop(c: &mut Criterion) {
     let mut group = c.benchmark_group("khop");
     group.sample_size(10).measurement_time(std::time::Duration::from_secs(2));
     let a = power_law(6_000, 16.0);
     let mut rng = SmallRng::seed_from_u64(13);
-    let seeds: Vec<u32> = (0..32).map(|_| rng.gen_range(0..6_000)).collect();
-    let hubs = HubRows::new(&a);
-    for pattern in [Pattern::Symmetric, Pattern::General] {
-        group.bench_function(format!("layers2_seeds32_nnz{}_{pattern:?}", a.nnz()), |bench| {
-            bench.iter(|| khop_layers(black_box(&a), &hubs, black_box(&seeds), 2, pattern))
-        });
-    }
+    let batches: Vec<Vec<u32>> =
+        (0..64).map(|_| (0..32).map(|_| rng.gen_range(0..6_000)).collect()).collect();
+    group.bench_function(format!("layers2_64x32seeds_nnz{}", a.nnz()), |bench| {
+        bench.iter(|| {
+            for seeds in &batches {
+                black_box(khop_layers(black_box(&a), black_box(seeds), 2));
+            }
+        })
+    });
     group.finish();
 }
 

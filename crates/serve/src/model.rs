@@ -27,7 +27,6 @@ use mggcn_core::problem::Problem;
 use mggcn_core::trainer::Trainer;
 use mggcn_dense::{gemm, relu_inplace, Accumulate, Dense};
 use mggcn_gpusim::spmm_first;
-use mggcn_graph::sampling::{HubRows, Pattern};
 use mggcn_graph::Graph;
 use mggcn_sparse::{spmm, spmm_rows, Csr};
 use std::sync::Arc;
@@ -39,12 +38,6 @@ pub struct ServingModel {
     /// delta patches it in place and `Âᵀ` is its row normalization.
     adj_t: Csr,
     a_hat_t: Arc<Csr>,
-    /// Whether `Âᵀ`'s pattern is symmetric; a delta adds both directions,
-    /// so it stays what the frozen graph made it.
-    pattern: Pattern,
-    /// `Âᵀ`'s long rows as vertex bitsets, for a batch's last hop; a delta
-    /// sets the bit of each entry it adds.
-    hubs: HubRows,
     features: Arc<Dense>,
     /// Layer 0's SpMM operand: `H⁰·W⁰` when layer 0 multiplies first, else
     /// `features` itself.
@@ -91,12 +84,6 @@ impl ServingModel {
         }
         // Same f64 sums in the same order as `adj.normalize_columns().transpose()`.
         let adj_t = adj.transpose();
-        let pattern = if adj_t.row_ptr() == adj.row_ptr() && adj_t.col_idx() == adj.col_idx() {
-            Pattern::Symmetric
-        } else {
-            Pattern::General
-        };
-        let hubs = HubRows::new(&adj_t);
         let features = Arc::new(features);
         let w0 = &weights[0];
         let layer0 = if spmm_first(w0.rows(), w0.cols()) {
@@ -109,8 +96,6 @@ impl ServingModel {
         Ok(Self {
             a_hat_t: Arc::new(adj_t.normalize_rows()),
             adj_t,
-            pattern,
-            hubs,
             features,
             layer0,
             weights: Arc::new(weights),
@@ -145,19 +130,6 @@ impl ServingModel {
 
     pub fn a_hat_t(&self) -> &Arc<Csr> {
         &self.a_hat_t
-    }
-
-    /// `Symmetric` when the frozen adjacency is undirected (its pattern
-    /// equals its transpose's, columns ascending); a batch's block is then
-    /// counted from the vertices it does not reach.
-    pub fn pattern(&self) -> Pattern {
-        self.pattern
-    }
-
-    /// The hub index of `Âᵀ` ([`HubRows`]) that
-    /// [`khop_layers`](mggcn_graph::sampling::khop_layers) walks with.
-    pub fn hubs(&self) -> &HubRows {
-        &self.hubs
     }
 
     pub fn features(&self) -> &Arc<Dense> {
@@ -236,7 +208,6 @@ impl ServingModel {
             for (r, c) in [(v, u), (u, v)] {
                 if self.adj_t.add_entry(r as usize, c, 1.0) {
                     a_hat_t.add_entry(r as usize, c, 0.0);
-                    self.hubs.insert(r as usize, c);
                 }
                 endpoints.push(r);
             }
@@ -254,7 +225,6 @@ impl ServingModel {
 mod tests {
     use super::*;
     use mggcn_graph::generators::chung_lu;
-    use mggcn_graph::sampling::{khop_induced, khop_layers};
 
     fn tiny_model(n: usize, d0: usize, hidden: usize, classes: usize, seed: u64) -> ServingModel {
         let adj = chung_lu::generate(&vec![4u32; n], seed);
@@ -309,50 +279,13 @@ mod tests {
     #[test]
     fn an_undirected_graph_is_symmetric_and_its_deltas_keep_it_so() {
         let mut m = tiny_model(20, 4, 3, 2, 7);
-        assert_eq!(m.pattern(), Pattern::Symmetric);
         m.apply_delta(&[(19, 0), (4, 4)]);
         let (adj, a_hat_t) = (m.adj(), m.a_hat_t());
         assert_eq!((adj.row_ptr(), adj.col_idx()), (a_hat_t.row_ptr(), a_hat_t.col_idx()));
         let mut coo = mggcn_sparse::Coo::new(3, 3);
         coo.push(0, 1, 1.0);
-        let directed =
-            ServingModel::from_parts(vec![Dense::zeros(2, 2)], coo.to_csr(), Dense::zeros(3, 2));
-        assert_eq!(directed.expect("valid model").pattern(), Pattern::General);
-    }
-
-    #[test]
-    fn a_delta_keeps_the_hub_index_exact() {
-        // 200 vertices: a bitset has four words, so the degree-40 rows are
-        // hubs and a row of at most 2 entries stays a CSR row after two more.
-        let n = 200;
-        let degrees: Vec<u32> = (0..n as u32).map(|v| if v % 25 == 0 { 40 } else { 1 }).collect();
-        let adj = chung_lu::generate(&degrees, 3);
-        let feats = Dense::from_fn(n, 4, |r, c| ((r + c) as f32).sin());
-        let mut m =
-            ServingModel::from_parts(vec![Dense::zeros(4, 3), Dense::zeros(3, 2)], adj, feats)
-                .expect("valid model");
-        let is_hub = |m: &ServingModel, v: u32| m.a_hat_t().row_nnz(v as usize) > 4;
-        let new = |m: &ServingModel, u: u32, v: u32| !m.a_hat_t().row_cols(u as usize).contains(&v);
-        let hubs: Vec<u32> = (0..n as u32).filter(|&v| is_hub(&m, v)).collect();
-        let (hub, far) = hubs
-            .iter()
-            .flat_map(|&h| hubs.iter().map(move |&f| (h, f)))
-            .find(|&(h, f)| h != f && new(&m, h, f) && new(&m, h, h))
-            .expect("two hubs not yet adjacent");
-        let short = |v: u32| m.a_hat_t().row_nnz(v as usize) <= 2 && new(&m, v, v);
-        let leaf = (0..n as u32).find(|&v| short(v) && new(&m, hub, v)).expect("a short row");
-        let other =
-            (0..n as u32).find(|&v| v != leaf && short(v) && new(&m, leaf, v)).expect("another");
-        m.apply_delta(&[(hub, far), (hub, hub), (hub, leaf), (leaf, other), (other, other)]);
-        assert!(!is_hub(&m, leaf) && !is_hub(&m, other), "no row crossed the threshold");
-        assert_eq!(*m.hubs(), HubRows::new(m.a_hat_t()));
-        let batch = [hub, other, 7];
-        let block = khop_induced(m.a_hat_t(), &batch, 2);
-        let layers = khop_layers(m.a_hat_t(), m.hubs(), &batch, 2, m.pattern());
-        assert_eq!(
-            (layers.block_vertices, layers.block_edges),
-            (block.vertices.len(), block.adj.nnz())
-        );
+        ServingModel::from_parts(vec![Dense::zeros(2, 2)], coo.to_csr(), Dense::zeros(3, 2))
+            .expect("a directed graph is a valid model");
     }
 
     #[test]

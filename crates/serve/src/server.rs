@@ -14,22 +14,24 @@
 //! their buffer effects and the schedule infers the dependencies (on one
 //! lane, FIFO order already covers all of them):
 //!
-//! * `serve-extract` — k-hop extraction, costed as the induced block's
-//!   fixed cost plus a per-edge term and paid **once per batch** — the
-//!   quantity micro-batching amortizes; the block is counted, not built:
-//!   the last hop is marked in a vertex bitset, the model's long rows
-//!   ([`ServingModel::hubs`]) ORed in a word at a time, the block's
-//!   vertices are its popcount, and its edges are counted from the bits —
-//!   on an undirected graph ([`ServingModel::pattern`]) from the rows the
-//!   batch does not reach;
-//! * `serve-gather` — operand rows + cached layer-0 rows into device
-//!   buffers, at the operand's width (costed only: the cache hits are
-//!   written into the compact layer-0 output when the cache is probed, and
-//!   the operand is read in place);
+//! * `serve-extract` — the walk and the shells, paid **once per batch** —
+//!   the quantity micro-batching amortizes. It costs
+//!   `EXTRACT_FIXED + EXTRACT_PER_ENTRY · Σ_l nnz(shell_l)`: the entries
+//!   the batch copies out of `Âᵀ`, which include every row the walk read
+//!   (the first shell's rows, `R_1`); a 1-layer batch has no shell and
+//!   pays `EXTRACT_FIXED`;
+//! * `serve-gather` — layer 0's rows into device buffers at the operand's
+//!   width `d0`, costed as `elementwise(|R_0| · d0)` whether a row hits or
+//!   misses (costed only: the cache hits are written into the compact
+//!   layer-0 output when the cache is probed, and the operand is read in
+//!   place);
 //! * `serve-spmm` — per layer: at layer 0 only the **cache-miss** rows of
 //!   `R_0`, straight from `Âᵀ` and the operand, so a warm propagation cache
-//!   shrinks the dominant kernel; at layer `l ≥ 1` the shell — rows `R_l`
-//!   of `Âᵀ`, columns renumbered into positions of `R_{l−1}`;
+//!   shrinks the dominant kernel (`miss_nnz` entries over
+//!   `min(miss_nnz, n)` operand rows, the most the misses can reference;
+//!   no op when every row hits); at layer `l ≥ 1` the shell — rows `R_l`
+//!   of `Âᵀ`, columns renumbered into positions of `R_{l−1}`, so
+//!   `|R_{l−1}|` columns;
 //! * `serve-gemm` / `serve-relu` — the dense tail of each layer, on
 //!   `|R_l|`-row matrices; a layer 0 that multiplied first has no GeMM;
 //! * `serve-output` — each request's row of `R_{L−1}`, by binary search.
@@ -63,8 +65,8 @@ use std::sync::{Arc, Mutex};
 
 /// Fixed host-side cost of one k-hop extraction, seconds.
 pub const EXTRACT_FIXED: f64 = 40.0e-6;
-/// Per-induced-edge extraction cost, seconds.
-pub const EXTRACT_PER_EDGE: f64 = 1.0e-9;
+/// Extraction cost per operator entry a batch copies, seconds.
+pub const EXTRACT_PER_ENTRY: f64 = 1.0e-9;
 
 /// Serving configuration: hardware, batching and cache knobs. Op costs
 /// come from [`CostModel::default`] and the two extraction constants.
@@ -386,8 +388,7 @@ impl Server {
         let operand = self.model.layer0_operand().clone();
         let d0 = operand.cols();
         let a_hat_t = self.model.a_hat_t().clone();
-        let khop = khop_layers(&a_hat_t, self.model.hubs(), vertices, layers, self.model.pattern());
-        let n_local = khop.block_vertices;
+        let khop = khop_layers(&a_hat_t, vertices, layers);
 
         // Probe the cache for layer-0 rows in ascending global order
         // (host-side: the schedule's costs depend on the miss count).
@@ -410,26 +411,27 @@ impl Server {
         let mut sched: Schedule<Mutex<BatchCtx>> = Schedule::new(self.cfg.machine.clone());
         let stream = 0;
 
-        // Subgraph extraction: per-batch fixed cost (the batching lever).
+        // Extraction: per-batch fixed cost (the batching lever) plus the
+        // entries the shells copy.
+        let copied: usize = khop.shells.iter().map(Csr::nnz).sum();
         sched.record(
             gpu,
             stream,
-            Work::Fixed { seconds: EXTRACT_FIXED + EXTRACT_PER_EDGE * khop.block_edges as f64 },
+            Work::Fixed { seconds: EXTRACT_FIXED + EXTRACT_PER_ENTRY * copied as f64 },
             OpDesc::new(Category::Other, "serve-extract"),
             Effects::none(),
             None,
         );
 
-        // Gather operand rows + cached layer-0 rows: costed only, the hits
-        // are already in `rows0` and the operand is read in place. Layer 0
+        // Gather layer 0's rows, hit or miss: costed only, the hits are
+        // already in `rows0` and the operand is read in place. Layer 0
         // writes where its consumer reads: the aggregation the GeMM takes,
         // or, when it multiplied first, the output the ReLU takes.
         let (src0, dst0) = if gemm_first { ("SRV_HW", "SRV_H") } else { ("SRV_H", "SRV_AGG") };
-        let gather_elems = (n_local * d0 + hits * d0) as u64;
         sched.record(
             gpu,
             stream,
-            cost.elementwise(gather_elems, 1.0),
+            cost.elementwise((khop.rows[0].len() * d0) as u64, 1.0),
             OpDesc::new(Category::Other, "serve-gather"),
             Effects::none().writes([BufId::new(gpu, src0), BufId::new(gpu, dst0)]),
             None,
@@ -448,7 +450,7 @@ impl Server {
                         cost.spmm(
                             &spec,
                             misses.len() as u64,
-                            n_local as u64,
+                            miss_nnz.min(n) as u64,
                             miss_nnz as u64,
                             d0 as u64,
                             false,
@@ -481,11 +483,12 @@ impl Server {
                     );
                 }
             } else {
-                let nnz = khop.shells[l - 1].nnz();
+                let shell = &khop.shells[l - 1];
+                let (cols, nnz) = (shell.cols() as u64, shell.nnz() as u64);
                 sched.record(
                     gpu,
                     stream,
-                    cost.spmm(&spec, n_rows as u64, n_local as u64, nnz as u64, d_in as u64, false),
+                    cost.spmm(&spec, n_rows as u64, cols, nnz, d_in as u64, false),
                     OpDesc::new(Category::SpMM, "serve-spmm"),
                     Effects::none()
                         .reads([BufId::new(gpu, "SRV_H")])

@@ -18,7 +18,7 @@ use mggcn_graph::generators::chung_lu;
 use mggcn_graph::sampling::khop_layers;
 use mggcn_serve::{
     generate_load, BatchPolicy, LoadGenConfig, ServeConfig, Server, ServingModel, EXTRACT_FIXED,
-    EXTRACT_PER_EDGE,
+    EXTRACT_PER_ENTRY,
 };
 use mggcn_sparse::{spmm, Coo};
 use std::sync::Arc;
@@ -206,8 +206,22 @@ fn one_two_and_three_layer_batches_equal_forward_full_on_both_backends() {
         let m = directed_model(n, layers);
         let reference = m.forward_full();
         assert_eq!(m.a_hat_t().row_nnz(0), 0, "vertex 0 has no in-edges");
-        let mut server = Server::new(m, config(BatchPolicy::new(1e-3, 16), 1 << 20));
+        let cfg = config(BatchPolicy::new(1e-3, 16), 1 << 20);
         let batch = [0u32, 17, 17, 42, 5, 0, 89];
+
+        // The prices: a 1-layer batch walks nothing and copies no shell, a
+        // 3-layer one copies two.
+        let (d0, gemm_first) = (m.layer0_operand().cols(), m.layer0_gemm_first());
+        let want = cold_batch_ops(&m, &cfg, &batch, d0, !gemm_first);
+        let shells = khop_layers(m.a_hat_t(), &batch, layers).shells.len();
+        assert_eq!(shells, layers - 1, "{}", when("shells"));
+        if layers == 1 {
+            let fixed = Work::Fixed { seconds: EXTRACT_FIXED };
+            assert_eq!(want[0], ("serve-extract", fixed), "{}", when("extract"));
+        }
+        let got = batch_ops(&mut Server::new(m.clone(), cfg.clone()), &batch);
+        assert_eq!(got, want, "{}", when("cold ops"));
+        let mut server = Server::new(m, cfg);
 
         // Cold: every layer-0 row misses.
         let before = *server.cache().stats();
@@ -218,6 +232,15 @@ fn one_two_and_three_layer_batches_equal_forward_full_on_both_backends() {
         let before = *server.cache().stats();
         assert_answers(&server.query(&batch), &batch, &reference, &when("warm"));
         assert_eq!(server.cache().stats().misses, before.misses, "{}", when("warm misses"));
+
+        // Warm prices: no layer-0 SpMM, and the gather still moves
+        // `|R_0|·d0` — the cold list without its first SpMM.
+        let mut warm = want.clone();
+        warm.remove(warm.iter().position(|&(label, _)| label == "serve-spmm").expect("spmm"));
+        let rows0 = khop_layers(server.model().a_hat_t(), &batch, layers).rows[0].len();
+        let gather = CostModel::default().elementwise((rows0 * d0) as u64, 1.0);
+        assert_eq!(warm[1], ("serve-gather", gather), "{}", when("warm gather"));
+        assert_eq!(batch_ops(&mut server, &batch), warm, "{}", when("warm ops"));
 
         // The batch context let go of the operator, so a delta patches
         // it in place instead of deep-copying it.
@@ -257,8 +280,10 @@ fn out_of_range_queries_are_refused_before_the_cache_and_empty_ones_are_empty() 
 }
 
 /// The `(label, work)` list a cold batch records, derived from the cost
-/// model: layer 0's SpMM over every row of `R_0` at width `d0`, its GeMM
-/// only when `layer0_gemm`, and every layer above aggregating first.
+/// model: extraction on the entries the shells copy, the gather on
+/// `|R_0|·d0`, layer 0's SpMM over every row of `R_0` at width `d0` and
+/// `min(nnz, n)` operand rows, its GeMM only when `layer0_gemm`, and every
+/// layer above aggregating its shell first.
 fn cold_batch_ops(
     m: &ServingModel,
     cfg: &ServeConfig,
@@ -267,21 +292,23 @@ fn cold_batch_ops(
     layer0_gemm: bool,
 ) -> Vec<(&'static str, Work)> {
     let (cost, spec) = (CostModel::default(), cfg.machine.gpus[0]);
-    let khop = khop_layers(m.a_hat_t(), m.hubs(), batch, m.layers(), m.pattern());
-    let n_local = khop.block_vertices as u64;
-    let extract = EXTRACT_FIXED + EXTRACT_PER_EDGE * khop.block_edges as f64;
+    let khop = khop_layers(m.a_hat_t(), batch, m.layers());
+    let copied: usize = khop.shells.iter().map(|s| s.nnz()).sum();
+    let extract = EXTRACT_FIXED + EXTRACT_PER_ENTRY * copied as f64;
+    let rows0 = khop.rows[0].len() as u64;
     let mut ops = vec![
         ("serve-extract", Work::Fixed { seconds: extract }),
-        ("serve-gather", cost.elementwise(n_local * d0 as u64, 1.0)),
+        ("serve-gather", cost.elementwise(rows0 * d0 as u64, 1.0)),
     ];
     for (l, w) in m.weights().iter().enumerate() {
         let rows = khop.rows[l].len() as u64;
-        let (nnz, d) = if l == 0 {
-            (khop.rows[0].iter().map(|&g| m.a_hat_t().row_nnz(g as usize)).sum(), d0)
+        let (cols, nnz, d) = if l == 0 {
+            let nnz: usize = khop.rows[0].iter().map(|&g| m.a_hat_t().row_nnz(g as usize)).sum();
+            (nnz.min(m.vertices()), nnz, d0)
         } else {
-            (khop.shells[l - 1].nnz(), w.rows())
+            (khop.rows[l - 1].len(), khop.shells[l - 1].nnz(), w.rows())
         };
-        ops.push(("serve-spmm", cost.spmm(&spec, rows, n_local, nnz as u64, d as u64, false)));
+        ops.push(("serve-spmm", cost.spmm(&spec, rows, cols as u64, nnz as u64, d as u64, false)));
         if l > 0 || layer0_gemm {
             ops.push(("serve-gemm", cost.gemm(&spec, rows, w.rows() as u64, w.cols() as u64)));
         }
@@ -291,6 +318,11 @@ fn cold_batch_ops(
     }
     ops.push(("serve-output", cost.elementwise((batch.len() * m.out_dim()) as u64, 2.0)));
     ops
+}
+
+/// The `(label, work)` list of the schedule `server` builds for `batch`.
+fn batch_ops(server: &mut Server, batch: &[u32]) -> Vec<(&'static str, Work)> {
+    server.batch_schedule(batch, 0).op_infos().iter().map(|o| (o.desc.label, o.work)).collect()
 }
 
 /// `Âᵀ·H·W` for every layer, in the order given for layer 0 and
@@ -343,9 +375,7 @@ fn layer_zero_follows_the_op_order_rule_and_serves_forward_full_bits() {
         // first, and the layer-0 SpMM and gather at the operand's width.
         let cfg = config(BatchPolicy::new(1e-3, 16), 1 << 20);
         let want = cold_batch_ops(&m, &cfg, &batch, width, !gemm_first);
-        let sched = Server::new(m.clone(), cfg.clone()).batch_schedule(&batch, 0);
-        let got: Vec<(&str, Work)> =
-            sched.op_infos().iter().map(|o| (o.desc.label, o.work)).collect();
+        let got = batch_ops(&mut Server::new(m.clone(), cfg.clone()), &batch);
         assert_eq!(got, want, "{case}: ops and costs");
 
         let when = |phase: &str| format!("{case}, {phase}");
