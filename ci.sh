@@ -46,15 +46,19 @@ echo "==> tests (workspace, kernel pool width 4)"
 # wider than the machine.
 MGGCN_THREADS=4 cargo test -q --workspace
 
-echo "==> kernel bit-identity, the target_bits golden, steady-state allocations, served answers, batch counts (release)"
+echo "==> kernel bit-identity, the target_bits golden, steady-state allocations, served answers, batch counts, cluster shards (release)"
 # The benchmark times the vectorised release kernels and serves with them;
 # the workspace passes above only run the debug build of them. A batch's
 # rows and shells come from `khop_layers`: the graph crate's tests hold
-# them to `khop_induced` in the vectorised build too.
+# them to `khop_induced` in the vectorised build too. A server keeps its
+# batch buffers and walk state between batches, and so does every cluster
+# shard: the cluster differential holds the shards' answers to
+# `forward_full`, bit for bit, in the vectorised build too.
 cargo test --release -q -p mg-gcn -p mggcn-testkit \
   --test kernel_bits --test steady_state_allocs --test target_bits
 cargo test --release -q -p mggcn-serve --test serving
 cargo test --release -q -p mggcn-graph
+cargo test --release -q -p mggcn-testkit --test cluster_differential
 
 echo "==> kernel bit-identity and the target_bits golden, baseline x86-64 (release)"
 # .cargo/config.toml builds for x86-64-v3; an explicit RUSTFLAGS replaces it.

@@ -17,7 +17,7 @@ use mggcn_dense::{gemm, gemm_a_bt, gemm_at_b, Accumulate, Dense};
 use mggcn_graph::generators::bter::{self, ClusteringProfile};
 use mggcn_graph::generators::{chung_lu, degree};
 use mggcn_graph::random_permutation;
-use mggcn_graph::sampling::khop_layers;
+use mggcn_graph::sampling::{khop_layers, khop_layers_into, KhopLayers, KhopScratch};
 use mggcn_sparse::{spmm, spmm_rows, Csr, TileGrid};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -80,11 +80,14 @@ fn bench_spmm(c: &mut Criterion) {
     group.finish();
 }
 
-/// `khop_layers` for 64 two-layer batches of 32 random seeds each on
+/// The k-hop walk of 64 two-layer batches of 32 random seeds each on
 /// `serve-churn`'s graph shape (6 000 vertices, degree 16): the walk, the
 /// rows and the shell. The batches are drawn once, outside the timed loop;
 /// one batch timed over and over would let the branch predictor learn its
-/// walk and read 2–3× under the served cost.
+/// walk and read 2–3× under the served cost. `reused` is what a server
+/// runs: `khop_layers_into` over one scratch and one output kept across
+/// the batches; `fresh` is `khop_layers`, which sets up the vertex-sized
+/// arrays anew for every batch.
 fn bench_khop(c: &mut Criterion) {
     let mut group = c.benchmark_group("khop");
     group.sample_size(10).measurement_time(std::time::Duration::from_secs(2));
@@ -92,7 +95,16 @@ fn bench_khop(c: &mut Criterion) {
     let mut rng = SmallRng::seed_from_u64(13);
     let batches: Vec<Vec<u32>> =
         (0..64).map(|_| (0..32).map(|_| rng.gen_range(0..6_000)).collect()).collect();
-    group.bench_function(format!("layers2_64x32seeds_nnz{}", a.nnz()), |bench| {
+    let (mut scratch, mut out) = (KhopScratch::default(), KhopLayers::default());
+    group.bench_function(format!("layers2_64x32seeds_nnz{}_reused", a.nnz()), |bench| {
+        bench.iter(|| {
+            for seeds in &batches {
+                khop_layers_into(black_box(&a), black_box(seeds), 2, &mut scratch, &mut out);
+                black_box(&out);
+            }
+        })
+    });
+    group.bench_function(format!("layers2_64x32seeds_nnz{}_fresh", a.nnz()), |bench| {
         bench.iter(|| {
             for seeds in &batches {
                 black_box(khop_layers(black_box(&a), black_box(seeds), 2));

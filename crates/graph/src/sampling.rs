@@ -9,9 +9,13 @@
 //! frontiers and GraphSAGE-style fanout-capped samplers — plus the
 //! subgraph extraction a mini-batch trainer needs.
 //!
-//! A serving batch walks the global operator with [`khop_layers`]: a
+//! A serving batch walks the global operator with [`khop_layers_into`]: a
 //! breadth-first walk over only the hops its layers compute, so it never
-//! reaches the last hop of the induced block, which no layer reads.
+//! reaches the last hop of the induced block, which no layer reads. The
+//! walk's vertex-sized arrays live in a [`KhopScratch`] the caller keeps
+//! between batches; each walk puts back only the entries it touched, so a
+//! batch costs what it reaches, apart from reading the `n/64`-word vertex
+//! bitset that lists the walked vertices in ascending order.
 
 use mggcn_sparse::{Coo, Csr};
 use rand::rngs::SmallRng;
@@ -35,17 +39,17 @@ impl SampledBlock {
     }
 }
 
-/// Distance BFS from `seeds` out to `hops`: the reached vertices in
+/// Distance BFS from `seeds` out to `hops` over `dist` (every entry
+/// `u32::MAX` on entry) and `order` (at least `adj.rows() + 1` long).
+/// Returns how many vertices it reached: `order[..len]` holds them in
 /// discovery order (seeds first, deduplicated; distances never decrease
-/// along it) and every vertex's distance, `u32::MAX` when unreached.
+/// along it) and `dist` their distances, every other entry untouched.
 ///
 /// Whether a neighbour is new is a coin toss on a power-law graph, so the
 /// walk does not branch on it: every neighbour is written one past the
-/// reached prefix of a vertex-sized buffer, and the prefix grows by one
-/// only when the neighbour was new.
-fn bfs(adj: &Csr, seeds: &[u32], hops: usize) -> (Vec<u32>, Vec<u32>) {
-    let mut dist = vec![u32::MAX; adj.rows()];
-    let mut order = vec![0; adj.rows() + 1];
+/// reached prefix of `order`, and the prefix grows by one only when the
+/// neighbour was new.
+fn bfs(adj: &Csr, seeds: &[u32], hops: usize, dist: &mut [u32], order: &mut [u32]) -> usize {
     let mut len = 0;
     for &v in seeds {
         if dist[v as usize] == u32::MAX {
@@ -67,14 +71,23 @@ fn bfs(adj: &Csr, seeds: &[u32], hops: usize) -> (Vec<u32>, Vec<u32>) {
         }
         frontier = frontier.end..len;
     }
-    order.truncate(len);
-    (order, dist)
+    len
+}
+
+/// [`bfs`] over fresh arrays: the reached vertices in discovery order and
+/// every vertex's distance.
+fn bfs_fresh(adj: &Csr, seeds: &[u32], hops: usize) -> (Vec<u32>, Vec<u32>) {
+    let mut s = KhopScratch::default();
+    s.fit(adj.rows());
+    let len = bfs(adj, seeds, hops, &mut s.dist, &mut s.order);
+    s.order.truncate(len);
+    (s.order, s.dist)
 }
 
 /// Exact `hops`-hop in-neighborhood of `batch` (no fanout cap) — the
 /// worst case a full-gradient mini-batch would need.
 pub fn khop_neighborhood(adj: &Csr, batch: &[u32], hops: usize) -> Vec<u32> {
-    bfs(adj, batch, hops).0
+    bfs_fresh(adj, batch, hops).0
 }
 
 /// The induced k-hop computation block of one inference batch.
@@ -111,7 +124,7 @@ impl InducedBlock {
 /// block) an SpMM over its induced row therefore accumulates in exactly
 /// the full-graph order and is bit-identical to the full-graph result.
 pub fn khop_induced(adj: &Csr, seeds: &[u32], hops: usize) -> InducedBlock {
-    let (mut reached, dist_of) = bfs(adj, seeds, hops);
+    let (mut reached, dist_of) = bfs_fresh(adj, seeds, hops);
     reached.sort_unstable();
     let mut local_of = vec![u32::MAX; adj.rows()];
     for (l, &g) in reached.iter().enumerate() {
@@ -140,7 +153,7 @@ pub fn khop_induced(adj: &Csr, seeds: &[u32], hops: usize) -> InducedBlock {
 
 /// What an `hops`-layer batch around some seeds computes, layer by layer,
 /// over the global operator — see [`khop_layers`].
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct KhopLayers {
     /// `rows[l]`: the global ids within `hops − 1 − l` hops of the seeds,
     /// ascending — the rows layer `l` produces (`rows[hops − 1]` is the
@@ -152,6 +165,32 @@ pub struct KhopLayers {
     pub shells: Vec<Csr>,
 }
 
+/// The vertex-sized state of a k-hop walk, kept between walks by whoever
+/// walks many batches over one graph ([`khop_layers_into`]).
+///
+/// Between calls every distance is `u32::MAX` and every bit is 0; a call
+/// resets only the entries it touched, so it costs what it reaches.
+#[derive(Clone, Debug, Default)]
+pub struct KhopScratch {
+    /// Per vertex: its hop distance during the walk (`u32::MAX` when
+    /// unreached), then its position in the row list a shell indexes.
+    dist: Vec<u32>,
+    /// The walk's discovery order, one slot past the reached prefix.
+    order: Vec<u32>,
+    /// One bit per vertex the walk reached.
+    bits: Vec<u64>,
+}
+
+impl KhopScratch {
+    /// Size the arrays for an `n`-vertex graph; every entry a resize adds
+    /// is in the between-calls state, and every entry it keeps already is.
+    fn fit(&mut self, n: usize) {
+        self.dist.resize(n, u32::MAX);
+        self.order.resize(n + 1, 0);
+        self.bits.resize(n.div_ceil(64), 0);
+    }
+}
+
 /// The rows each layer of an `hops`-layer batch around `seeds` produces
 /// and the shells that feed each layer from the one before.
 ///
@@ -160,46 +199,77 @@ pub struct KhopLayers {
 /// hop further out, so it is in `rows[l − 1]` and the shell can renumber
 /// it; the shell keeps each row's entries in `adj`'s order, so an SpMM over
 /// it folds every row in exactly the full-graph order.
+///
+/// Walks over a fresh [`KhopScratch`]; a caller that walks batch after
+/// batch keeps one and calls [`khop_layers_into`].
 pub fn khop_layers(adj: &Csr, seeds: &[u32], hops: usize) -> KhopLayers {
-    let (order, mut dist) = bfs(adj, seeds, hops.saturating_sub(1));
-    // The walked vertices, ascending: read back from a vertex bitset, which
-    // is faster than sorting them.
-    let mut bits = vec![0u64; adj.rows().div_ceil(64)];
+    let mut out = KhopLayers::default();
+    khop_layers_into(adj, seeds, hops, &mut KhopScratch::default(), &mut out);
+    out
+}
+
+/// [`khop_layers`] into `out`, refilling its row lists and shell arrays in
+/// place, over a `scratch` kept between calls. Past the first call on a
+/// graph it allocates only where a list outgrows every earlier batch's.
+pub fn khop_layers_into(
+    adj: &Csr,
+    seeds: &[u32],
+    hops: usize,
+    scratch: &mut KhopScratch,
+    out: &mut KhopLayers,
+) {
+    out.rows.resize_with(hops, Vec::new);
+    out.shells.resize_with(hops.saturating_sub(1), || Csr::empty(0, 0));
+    if hops == 0 {
+        return;
+    }
+    scratch.fit(adj.rows());
+    let KhopScratch { dist, order, bits } = scratch;
+    let reached = bfs(adj, seeds, hops - 1, dist, order);
+    let order = &order[..reached];
+    // The walked vertices, ascending: read back from the vertex bitset,
+    // which is faster than sorting them, clearing each word as it goes.
     order.iter().for_each(|&v| bits[v as usize / 64] |= 1 << (v % 64));
-    let mut computed = Vec::with_capacity(order.len());
-    for (w, mut word) in bits.into_iter().enumerate() {
+    let (first, deeper) = out.rows.split_at_mut(1);
+    let walked = &mut first[0];
+    walked.clear();
+    for (w, word) in bits.iter_mut().enumerate() {
+        let mut word = std::mem::take(word);
         while word != 0 {
-            computed.push(w as u32 * 64 + word.trailing_zeros());
+            walked.push(w as u32 * 64 + word.trailing_zeros());
             word &= word - 1;
         }
     }
-    let rows: Vec<Vec<u32>> = (0..hops as u32)
-        .rev()
-        .map(|d| computed.iter().copied().filter(|&v| dist[v as usize] <= d).collect())
-        .collect();
+    for (row, d) in deeper.iter_mut().zip((0..hops as u32 - 1).rev()) {
+        row.clear();
+        row.extend(walked.iter().copied().filter(|&v| dist[v as usize] <= d));
+    }
     // The distances are spent: reuse the array as the position map.
-    let pos = &mut dist;
-    let shells = rows
-        .windows(2)
-        .map(|w| {
-            let (prev, cur) = (&w[0], &w[1]);
-            for (i, &v) in prev.iter().enumerate() {
-                pos[v as usize] = i as u32;
+    let pos = dist;
+    for l in 1..hops {
+        let (prev, cur) = (&out.rows[l - 1], &out.rows[l]);
+        for (i, &v) in prev.iter().enumerate() {
+            pos[v as usize] = i as u32;
+        }
+        let shell = &mut out.shells[l - 1];
+        let (mut row_ptr, mut col_idx, mut values) =
+            std::mem::replace(shell, Csr::empty(0, 0)).into_parts();
+        row_ptr.clear();
+        row_ptr.push(0);
+        col_idx.clear();
+        values.clear();
+        for &v in cur {
+            for (u, x) in adj.row(v as usize) {
+                col_idx.push(pos[u as usize]);
+                values.push(x);
             }
-            let mut row_ptr = Vec::with_capacity(cur.len() + 1);
-            row_ptr.push(0);
-            let (mut col_idx, mut values) = (Vec::new(), Vec::new());
-            for &v in cur {
-                for (u, x) in adj.row(v as usize) {
-                    col_idx.push(pos[u as usize]);
-                    values.push(x);
-                }
-                row_ptr.push(col_idx.len());
-            }
-            Csr::from_parts(cur.len(), prev.len(), row_ptr, col_idx, values)
-        })
-        .collect();
-    KhopLayers { rows, shells }
+            row_ptr.push(col_idx.len());
+        }
+        *shell = Csr::from_parts(cur.len(), prev.len(), row_ptr, col_idx, values);
+    }
+    // Back to the between-calls state: every entry the walk or a position
+    // map wrote belongs to a walked vertex.
+    order.iter().for_each(|&v| pos[v as usize] = u32::MAX);
 }
 
 /// GraphSAGE-style sampling: at each hop keep at most `fanout` random

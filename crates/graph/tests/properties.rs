@@ -243,3 +243,39 @@ proptest! {
         }
     }
 }
+
+// A kept `KhopScratch` must leave no trace of an earlier walk: one scratch
+// and one output, reused over a random run of batches on two graphs of
+// different sizes taken in turn, give exactly what a fresh walk gives.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+    #[test]
+    fn a_reused_khop_scratch_walks_like_a_fresh_one(
+        small in proptest::collection::vec((0u32..30, 0u32..30, 1u32..100), 0..90),
+        large in proptest::collection::vec((0u32..200, 0u32..200, 1u32..100), 0..600),
+        batches in proptest::collection::vec(
+            (0usize..4, proptest::collection::vec(0u32..200, 1..8)),
+            1..12,
+        ),
+    ) {
+        use mggcn_graph::sampling::{khop_layers, khop_layers_into, KhopLayers, KhopScratch};
+
+        let csr = |n: u32, entries: &[(u32, u32, u32)]| {
+            let mut coo = mggcn_sparse::Coo::new(n as usize, n as usize);
+            for &(u, v, w) in entries {
+                coo.push(u % n, v % n, w as f32 * 0.37);
+            }
+            coo.to_csr()
+        };
+        let graphs = [csr(30, &small), csr(200, &large)];
+        let (mut scratch, mut out) = (KhopScratch::default(), KhopLayers::default());
+        for (i, (hops, seeds)) in batches.iter().enumerate() {
+            let adj = &graphs[i % 2];
+            // Folded into range, then the first seed repeated.
+            let mut seeds: Vec<u32> = seeds.iter().map(|&s| s % adj.rows() as u32).collect();
+            seeds.push(seeds[0]);
+            khop_layers_into(adj, &seeds, *hops, &mut scratch, &mut out);
+            prop_assert_eq!(&out, &khop_layers(adj, &seeds, *hops), "batch {}", i);
+        }
+    }
+}

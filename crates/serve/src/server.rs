@@ -36,6 +36,12 @@
 //!   `|R_l|`-row matrices; a layer 0 that multiplied first has no GeMM;
 //! * `serve-output` — each request's row of `R_{L−1}`, by binary search.
 //!
+//! The engine runs a compute op for the longest of its launch overhead
+//! (`Schedule::launch_overhead`, 5 µs), its flops over the flop rate and
+//! its bytes over the byte rate. A small model's miss SpMM stays under
+//! that floor, so its simulated time does not move with the misses; its
+//! declared bytes and flops do.
+//!
 //! Op bodies execute the real numerics against a [`BatchCtx`], so the
 //! same schedule that is timed also produces the answers, and those
 //! answers are bit-identical to [`ServingModel::forward_full`] rows: a
@@ -45,6 +51,19 @@
 //! with every column pointing at the row its vertex holds in the previous
 //! layer, so it folds the same products in the same order; and GeMM and
 //! ReLU act row by row.
+//!
+//! A batch costs what it touches. The [`Server`] keeps what one batch
+//! writes on the host for the next: the walk's vertex-sized state (each
+//! walk resets only what it reached), the row lists and shells, the miss
+//! lists, the layer buffers and the query list. Past warm-up a batch
+//! allocates only where it outgrows every earlier one, and nothing it
+//! allocates or resets grows with the vertex count. The bodies reshape
+//! the layer buffers instead of zeroing fresh ones, since every element
+//! is written: by an `Overwrite` kernel, or for layer 0's rows by a cache
+//! hit or a miss copy. Only the answer matrix is new per batch; the caller
+//! keeps it. The model's `Arc`s are cloned into each batch's context and
+//! dropped with it, never kept, so between batches `apply_delta` patches
+//! `Âᵀ` in place instead of deep-copying it.
 //!
 //! Replica scheduling is earliest-free: batches are executed in arrival
 //! order on the least-loaded GPU, and a request's latency is its batch's
@@ -58,7 +77,7 @@ use mggcn_gpusim::engine::OpDesc;
 use mggcn_gpusim::{
     BufId, Category, CostModel, Effects, LatencyStats, MachineSpec, Schedule, Work,
 };
-use mggcn_graph::sampling::{khop_layers, KhopLayers};
+use mggcn_graph::sampling::{khop_layers_into, KhopLayers, KhopScratch};
 use mggcn_sparse::{spmm, spmm_rows, Csr};
 use mggcn_trace::json::JsonWriter;
 use std::sync::{Arc, Mutex};
@@ -94,6 +113,19 @@ pub struct BatchCtx {
     /// Layer 0's SpMM operand ([`ServingModel::layer0_operand`]).
     operand: Arc<Dense>,
     weights: Arc<Vec<Dense>>,
+    /// The server's kept buffers, lent for the batch.
+    bufs: BatchBufs,
+    /// Per-request output rows, handed to the caller.
+    out: Dense,
+}
+
+/// What a batch writes on the host that the next batch can write again:
+/// the [`Server`] keeps it between batches, so a batch allocates only
+/// where it outgrows every earlier one. It holds no part of the model.
+#[derive(Default)]
+struct BatchBufs {
+    /// The k-hop walk's vertex-sized state.
+    scratch: KhopScratch,
     /// The rows each layer produces and the shells between layers.
     khop: KhopLayers,
     /// Layer-0 cache misses (global ids, ascending) and their positions
@@ -110,8 +142,6 @@ pub struct BatchCtx {
     miss_agg: Dense,
     /// The queried vertices, request order.
     queries: Vec<u32>,
-    /// Per-request output rows.
-    out: Dense,
 }
 
 /// Outcome of serving one trace: throughput, latency quantiles, compute
@@ -198,12 +228,14 @@ pub struct Server {
     /// Observation-only tracer (batch timelines, cache hit/miss counters,
     /// latency histograms); `None` records nothing.
     tracer: Option<Arc<mggcn_trace::Tracer>>,
+    /// The last batch's buffers, lent to the next.
+    bufs: BatchBufs,
 }
 
 impl Server {
     pub fn new(model: ServingModel, cfg: ServeConfig) -> Self {
         let cache = PropagationCache::new(cfg.cache_bytes, model.layer0_operand().cols());
-        Self { model, cache, cfg, tracer: None }
+        Self { model, cache, cfg, tracer: None, bufs: BatchBufs::default() }
     }
 
     /// Attach a tracer; every subsequent batch ingests its timeline and
@@ -388,12 +420,20 @@ impl Server {
         let operand = self.model.layer0_operand().clone();
         let d0 = operand.cols();
         let a_hat_t = self.model.a_hat_t().clone();
-        let khop = khop_layers(&a_hat_t, vertices, layers);
+        // Taken, not borrowed: a batch that panics leaves fresh buffers.
+        let mut bufs = std::mem::take(&mut self.bufs);
+        let BatchBufs { scratch, khop, misses, miss_at, agg, h, queries, .. } = &mut bufs;
+        khop_layers_into(&a_hat_t, vertices, layers, scratch, khop);
+        queries.clear();
+        queries.extend_from_slice(vertices);
 
         // Probe the cache for layer-0 rows in ascending global order
-        // (host-side: the schedule's costs depend on the miss count).
-        let mut rows0 = Dense::zeros(khop.rows[0].len(), d0);
-        let (mut misses, mut miss_at) = (Vec::new(), Vec::new());
+        // (host-side: the schedule's costs depend on the miss count). Every
+        // row of `rows0` is written, by a hit here or by layer 0's SpMM.
+        let rows0 = if gemm_first { h } else { agg };
+        rows0.resize(khop.rows[0].len(), d0);
+        misses.clear();
+        miss_at.clear();
         for (i, &g) in khop.rows[0].iter().enumerate() {
             match self.cache.get(g) {
                 Some(row) => rows0.row_mut(i).copy_from_slice(row),
@@ -466,15 +506,11 @@ impl Server {
                             let BatchCtx {
                                 a_hat_t,
                                 operand,
-                                misses,
-                                miss_at,
-                                agg,
-                                h,
-                                miss_agg,
+                                bufs: BatchBufs { misses, miss_at, agg, h, miss_agg, .. },
                                 ..
                             } = &mut *lock_ctx(ctx);
                             let rows0 = if gemm_first { h } else { agg };
-                            *miss_agg = Dense::zeros(misses.len(), operand.cols());
+                            miss_agg.resize(misses.len(), operand.cols());
                             spmm_rows(a_hat_t, misses, operand, miss_agg, Accumulate::Overwrite);
                             for (i, &at) in miss_at.iter().enumerate() {
                                 rows0.row_mut(at as usize).copy_from_slice(miss_agg.row(i));
@@ -494,9 +530,9 @@ impl Server {
                         .reads([BufId::new(gpu, "SRV_H")])
                         .writes([BufId::new(gpu, "SRV_AGG")]),
                     Some(Box::new(move |ctx: &Mutex<BatchCtx>| {
-                        let BatchCtx { khop, h, agg, .. } = &mut *lock_ctx(ctx);
+                        let BatchBufs { khop, h, agg, .. } = &mut lock_ctx(ctx).bufs;
                         let shell = &khop.shells[l - 1];
-                        *agg = Dense::zeros(shell.rows(), h.cols());
+                        agg.resize(shell.rows(), h.cols());
                         spmm(shell, h, agg, Accumulate::Overwrite);
                     })),
                 );
@@ -513,9 +549,10 @@ impl Server {
                         .reads([BufId::new(gpu, "SRV_AGG")])
                         .writes([BufId::new(gpu, "SRV_H")]),
                     Some(Box::new(move |ctx: &Mutex<BatchCtx>| {
-                        let BatchCtx { weights, h, agg, .. } = &mut *lock_ctx(ctx);
+                        let BatchCtx { weights, bufs: BatchBufs { h, agg, .. }, .. } =
+                            &mut *lock_ctx(ctx);
                         let w = &weights[l];
-                        *h = Dense::zeros(agg.rows(), w.cols());
+                        h.resize(agg.rows(), w.cols());
                         gemm(agg, w, h, Accumulate::Overwrite);
                     })),
                 );
@@ -529,7 +566,7 @@ impl Server {
                     OpDesc::new(Category::Activation, "serve-relu"),
                     Effects::none().rw(BufId::new(gpu, "SRV_H")),
                     Some(Box::new(|ctx: &Mutex<BatchCtx>| {
-                        relu_inplace(lock_ctx(ctx).h.as_mut_slice());
+                        relu_inplace(lock_ctx(ctx).bufs.h.as_mut_slice());
                     })),
                 );
             }
@@ -543,7 +580,8 @@ impl Server {
             OpDesc::new(Category::Other, "serve-output"),
             Effects::none().reads([BufId::new(gpu, "SRV_H")]).writes([BufId::new(gpu, "SRV_OUT")]),
             Some(Box::new(|ctx: &Mutex<BatchCtx>| {
-                let BatchCtx { khop, queries, h, out, .. } = &mut *lock_ctx(ctx);
+                let BatchCtx { bufs: BatchBufs { khop, queries, h, .. }, out, .. } =
+                    &mut *lock_ctx(ctx);
                 let seeds = khop.rows.last().expect("a model has layers");
                 *out = Dense::zeros(queries.len(), h.cols());
                 for (i, v) in queries.iter().enumerate() {
@@ -554,19 +592,11 @@ impl Server {
         );
 
         let miss_count = misses.len() as u64;
-        let (agg, h) =
-            if gemm_first { (Dense::zeros(0, 0), rows0) } else { (rows0, Dense::zeros(0, 0)) };
         let ctx = Mutex::new(BatchCtx {
             a_hat_t,
             operand,
             weights: self.model.weights().clone(),
-            khop,
-            misses,
-            miss_at,
-            agg,
-            h,
-            miss_agg: Dense::zeros(0, 0),
-            queries: vertices.to_vec(),
+            bufs,
             out: Dense::zeros(0, 0),
         });
         (sched, ctx, hits as u64, miss_count)
@@ -588,13 +618,16 @@ impl Server {
             tracer.counter_add("serve.cache.misses", miss_count);
             tracer.latency_record("serve.batch_service_seconds", r.makespan);
         }
-        let ctx = ctx.into_inner().unwrap_or_else(|e| e.into_inner());
+        let BatchCtx { bufs, out, .. } = ctx.into_inner().unwrap_or_else(|e| e.into_inner());
 
-        // Feed freshly computed layer-0 rows back into the cache.
-        for (i, &g) in ctx.misses.iter().enumerate() {
-            self.cache.insert(g, ctx.miss_agg.row(i));
+        // Feed freshly computed layer-0 rows back into the cache, and keep
+        // the buffers — without the model's `Arc`s, which the context drops
+        // here, so `apply_delta` can patch `Âᵀ` in place.
+        for (i, &g) in bufs.misses.iter().enumerate() {
+            self.cache.insert(g, bufs.miss_agg.row(i));
         }
-        (ctx.out, r.makespan)
+        self.bufs = bufs;
+        (out, r.makespan)
     }
 }
 

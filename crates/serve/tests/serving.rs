@@ -10,6 +10,7 @@
 //! 5. layer 0 runs in §4.4's order: a layer 0 that does not widen is one
 //!    SpMM over the frozen `H⁰·W⁰` at `d_out(0)` with no GeMM, a widening
 //!    one aggregates `H⁰` first exactly as before.
+//! 6. layer 0's miss SpMM is priced on the misses: its bytes rise with them.
 
 use mggcn_dense::Dense;
 use mggcn_dense::{gemm, relu_inplace, Accumulate};
@@ -277,6 +278,51 @@ fn out_of_range_queries_are_refused_before_the_cache_and_empty_ones_are_empty() 
     let none = server.query(&[]);
     assert_eq!((none.rows(), none.cols()), (0, 3));
     assert_eq!(*server.cache().stats(), before);
+}
+
+#[test]
+fn a_server_that_refused_a_query_still_answers_with_forward_full_bits() {
+    let m = model(60, 8, 6, 3, 23);
+    let reference = m.forward_full();
+    let mut server = Server::new(m, config(BatchPolicy::new(1e-3, 16), 1 << 20));
+    server.query(&[1, 2, 3]);
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        server.query(&[4, 60, 5]);
+    }))
+    .expect_err("vertex 60 is out of range");
+    // The kept batch buffers and walk state came through the refusal.
+    let batch = [4u32, 59, 5, 2, 4];
+    assert_answers(&server.query(&batch), &batch, &reference, "after the refusal");
+    assert_answers(&server.query(&batch), &batch, &reference, "warm, after the refusal");
+}
+
+/// `(misses, bytes of layer 0's SpMM)` of `batch`'s schedule on `server`.
+fn layer0_spmm(server: &mut Server, batch: &[u32]) -> (u64, f64) {
+    let misses = server.cache().stats().misses;
+    let ops = batch_ops(server, batch);
+    let misses = server.cache().stats().misses - misses;
+    match ops.iter().find(|&&(label, _)| label == "serve-spmm") {
+        Some(&(_, Work::Compute { bytes, .. })) => (misses, bytes),
+        other => panic!("layer 0's SpMM is a compute op, got {other:?}"),
+    }
+}
+
+#[test]
+fn layer_zero_spmm_bytes_rise_with_the_batch_misses() {
+    // The engine prices an op at no less than its launch overhead, and on a
+    // small model every miss SpMM fits under it, so simulated times cannot
+    // show the misses; the op's declared bytes must.
+    let m = model(200, 16, 12, 5, 11);
+    let mut server = Server::new(m, config(BatchPolicy::new(1e-3, 16), 1 << 20));
+    let batch = [3u32, 50, 77, 120, 181, 199];
+    let mut priced = vec![layer0_spmm(&mut server, &batch)];
+    // The same vertices, warmer each time: some of their layer-0 rows cached.
+    for warm in [&batch[..1], &batch[..3]] {
+        server.query(warm);
+        priced.push(layer0_spmm(&mut server, &batch));
+    }
+    assert!(priced.windows(2).all(|w| w[0].0 > w[1].0), "misses fall: {priced:?}");
+    assert!(priced.windows(2).all(|w| w[0].1 > w[1].1), "bytes fall with them: {priced:?}");
 }
 
 /// The `(label, work)` list a cold batch records, derived from the cost

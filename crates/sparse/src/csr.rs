@@ -95,6 +95,12 @@ impl Csr {
         Self { rows, cols, row_ptr, col_idx, values }
     }
 
+    /// The `row_ptr`, `col_idx` and `values` arrays [`Csr::from_parts`]
+    /// took, handed back for refilling.
+    pub fn into_parts(self) -> (Vec<usize>, Vec<u32>, Vec<f32>) {
+        (self.row_ptr, self.col_idx, self.values)
+    }
+
     /// Check every CSR structural invariant at runtime, naming the first
     /// violation. `from_parts` asserts the cheap subset and only
     /// debug-asserts the `O(nnz)` ones; the conformance harness calls

@@ -16,13 +16,18 @@
 //! that lane runs a piece of some shape, and with several lanes which epoch
 //! that is in is the scheduler's choice. What several lanes add per region —
 //! the pool's own bookkeeping — has a test of its own.
+//!
+//! Serving keeps the same rule per batch: a warm batch asks the allocator for
+//! what its own rows and shells need, however many vertices the graph has.
 
 use mg_gcn::core::state::DeviceState;
 use mg_gcn::dense::gemm::{scratch_bound_bytes, scratch_bytes};
+use mg_gcn::dense::Dense;
 use mg_gcn::exec::{set_active_threads, with_workers};
 use mg_gcn::gpusim::engine::Body;
 use mg_gcn::graph::generators::chung_lu;
 use mg_gcn::prelude::*;
+use mg_gcn::sparse::Coo;
 use rayon::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -267,4 +272,37 @@ fn a_parallel_region_allocates_nothing_on_its_caller_after_the_first() {
     (0..200).for_each(|_| region(&mut buf));
     assert_eq!(requested() - before, 0, "the pool allocated per region");
     assert_eq!(buf[64 * 7], 7 + 1, "and the regions ran");
+}
+
+#[test]
+fn a_warm_serving_batch_asks_for_the_same_bytes_on_a_sixteen_times_larger_graph() {
+    let _turn = pool_of(1);
+    let component = chung_lu::generate(&vec![6u32; 300], 5);
+    // Bytes one warm batch asks for on the component padded with isolated
+    // vertices to `n`: what the walk reaches is the same at every `n`.
+    let per_batch = |n: usize| {
+        let mut coo = Coo::new(n, n);
+        for r in 0..component.rows() {
+            component.row(r).for_each(|(c, x)| coo.push(r as u32, c, x));
+        }
+        let feats = Dense::from_fn(n, 32, |r, c| ((r * 32 + c) as f32 * 0.37).sin());
+        let w0 = Dense::from_fn(32, 32, |r, c| ((r + 5 * c) as f32 * 0.61).cos() * 0.4);
+        let w1 = Dense::from_fn(32, 16, |r, c| ((3 * r + c) as f32 * 0.53).sin() * 0.4);
+        let model = ServingModel::from_parts(vec![w0, w1], coo.to_csr(), feats).expect("valid");
+        let cfg = ServeConfig::new(MachineSpec::dgx_a100(), BatchPolicy::new(1e-3, 32), 1 << 20);
+        let mut server = Server::new(model, cfg);
+        let batch: Vec<u32> = (0..32).map(|i| i * 37 % 300).collect();
+        for _ in 0..WARM_UP {
+            server.query(&batch);
+        }
+        let misses = server.cache().stats().misses;
+        let before = requested();
+        server.query(&batch);
+        let bytes = requested() - before;
+        assert_eq!(server.cache().stats().misses, misses, "n = {n}: the batch is warm");
+        bytes
+    };
+    let (small, padded) = (per_batch(300), per_batch(16 * 300));
+    assert!(small > 0, "a batch returns its answers in a matrix of its own");
+    assert_eq!(small, padded, "a warm batch's allocations grew with the vertex count");
 }
